@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .graph import (DiscreteMeasure, GraphPoint, RayParams, graph_distance,
                     junction, move_along, point)
-from .beta import beta_distance, beta_two_diracs
+from .beta import beta_distance
 from .walk import NOT_HIT, Excursion, WalkWindow, excursions, generate_walk
 from .cv import (cv_forward, cv_forward_increments, cv_inverse,
                  cv_inverse_increments, cv_invariant_check, reflected_path,
@@ -22,7 +22,7 @@ from .stats import chi_square, half_normal_cdf, ks_statistic, walsh_marginal_che
 
 __all__ = [
     "DiscreteMeasure", "GraphPoint", "RayParams", "graph_distance", "junction",
-    "move_along", "point", "beta_distance", "beta_two_diracs", "NOT_HIT",
+    "move_along", "point", "beta_distance", "NOT_HIT",
     "Excursion", "WalkWindow", "excursions", "generate_walk", "cv_forward",
     "cv_forward_increments", "cv_inverse", "cv_inverse_increments",
     "cv_invariant_check", "reflected_path", "tau_sequence",

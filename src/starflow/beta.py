@@ -2,24 +2,25 @@
 
 beta(P, Q) = sup { |int g dP - int g dQ| : ||g||_inf + Lip(g) <= 1, g(0) = 0 }.
 
-The sup over all test functions reduces to a finite linear program over the
-values of g on supp(P) u supp(Q) u {0}: any feasible assignment on that
-finite set extends to the whole graph with the same sup-norm and Lipschitz
-budgets (Lipschitz extension with truncation), so the finite LP is exact.
+With Lipschitz budget L and sup budget M = 1 - L the problem splits by ray:
+across rays d(z, w) = |z| + |w|, so |g(z) - g(w)| <= L d(z, w) follows from
+the constraints that chain each ray out from the anchor g(0) = 0.  Hence
+beta = max over L in [0, 1] of F(L) = sum over rays of V_r(L), where V_r(L)
+is the best sum_i c_i g_i over one ray's points x_1 < ... < x_k (c = P - Q)
+with |g_i| <= M and |g_i - g_{i-1}| <= L (x_i - x_{i-1}), x_0 = g_0 = 0.
+F is concave and piecewise linear with F(0) = F(1) = 0.
 
-Three routes are provided:
+``beta_distance`` is the production solver: a dynamic program per ray gives
+V_r and its slope at one L, and a cutting plane maximises F.  It is exact (a
+``Fraction``) when every radius is rational.  Three oracles check it, sharing
+none of its code.  Each solves the finite LP over g on supp(P) u supp(Q) u {0}
+with every pair constraint, which is exact because any feasible assignment
+there extends to the whole graph (Lipschitz extension with truncation):
 
-* ``beta_distance``      - the production path, a dense LP solved by HiGHS;
-* ``beta_grid_oracle``   - brute-force grid search over g-values (<= 2 free
-                           values; cost grows as (2/h+1)^k);
-* ``beta_vertex_oracle`` - exact enumeration of the vertices of the feasible
-                           polytope (<= 6 free values), independent of the
-                           LP solver's pivoting path.
-
-``beta_two_diracs`` / ``beta_two_spreads`` / ``beta_dirac_vs_spread`` are
-closed-form fast paths for the measure shapes produced by flow kernels; they
-exploit the tree structure (cross-ray Lipschitz constraints are implied by
-the per-ray constraints through the junction anchor g(0) = 0).
+* ``beta_lp_oracle``     - HiGHS;
+* ``beta_grid_oracle``   - brute-force grid search (<= 2 free values);
+* ``beta_vertex_oracle`` - enumeration of the polytope's vertices (<= 4 free
+                           values), independent of the LP solver's pivoting.
 """
 
 from __future__ import annotations
@@ -30,9 +31,112 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from .graph import DiscreteMeasure, GraphPoint, RayParams, graph_distance
+from .graph import DiscreteMeasure, GraphPoint, graph_distance
 
 _FEAS_TOL = 1e-9
+_FLOAT_GAP = 1e-14  # cutting-plane stop for float input: a few roundings
+
+
+def _rays(P: DiscreteMeasure, Q: DiscreteMeasure) -> tuple[list, bool]:
+    """Per ray, (gaps, masses) of c = P - Q from the outermost point in, with
+    gaps[i] = x_i - x_{i-1} (x_0 = 0); the junction and zero masses dropped.
+    Numbers are Fractions when every radius is rational, else floats."""
+    exact = not any(isinstance(pt.radius, float) for m in (P, Q) for pt in m.atoms)
+    num = Fraction if exact else float
+    diff: dict[tuple, Fraction | float] = {}
+    for meas, sign in ((P, 1), (Q, -1)):
+        for pt, w in meas.atoms.items():
+            if pt.radius:
+                key = (pt.ray, num(pt.radius))
+                diff[key] = diff.get(key, 0) + sign * num(w)
+    by_ray: dict[int, list] = {}
+    for (ray, radius), c in sorted(diff.items(), reverse=True):
+        if c:
+            by_ray.setdefault(ray, []).append((radius, c))
+    rays = []
+    for atoms in by_ray.values():
+        radii = [radius for radius, _ in atoms]
+        rays.append(([a - b for a, b in zip(radii, radii[1:] + [0])], [c for _, c in atoms]))
+    return rays, exact
+
+
+def _value_at(knots: list, slopes: list, v, dv, at: tuple):
+    """f and its derivative in L at the point ``at``, walking right from
+    knots[0] (where they are v and dv), and the index of the piece holding it."""
+    k = 0
+    while knots[k + 1] <= at:
+        s = slopes[k]
+        v += s * (knots[k + 1][0] - knots[k][0])
+        dv += s * (knots[k + 1][1] - knots[k][1])
+        k += 1
+    s = slopes[k]
+    return v + s * (at[0] - knots[k][0]), dv + s * (at[1] - knots[k][1]), k
+
+
+def _ray_value(gaps: list, masses: list, L):
+    """(V_r(L), right derivative of V_r at L) for one ray, 0 < L < 1.
+
+    f(g) is the best value of the points outside the current one given g
+    there: concave and piecewise linear in g.  It is stored as its knots, each
+    a pair (position, derivative of the position in L), the slope of each
+    piece, which does not depend on L, and its value at the first knot.
+    Tuples compare positions first and derivatives second, which orders the
+    knots as they stand just right of L, so the derivative is the right one.
+    """
+    M = 1 - L
+    lo, hi = (-M, 1), (M, -1)
+    knots, slopes, v, dv = [lo, hi], [0], 0, 0
+    for d, c in zip(gaps, masses):
+        # restrict f to |g| <= M
+        v, dv, k = _value_at(knots, slopes, v, dv, lo)
+        knots, slopes = [lo] + knots[k + 1:], slopes[k:]
+        k = len(knots) - 1
+        while knots[k] >= hi:
+            k -= 1
+        knots, slopes = knots[:k + 1] + [hi], slopes[:k + 1]
+        # add c g
+        slopes = [s + c for s in slopes]
+        v, dv = v + c * lo[0], dv + c * lo[1]
+        # max over a window of half-width w = L d: split at the argmax knot j
+        # (the first whose right slope is <= 0) and insert a flat piece
+        j = next((k for k, s in enumerate(slopes) if s <= 0), len(slopes))
+        w = L * d
+        knots = ([(p - w, dp - d) for p, dp in knots[:j + 1]]
+                 + [(p + w, dp + d) for p, dp in knots[j:]])
+        slopes.insert(j, 0)
+    return _value_at(knots, slopes, v, dv, (0, 0))[:2]  # the junction, g_0 = 0
+
+
+def beta_distance(P: DiscreteMeasure, Q: DiscreteMeasure) -> Fraction | float:
+    """Exact bounded-Lipschitz distance, a Fraction if every radius is rational.
+
+    Cutting plane on F: the first supporting lines have slope F'(0+), the cost
+    of moving c to the junction (edge lengths times the mass beyond them), and
+    F'(1-) = -||c||_1.  Each round evaluates F and its right derivative where
+    the two current lines cross, and stops when F meets them there.
+    """
+    rays, exact = _rays(P, Q)
+    zero = Fraction(0) if exact else 0.0
+    if not rays:
+        return zero
+    slope_lo = sum(d * abs(tail) for gaps, masses in rays
+                   for d, tail in zip(gaps, itertools.accumulate(masses)))
+    slope_hi = -sum(abs(c) for _, masses in rays for c in masses)
+    lo, f_lo, hi, f_hi = zero, zero, zero + 1, zero
+    while True:
+        L = (f_hi - f_lo + slope_lo * lo - slope_hi * hi) / (slope_lo - slope_hi)
+        if not lo < L < hi:  # float rounding only; exact crossings stay inside
+            return max(f_lo, f_hi)
+        f, slope = zero, zero
+        for gaps, masses in rays:
+            v, dv = _ray_value(gaps, masses, L)
+            f, slope = f + v, slope + dv
+        if f_lo + slope_lo * (L - lo) - f <= (0 if exact else _FLOAT_GAP) or slope == 0:
+            return f
+        if slope > 0:
+            lo, f_lo, slope_lo = L, f, slope
+        else:
+            hi, f_hi, slope_hi = L, f, slope
 
 
 def _signed_weights(P: DiscreteMeasure, Q: DiscreteMeasure) -> tuple[list[GraphPoint], np.ndarray]:
@@ -52,7 +156,8 @@ def _constraint_rows(pts: list[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
     """Rows A, b with A v <= b for v = (g_1..g_k, L, M).
 
     Encodes |g_z| <= M, |g_z - g_w| <= L d(z, w) for all pairs including the
-    junction (where g = 0), L + M <= 1, L >= 0, M >= 0.
+    junction (where g = 0), and L + M <= 1.  M >= 0 and L >= 0 follow from
+    |g_z| <= M and |g_z| <= L d(z, 0) with d(z, 0) > 0.
     """
     k = len(pts)
     rows, rhs = [], []
@@ -77,13 +182,11 @@ def _constraint_rows(pts: list[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
         row([(j, 1.0), (l, -1.0)], -d, 0.0, 0.0)
         row([(j, -1.0), (l, 1.0)], -d, 0.0, 0.0)
     row([], 1.0, 1.0, 1.0)    # L + M <= 1
-    row([], -1.0, 0.0, 0.0)   # L >= 0
-    row([], 0.0, -1.0, 0.0)   # M >= 0
     return np.array(rows), np.array(rhs)
 
 
-def beta_distance(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
-    """Exact bounded-Lipschitz distance via the finite LP (HiGHS)."""
+def beta_lp_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
+    """The finite LP solved by HiGHS."""
     pts, c = _signed_weights(P, Q)
     if len(pts) == 0:
         return 0.0
@@ -152,85 +255,3 @@ def beta_vertex_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
         return 0.0
     vals = verts[:, :k] @ c
     return float(np.abs(vals).max(initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# Closed-form fast paths.
-#
-# With g(0) = 0 and budget L + M = 1, the constraint |g(z)| <= cap(z) with
-# cap(z) = min(M, L |z|) makes every cross-ray pair constraint redundant
-# (d(z, w) = |z| + |w| across rays), so the LP decouples along rays and the
-# two-measure cases below reduce to one-dimensional maximizations over L.
-# ---------------------------------------------------------------------------
-
-
-def _max_of_min_lines(lines: list[tuple[float, float]]) -> float:
-    """max over L in [0,1] of min_i (m_i L + c_i); exact via crossing candidates."""
-    cands = {0.0, 1.0}
-    for (m1, c1), (m2, c2) in itertools.combinations(lines, 2):
-        if m1 != m2:
-            L = (c2 - c1) / (m1 - m2)
-            if 0.0 < L < 1.0:
-                cands.add(L)
-    best = 0.0
-    for L in cands:
-        best = max(best, min(m * L + c for m, c in lines))
-    return best
-
-
-def beta_two_diracs(a: GraphPoint, b: GraphPoint) -> float:
-    """beta(delta_a, delta_b), exact."""
-    ra, rb = float(a.radius), float(b.radius)
-    if a == b:
-        return 0.0
-    d = float(graph_distance(a, b))
-    # objective <= min(L d, cap(a) + cap(b)) and the bound is attained
-    lines = [(d, 0.0), (-2.0, 2.0), (ra - 1.0, 1.0), (rb - 1.0, 1.0)]
-    return _max_of_min_lines(lines)
-
-
-def beta_two_spreads(u: float, v: float) -> float:
-    """beta of two alpha-spreads at radii u and v (same alpha).
-
-    Per-ray problems are identical two-point problems on one ray, so the
-    value equals the same-ray two-Dirac distance at radii u, v.
-    """
-    if u == v:
-        return 0.0
-    lines = [(abs(u - v), 0.0), (-2.0, 2.0), (min(u, v) - 1.0, 1.0), (max(u, v) - 1.0, 1.0)]
-    return _max_of_min_lines(lines)
-
-
-def _ray_pair_max(cu: float, cv: float, step: float, a_r: float) -> float:
-    """max g_u - a_r g_v s.t. |g_u|<=cu, |g_v|<=cv, |g_u-g_v|<=step."""
-    best = -np.inf
-    for gv in (-cv, cv, cu - step, -cu + step):
-        gv = min(cv, max(-cv, gv))
-        gu = min(cu, gv + step)
-        best = max(best, gu - a_r * gv)
-    return best
-
-
-def beta_dirac_vs_spread(params: RayParams, dirac: GraphPoint, spread_radius: float,
-                         n_grid: int = 8192) -> float:
-    """beta(delta_x, alpha-spread at radius v), accurate to ~(radii)/n_grid.
-
-    Used only in convergence profiling where a small tolerance is harmless;
-    exact values go through ``beta_distance``.
-    """
-    u = float(dirac.radius)
-    v = float(spread_radius)
-    a_r = float(params.alpha[dirac.ray - 1]) if u > 0 else 0.0
-    off_ray = 1.0 - a_r if u > 0 else 1.0
-    best = 0.0
-    for L in np.linspace(0.0, 1.0, n_grid + 1):
-        M = 1.0 - L
-        cu = min(M, L * u)
-        cv = min(M, L * v)
-        val = off_ray * cv
-        if u > 0:
-            val += _ray_pair_max(cu, cv, L * abs(u - v), a_r)
-        else:
-            val += 0.0  # g(junction) = 0 contributes nothing
-        best = max(best, abs(val))
-    return best

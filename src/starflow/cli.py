@@ -62,8 +62,9 @@ class CheckList:
 
 def _write_manifest(out: Path, subcommand: str, cfg: RunConfig, checks: CheckList):
     config_dict = cfg.as_dict()
-    digest = hashlib.sha256(
-        json.dumps(config_dict, sort_keys=True).encode()).hexdigest()
+    # where the artifacts go is not an input: leave it out of the hash
+    hashed = {k: v for k, v in config_dict.items() if k != "output_dir"}
+    digest = hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
     manifest = {
         "subcommand": subcommand,
         "config": config_dict,

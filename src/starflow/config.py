@@ -1,7 +1,8 @@
 """Flat key = value configuration with exact rational alpha weights.
 
 Rationals are written "num/den" so they survive the round-trip; alpha and
-n_list are comma-separated.  Unknown keys raise ConfigError naming the key.
+n_list are comma-separated.  Unknown keys and out-of-range values raise
+ConfigError naming the key.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class RunConfig:
     x_ray: int = 1
     x_radius: float = 0.0
     output_dir: str = "artifacts"
-    workers: int = 1
 
     def ray_params(self) -> RayParams:
         try:
@@ -48,7 +48,6 @@ class RunConfig:
             "x_ray": self.x_ray,
             "x_radius": self.x_radius,
             "output_dir": self.output_dir,
-            "workers": self.workers,
         }
 
 
@@ -59,7 +58,7 @@ def _parse_fraction(text: str, key: str) -> Fraction:
         raise ConfigError(f"{key}: bad rational {text!r}") from exc
 
 
-_INT_KEYS = {"N", "seed", "replicas", "length", "x_ray", "workers"}
+_INT_KEYS = {"N", "seed", "replicas", "length", "x_ray"}
 _FLOAT_KEYS = {"T", "s", "x_radius"}
 
 
@@ -94,7 +93,25 @@ def parse_config(text: str) -> RunConfig:
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     cfg.ray_params()  # validates N and alpha together
+    _check_ranges(cfg)
     return cfg
+
+
+def _check_ranges(cfg: RunConfig) -> None:
+    if cfg.length < 2:
+        raise ConfigError(f"length: need >= 2, got {cfg.length}")
+    if cfg.replicas < 100:  # the KS tests need 100 samples
+        raise ConfigError(f"replicas: need >= 100, got {cfg.replicas}")
+    if min(cfg.n_list) < 1:
+        raise ConfigError(f"n_list: entries must be >= 1, got {cfg.n_list}")
+    if any(a >= b for a, b in zip(cfg.n_list, cfg.n_list[1:])):
+        raise ConfigError(f"n_list: must be strictly increasing, got {cfg.n_list}")
+    if not 1 <= cfg.x_ray <= cfg.N:
+        raise ConfigError(f"x_ray: need 1..{cfg.N}, got {cfg.x_ray}")
+    if not cfg.x_radius >= 0:
+        raise ConfigError(f"x_radius: need >= 0, got {cfg.x_radius}")
+    if not cfg.T > 0:
+        raise ConfigError(f"T: need > 0, got {cfg.T}")
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .beta import beta_dirac_vs_spread, beta_two_diracs, beta_two_spreads
+from .beta import beta_distance
 from .errors import LatticeMismatchError, OutOfDomainError
 from .graph import DiscreteMeasure, GraphPoint, RayParams, graph_distance, junction, point
 from .walk import NOT_HIT, WalkWindow
@@ -137,31 +137,6 @@ def _float_point(ray: int, radius: float, n_rays: int) -> GraphPoint:
     return GraphPoint(ray, radius)
 
 
-def measure_beta_closed(p_meas: DiscreteMeasure, q_meas: DiscreteMeasure,
-                        params: RayParams) -> float:
-    """beta between two kernel outputs, using closed forms for the shapes a
-    kernel can produce (Dirac or alpha spread)."""
-    p_spread, p_val = _classify(p_meas, params)
-    q_spread, q_val = _classify(q_meas, params)
-    if not p_spread and not q_spread:
-        return beta_two_diracs(p_val, q_val)
-    if p_spread and q_spread:
-        return beta_two_spreads(float(p_val.radius if hasattr(p_val, "radius") else p_val),
-                                float(q_val.radius if hasattr(q_val, "radius") else q_val))
-    if p_spread:
-        return beta_dirac_vs_spread(params, q_val, float(p_val))
-    return beta_dirac_vs_spread(params, p_val, float(q_val))
-
-
-def _classify(m: DiscreteMeasure, params: RayParams):
-    """(is_spread, payload): payload is the Dirac point or the spread radius."""
-    pts = list(m.atoms)
-    if len(pts) == 1 and m.atoms[pts[0]] == 1:
-        return False, pts[0]
-    radius = pts[0].radius
-    return True, radius
-
-
 def grid_and_midpoints(n: int, s: float, t_end: float) -> np.ndarray:
     """Breakpoints k/n in [s, t_end] plus segment midpoints (where the sup of
     a piecewise-linear expression in t can sit), plus the endpoints."""
@@ -202,7 +177,7 @@ def convergence_beta(walk_for_n, params: RayParams, s: float, big_t: float,
             rescaled = _rescale_measure(discrete, n)
             limit = wiener_kernel(w, params, s, t, _float_point(x.ray, x.radius, params.N)
                                   if x.radius else junction(params.N))
-            sup_beta = max(sup_beta, measure_beta_closed(rescaled, limit, params))
+            sup_beta = max(sup_beta, float(beta_distance(rescaled, limit)))
         rows.append({"n": n, "sup_beta": sup_beta})
     return rows
 

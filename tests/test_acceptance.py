@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from starflow.beta import (beta_distance, beta_two_diracs, beta_vertex_oracle)
+from starflow.beta import beta_distance, beta_vertex_oracle
 from starflow.chain import (check_proof_facts, draw_ray_marks, flip_bound_deviation,
                             flip_excursions, simulate_chain_batch, transition_counts)
 from starflow.cv import (cv_deviation_batch, cv_forward, cv_forward_increments,
@@ -22,7 +22,7 @@ from starflow.flows import (FlowRealization, kernel_closed_form, kernel_compose,
                             kernel_is_conditional_law, psi_closed_form, psi_compose)
 from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, junction, point)
 from starflow.limit import (_rescale_measure, convergence_beta, mapping_convergence,
-                            measure_beta_closed, rescale_path, wiener_kernel)
+                            rescale_path, wiener_kernel)
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square,
                             walsh_marginal_check)
@@ -201,7 +201,7 @@ def test_criterion_5_donsker():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 6: LP vs oracle on 10^3 pairs (2e-3), closed forms (1e-9)
+# Criterion 6: solver vs vertex oracle on 10^3 pairs (1e-9), exact Dirac values
 # ---------------------------------------------------------------------------
 
 def _random_measure(rng, max_support=2):
@@ -224,15 +224,16 @@ def test_criterion_6_beta_metric():
         p = _random_measure(rng)
         q = _random_measure(rng)
         worst = max(worst, abs(beta_distance(p, q) - beta_vertex_oracle(p, q)))
-    assert worst < 2e-3
+    assert worst < 1e-9
     for r in (0.5, 1.0, 2.0, 5.0):
         val = beta_distance(DiscreteMeasure.dirac(GraphPoint(1, r)),
                             DiscreteMeasure.dirac(junction(3)))
         assert val == pytest.approx(r / (1 + r), abs=1e-9)
-        assert beta_two_diracs(GraphPoint(1, r), junction(3)) == pytest.approx(
-            r / (1 + r), abs=1e-9)
-    print(f"\n[criterion 6] LP vs oracle worst gap {worst:.2e} < 2e-3 on 10^3 "
-          f"pairs; dirac closed form within 1e-9 PASS")
+    for r in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(7, 3)):
+        assert beta_distance(DiscreteMeasure.dirac(GraphPoint(1, r)),
+                             DiscreteMeasure.dirac(junction(3))) == r / (1 + r)
+    print(f"\n[criterion 6] solver vs vertex oracle worst gap {worst:.2e} < 1e-9 on "
+          f"10^3 pairs; dirac values r/(1+r) exact PASS")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ def test_criterion_7_convergence():
             discrete = _rescale_measure(kernel_closed_form(walk, PARAMS, 0, k,
                                                            junction(3)), n)
             limit = wiener_kernel(w, PARAMS, 0.0, k / n, junction(3))
-            worst = max(worst, measure_beta_closed(discrete, limit, PARAMS))
+            worst = max(worst, beta_distance(discrete, limit))
     assert worst < 1e-12
     elapsed = time.time() - t0
     assert elapsed < 180.0

@@ -1,13 +1,15 @@
-"""Bounded-Lipschitz metric: LP solution vs independent oracles and closed forms."""
+"""Bounded-Lipschitz metric: the exact solver against the LP, grid and vertex
+oracles, exact values, and metric properties."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from starflow.beta import (beta_distance, beta_dirac_vs_spread, beta_grid_oracle,
-                           beta_two_diracs, beta_two_spreads, beta_vertex_oracle)
-from starflow.graph import DiscreteMeasure, GraphPoint, RayParams, junction, point
+from starflow.beta import (_ray_value, _rays, beta_distance, beta_grid_oracle,
+                           beta_lp_oracle, beta_vertex_oracle)
+from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, graph_distance,
+                            junction, point)
 from starflow.rng import make_rng
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
@@ -33,20 +35,23 @@ def random_measure(rng, max_support=2):
 
 def test_beta_identical_measures_zero():
     m = _dirac(1, 3)
-    assert beta_distance(m, m) == pytest.approx(0, abs=1e-9)
+    assert beta_distance(m, m) == 0
 
 
 def test_beta_dirac_vs_junction_half():
-    assert beta_distance(_dirac(1, 1), _dirac(1, 0)) == pytest.approx(0.5, abs=1e-9)
+    assert beta_distance(_dirac(1, 1), _dirac(1, 0)) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 5.0])
 def test_beta_dirac_closed_form(r):
-    val = beta_distance(DiscreteMeasure.dirac(GraphPoint(1, r)),
-                        DiscreteMeasure.dirac(junction(3)))
+    p = DiscreteMeasure.dirac(GraphPoint(1, r))
+    q = DiscreteMeasure.dirac(junction(3))
+    val = beta_distance(p, q)
     assert val == pytest.approx(r / (1 + r), abs=1e-9)
-    assert beta_two_diracs(GraphPoint(1, r), junction(3)) == pytest.approx(
-        r / (1 + r), abs=1e-9)
+    assert val == pytest.approx(beta_lp_oracle(p, q), abs=1e-9)
+    exact = Fraction(r)
+    assert beta_distance(DiscreteMeasure.dirac(GraphPoint(1, exact)), q) == \
+        exact / (1 + exact)
 
 
 def test_beta_spread_bound():
@@ -54,7 +59,7 @@ def test_beta_spread_bound():
         p = DiscreteMeasure.ray_spread(PARAMS, r)
         q = DiscreteMeasure.ray_spread(PARAMS, rp)
         val = beta_distance(p, q)
-        assert val == pytest.approx(beta_two_spreads(r, rp), abs=1e-9)
+        assert val == pytest.approx(beta_lp_oracle(p, q), abs=1e-9)
         assert val <= 2.0 + 1e-12
 
 
@@ -69,16 +74,18 @@ def test_lp_matches_grid_oracle_small():
         support.discard(junction(3))
         if len(support) > 2:
             continue
-        assert beta_distance(p, q) == pytest.approx(
-            beta_grid_oracle(p, q), abs=2e-3)
+        grid = beta_grid_oracle(p, q)
+        assert beta_lp_oracle(p, q) == pytest.approx(grid, abs=2e-3)
+        assert float(beta_distance(p, q)) == pytest.approx(grid, abs=2e-3)
 
 
 def test_lp_matches_vertex_oracle():
+    # the two oracles check each other; criterion 6 checks the solver
     rng = make_rng(12, 0)
     for _ in range(200):
         p = random_measure(rng, max_support=2)
         q = random_measure(rng, max_support=2)
-        assert beta_distance(p, q) == pytest.approx(
+        assert beta_lp_oracle(p, q) == pytest.approx(
             beta_vertex_oracle(p, q), abs=1e-9)
 
 
@@ -89,9 +96,9 @@ def test_beta_symmetry_and_triangle():
         q = random_measure(rng)
         r = random_measure(rng)
         d_pq = beta_distance(p, q)
-        assert d_pq == pytest.approx(beta_distance(q, p), abs=1e-9)
-        assert d_pq <= 2 + 1e-9
-        assert d_pq <= beta_distance(p, r) + beta_distance(r, q) + 1e-9
+        assert d_pq == beta_distance(q, p)
+        assert d_pq <= 2
+        assert d_pq <= beta_distance(p, r) + beta_distance(r, q)
 
 
 def test_beta_zero_iff_equal():
@@ -101,9 +108,9 @@ def test_beta_zero_iff_equal():
         q = random_measure(rng)
         d = beta_distance(p, q)
         if p == q:
-            assert d == pytest.approx(0, abs=1e-9)
+            assert d == 0
         else:
-            assert d > 1e-9
+            assert d > 0
 
 
 def test_beta_dirac_bounded_by_distance():
@@ -111,9 +118,8 @@ def test_beta_dirac_bounded_by_distance():
     for _ in range(100):
         a = point(int(rng.integers(1, 4)), int(rng.integers(0, 6)), 3)
         b = point(int(rng.integers(1, 4)), int(rng.integers(0, 6)), 3)
-        from starflow.graph import graph_distance
         assert beta_distance(DiscreteMeasure.dirac(a), DiscreteMeasure.dirac(b)) \
-            <= graph_distance(a, b) + 1e-9
+            <= graph_distance(a, b)
 
 
 def test_two_spreads_closed_form_vs_lp():
@@ -124,7 +130,7 @@ def test_two_spreads_closed_form_vs_lp():
         q = (DiscreteMeasure.dirac(junction(3)) if v == 0
              else DiscreteMeasure([(GraphPoint(i, v), PARAMS.alpha[i - 1])
                                    for i in range(1, 4)]))
-        assert beta_two_spreads(u, v) == pytest.approx(beta_distance(p, q), abs=1e-9)
+        assert beta_distance(p, q) == pytest.approx(beta_lp_oracle(p, q), abs=1e-9)
 
 
 def test_dirac_vs_spread_closed_form_vs_lp():
@@ -132,6 +138,68 @@ def test_dirac_vs_spread_closed_form_vs_lp():
         d = point(ray, rad, 3)
         q = DiscreteMeasure([(GraphPoint(i, spread), PARAMS.alpha[i - 1])
                              for i in range(1, 4)])
-        approx = beta_dirac_vs_spread(PARAMS, d, spread)
-        exact = beta_distance(DiscreteMeasure.dirac(d), q)
-        assert approx == pytest.approx(exact, abs=1e-4)
+        assert beta_distance(DiscreteMeasure.dirac(d), q) == pytest.approx(
+            beta_lp_oracle(DiscreteMeasure.dirac(d), q), abs=1e-9)
+
+
+def test_beta_counterexample_to_fixed_candidates():
+    # the optimum sits at L = 1/4, which no 1/(1 + r) or 2/(2 + d) built from
+    # the radii and pairwise distances reaches; those candidates give 49/60
+    p = DiscreteMeasure([(GraphPoint(1, 1), Fraction(1, 10)),
+                         (GraphPoint(2, Fraction(5, 2)), Fraction(1, 5)),
+                         (junction(3), Fraction(7, 10))])
+    q = DiscreteMeasure([(GraphPoint(1, 5), Fraction(9, 10)),
+                         (junction(3), Fraction(1, 10))])
+    assert beta_distance(p, q) == Fraction(33, 40)
+    assert beta_lp_oracle(p, q) == pytest.approx(33 / 40, abs=1e-12)
+
+
+def test_beta_result_type():
+    rational = (_dirac(1, 2), DiscreteMeasure.ray_spread(PARAMS, Fraction(7, 3)))
+    assert type(beta_distance(*rational)) is Fraction
+    assert type(beta_distance(_dirac(1, 2), _dirac(1, 2))) is Fraction
+    assert type(beta_distance(_dirac(1, 2), _dirac(2, 0.5))) is float
+
+
+def _rich_measure(rng, kind):
+    """Up to 7 atoms; "ray" puts 5 to 7 of them on ray 1.  Radii are integers,
+    non-integer rationals or floats depending on the kind."""
+    k = int(rng.integers(5, 8)) if kind == "ray" else int(rng.integers(1, 8))
+    atoms = {}
+    while len(atoms) < k:
+        ray = 1 if kind == "ray" else int(rng.integers(1, 4))
+        if kind == "float":
+            radius = float(rng.uniform(0.05, 5.0))
+        else:
+            radius = Fraction(int(rng.integers(0, 40)), int(rng.integers(1, 8)))
+        pt = point(ray, radius, 3)
+        atoms[pt] = atoms.get(pt, 0) + int(rng.integers(1, 10))
+    total = sum(atoms.values())
+    return DiscreteMeasure((pt, Fraction(w, total)) for pt, w in atoms.items())
+
+
+def test_beta_matches_lp_oracle_randomized():
+    rng = make_rng(16, 0)
+    kinds = ("ray", "rational", "float")
+    for i in range(1_200):
+        kind = kinds[i % 3]
+        p, q = _rich_measure(rng, kind), _rich_measure(rng, kind)
+        val = beta_distance(p, q)
+        assert type(val) is (float if kind == "float" else Fraction)
+        assert float(val) == pytest.approx(beta_lp_oracle(p, q), abs=1e-12), (p, q)
+
+
+def test_ray_value_right_derivative_at_kinks():
+    # with integer radii 1..5 the pieces of V_r(L) meet at rationals such as
+    # 1/(1 + x) and 2/(2 + d), all on the grid k/60; there the solver's slope
+    # must be the right derivative, which the cutting plane relies on
+    rng = make_rng(17, 0)
+    h = Fraction(1, 10**6)
+    for _ in range(60):
+        rays, _ = _rays(random_measure(rng, max_support=3),
+                        random_measure(rng, max_support=3))
+        for gaps, masses in rays:
+            for k in range(1, 60):
+                L = Fraction(k, 60)
+                v, dv = _ray_value(gaps, masses, L)
+                assert (_ray_value(gaps, masses, L + h)[0] - v) / h == dv

@@ -90,12 +90,12 @@ def test_cv_check_reproducible(small_config, tmp_path):
                      "--output-dir", str(out)]) == 0
     assert (out1 / "cv_check.csv").read_bytes() == \
         (out2 / "cv_check.csv").read_bytes()
-    # manifests embed the (differing) output_dir; everything else is identical
+    # manifests echo the (differing) output_dir, which the hash leaves out;
+    # everything else is identical
     m1 = json.loads((out1 / "cv-check_manifest.json").read_text())
     m2 = json.loads((out2 / "cv-check_manifest.json").read_text())
     for m in (m1, m2):
         m["config"].pop("output_dir")
-        m.pop("input_hash")
     assert m1 == m2
 
 
@@ -113,6 +113,31 @@ def test_bad_config_exit_code(tmp_path, capsys):
                  "--output-dir", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("length", "1"),
+    ("replicas", "99"),
+    ("n_list", "0"),
+    ("n_list", "100, 10"),
+    ("x_ray", "7"),
+    ("x_radius", "-0.5"),
+    ("T", "0"),
+])
+def test_out_of_range_value_exit_code(key, value, tmp_path, capsys):
+    path = tmp_path / "config.txt"
+    path.write_text(f"{SMALL}{key} = {value}\n")
+    code = main(["convergence", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_workers_key_removed():
+    with pytest.raises(ConfigError, match="workers"):
+        parse_config("workers = 1\n")
 
 
 def test_unknown_subcommand_rejected(small_config):

@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from starflow.beta import beta_distance, beta_lp_oracle
 from starflow.errors import LatticeMismatchError, OutOfDomainError
 from starflow.graph import RayParams, junction, point
 from starflow.limit import (NOT_HIT, ContinuousPath, convergence_beta,
                             floor_time, grid_and_midpoints, mapping_convergence,
-                            measure_beta_closed, rescale_chain, rescale_path,
-                            tau_hit, wiener_kernel)
+                            rescale_chain, rescale_path, tau_hit, wiener_kernel)
 from starflow.walk import generate_walk
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
@@ -93,13 +93,14 @@ def test_grid_and_midpoints():
     assert len(ts) == 7
 
 
-def test_measure_beta_closed_zero_and_positive():
+def test_kernel_beta_zero_and_positive():
     w = ContinuousPath(1, 0, np.array([0.0, -1.0, 0.0]))
     a = wiener_kernel(w, PARAMS, 0.0, 2.0, junction(3))
-    assert measure_beta_closed(a, a, PARAMS) == pytest.approx(0.0)
+    assert beta_distance(a, a) == 0.0
     b = wiener_kernel(w, PARAMS, 0.0, 1.5, junction(3))
-    d = measure_beta_closed(a, b, PARAMS)
+    d = beta_distance(a, b)
     assert 0.0 < d <= 1.0
+    assert d == pytest.approx(beta_lp_oracle(a, b), abs=1e-12)
 
 
 def test_convergence_beta_grid_self_consistency():
