@@ -6,31 +6,31 @@ __version__ = "0.1.0"
 from .graph import (DiscreteMeasure, GraphPoint, RayParams, graph_distance,
                     junction, move_along, point)
 from .beta import beta_distance
-from .walk import NOT_HIT, Excursion, WalkWindow, excursions, generate_walk
+from .walk import (NOT_HIT, Excursion, WalkWindow, excursions, generate_walk,
+                   random_increments)
 from .cv import (cv_forward, cv_forward_increments, cv_inverse,
                  cv_inverse_increments, cv_invariant_check, reflected_path,
                  tau_sequence, taus_from_first_hits)
-from .chain import (ChainPath, flip_excursions, flipped_product_chain,
-                    simulate_chain, simulate_chain_batch, step_chain_Q,
-                    step_chain_lazy)
+from .chain import (ChainPath, flip_excursions, flip_realization,
+                    flipped_product_chain, simulate_chain, simulate_chain_batch)
 from .flows import (FlowRealization, kernel_closed_form, kernel_compose,
                     kernel_is_conditional_law, psi_closed_form, psi_compose,
                     psi_one_step)
-from .limit import (ContinuousPath, convergence_beta, mapping_convergence,
-                    rescale_path, tau_hit, wiener_kernel)
+from .limit import (ContinuousPath, convergence_profiles, rescale_path, tau_hit,
+                    wiener_kernel)
 from .stats import chi_square, half_normal_cdf, ks_statistic, walsh_marginal_check
 
 __all__ = [
     "DiscreteMeasure", "GraphPoint", "RayParams", "graph_distance", "junction",
     "move_along", "point", "beta_distance", "NOT_HIT",
-    "Excursion", "WalkWindow", "excursions", "generate_walk", "cv_forward",
-    "cv_forward_increments", "cv_inverse", "cv_inverse_increments",
+    "Excursion", "WalkWindow", "excursions", "generate_walk", "random_increments",
+    "cv_forward", "cv_forward_increments", "cv_inverse", "cv_inverse_increments",
     "cv_invariant_check", "reflected_path", "tau_sequence",
-    "taus_from_first_hits", "ChainPath", "flip_excursions",
+    "taus_from_first_hits", "ChainPath", "flip_excursions", "flip_realization",
     "flipped_product_chain", "simulate_chain", "simulate_chain_batch",
-    "step_chain_Q", "step_chain_lazy", "FlowRealization", "kernel_closed_form",
+    "FlowRealization", "kernel_closed_form",
     "kernel_compose", "kernel_is_conditional_law", "psi_closed_form",
-    "psi_compose", "psi_one_step", "ContinuousPath", "convergence_beta",
-    "mapping_convergence", "rescale_path", "tau_hit", "wiener_kernel",
+    "psi_compose", "psi_one_step", "ContinuousPath", "convergence_profiles",
+    "rescale_path", "tau_hit", "wiener_kernel",
     "chi_square", "half_normal_cdf", "ks_statistic", "walsh_marginal_check",
 ]

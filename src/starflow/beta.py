@@ -35,6 +35,10 @@ from .graph import DiscreteMeasure, GraphPoint, graph_distance
 
 _FEAS_TOL = 1e-9
 _FLOAT_GAP = 1e-14  # cutting-plane stop for float input: a few roundings
+# HiGHS's default 1e-7 feasibility tolerance lets the LP overshoot beta by up
+# to about 1e-7 when radii are below about 1e-6
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 
 
 def _rays(P: DiscreteMeasure, Q: DiscreteMeasure) -> tuple[list, bool]:
@@ -194,7 +198,8 @@ def beta_lp_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     k = len(pts)
     obj = np.concatenate([-c, [0.0, 0.0]])  # linprog minimizes
     bounds = [(-1.0, 1.0)] * k + [(0.0, 1.0), (0.0, 1.0)]
-    res = linprog(obj, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    res = linprog(obj, A_ub=A, b_ub=b, bounds=bounds, method="highs",
+                  options=_HIGHS_OPTIONS)
     if not res.success:  # pragma: no cover - LP is always feasible (g = 0)
         raise RuntimeError(f"beta LP failed: {res.message}")
     return max(0.0, -res.fun)

@@ -15,15 +15,15 @@ analysis (no excursion / one excursion, two sub-cases / two excursions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cv import cv_forward_increments, reflected_path, tau_sequence
+from .cv import cv_forward, cv_forward_increments, reflected_path, tau_sequence
 from .errors import NotAPreimageError
-from .graph import GraphPoint, RayParams, junction, point
+from .graph import GraphPoint, RayParams, point
 from .rng import make_rng
-from .walk import Excursion, WalkWindow, excursions
+from .walk import Excursion, WalkWindow, excursions, generate_walk
 
 
 def _alpha_cum(params: RayParams) -> np.ndarray:
@@ -53,15 +53,6 @@ class ChainPath:
     def __len__(self):
         return len(self.radii)
 
-    def position(self, k: int) -> GraphPoint:
-        r = int(self.radii[k])
-        if r == 0:
-            return junction(self.params.N)
-        return point(int(self.rays[k]), r, self.params.N)
-
-    def positions(self) -> list[GraphPoint]:
-        return [self.position(k) for k in range(len(self))]
-
 
 def step_chain(params: RayParams, x: GraphPoint, u: float, lazy: bool = False) -> GraphPoint:
     """One transition from x given a uniform draw u in [0, 1)."""
@@ -74,14 +65,6 @@ def step_chain(params: RayParams, x: GraphPoint, u: float, lazy: bool = False) -
         return point(min(ray, params.N), 1, params.N)
     delta = 1 if u >= 0.5 else -1
     return point(x.ray, x.radius + delta, params.N)
-
-
-def step_chain_Q(params: RayParams, x: GraphPoint, u: float) -> GraphPoint:
-    return step_chain(params, x, u, lazy=False)
-
-
-def step_chain_lazy(params: RayParams, x: GraphPoint, u: float) -> GraphPoint:
-    return step_chain(params, x, u, lazy=True)
 
 
 def simulate_chain(params: RayParams, n_steps: int, seed: int, stream_id: int,
@@ -221,6 +204,21 @@ def flip_excursions(s_bar: WalkWindow, s: WalkWindow, eta: np.ndarray,
     rays[radii == 0] = 0
     chain = ChainPath(params, rays, radii)
     return FlipResult(chain, complete, cases, exc, truncated)
+
+
+def flip_realization(params: RayParams, length: int, seed: int,
+                     stream_id: int) -> tuple[FlipResult, WalkWindow, WalkWindow, np.ndarray]:
+    """(flipped chain, S, S-bar, eta) for a walk S of the given length.
+
+    S comes from stream stream_id, the excursion marks eta from stream_id + 1
+    and the block marks from stream_id + 2.
+    """
+    s = generate_walk(0, length, seed, stream_id)
+    s_bar = cv_forward(s)
+    n_exc = len(excursions(reflected_path(s_bar.values)))
+    eta = draw_ray_marks(params, n_exc, seed, stream_id + 1)
+    beta_aux = draw_ray_marks(params, length, seed, stream_id + 2)
+    return flip_excursions(s_bar, s, eta, beta_aux, params), s, s_bar, eta
 
 
 def flip_bound_deviation(result: FlipResult, s_bar: WalkWindow, eta: np.ndarray) -> int:

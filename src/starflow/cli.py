@@ -19,21 +19,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import (draw_ray_marks, flip_bound_deviation, flip_excursions,
-                    simulate_chain_batch, transition_counts)
+from .chain import (flip_bound_deviation, flip_realization, simulate_chain_batch,
+                    transition_counts)
 from .config import RunConfig, load_config
-from .cv import (cv_deviation_batch, cv_forward, cv_forward_increments,
-                 cv_inverse_increments, reflected_path)
+from .cv import cv_deviation_batch, cv_forward_increments, cv_inverse_increments
 from .errors import ConfigError, StarflowError
 from .flows import (FlowRealization, kernel_closed_form, kernel_compose,
                     kernel_is_conditional_law, psi_closed_form, psi_compose)
-from .graph import RayParams, junction, point
-from .limit import convergence_beta, mapping_convergence
+from .graph import junction, point
+from .limit import convergence_profiles
 from .rng import make_rng
 from .stats import (chi_square, chi_square_pvalue, updown_chi_square,
                     walsh_marginal_check)
 from .svg import line_plot
-from .walk import WalkWindow, excursions, generate_walk
+from .walk import WalkWindow, generate_walk, random_increments
 
 # fixed stream ids per purpose, so subcommands never share draws
 STREAM_WALK, STREAM_ETA, STREAM_CHAIN, STREAM_FLIP, STREAM_SPOT = 1, 2, 3, 4, 5
@@ -84,14 +83,9 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
         writer.writerows(rows)
 
 
-def _batch_walks(cfg: RunConfig, stream: int, n_walks: int, length: int) -> np.ndarray:
-    rng = make_rng(cfg.seed, stream)
-    return rng.integers(0, 2, size=(n_walks, length)).astype(np.int64) * 2 - 1
-
-
 def run_cv_check(cfg: RunConfig, out: Path) -> CheckList:
     checks = CheckList()
-    incs = _batch_walks(cfg, STREAM_WALK, cfg.replicas, cfg.length)
+    incs = random_increments((cfg.replicas, cfg.length), cfg.seed, STREAM_WALK)
     dev = cv_deviation_batch(incs)
     checks.add("cv_bound_max_deviation", int(dev.max()), 2, bool(dev.max() <= 2))
     bars = cv_forward_increments(incs)
@@ -125,15 +119,6 @@ def run_chain_donsker(cfg: RunConfig, out: Path) -> CheckList:
     return checks
 
 
-def _flip_realization(cfg: RunConfig, params, length: int, stream: int):
-    s = generate_walk(0, length, cfg.seed, stream)
-    s_bar = cv_forward(s)
-    n_exc = len(excursions(reflected_path(s_bar.values)))
-    eta = draw_ray_marks(params, n_exc, cfg.seed, stream + 1)
-    beta_aux = draw_ray_marks(params, length, cfg.seed, stream + 2)
-    return flip_excursions(s_bar, s, eta, beta_aux, params), s_bar, eta
-
-
 def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     checks = CheckList()
     params = cfg.ray_params()
@@ -141,8 +126,8 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     worst = 0
     exits = np.zeros(params.N, dtype=np.int64)
     for r in range(replicas):
-        result, s_bar, eta = _flip_realization(cfg, params, cfg.length,
-                                               STREAM_FLIP * 1000 + 10 * r)
+        result, _, s_bar, eta = flip_realization(params, cfg.length, cfg.seed,
+                                                 STREAM_FLIP * 1000 + 10 * r)
         worst = max(worst, flip_bound_deviation(result, s_bar, eta))
         # junction exits follow the marks, which are independent of the walk,
         # so truncation at the last completed block cannot bias them
@@ -154,8 +139,10 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     down_by_r = np.zeros(1, dtype=np.int64)
     long_len = max(cfg.length, 20 * cfg.replicas)
     for r in range(5):
-        result, _, _ = _flip_realization(cfg, params, long_len,
-                                         STREAM_FLIP * 7919 + 10 * r)
+        # keep only the chain: the long walks held into the next replica
+        # would raise the peak memory of this loop by about a tenth
+        result = flip_realization(params, long_len, cfg.seed,
+                                  STREAM_FLIP * 7919 + 10 * r)[0]
         counts = transition_counts(result.chain)
         up_by_r = _pad_add(up_by_r, counts["up_by_r"])
         down_by_r = _pad_add(down_by_r, counts["down_by_r"])
@@ -216,27 +203,16 @@ def run_convergence(cfg: RunConfig, out: Path) -> CheckList:
     params = cfg.ray_params()
     n_list = list(cfg.n_list)
     replicas = 50 if cfg.replicas >= 1000 else max(cfg.replicas // 20, 5)
-    x = junction(params.N) if cfg.x_radius == 0 else point(cfg.x_ray, cfg.x_radius,
-                                                           params.N)
+    x = point(cfg.x_ray, cfg.x_radius, params.N)
     beta_rows, dist_rows = [], []
     for rep in range(replicas):
-        def walk_for_n(n, rep=rep):
-            horizon = int(math.ceil(n * (cfg.s + cfg.T))) + 1
-            return generate_walk(min(int(n * cfg.s), 0), horizon, cfg.seed,
-                                 10_000 + rep)
-
         def fr_for_n(n, rep=rep):
-            return FlowRealization.generate(walk_for_n(n), params, cfg.seed,
-                                            20_000 + rep)
+            horizon = int(math.ceil(n * (cfg.s + cfg.T))) + 1
+            walk = generate_walk(min(int(n * cfg.s), 0), horizon, cfg.seed, 10_000 + rep)
+            return FlowRealization.generate(walk, params, cfg.seed, 20_000 + rep)
 
-        def x_n_for_n(n):
-            return point(cfg.x_ray, round(cfg.x_radius * math.sqrt(n)), params.N)
-
-        for row in convergence_beta(walk_for_n, params, cfg.s, cfg.T, x,
-                                    x_n_for_n, n_list):
+        for row in convergence_profiles(fr_for_n, params, cfg.s, cfg.T, x, n_list):
             beta_rows.append([row["n"], rep, row["sup_beta"]])
-        for row in mapping_convergence(fr_for_n, params, cfg.s, cfg.T, x,
-                                       x_n_for_n, n_list):
             dist_rows.append([row["n"], rep, row["sup_distance"]])
     _write_csv(out / "convergence_beta.csv", ["n", "replica", "sup_beta"], beta_rows)
     _write_csv(out / "convergence_distance.csv", ["n", "replica", "sup_distance"],

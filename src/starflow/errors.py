@@ -37,10 +37,6 @@ class OutOfDomainError(StarflowError):
     """A time query fell outside the domain of a continuous path."""
 
 
-class LatticeMismatchError(StarflowError):
-    """A rescaled start point does not sit on the 1/sqrt(n) lattice."""
-
-
 class TooFewSamplesError(StarflowError):
     """Not enough samples for a statistical test."""
 

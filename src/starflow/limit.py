@@ -1,11 +1,17 @@
 """Desk-scale limit objects: rescaled paths, the Wiener kernel, and the
-convergence harnesses.
+convergence pass.
 
-The almost-sure coupled limit is not constructible here, so the harness
+The almost-sure coupled limit is not constructible here, so the pass
 substitutes (a) exact self-consistency at grid times — the rescaled discrete
 kernel and the Wiener-kernel formula evaluated on the same rescaled walk
 agree exactly — and (b) Monte Carlo profiles over increasing scale n whose
-medians should shrink.  The harness output labels these as substitutions.
+medians should shrink.  The output labels these as substitutions.
+
+``convergence_profiles`` checks both limits on one realization per n: the
+flow of kernels against the Wiener kernel (distance beta) and the flow of
+mappings against its structural value (graph distance).  It finds the
+hitting time of the rescaled walk once per n and decides at each mesh time
+once whether that time is before or after the hit.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .beta import beta_distance
-from .errors import LatticeMismatchError, OutOfDomainError
+from .errors import OutOfDomainError
+from .flows import kernel_closed_form, psi_closed_form
 from .graph import DiscreteMeasure, GraphPoint, RayParams, graph_distance, junction, point
 from .walk import NOT_HIT, WalkWindow
 
@@ -77,13 +84,6 @@ def rescale_path(walk: WalkWindow, n: int) -> ContinuousPath:
     return ContinuousPath(n, walk.p_min, walk.values / math.sqrt(n))
 
 
-def rescale_chain(radii: np.ndarray, rays: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled graph-valued breakpoint data: radii / sqrt(n) with rays kept.
-    Interpolation between breakpoints is radial (consecutive points share a
-    ray or pass through the junction)."""
-    return radii / math.sqrt(n), rays
-
-
 def tau_hit(w: ContinuousPath, s: float, x: GraphPoint | float):
     """First r >= s with W_r - W_s = -|x|, solved exactly on the linear
     segments; NOT_HIT if the level is never reached in the domain."""
@@ -116,19 +116,25 @@ def wiener_kernel(w: ContinuousPath, params: RayParams, s: float, t: float,
     """K^W_{s,t}(x): Dirac at the radial translate before tau_{s,x}, alpha
     spread at radius W+_{s,t} after.  Radii here are floats, so atoms carry
     float radii in a DiscreteMeasure with exact weights."""
+    return _wiener_at(w, params, s, t, x, tau_hit(w, s, x))[2]
+
+
+def _wiener_at(w: ContinuousPath, params: RayParams, s: float, t: float, x: GraphPoint,
+               tau) -> tuple[bool, float, DiscreteMeasure]:
+    """(t after the hitting time tau = tau_{s,x}, limit radius at t,
+    K^W_{s,t}(x)); the radius is |x| + W_t - W_s before the hit and W+_{s,t}
+    after."""
     if t < s:
         raise OutOfDomainError(f"need s <= t, got {s} > {t}")
-    tau = tau_hit(w, s, x)
     if tau is NOT_HIT or t <= tau:
         radius = x.radius + w.value(t) - w.value(s)
-        ray = x.ray if radius > 0 else params.N
-        return DiscreteMeasure.dirac(_float_point(ray, radius, params.N))
-    w_plus = w.value(t) - w.running_min(s, t)
-    if w_plus <= 0:
-        return DiscreteMeasure.dirac(junction(params.N))
-    atoms = {_float_point(i, w_plus, params.N): params.alpha[i - 1]
+        return False, radius, DiscreteMeasure.dirac(_float_point(x.ray, radius, params.N))
+    radius = w.value(t) - w.running_min(s, t)
+    if radius <= 0:
+        return True, radius, DiscreteMeasure.dirac(junction(params.N))
+    atoms = {_float_point(i, radius, params.N): params.alpha[i - 1]
              for i in range(1, params.N + 1)}
-    return DiscreteMeasure(atoms.items())
+    return True, radius, DiscreteMeasure(atoms.items())
 
 
 def _float_point(ray: int, radius: float, n_rays: int) -> GraphPoint:
@@ -147,38 +153,42 @@ def grid_and_midpoints(n: int, s: float, t_end: float) -> np.ndarray:
     return np.unique(np.concatenate([[s, t_end], ks, mids]))
 
 
-def convergence_beta(walk_for_n, params: RayParams, s: float, big_t: float,
-                     x: GraphPoint, x_n_for_n, n_list: list[int],
-                     times=None) -> list[dict]:
-    """Profile of sup_t beta(rescaled discrete kernel, Wiener kernel on the
-    same rescaled walk) for each n.
+def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
+                         x: GraphPoint, n_list: list[int], times=None) -> list[dict]:
+    """Profiles of both limits over n, on one realization per n.
 
-    walk_for_n(n) -> WalkWindow covering [floor(ns), floor(n(s+T))];
-    x_n_for_n(n) -> GraphPoint on the 1/sqrt(n) lattice approaching x
-    (returned with its lattice radius in walk units, an integer).
-    times: evaluation times for the sup; defaults to the full n-grid with
-    midpoints, which is O(n) points — pass a fixed mesh for large-n sweeps.
+    fr_for_n(n) -> FlowRealization whose walk covers [floor(ns), floor(n(s+T))].
+    For each n the discrete start is x_n = (x.ray, round(sqrt(n) |x|)) in
+    walk units.  sup_beta is sup_t beta(rescaled discrete kernel, Wiener
+    kernel) and sup_distance is sup_t d(rescaled Psi, structural value with
+    the realized rays), both on the same rescaled walk.  times: evaluation
+    times for the sups; defaults to the full n-grid with midpoints, which is
+    O(n) points — pass a fixed mesh for large-n sweeps.
     """
-    from .flows import kernel_closed_form
-
+    x_limit = _float_point(x.ray, x.radius, params.N)
     rows = []
     for n in n_list:
-        walk = walk_for_n(n)
+        fr = fr_for_n(n)
+        walk = fr.walk
         w = rescale_path(walk, n)
-        x_n = x_n_for_n(n)
-        if x_n.radius != int(x_n.radius):
-            raise LatticeMismatchError(f"sqrt(n) x_n = {x_n.radius} not a lattice radius")
+        root = math.sqrt(n)
+        x_n = point(x.ray, round(root * x.radius), params.N)
         p = floor_time(n * s)
-        sup_beta = 0.0
+        k_max = walk.p_min + len(walk.increments)
+        tau = tau_hit(w, s, x_limit)
+        sup_beta = sup_d = 0.0
         for t in (grid_and_midpoints(n, s, s + big_t) if times is None else times):
-            k_t = floor_time(n * t)
-            k_t = min(max(k_t, walk.p_min), walk.p_min + len(walk.increments))
-            discrete = kernel_closed_form(walk, params, p, k_t, x_n)
-            rescaled = _rescale_measure(discrete, n)
-            limit = wiener_kernel(w, params, s, t, _float_point(x.ray, x.radius, params.N)
-                                  if x.radius else junction(params.N))
-            sup_beta = max(sup_beta, float(beta_distance(rescaled, limit)))
-        rows.append({"n": n, "sup_beta": sup_beta})
+            k_t = min(max(floor_time(n * t), walk.p_min), k_max)
+            after, radius, limit = _wiener_at(w, params, s, t, x_limit, tau)
+            kernel = _rescale_measure(kernel_closed_form(walk, params, p, k_t, x_n), n)
+            sup_beta = max(sup_beta, float(beta_distance(kernel, limit)))
+            y = psi_closed_form(fr, p, k_t, x_n)
+            y_rescaled = _float_point(y.ray, y.radius / root, params.N)
+            # after the hit the structural value sits on the realized ray
+            ray = (y.ray if y.radius > 0 else params.N) if after else x_limit.ray
+            phi = _float_point(ray, radius, params.N)
+            sup_d = max(sup_d, graph_distance(y_rescaled, phi))
+        rows.append({"n": n, "sup_beta": sup_beta, "sup_distance": sup_d})
     return rows
 
 
@@ -189,39 +199,3 @@ def _rescale_measure(m: DiscreteMeasure, n: int) -> DiscreteMeasure:
         q = _float_point(pt.ray, pt.radius / root, 0) if pt.radius else pt
         atoms[q] = atoms.get(q, Fraction(0)) + wgt
     return DiscreteMeasure(atoms.items())
-
-
-def mapping_convergence(fr_for_n, params: RayParams, s: float, big_t: float,
-                        x: GraphPoint, x_n_for_n, n_list: list[int],
-                        times=None) -> list[dict]:
-    """Profile of sup_t d(rescaled Psi, structural-formula value on the same
-    rescaled walk with the same realized rays).  times as in
-    convergence_beta."""
-    from .flows import psi_closed_form
-
-    rows = []
-    for n in n_list:
-        fr = fr_for_n(n)
-        walk = fr.walk
-        w = rescale_path(walk, n)
-        x_n = x_n_for_n(n)
-        p = floor_time(n * s)
-        root = math.sqrt(n)
-        sup_d = 0.0
-        for t in (grid_and_midpoints(n, s, s + big_t) if times is None else times):
-            k_t = floor_time(n * t)
-            k_t = min(max(k_t, walk.p_min), walk.p_min + len(walk.increments))
-            y = psi_closed_form(fr, p, k_t, x_n)
-            y_rescaled = _float_point(y.ray, y.radius / root, params.N)
-            tau = tau_hit(w, s, _float_point(x.ray, x.radius, params.N)
-                          if x.radius else junction(params.N))
-            if tau is not NOT_HIT and t > tau:
-                w_plus = w.value(t) - w.running_min(s, t)
-                ray = y.ray if y.radius > 0 else params.N
-                phi = _float_point(ray, w_plus, params.N)
-            else:
-                radius = x.radius + w.value(t) - w.value(s)
-                phi = _float_point(x.ray if x.radius else params.N, radius, params.N)
-            sup_d = max(sup_d, graph_distance(y_rescaled, phi))
-        rows.append({"n": n, "sup_distance": sup_d})
-    return rows

@@ -7,7 +7,7 @@ indices transparently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,13 +165,18 @@ class WalkWindow:
         return self.values[i : j + 1] - self.values[i]
 
 
+def random_increments(shape, seed: int, stream_id: int = 0) -> np.ndarray:
+    """Fair +-1 steps (int64) of the given shape from the (seed, stream_id)
+    stream; a (replicas, length) shape fills one walk per row."""
+    rng = make_rng(seed, stream_id)
+    return rng.integers(0, 2, size=shape, dtype=np.int64) * 2 - 1
+
+
 def generate_walk(p_min: int, p_max: int, seed: int, stream_id: int = 0) -> WalkWindow:
     """Deterministic SRW on [p_min, p_max] from the (seed, stream_id) stream."""
     if p_min >= p_max:
         raise EmptyWindowError(f"window [{p_min}, {p_max}] has no steps")
-    rng = make_rng(seed, stream_id)
-    incs = rng.integers(0, 2, size=p_max - p_min) * 2 - 1
-    return WalkWindow(p_min, incs)
+    return WalkWindow(p_min, random_increments(p_max - p_min, seed, stream_id))
 
 
 @dataclass(frozen=True)

@@ -13,28 +13,22 @@ import numpy as np
 import pytest
 
 from starflow.beta import beta_distance, beta_vertex_oracle
-from starflow.chain import (check_proof_facts, draw_ray_marks, flip_bound_deviation,
-                            flip_excursions, simulate_chain_batch, transition_counts)
-from starflow.cv import (cv_deviation_batch, cv_forward, cv_forward_increments,
-                         cv_inverse_increments, reflected_path, tau_sequence,
-                         taus_from_first_hits)
+from starflow.chain import (check_proof_facts, flip_bound_deviation, flip_realization,
+                            simulate_chain_batch, transition_counts)
+from starflow.cv import (cv_deviation_batch, cv_forward_increments, cv_inverse_increments,
+                         tau_sequence, taus_from_first_hits)
 from starflow.flows import (FlowRealization, kernel_closed_form, kernel_compose,
                             kernel_is_conditional_law, psi_closed_form, psi_compose)
 from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, junction, point)
-from starflow.limit import (_rescale_measure, convergence_beta, mapping_convergence,
-                            rescale_path, wiener_kernel)
+from starflow.limit import (_rescale_measure, convergence_profiles, rescale_path,
+                            wiener_kernel)
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square,
                             walsh_marginal_check)
-from starflow.walk import WalkWindow, excursions, generate_walk
+from starflow.walk import WalkWindow, generate_walk, random_increments
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 SEED = 20260826
-
-
-def _batch_increments(replicas, length, stream):
-    rng = make_rng(SEED, stream)
-    return (rng.integers(0, 2, size=(replicas, length)) * 2 - 1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +37,7 @@ def _batch_increments(replicas, length, stream):
 
 def test_criterion_1_cv_bound():
     t0 = time.time()
-    X = _batch_increments(10_000, 1_000, 1)
+    X = random_increments((10_000, 1_000), SEED, 1)
     dev = cv_deviation_batch(X)
     violations = int((dev > 2).sum())
     elapsed = time.time() - t0
@@ -59,7 +53,7 @@ def test_criterion_1_cv_bound():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_cv_structure():
-    X = _batch_increments(10_000, 1_000, 2)
+    X = random_increments((10_000, 1_000), SEED, 2)
     bars = cv_forward_increments(X)
     S = np.concatenate([np.zeros((10_000, 1), np.int64), np.cumsum(X, axis=1)], axis=1)
     Sbar = np.concatenate([np.zeros((10_000, 1), np.int64), np.cumsum(bars, axis=1)],
@@ -84,26 +78,17 @@ def test_criterion_2_cv_structure():
 # Criterion 3: excursion flipping bound, transition law, proof facts
 # ---------------------------------------------------------------------------
 
-def _flip(seed, length, stream):
-    s = generate_walk(0, length, seed, stream)
-    s_bar = cv_forward(s)
-    n_exc = len(excursions(reflected_path(s_bar.values)))
-    eta = draw_ray_marks(PARAMS, n_exc, seed, stream + 1)
-    aux = draw_ray_marks(PARAMS, length, seed, stream + 2)
-    return flip_excursions(s_bar, s, eta, aux, PARAMS), s, s_bar, eta
-
-
 def test_criterion_3_flip():
     worst = 0
     fact_violations = 0
     for r in range(10_000):
-        result, s, s_bar, eta = _flip(SEED, 200, 30_000 + 10 * r)
+        result, s, s_bar, eta = flip_realization(PARAMS, 200, SEED, 30_000 + 10 * r)
         worst = max(worst, flip_bound_deviation(result, s_bar, eta))
         fact_violations += check_proof_facts(s, s_bar)
     assert worst <= 2
     assert fact_violations == 0
     # transition frequencies on one 10^5-step realization, Bonferroni 1%
-    result, _, _, _ = _flip(SEED, 100_000, 777)
+    result, *_ = flip_realization(PARAMS, 100_000, SEED, 777)
     counts = transition_counts(result.chain)
     assert counts["hold"] == 0  # immediate-exit chain never holds at 0
     stat_e, dof_e = chi_square(counts["exits"], PARAMS.alpha)
@@ -249,18 +234,13 @@ def test_criterion_7_convergence():
     beta_sups = {n: [] for n in n_list}
     dist_sups = {n: [] for n in n_list}
     for rep in range(200):
-        def walk_for_n(n, rep=rep):
-            return generate_walk(0, n, SEED, 70_000 + rep)
-
         def fr_for_n(n, rep=rep):
-            return FlowRealization.generate(walk_for_n(n), PARAMS, SEED,
-                                            80_000 + rep)
+            return FlowRealization.generate(generate_walk(0, n, SEED, 70_000 + rep),
+                                            PARAMS, SEED, 80_000 + rep)
 
-        for row in convergence_beta(walk_for_n, PARAMS, 0.0, 1.0, junction(3),
-                                    lambda n: junction(3), n_list, times=mesh):
+        for row in convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, junction(3), n_list,
+                                        times=mesh):
             beta_sups[row["n"]].append(row["sup_beta"])
-        for row in mapping_convergence(fr_for_n, PARAMS, 0.0, 1.0, junction(3),
-                                       lambda n: junction(3), n_list, times=mesh):
             dist_sups[row["n"]].append(row["sup_distance"])
     med_beta = [float(np.median(beta_sups[n])) for n in n_list]
     med_dist = [float(np.median(dist_sups[n])) for n in n_list]

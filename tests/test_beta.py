@@ -187,6 +187,29 @@ def test_beta_matches_lp_oracle_randomized():
         val = beta_distance(p, q)
         assert type(val) is (float if kind == "float" else Fraction)
         assert float(val) == pytest.approx(beta_lp_oracle(p, q), abs=1e-12), (p, q)
+    # radii spread from 1e-9 to 5: the solver runs on them as Fractions, the
+    # LP on the floats, within the LP's feasibility tolerance
+    rng = make_rng(16, 1)
+    for _ in range(300):
+        p, q = _tiny_radius_atoms(rng), _tiny_radius_atoms(rng)
+        exact = beta_distance(*(_measure(atoms, Fraction) for atoms in (p, q)))
+        lp = beta_lp_oracle(*(_measure(atoms, float) for atoms in (p, q)))
+        assert float(exact) == pytest.approx(lp, abs=1e-9), (p, q)
+
+
+def _tiny_radius_atoms(rng):
+    """1 to 5 atoms with log-uniform radii in [1e-9, 5] and weights summing to 1."""
+    k = int(rng.integers(1, 6))
+    atoms = {}
+    while len(atoms) < k:
+        radius = float(np.exp(rng.uniform(np.log(1e-9), np.log(5.0))))
+        atoms[(int(rng.integers(1, 4)), radius)] = int(rng.integers(1, 10))
+    total = sum(atoms.values())
+    return [(ray, radius, Fraction(w, total)) for (ray, radius), w in atoms.items()]
+
+
+def _measure(atoms, num):
+    return DiscreteMeasure((point(ray, num(radius), 3), w) for ray, radius, w in atoms)
 
 
 def test_ray_value_right_derivative_at_kinks():

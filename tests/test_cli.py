@@ -1,5 +1,6 @@
 """Config parsing and batch subcommands: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -143,3 +144,29 @@ def test_workers_key_removed():
 def test_unknown_subcommand_rejected(small_config):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", str(small_config)])
+
+
+# SHA-256 of every CSV and SVG that `starflow all` writes at SMALL with
+# x_radius = 0.5.  Manifests are left out: they echo the version and the
+# output directory.
+GOLDEN_DIGESTS = {
+    "chain_donsker.csv": "3d377d8ba722f5f58a3e8d7d73daf6d14ad288ece9754bd24d93d3e1b90d8f89",
+    "convergence_beta.csv": "33d5a7a368cd00d0ecd42b0397682cff6dc1360fd9d201dab7b9d03adafb5940",
+    "convergence_distance.csv": "f62ba8f4760c5560d54adec36f3522428a8b9ee1bbde2120a9e9d8bc932f30a8",
+    "cv_check.csv": "85ecbf7ad265b79843a04b7329e6df4e348eaf3259cbf39236b9ddcfdd2ac1ab",
+    "flip_check.csv": "b0eb3279a113adcd602dbd09c39506f45fd824c27235bf0a3611c3e73330aa2e",
+    "flow_check.csv": "cf43f04203ef4091f673708a7025b68445e5058ca9670c05b176dec8c38a3511",
+    "convergence.svg": "473e2a2656fbc5dde04ef57dca69457bb759a3b78ed722a6ca1f6ea0c23ead17",
+}
+
+
+def test_all_artifacts_golden(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text(SMALL + "x_radius = 0.5\n")
+    out = tmp_path / "artifacts"
+    assert main(["all", "--config", str(path), "--output-dir", str(out)]) == 0
+    written = sorted(p.name for p in out.iterdir() if p.suffix in (".csv", ".svg"))
+    assert written == sorted(GOLDEN_DIGESTS)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in written}
+    assert digests == GOLDEN_DIGESTS

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from starflow.beta import beta_distance, beta_lp_oracle
-from starflow.errors import LatticeMismatchError, OutOfDomainError
-from starflow.graph import RayParams, junction, point
-from starflow.limit import (NOT_HIT, ContinuousPath, convergence_beta,
-                            floor_time, grid_and_midpoints, mapping_convergence,
-                            rescale_chain, rescale_path, tau_hit, wiener_kernel)
+from starflow.errors import OutOfDomainError
+from starflow.flows import FlowRealization, kernel_closed_form, psi_closed_form
+from starflow.graph import GraphPoint, RayParams, graph_distance, junction, point
+from starflow.limit import (NOT_HIT, ContinuousPath, _rescale_measure,
+                            convergence_profiles, floor_time, grid_and_midpoints,
+                            rescale_path, tau_hit, wiener_kernel)
 from starflow.walk import generate_walk
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
@@ -103,12 +104,16 @@ def test_kernel_beta_zero_and_positive():
     assert d == pytest.approx(beta_lp_oracle(a, b), abs=1e-12)
 
 
-def test_convergence_beta_grid_self_consistency():
-    def walk_for_n(n):
-        return generate_walk(0, n, 63, n)
+def _fr_for_n(walk_seed, eta_seed, eta_offset):
+    def fr_for_n(n):
+        return FlowRealization.generate(generate_walk(0, n, walk_seed, n), PARAMS,
+                                        eta_seed, eta_offset + n)
+    return fr_for_n
 
-    rows = convergence_beta(walk_for_n, PARAMS, 0.0, 1.0, junction(3),
-                            lambda n: junction(3), [64, 256])
+
+def test_convergence_beta_grid_self_consistency():
+    rows = convergence_profiles(_fr_for_n(63, 63, 0), PARAMS, 0.0, 1.0, junction(3),
+                                [64, 256])
     assert [r["n"] for r in rows] == [64, 256]
     for r in rows:
         assert r["sup_beta"] >= 0.0
@@ -117,30 +122,38 @@ def test_convergence_beta_grid_self_consistency():
     assert rows[1]["sup_beta"] < rows[0]["sup_beta"]
 
 
-def test_convergence_beta_lattice_mismatch():
-    def walk_for_n(n):
-        return generate_walk(0, n, 63, n)
-
-    with pytest.raises(LatticeMismatchError):
-        convergence_beta(walk_for_n, PARAMS, 0.0, 1.0, junction(3),
-                         lambda n: point(1, 0.3 / np.sqrt(n), 3), [64])
-
-
 def test_mapping_convergence_decreasing():
-    from starflow.flows import FlowRealization
-
-    def fr_for_n(n):
-        return FlowRealization.generate(generate_walk(0, n, 64, n), PARAMS,
-                                        64, 10_000 + n)
-
-    rows = mapping_convergence(fr_for_n, PARAMS, 0.0, 1.0, junction(3),
-                               lambda n: junction(3), [64, 1024])
+    rows = convergence_profiles(_fr_for_n(64, 64, 10_000), PARAMS, 0.0, 1.0,
+                                junction(3), [64, 1024])
     assert rows[1]["sup_distance"] < rows[0]["sup_distance"]
 
 
-def test_rescale_chain_shapes():
-    radii = np.array([0, 1, 2, 1, 0])
-    rays = np.array([0, 2, 2, 2, 0])
-    scaled, kept_rays = rescale_chain(radii, rays, 4)
-    assert scaled == pytest.approx(radii / 2.0)
-    assert np.array_equal(kept_rays, rays)
+def test_convergence_profiles_match_pointwise_definitions():
+    # off the junction both hitting-time branches occur; recompute each sup
+    # time by time from the public kernel and hitting-time functions
+    x = point(2, 0.5, 3)
+    fr_for_n = _fr_for_n(65, 65, 0)
+    rows = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, [16, 64])
+    for row in rows:
+        n = row["n"]
+        fr = fr_for_n(n)
+        w = rescale_path(fr.walk, n)
+        x_n = point(2, round(0.5 * np.sqrt(n)), 3)
+        sup_beta = sup_d = 0.0
+        for t in grid_and_midpoints(n, 0.0, 1.0):
+            k = floor_time(n * t)
+            discrete = _rescale_measure(kernel_closed_form(fr.walk, PARAMS, 0, k, x_n), n)
+            limit = wiener_kernel(w, PARAMS, 0.0, t, x)
+            sup_beta = max(sup_beta, beta_distance(discrete, limit))
+            y = psi_closed_form(fr, 0, k, x_n)
+            tau = tau_hit(w, 0.0, x)
+            if tau is not NOT_HIT and t > tau:
+                phi = GraphPoint(y.ray if y.radius else 3, w.value(t) - w.running_min(0.0, t))
+            else:
+                phi = GraphPoint(2, 0.5 + w.value(t) - w.value(0.0))
+            if phi.radius <= 0:
+                phi = junction(3)
+            y_rescaled = GraphPoint(y.ray, y.radius / np.sqrt(n)) if y.radius else y
+            sup_d = max(sup_d, graph_distance(y_rescaled, phi))
+        assert row["sup_beta"] == sup_beta
+        assert row["sup_distance"] == sup_d

@@ -9,29 +9,28 @@ from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
                             CASE_TWO, check_proof_facts, draw_ray_marks,
                             flip_bound_deviation, flip_excursions,
                             flipped_product_chain, simulate_chain,
-                            simulate_chain_batch, step_chain_Q, step_chain_lazy,
-                            transition_counts)
-from starflow.cv import cv_forward, reflected_path, tau_sequence
+                            simulate_chain_batch, step_chain, transition_counts)
+from starflow.cv import cv_forward, reflected_path
 from starflow.errors import NotAPreimageError
 from starflow.graph import RayParams, junction, point
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square)
-from starflow.walk import WalkWindow, excursions, generate_walk
+from starflow.walk import excursions, generate_walk
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
 
 def test_step_q_from_interior():
     x = point(2, 3, 3)
-    assert step_chain_Q(PARAMS, x, 0.2) == point(2, 2, 3)
-    assert step_chain_Q(PARAMS, x, 0.8) == point(2, 4, 3)
+    assert step_chain(PARAMS, x, 0.2, lazy=False) == point(2, 2, 3)
+    assert step_chain(PARAMS, x, 0.8, lazy=False) == point(2, 4, 3)
 
 
 def test_step_q_junction_ray_frequencies():
     rng = make_rng(31, 0)
     hits = np.zeros(4)
     for u in rng.random(100_000):
-        y = step_chain_Q(PARAMS, junction(3), u)
+        y = step_chain(PARAMS, junction(3), u, lazy=False)
         hits[y.ray] += 1
     freqs = hits[1:] / hits.sum()
     for i, a in enumerate(PARAMS.alpha):
@@ -43,17 +42,17 @@ def test_step_q_degenerate_alpha():
     # alpha entries must be positive, so the degenerate case is N = 1
     params = RayParams(1, (Fraction(1),))
     for u in (0.0, 0.3, 0.999):
-        assert step_chain_Q(params, junction(1), u) == point(1, 1, 1)
+        assert step_chain(params, junction(1), u, lazy=False) == point(1, 1, 1)
 
 
 def test_step_lazy_holding():
     rng = make_rng(32, 0)
-    holds = sum(step_chain_lazy(PARAMS, junction(3), u).radius == 0
+    holds = sum(step_chain(PARAMS, junction(3), u, lazy=True).radius == 0
                 for u in rng.random(100_000))
     assert abs(holds / 100_000 - 0.5) < 0.005
     # away from the junction identical to Q
     x = point(1, 2, 3)
-    assert step_chain_lazy(PARAMS, x, 0.2) == step_chain_Q(PARAMS, x, 0.2)
+    assert step_chain(PARAMS, x, 0.2, lazy=True) == step_chain(PARAMS, x, 0.2, lazy=False)
 
 
 def test_step_lazy_exit_rays():
@@ -61,7 +60,7 @@ def test_step_lazy_exit_rays():
     hits = np.zeros(4)
     n = 200_000
     for u in rng.random(n):
-        y = step_chain_lazy(PARAMS, junction(3), u)
+        y = step_chain(PARAMS, junction(3), u, lazy=True)
         if y.radius == 1:
             hits[y.ray] += 1
     for i, a in enumerate(PARAMS.alpha, start=1):
@@ -84,6 +83,14 @@ def test_simulate_chain_batch_matches_single():
     rays, radii = simulate_chain_batch(PARAMS, 200, 50, 35, 0)
     assert radii.min() >= 0
     assert np.all((radii % 2) == 0)  # parity lock of chain Q after even steps
+    # one replica draws the same uniforms as the single path, one per step
+    for lazy in (False, True):
+        for stream in range(50):
+            rays, radii = simulate_chain_batch(PARAMS, 200, 1, 35, stream, lazy=lazy)
+            path = simulate_chain(PARAMS, 200, 35, stream, lazy=lazy)
+            assert radii[0] == path.radii[-1]
+            if radii[0] > 0:
+                assert rays[0] == path.rays[-1]
 
 
 def _flip(seed, length, stream):
