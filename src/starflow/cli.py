@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import (flip_bound_deviation, flip_realization, simulate_chain_batch,
-                    transition_counts)
+from .chain import flip_batches, flip_realization, simulate_chain_batch, transition_counts
 from .config import RunConfig, load_config
 from .cv import cv_deviation_batch, cv_forward_increments, cv_inverse_increments
 from .errors import ConfigError, StarflowError
@@ -103,11 +102,11 @@ def run_chain_donsker(cfg: RunConfig, out: Path) -> CheckList:
     checks = CheckList()
     params = cfg.ray_params()
     rows = []
-    for lazy, label, spacing in ((False, "chain_q", 2.0), (True, "chain_lazy", 1.0)):
+    for lazy, label in ((False, "chain_q"), (True, "chain_lazy")):
         rays, radii = simulate_chain_batch(params, cfg.length, cfg.replicas,
                                            cfg.seed, STREAM_CHAIN + (1 if lazy else 0),
                                            lazy=lazy)
-        report = walsh_marginal_check(rays, radii, cfg.length, params, spacing)
+        report = walsh_marginal_check(rays, radii, cfg.length, params)
         checks.add(f"{label}_ks", report["ks_statistic"], report["ks_critical"],
                    report["ks_pass"])
         checks.add(f"{label}_chi2", report["chi2_pvalue"], "> adjusted level",
@@ -119,19 +118,25 @@ def run_chain_donsker(cfg: RunConfig, out: Path) -> CheckList:
     return checks
 
 
+def _flip_replica_checks(params, cfg: RunConfig, replicas: int) -> tuple[int, np.ndarray]:
+    """(worst bound deviation, junction exits per ray) over the short flip
+    replicas; their batches are released when this returns."""
+    worst = 0
+    exits = np.zeros(params.N, dtype=np.int64)
+    stream_ids = range(STREAM_FLIP * 1000, STREAM_FLIP * 1000 + 10 * replicas, 10)
+    for batch in flip_batches(params, cfg.length, cfg.seed, stream_ids):
+        worst = max(worst, int(batch.bound_deviation().max()))
+        # junction exits follow the marks, which are independent of the walk,
+        # so truncation at the last completed block cannot bias them
+        exits += batch.exit_counts()
+    return worst, exits
+
+
 def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     checks = CheckList()
     params = cfg.ray_params()
     replicas = max(cfg.replicas // 10, 10)
-    worst = 0
-    exits = np.zeros(params.N, dtype=np.int64)
-    for r in range(replicas):
-        result, _, s_bar, eta = flip_realization(params, cfg.length, cfg.seed,
-                                                 STREAM_FLIP * 1000 + 10 * r)
-        worst = max(worst, flip_bound_deviation(result, s_bar, eta))
-        # junction exits follow the marks, which are independent of the walk,
-        # so truncation at the last completed block cannot bias them
-        exits += transition_counts(result.chain)["exits"]
+    worst, exits = _flip_replica_checks(params, cfg, replicas)
     # interior up/down frequencies do get biased by that truncation (it is a
     # look-ahead boundary), and the bias does not average out over short
     # replicas; on long paths it is negligible, so count those separately

@@ -2,11 +2,14 @@
 the fixed-time marginal checks for the rescaled chains.
 
 The radial marginal target at t = 1 is the half-normal CDF 2*Phi(r) - 1.
-Chain radii live on a lattice of spacing 1/sqrt(n) (or 2/sqrt(n) for the
-immediate-exit chain, whose radius has fixed parity), so the raw empirical
-CDF carries a deterministic lattice bias of order the spacing.  A lattice
-continuity correction — comparing the empirical CDF at r to the target at
-r + half the lattice spacing — removes the bias without touching the noise.
+Chain radii live on the lattice of spacing 1/sqrt(n), so the raw empirical
+CDF carries a deterministic lattice bias of order the spacing.  For both
+chains P(radius <= k) is close to 2*Phi((k + 1)/sqrt(n)) - 1: the
+immediate-exit radius is |S_n|, whose values have the parity of n, and the
+lazy radius M_n - S_n has the law of the running maximum M_n, with
+P(M_n <= k) = P(-k - 1 <= S_n <= k).  Comparing the empirical CDF at each
+radius k with the target one lattice unit higher, at (k + 1)/sqrt(n),
+removes the bias without touching the noise.
 """
 
 from __future__ import annotations
@@ -103,18 +106,17 @@ def half_normal_cdf(r):
 
 
 def walsh_marginal_check(rays: np.ndarray, radii: np.ndarray, n: int,
-                         params: RayParams, lattice_step: float,
-                         level: float = 0.01) -> dict:
+                         params: RayParams, level: float = 0.01) -> dict:
     """Marginal checks of a rescaled chain at t = 1.
 
     rays/radii: final states of the replicas after n steps (lattice units).
-    lattice_step: support spacing of radii/sqrt(n) (2 for the immediate-exit
-    chain, 1 for the lazy chain) — half of it is used as the continuity
-    correction.  Returns a report dict with both tests, Bonferroni-adjusted.
+    The KS test reads the target one lattice unit above each radius (see the
+    module docstring), which is ``ks_statistic_lattice`` with spacing
+    2/sqrt(n).  Returns a report dict with both tests, Bonferroni-adjusted.
     """
     m = len(radii)
     scaled = radii / math.sqrt(n)
-    ks = ks_statistic_lattice(scaled, half_normal_cdf, lattice_step / math.sqrt(n))
+    ks = ks_statistic_lattice(scaled, half_normal_cdf, 2.0 / math.sqrt(n))
     adj = level / 2  # two tests in the family
     ks_crit = ks_critical(m, adj)
     positive = radii > 0

@@ -8,6 +8,7 @@ indices transparently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,43 +190,49 @@ class Excursion:
     ordinal: int
 
 
+class ExcursionTable(NamedTuple):
+    """The excursions of a (R, L) batch of nonnegative paths, one entry per
+    excursion in row-major start order: its row, its interval [start, end]
+    and its 1-based ordinal within the row."""
+
+    row: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    ordinal: np.ndarray
+
+
+def excursion_table(paths: np.ndarray) -> ExcursionTable:
+    """Decompose every row of a (R, L) batch of nonnegative paths at once.
+
+    An excursion [p, q] has Y_p = Y_{p-1} = 0 and Y_q = Y_{q+1} = 0, with the
+    convention Y_{-1} = 0, and no interior zero followed by another zero.  So
+    with a "pair" at k meaning Y_{k-1} = Y_k = 0, the excursions run between
+    consecutive pairs k1 < k2 of one row with k2 >= k1 + 2, as [k1, k2 - 1].
+    An interval still open at the end of its row has no closing pair.
+    """
+    y = np.asarray(paths)
+    if np.any(y < 0):
+        raise NegativeValueError("excursion decomposition needs a nonnegative path")
+    zero = y == 0
+    pair = zero.copy()
+    pair[:, 1:] &= zero[:, :-1]
+    rows, cols = np.nonzero(pair)
+    keep = (rows[1:] == rows[:-1]) & (cols[1:] - cols[:-1] >= 2)
+    row = rows[:-1][keep]
+    ordinal = np.arange(1, len(row) + 1) - np.searchsorted(row, row)
+    return ExcursionTable(row, cols[:-1][keep], cols[1:][keep] - 1, ordinal)
+
+
 def excursions(path_y: np.ndarray, a: int = 0) -> list[Excursion]:
     """Decompose a nonnegative path on [a, a + len - 1] into excursions.
 
-    An excursion [p, q] has Y_p = Y_{p-1} = Y_q = Y_{q+1} = 0 (with the
-    convention Y_{a-1} = 0 at the window edge) and every interior zero is
-    immediately followed by 1.  Intervals still open at the window end are
-    discarded.  Returned in start order with ordinals 1, 2, ...
+    The one-row case of ``excursion_table``: every interior zero of an
+    excursion is immediately followed by 1, and intervals still open at the
+    window end are discarded.  Returned in start order with ordinals 1, 2, ...
     """
-    y = np.asarray(path_y)
-    if np.any(y < 0):
-        raise NegativeValueError("excursion decomposition needs a nonnegative path")
-    n = len(y)
-    out: list[Excursion] = []
-    p = None  # current valid start: a zero whose predecessor is zero (edge counts)
-    for j in range(n):
-        if y[j] != 0:
-            continue
-        if p is None:
-            if j == 0 or y[j - 1] == 0:
-                p = j
-            continue
-        if j == p:
-            continue
-        if j == p + 1:
-            # Y_p = 0 followed by Y_{p+1} = 0 violates the interior condition
-            # at p, so no excursion starts at p; j itself is a valid start
-            p = j
-            continue
-        if j + 1 >= n:
-            break  # interval still open at the window edge: discarded
-        if y[j + 1] == 0:
-            # interior zeros were each followed by 1 (a violation would have
-            # slid the start forward), so [p, j] satisfies the definition
-            out.append(Excursion(a + p, a + j, len(out) + 1))
-            p = j + 1
-        # else: interior zero followed by 1, the interval continues
-    return out
+    table = excursion_table(np.asarray(path_y)[None, :])
+    return [Excursion(a + p, a + q, i + 1)
+            for i, (p, q) in enumerate(zip(table.start.tolist(), table.end.tolist()))]
 
 
 def excursions_brute(path_y: np.ndarray, a: int = 0) -> list[Excursion]:

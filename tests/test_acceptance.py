@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from starflow.beta import beta_distance, beta_vertex_oracle
-from starflow.chain import (check_proof_facts, flip_bound_deviation, flip_realization,
-                            simulate_chain_batch, transition_counts)
+from starflow.chain import (flip_batches, flip_realization, simulate_chain_batch,
+                            transition_counts)
 from starflow.cv import (cv_deviation_batch, cv_forward_increments, cv_inverse_increments,
                          tau_sequence, taus_from_first_hits)
 from starflow.flows import (FlowRealization, kernel_closed_form, kernel_compose,
@@ -75,16 +75,16 @@ def test_criterion_2_cv_structure():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 3: excursion flipping bound, transition law, proof facts
+# Criterion 3: excursion flipping bound, transition law, proof facts, <10 s
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_flip():
+    t0 = time.time()
     worst = 0
     fact_violations = 0
-    for r in range(10_000):
-        result, s, s_bar, eta = flip_realization(PARAMS, 200, SEED, 30_000 + 10 * r)
-        worst = max(worst, flip_bound_deviation(result, s_bar, eta))
-        fact_violations += check_proof_facts(s, s_bar)
+    for batch in flip_batches(PARAMS, 200, SEED, range(30_000, 130_000, 10)):
+        worst = max(worst, int(batch.bound_deviation().max()))
+        fact_violations += int(batch.proof_fact_violations().sum())
     assert worst <= 2
     assert fact_violations == 0
     # transition frequencies on one 10^5-step realization, Bonferroni 1%
@@ -98,9 +98,11 @@ def test_criterion_3_flip():
     adj = 0.01 / 2
     assert p_exit > adj
     assert p_ud > adj
+    elapsed = time.time() - t0
+    assert elapsed < 10.0
     print(f"\n[criterion 3] flip bound <= 2 (worst {worst}), proof facts "
           f"0 violations, transition chi2 p=({p_exit:.3f}, {p_ud:.3f}) "
-          f"> {adj} PASS")
+          f"> {adj}, {elapsed:.1f}s PASS")
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +172,10 @@ def test_criterion_4_flow_exactness():
 def test_criterion_5_donsker():
     t0 = time.time()
     reports = {}
-    for lazy, label, spacing in ((False, "immediate-exit", 2.0),
-                                 (True, "lazy", 1.0)):
+    for lazy, label in ((False, "immediate-exit"), (True, "lazy")):
         rays, radii = simulate_chain_batch(PARAMS, 10_000, 10_000, SEED,
                                            50 + lazy, lazy=lazy)
-        report = walsh_marginal_check(rays, radii, 10_000, PARAMS, spacing,
-                                      level=0.01)
+        report = walsh_marginal_check(rays, radii, 10_000, PARAMS, level=0.01)
         assert report["pass"], f"{label}: {report}"
         reports[label] = report
     elapsed = time.time() - t0

@@ -150,7 +150,7 @@ def test_unknown_subcommand_rejected(small_config):
 # x_radius = 0.5.  Manifests are left out: they echo the version and the
 # output directory.
 GOLDEN_DIGESTS = {
-    "chain_donsker.csv": "3d377d8ba722f5f58a3e8d7d73daf6d14ad288ece9754bd24d93d3e1b90d8f89",
+    "chain_donsker.csv": "966efbdcef0d74409bd2357215a657ec0de1e3be2e19cce8ee109b84d87e7be5",
     "convergence_beta.csv": "33d5a7a368cd00d0ecd42b0397682cff6dc1360fd9d201dab7b9d03adafb5940",
     "convergence_distance.csv": "f62ba8f4760c5560d54adec36f3522428a8b9ee1bbde2120a9e9d8bc932f30a8",
     "cv_check.csv": "85ecbf7ad265b79843a04b7329e6df4e348eaf3259cbf39236b9ddcfdd2ac1ab",

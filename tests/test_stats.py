@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import binom, norm
 
 from starflow.chain import simulate_chain_batch
 from starflow.errors import SparseCellsError, TooFewSamplesError
@@ -105,8 +105,7 @@ def test_updown_chi_square_drops_sparse_states():
 def test_walsh_marginal_check_null():
     rays, radii = simulate_chain_batch(PARAMS, n_steps=2_500, n_replicas=4_000,
                                        seed=72, stream_id=0, lazy=False)
-    report = walsh_marginal_check(rays, radii, 2_500, PARAMS,
-                                  lattice_step=2.0)
+    report = walsh_marginal_check(rays, radii, 2_500, PARAMS)
     assert report["pass"]
     assert report["ks_statistic"] < report["ks_critical"]
 
@@ -115,10 +114,32 @@ def test_walsh_marginal_check_detects_bad_marks():
     rays, radii = simulate_chain_batch(PARAMS, n_steps=2_500, n_replicas=4_000,
                                        seed=72, stream_id=1, lazy=False)
     bad_rays = np.where(radii > 0, 1, rays)
-    report = walsh_marginal_check(bad_rays, radii, 2_500, PARAMS,
-                                  lattice_step=2.0)
+    report = walsh_marginal_check(bad_rays, radii, 2_500, PARAMS)
     assert not report["chi2_pass"]
     assert not report["pass"]
+
+
+def _exact_radius_cdf(n: int, lazy: bool) -> np.ndarray:
+    """P(radius <= k) for k = 0..n after n steps from the junction: |S_n| for
+    the immediate-exit chain, M_n for the lazy one, where
+    P(M_n <= k) = P(-k - 1 <= S_n <= k).  S_n = 2B - n, B ~ Binomial(n, 1/2)."""
+    k = np.arange(n + 1)
+    low = -k - 1 if lazy else -k
+    return (binom.cdf(np.floor((n + k) / 2), n, 0.5)
+            - binom.cdf(np.ceil((n + low) / 2) - 1, n, 0.5))
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_walsh_marginal_target_matches_exact_radius_law(lazy):
+    # radii at the quantiles (i + 1/2)/m of the exact law: their empirical
+    # CDF is within 1/m of it, so the KS statistic is the target's own error
+    # (0.0126 for the lazy chain with the target half a unit higher)
+    n, m = 1_000, 1_000_000
+    radii = np.searchsorted(_exact_radius_cdf(n, lazy), (np.arange(m) + 0.5) / m)
+    cell = np.arange(m) % 6
+    rays = np.where(radii > 0, 1 + (cell >= 3) + (cell >= 5), 0)
+    report = walsh_marginal_check(rays, radii, n, PARAMS)
+    assert report["ks_statistic"] < 1e-3
 
 
 def test_seed_determinism():

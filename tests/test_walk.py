@@ -8,7 +8,7 @@ import pytest
 
 from starflow.errors import EmptyWindowError, NegativeValueError, OutOfWindowError
 from starflow.rng import make_rng
-from starflow.walk import (NOT_HIT, Excursion, WalkWindow, excursions,
+from starflow.walk import (NOT_HIT, WalkWindow, excursion_table, excursions,
                            excursions_brute, generate_walk)
 
 GOLDEN = Path(__file__).parent / "golden" / "walk_seed1_win0_8.csv"
@@ -157,25 +157,47 @@ def _all_lazy_reflected_paths(length):
     return paths
 
 
+def _excursion_test_paths(length):
+    """Every lazy reflected path of the given length up to 11 steps, and
+    2000 sampled ones above."""
+    if length <= 11:
+        return _all_lazy_reflected_paths(length)
+    # cap the enumeration but keep the largest sizes spot-checked
+    rng = make_rng(9, length)
+    paths = []
+    for _ in range(2_000):
+        p = [0]
+        for _ in range(length):
+            if p[-1] == 0:
+                p.append(int(rng.integers(0, 2)))
+            else:
+                p.append(p[-1] + int(rng.integers(0, 2)) * 2 - 1)
+        paths.append(p)
+    return paths
+
+
 @pytest.mark.parametrize("length", range(1, 15))
 def test_excursions_exhaustive_vs_brute(length):
-    if length > 11:
-        # cap the enumeration but keep the largest sizes spot-checked
-        rng = make_rng(9, length)
-        paths = []
-        for _ in range(2_000):
-            p = [0]
-            for _ in range(length):
-                if p[-1] == 0:
-                    p.append(int(rng.integers(0, 2)))
-                else:
-                    p.append(p[-1] + int(rng.integers(0, 2)) * 2 - 1)
-            paths.append(p)
-    else:
-        paths = _all_lazy_reflected_paths(length)
-    for p in paths:
+    for p in _excursion_test_paths(length):
         y = np.array(p)
         assert excursions(y) == excursions_brute(y), f"path {p}"
+
+
+@pytest.mark.parametrize("length", range(1, 15))
+def test_excursion_table_rows_vs_brute(length):
+    # each row of one (R, L) batch decomposes as the path alone does, so no
+    # excursion joins two rows.  Rows are never padded: zeros after a row
+    # would close an excursion still open at its end.  The second batch
+    # drops each path's first value, so rows may start above zero.
+    paths = np.array(_excursion_test_paths(length))
+    for batch in (paths, paths[:, 1:]):
+        table = excursion_table(batch)
+        for r, y in enumerate(batch):
+            own = table.row == r
+            got = list(zip(table.start[own].tolist(), table.end[own].tolist(),
+                           table.ordinal[own].tolist()))
+            want = [(e.start, e.end, e.ordinal) for e in excursions_brute(y)]
+            assert got == want, f"row {r}: {y.tolist()}"
 
 
 def test_excursions_disjoint_ordered_interior():

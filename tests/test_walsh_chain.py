@@ -1,21 +1,22 @@
 """Chains on the lattice: step laws, excursion flipping, product chain."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
-                            CASE_TWO, check_proof_facts, draw_ray_marks,
+                            CASE_TWO, check_proof_facts, draw_ray_marks, flip_batch,
                             flip_bound_deviation, flip_excursions,
                             flipped_product_chain, simulate_chain,
                             simulate_chain_batch, step_chain, transition_counts)
-from starflow.cv import cv_forward, reflected_path
+from starflow.cv import cv_forward, cv_forward_increments, reflected_path, tau_sequence
 from starflow.errors import NotAPreimageError
 from starflow.graph import RayParams, junction, point
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square)
-from starflow.walk import excursions, generate_walk
+from starflow.walk import WalkWindow, excursions, excursions_brute, generate_walk
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
@@ -152,6 +153,117 @@ def test_proof_facts_pathwise():
         s = generate_walk(0, 150, 40, stream)
         s_bar = cv_forward(s)
         assert check_proof_facts(s, s_bar) == 0
+
+
+def _flip_reference(s_bar, s, eta, beta_aux):
+    """The per-block flip loop, on brute-force excursions: (rays, radii,
+    taus, block cases, excursions, truncated) as flip_excursions gives them."""
+    sbar_vals = s_bar.values
+    s_vals = s.values
+    ybar = reflected_path(sbar_vals)
+    exc = excursions_brute(ybar)
+    taus_all = np.concatenate([[0], tau_sequence(s_vals)])
+    complete = taus_all[taus_all <= len(sbar_vals) - 1]
+    n_end = int(complete[-1])
+    rays = np.zeros(n_end + 1, dtype=np.int64)
+    cases = []
+    for l in range(len(complete) - 1):
+        lo, hi = int(complete[l]), int(complete[l + 1])
+        assert ybar[lo] == 0 and ybar[hi] == 0
+        assert not any(e.start < lo < e.end or e.start < hi < e.end for e in exc)
+        inside = [e for e in exc if lo <= e.start and e.end <= hi]
+        if len(inside) == 0:
+            assert hi == lo + 2
+            rays[lo : hi + 1] = beta_aux[l]
+            cases.append(CASE_NO_EXCURSION)
+        elif len(inside) == 1:
+            e = inside[0]
+            if e.end == hi - 2:
+                rays[lo : hi + 1] = eta[e.ordinal - 1]
+                cases.append(CASE_ONE_EARLY)
+            else:
+                assert e.end == hi - 1
+                t_star = e.start + 1
+                assert t_star == lo + 2
+                rays[lo:t_star] = beta_aux[l]
+                rays[t_star : hi + 1] = eta[e.ordinal - 1]
+                cases.append(CASE_ONE_LATE)
+        else:
+            assert len(inside) == 2
+            e1, e2 = inside
+            t_star = e2.start + 1
+            rays[lo:t_star] = eta[e1.ordinal - 1]
+            rays[t_star : hi + 1] = eta[e2.ordinal - 1]
+            cases.append(CASE_TWO)
+    radii = np.abs(s_vals[: n_end + 1])
+    rays[radii == 0] = 0
+    return rays, radii, complete, cases, exc, n_end < len(sbar_vals) - 1
+
+
+def _bound_reference(rays, radii, exc, s_bar, eta):
+    """The per-time loop of the flip bound."""
+    ybar = reflected_path(s_bar.values)
+    worst = 0
+    for e in exc:
+        if e.end >= len(radii):
+            continue
+        mark = int(eta[e.ordinal - 1])
+        for n in range(e.start, e.end + 1):
+            if rays[n] == 0 or rays[n] == mark or ybar[n] == 0:
+                worst = max(worst, abs(int(radii[n]) - int(ybar[n])))
+            else:
+                worst = max(worst, int(radii[n]) + int(ybar[n]))
+    return worst
+
+
+def _proof_facts_reference(s, s_bar):
+    """The per-block loops of the proof facts (a) and (b)."""
+    s_vals = s.values
+    sbar_vals = s_bar.values
+    ybar = reflected_path(sbar_vals)
+    taus = np.concatenate([[0], tau_sequence(s_vals)])
+    bad = 0
+    for l in range(len(taus) - 1):
+        lo, hi = int(taus[l]), int(taus[l + 1])
+        for k in range(lo + 2, hi + 1):
+            bad += (sbar_vals[k - 1] == 2 * l + 1) != (s_vals[k] == 0)
+        for k in range(lo, hi + 1):
+            bad += ybar[k] == 0 and abs(int(s_vals[k + 1])) > 1
+            bad += s_vals[k + 1] == 0 and ybar[k] != 0
+    return bad
+
+
+def _values(increments):
+    return np.concatenate([np.zeros((len(increments), 1), dtype=np.int64),
+                           np.cumsum(increments, axis=1)], axis=1)
+
+
+@pytest.mark.parametrize("length", range(3, 13))
+def test_flip_batch_matches_per_block_reference_exhaustive(length):
+    # every +-1 walk of this length in one batch, with seeded marks
+    incs = np.array(list(itertools.product((1, -1), repeat=length)), dtype=np.int64)
+    bars = cv_forward_increments(incs)
+    rng = make_rng(45, length)
+    eta = rng.integers(1, 4, size=incs.shape)
+    beta_aux = rng.integers(1, 4, size=incs.shape)
+    batch = flip_batch(_values(incs), _values(bars), eta, beta_aux, PARAMS)
+    bounds = batch.bound_deviation()
+    facts = batch.proof_fact_violations()
+    for r in range(len(incs)):
+        s, s_bar = WalkWindow(0, incs[r]), WalkWindow(0, bars[r])
+        rays, radii, taus, cases, exc, truncated = _flip_reference(s_bar, s, eta[r],
+                                                                   beta_aux[r])
+        got = batch.result(r)
+        assert np.array_equal(got.chain.rays, rays), incs[r]
+        assert np.array_equal(got.chain.radii, radii), incs[r]
+        assert np.array_equal(got.taus, taus), incs[r]
+        assert got.block_cases == cases, incs[r]
+        assert got.excursion_list == exc, incs[r]
+        assert got.truncated == truncated, incs[r]
+        bound = _bound_reference(rays, radii, exc, s_bar, eta[r])
+        assert bounds[r] == bound == flip_bound_deviation(got, s_bar, eta[r]), incs[r]
+        fact = _proof_facts_reference(s, s_bar)
+        assert facts[r] == fact == check_proof_facts(s, s_bar), incs[r]
 
 
 def test_flip_transition_law():
