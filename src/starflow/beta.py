@@ -29,7 +29,6 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .graph import DiscreteMeasure, GraphPoint, graph_distance
 
@@ -191,6 +190,8 @@ def _constraint_rows(pts: list[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
 
 def beta_lp_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     """The finite LP solved by HiGHS."""
+    from scipy.optimize import linprog  # oracle only: keeps scipy.optimize off import
+
     pts, c = _signed_weights(P, Q)
     if len(pts) == 0:
         return 0.0

@@ -31,7 +31,7 @@ from .errors import NotAPreimageError
 from .graph import GraphPoint, RayParams, point
 from .rng import make_rng
 from .walk import (Excursion, ExcursionTable, WalkWindow, excursion_table, excursions,
-                   generate_walk, random_increments)
+                   generate_walk, random_increments, row_blocks)
 
 
 def _alpha_cum(params: RayParams) -> np.ndarray:
@@ -132,9 +132,6 @@ CASE_ONE_EARLY = "ii1"
 CASE_ONE_LATE = "ii2"
 CASE_TWO = "iii"
 CASES = (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE, CASE_TWO)
-
-# the most walk steps one batch of flip_batches holds: 1 MiB per int64 array
-FLIP_BATCH_STEPS = 2 ** 17
 
 
 @dataclass
@@ -344,11 +341,10 @@ def flip_realization(params: RayParams, length: int, seed: int,
 def flip_batches(params: RayParams, length: int, seed: int,
                  stream_ids: Sequence[int]) -> Iterator[FlipBatch]:
     """The flip realizations of the given streams, drawn as
-    ``flip_realization`` draws them, in batches of at most
-    FLIP_BATCH_STEPS walk steps (and at least one replica)."""
-    rows = max(1, FLIP_BATCH_STEPS // length)
-    for i in range(0, len(stream_ids), rows):
-        ids = stream_ids[i : i + rows]
+    ``flip_realization`` draws them, in the batches of ``row_blocks``: at
+    most ROW_BLOCK_STEPS walk steps (and at least one replica)."""
+    for rows in row_blocks(len(stream_ids), length):
+        ids = stream_ids[rows]
         incs = np.stack([random_increments(length, seed, sid) for sid in ids])
         eta = np.stack([draw_ray_marks(params, length, seed, sid + 1) for sid in ids])
         beta_aux = np.stack([draw_ray_marks(params, length, seed, sid + 2) for sid in ids])

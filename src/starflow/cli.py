@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .chain import flip_batches, flip_realization, simulate_chain_batch, transition_counts
 from .config import RunConfig, load_config
-from .cv import cv_deviation_batch, cv_forward_increments, cv_inverse_increments
+from .cv import cv_check_blocks
 from .errors import ConfigError, StarflowError
 from .flows import (FlowRealization, kernel_closed_form, kernel_compose,
                     kernel_is_conditional_law, psi_closed_form, psi_compose)
@@ -31,7 +31,7 @@ from .rng import make_rng
 from .stats import (chi_square, chi_square_pvalue, updown_chi_square,
                     walsh_marginal_check)
 from .svg import line_plot
-from .walk import WalkWindow, generate_walk, random_increments
+from .walk import WalkWindow, generate_walk, increment_blocks
 
 # fixed stream ids per purpose, so subcommands never share draws
 STREAM_WALK, STREAM_ETA, STREAM_CHAIN, STREAM_FLIP, STREAM_SPOT = 1, 2, 3, 4, 5
@@ -84,15 +84,11 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
 
 def run_cv_check(cfg: RunConfig, out: Path) -> CheckList:
     checks = CheckList()
-    incs = random_increments((cfg.replicas, cfg.length), cfg.seed, STREAM_WALK)
-    dev = cv_deviation_batch(incs)
+    report = cv_check_blocks(increment_blocks(cfg.replicas, cfg.length, cfg.seed, STREAM_WALK))
+    dev = report.deviation
     checks.add("cv_bound_max_deviation", int(dev.max()), 2, bool(dev.max() <= 2))
-    bars = cv_forward_increments(incs)
-    even = cv_forward_increments(-incs)
-    checks.add("cv_even", int(np.abs(bars - even).max()), 0, bool((bars == even).all()))
-    back = cv_inverse_increments(bars, incs[:, 0])
-    checks.add("cv_roundtrip", int(np.abs(back - incs).max()), 0,
-               bool((back == incs).all()))
+    checks.add("cv_even", report.even_gap, 0, report.even_gap == 0)
+    checks.add("cv_roundtrip", report.roundtrip_gap, 0, report.roundtrip_gap == 0)
     _write_csv(out / "cv_check.csv", ["replica", "max_deviation"],
                list(enumerate(dev.tolist())))
     return checks

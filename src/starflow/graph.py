@@ -63,9 +63,6 @@ class GraphPoint:
     ray: int
     radius: Radius
 
-    def is_junction(self) -> bool:
-        return self.radius == 0
-
     def __eq__(self, other):
         if not isinstance(other, GraphPoint):
             return NotImplemented

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc, ndtr
 
 from .errors import SparseCellsError, TooFewSamplesError
 from .graph import RayParams
@@ -75,7 +75,7 @@ def chi_square(observed: np.ndarray, expected_probs: np.ndarray) -> tuple[float,
 
 
 def chi_square_pvalue(stat: float, dof: int) -> float:
-    return float(sps.chi2.sf(stat, dof))
+    return float(chdtrc(dof, stat))
 
 
 def updown_chi_square(up_by_r: np.ndarray, down_by_r: np.ndarray,
@@ -102,7 +102,7 @@ def updown_chi_square(up_by_r: np.ndarray, down_by_r: np.ndarray,
 def half_normal_cdf(r):
     """CDF of |B_1|: 2*Phi(r) - 1 for r >= 0."""
     r = np.asarray(r, dtype=float)
-    return np.clip(2.0 * sps.norm.cdf(r) - 1.0, 0.0, 1.0)
+    return np.clip(2.0 * ndtr(r) - 1.0, 0.0, 1.0)
 
 
 def walsh_marginal_check(rays: np.ndarray, radii: np.ndarray, n: int,

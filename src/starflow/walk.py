@@ -7,6 +7,7 @@ indices transparently.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +44,10 @@ class NotHitType:
 
 
 NOT_HIT = NotHitType()
+
+# steps per row block of the batched draws, transforms and flip batches; it
+# keeps each temporary near 1 MiB instead of one full-size array each
+ROW_BLOCK_STEPS = 2 ** 17
 
 
 class WalkWindow:
@@ -160,17 +165,42 @@ class WalkWindow:
             return NOT_HIT
         return p + int(hits[0])
 
-    def slice_values(self, p: int, n: int) -> np.ndarray:
-        """Values S_h - S_p for h in [p, n]."""
-        i, j = self._idx(p), self._idx(n)
-        return self.values[i : j + 1] - self.values[i]
+
+def row_blocks(n_rows: int, length: int) -> Iterator[slice]:
+    """Slices of consecutive rows of a (n_rows, length) batch holding at most
+    ROW_BLOCK_STEPS steps each (and at least one row)."""
+    rows = max(1, ROW_BLOCK_STEPS // max(1, length))
+    return (slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows))
+
+
+def increment_blocks(replicas: int, length: int, seed: int,
+                     stream_id: int = 0) -> Iterator[np.ndarray]:
+    """The rows of ``random_increments((replicas, length), ...)`` as int8
+    blocks over ``row_blocks``.
+
+    Each block is drawn as int64 from the one (seed, stream_id) generator.
+    The generator hands out its bits in order, so the blocks reproduce one
+    draw of the whole array bit for bit; an int8 draw would not.
+    """
+    rng = make_rng(seed, stream_id)
+    for rows in row_blocks(replicas, length):
+        steps = rng.integers(0, 2, size=(rows.stop - rows.start, length),
+                             dtype=np.int64).astype(np.int8)
+        steps *= 2
+        steps -= 1
+        yield steps
 
 
 def random_increments(shape, seed: int, stream_id: int = 0) -> np.ndarray:
-    """Fair +-1 steps (int64) of the given shape from the (seed, stream_id)
+    """Fair +-1 steps (int8) of the given shape from the (seed, stream_id)
     stream; a (replicas, length) shape fills one walk per row."""
-    rng = make_rng(seed, stream_id)
-    return rng.integers(0, 2, size=shape, dtype=np.int64) * 2 - 1
+    out = np.empty(shape, dtype=np.int8)
+    rows = out.reshape(-1, out.shape[-1])
+    i = 0
+    for block in increment_blocks(rows.shape[0], rows.shape[1], seed, stream_id):
+        rows[i : i + len(block)] = block
+        i += len(block)
+    return out
 
 
 def generate_walk(p_min: int, p_max: int, seed: int, stream_id: int = 0) -> WalkWindow:

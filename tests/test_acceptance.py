@@ -49,10 +49,11 @@ def test_criterion_1_cv_bound():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 2: transform structure, all checks exact
+# Criterion 2: transform structure, all checks exact, <10 s
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_cv_structure():
+    t0 = time.time()
     X = random_increments((10_000, 1_000), SEED, 2)
     bars = cv_forward_increments(X)
     S = np.concatenate([np.zeros((10_000, 1), np.int64), np.cumsum(X, axis=1)], axis=1)
@@ -70,8 +71,10 @@ def test_criterion_2_cv_structure():
     # inverse roundtrip and the exact preimage pair
     assert np.array_equal(cv_inverse_increments(bars, X[:, 0]), X)
     assert np.array_equal(cv_inverse_increments(bars, -X[:, 0]), -X)
+    elapsed = time.time() - t0
+    assert elapsed < 10.0
     print("\n[criterion 2] tau recursion = first-hit, evenness, roundtrip, "
-          "preimage pair {S, -S}: exact on 10^4 replicas PASS")
+          f"preimage pair {{S, -S}}: exact on 10^4 replicas, {elapsed:.1f}s PASS")
 
 
 # ---------------------------------------------------------------------------

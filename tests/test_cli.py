@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import starflow
 from starflow.cli import main
 from starflow.config import ConfigError, parse_config
 
@@ -170,3 +175,16 @@ def test_all_artifacts_golden(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in written}
     assert digests == GOLDEN_DIGESTS
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    # the CLI needs only scipy.special; the LP oracle imports scipy.optimize
+    # when it is called
+    src = str(Path(starflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, starflow.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

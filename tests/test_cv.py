@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from starflow.cv import (cv_forward, cv_forward_increments, cv_inverse,
-                         cv_inverse_increments, cv_invariant_check, reflected_path,
+from starflow.cv import (cv_check_blocks, cv_deviation_batch, cv_forward, cv_forward_increments,
+                         cv_inverse, cv_inverse_increments, cv_invariant_check, reflected_path,
                          tau_sequence, taus_from_first_hits)
 from starflow.errors import TooShortError
 from starflow.rng import make_rng
 from starflow.stats import chi_square, chi_square_pvalue
-from starflow.walk import WalkWindow, generate_walk
+from starflow.walk import ROW_BLOCK_STEPS, WalkWindow, generate_walk, random_increments
 
 
 def example_walk():
@@ -119,3 +119,58 @@ def test_cv_inverse_minimal_window():
     s = cv_inverse(w_bar, 1)
     assert len(s.increments) == 2
     assert np.array_equal(cv_forward(s).increments, w_bar.increments)
+
+
+def _cv_reference(X: np.ndarray, eps: np.ndarray):
+    """(T increments, deviation per row, T^{-1}(T(X), eps)) of a (R, n) batch
+    by the whole-array int64 code the row-block pass replaced."""
+    X = np.asarray(X, dtype=np.int64)
+    R, n = X.shape
+    zero = np.zeros((R, 1), dtype=np.int64)
+    S = np.concatenate([zero, np.cumsum(X, axis=1)], axis=1)
+    ind = S[:, :-2] * S[:, 2:] < 0
+    l = np.zeros((R, n - 1), dtype=np.int64)
+    if n > 2:
+        l[:, 1:] = np.cumsum(ind[:, : n - 2], axis=1)
+    Xbar = np.where(l % 2 == 0, -1, 1) * X[:, :1] * X[:, 1:]
+    Sbar = np.concatenate([zero, np.cumsum(Xbar, axis=1)], axis=1)
+    runmax = np.maximum.accumulate(Sbar, axis=1)
+    dev = np.abs(runmax - Sbar - np.abs(S[:, : Sbar.shape[1]])).max(axis=1)
+    new_max = np.zeros_like(Sbar, dtype=bool)
+    new_max[:, 1:] = runmax[:, 1:] > runmax[:, :-1]
+    is_tau = new_max & (Sbar >= 2) & (Sbar % 2 == 0)
+    sign = np.where(np.cumsum(is_tau[:, :-1], axis=1) % 2 == 0, -1, 1)
+    eps = np.asarray(eps, dtype=np.int64).reshape(-1, 1)
+    back = np.concatenate([eps, sign * eps * Xbar], axis=1)
+    return Xbar, dev, back
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 999, 1_000])
+def test_block_transforms_match_reference(length):
+    # enough rows to cross at least one row-block boundary
+    rows = 2 * (ROW_BLOCK_STEPS // length) + 7
+    X = random_increments((rows, length), 31, length)
+    eps = make_rng(32, length).integers(0, 2, size=rows) * 2 - 1
+    bars, dev, back = _cv_reference(X, eps)
+    assert np.array_equal(cv_forward_increments(X), bars)
+    assert np.array_equal(cv_deviation_batch(X), dev)
+    assert np.array_equal(cv_inverse_increments(bars, eps), back)
+    assert np.array_equal(cv_inverse_increments(bars, X[:, 0]), X)
+    blocks = [X[i : i + 100] for i in range(0, rows, 100)]
+    report = cv_check_blocks(blocks)
+    assert np.array_equal(report.deviation, dev)
+    assert report.even_gap == 0 and report.roundtrip_gap == 0
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_monotone_walk_beyond_int32_product(step):
+    # |S| passes 46341, where S_{i-1} S_{i+1} leaves int32; there is no boundary
+    X = np.full((1, 100_000), step, dtype=np.int8)
+    assert tau_sequence(np.concatenate([[0], np.cumsum(X[0])])).size == 0
+    bars, dev, back = _cv_reference(X, X[:, 0])
+    assert np.array_equal(cv_forward_increments(X[0]), bars[0])
+    assert np.array_equal(cv_deviation_batch(X), dev)
+    assert np.array_equal(cv_inverse_increments(bars, X[:, 0]), back)
+    report = cv_check_blocks([X])
+    assert np.array_equal(report.deviation, dev)
+    assert report.even_gap == 0 and report.roundtrip_gap == 0

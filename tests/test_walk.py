@@ -8,8 +8,9 @@ import pytest
 
 from starflow.errors import EmptyWindowError, NegativeValueError, OutOfWindowError
 from starflow.rng import make_rng
-from starflow.walk import (NOT_HIT, WalkWindow, excursion_table, excursions,
-                           excursions_brute, generate_walk)
+from starflow.walk import (NOT_HIT, ROW_BLOCK_STEPS, WalkWindow, excursion_table,
+                           excursions, excursions_brute, generate_walk, increment_blocks,
+                           random_increments)
 
 GOLDEN = Path(__file__).parent / "golden" / "walk_seed1_win0_8.csv"
 
@@ -36,6 +37,19 @@ def test_generate_walk_reproducible():
     assert np.array_equal(a.increments, b.increments)
     c = generate_walk(-5, 20, 42, 8)
     assert not np.array_equal(a.increments, c.increments)
+
+
+@pytest.mark.parametrize("shape", [(300, 999), (20_000, 7), (400_001,)])
+def test_block_draws_match_one_shot_draw(shape):
+    # odd lengths, and replica counts that leave the last block part full
+    one_shot = make_rng(5, 3).integers(0, 2, size=shape, dtype=np.int64) * 2 - 1
+    drawn = random_increments(shape, 5, 3)
+    assert drawn.dtype == np.int8
+    assert np.array_equal(drawn, one_shot)
+    if len(shape) == 2:
+        blocks = list(increment_blocks(*shape, 5, 3))
+        assert len(blocks) == -(-shape[0] // (ROW_BLOCK_STEPS // shape[1])) > 1
+        assert np.array_equal(np.concatenate(blocks), one_shot)
 
 
 def test_generate_walk_empty_window():
