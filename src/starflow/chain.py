@@ -1,11 +1,11 @@
 """Markov chains on the star-graph lattice.
 
-Two transition laws appear:
-
-* the immediate-exit chain: from the junction, exit on ray i with
-  probability alpha_i; from radius n >= 1, move +-1 with probability 1/2;
-* the lazy chain: hold at the junction with probability 1/2, exit on ray i
-  with probability alpha_i / 2, identical away from the junction.
+Two transition laws appear.  A step draws a uniform u; d = +1 when u >= 1/2
+and -1 otherwise.  The immediate-exit chain moves R <- |R + d|, because the
+junction always exits; the lazy chain moves R <- max(R + d, 0), because a
+down draw holds at the junction.  A junction exit takes ray i with
+probability alpha_i (lazy: alpha_i / 2, from 2u - 1) by one clamped lookup
+on ``RayParams.alpha_cumulative``.
 
 ``flip_batch`` realizes the coupling that builds an immediate-exit chain
 from a transformed walk pair (S, S-bar) by assigning an independent ray mark
@@ -30,12 +30,14 @@ from .cv import cv_forward, cv_forward_increments, reflected_path
 from .errors import NotAPreimageError
 from .graph import GraphPoint, RayParams, point
 from .rng import make_rng
-from .walk import (Excursion, ExcursionTable, WalkWindow, excursion_table, excursions,
-                   generate_walk, random_increments, row_blocks)
+from .walk import (Excursion, ExcursionTable, WalkWindow, excursion_table, generate_walk,
+                   random_increments, row_blocks)
 
 
-def _alpha_cum(params: RayParams) -> np.ndarray:
-    return np.cumsum([float(a) for a in params.alpha])
+def _exit_ray(params: RayParams, u):
+    """Ray 1..N of a junction exit for uniform(s) u.  The lookup skips the
+    last edge, so it clamps to N: the float sum can end just below 1."""
+    return np.searchsorted(params.alpha_cumulative[:-1], u, side="right") + 1
 
 
 def draw_ray_marks(params: RayParams, count: int, seed: int, stream_id: int) -> np.ndarray:
@@ -44,9 +46,7 @@ def draw_ray_marks(params: RayParams, count: int, seed: int, stream_id: int) -> 
     Marks are consumed in ordinal order, so the same (seed, stream_id)
     reproduces the same mark sequence regardless of how many are needed.
     """
-    rng = make_rng(seed, stream_id)
-    u = rng.random(count)
-    return np.searchsorted(_alpha_cum(params), u, side="right") + 1
+    return _exit_ray(params, make_rng(seed, stream_id).random(count))
 
 
 @dataclass
@@ -69,57 +69,57 @@ def step_chain(params: RayParams, x: GraphPoint, u: float, lazy: bool = False) -
             if u < 0.5:
                 return x
             u = (u - 0.5) * 2.0
-        ray = int(np.searchsorted(_alpha_cum(params), u, side="right")) + 1
-        return point(min(ray, params.N), 1, params.N)
+        return point(int(_exit_ray(params, u)), 1, params.N)
     delta = 1 if u >= 0.5 else -1
     return point(x.ray, x.radius + delta, params.N)
+
+
+def _step(params: RayParams, rays: np.ndarray, radii: np.ndarray, u: np.ndarray,
+          lazy: bool) -> None:
+    """Move chains at (rays, radii) one step in place, one uniform each:
+    R <- |R + d| (immediate exit) or max(R + d, 0) (lazy), and a chain that
+    leaves the junction takes its ray from u (lazy: from 2u - 1)."""
+    up = u >= 0.5
+    leave = radii == 0
+    if lazy:
+        leave &= up
+    leave = np.flatnonzero(leave)
+    rays[leave] = _exit_ray(params, (u[leave] - 0.5) * 2.0 if lazy else u[leave])
+    radii += 2 * up - 1
+    if lazy:
+        np.maximum(radii, 0, out=radii)
+    else:
+        np.abs(radii, out=radii)
+
+
+def _chain_states(params: RayParams, n_steps: int, n_replicas: int, seed: int,
+                  stream_id: int, lazy: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rays, radii) of chains from the junction at time 0 and after each
+    step, updated in place.  Step k takes the k-th ``rng.random(n_replicas)``
+    of the stream, drawn in blocks of at most ROW_BLOCK_STEPS uniforms."""
+    rng = make_rng(seed, stream_id)
+    rays = np.zeros(n_replicas, dtype=np.int64)
+    radii = np.zeros(n_replicas, dtype=np.int64)
+    yield rays, radii
+    for steps in row_blocks(n_steps, n_replicas):
+        for u in rng.random((steps.stop - steps.start, n_replicas)):
+            _step(params, rays, radii, u, lazy)
+            yield rays, radii
 
 
 def simulate_chain(params: RayParams, n_steps: int, seed: int, stream_id: int,
                    lazy: bool = False) -> ChainPath:
     """A single chain path started at the junction."""
-    rng = make_rng(seed, stream_id)
-    u = rng.random(n_steps)
-    rays = np.zeros(n_steps + 1, dtype=np.int64)
-    radii = np.zeros(n_steps + 1, dtype=np.int64)
-    cum = _alpha_cum(params)
-    for k in range(n_steps):
-        if radii[k] == 0:
-            v = u[k]
-            if lazy:
-                if v < 0.5:
-                    continue  # rays/radii already zero at k+1
-                v = (v - 0.5) * 2.0
-            rays[k + 1] = min(int(np.searchsorted(cum, v, side="right")) + 1, params.N)
-            radii[k + 1] = 1
-        else:
-            rays[k + 1] = rays[k]
-            radii[k + 1] = radii[k] + (1 if u[k] >= 0.5 else -1)
-    return ChainPath(params, rays, radii)
+    path = np.array([np.concatenate(state) for state in
+                     _chain_states(params, n_steps, 1, seed, stream_id, lazy)])
+    return ChainPath(params, path[:, 0], path[:, 1])
 
 
 def simulate_chain_batch(params: RayParams, n_steps: int, n_replicas: int, seed: int,
                          stream_id: int, lazy: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Final (rays, radii) of many independent chains, vectorized across replicas."""
-    rng = make_rng(seed, stream_id)
-    rays = np.zeros(n_replicas, dtype=np.int64)
-    radii = np.zeros(n_replicas, dtype=np.int64)
-    cum = _alpha_cum(params)
-    for _ in range(n_steps):
-        u = rng.random(n_replicas)
-        at0 = radii == 0
-        if lazy:
-            move = ~at0 | (u >= 0.5)
-            v = np.where(at0, (u - 0.5) * 2.0, u)
-        else:
-            move = np.ones(n_replicas, dtype=bool)
-            v = u
-        exit0 = at0 & move
-        new_rays = np.minimum(np.searchsorted(cum, v[exit0], side="right") + 1, params.N)
-        rays[exit0] = new_rays
-        radii[exit0] = 1
-        interior = ~at0
-        radii[interior] += np.where(u[interior] >= 0.5, 1, -1)
+    for rays, radii in _chain_states(params, n_steps, n_replicas, seed, stream_id, lazy):
+        pass
     return rays, radii
 
 
@@ -352,15 +352,21 @@ def flip_batches(params: RayParams, length: int, seed: int,
                          eta, beta_aux, params)
 
 
+def _paint(shape: tuple[int, int], row, start, end, marks) -> np.ndarray:
+    """A (rows, width) int64 array with marks[i] on [start[i], end[i]] of row
+    row[i], 0 elsewhere; a row's intervals are disjoint, in start order."""
+    n_rows, width = shape
+    painted = np.zeros((n_rows, width + 1), dtype=np.int64)
+    painted[row, start] = marks
+    painted[row, end + 1] -= marks
+    np.cumsum(painted, axis=1, out=painted)
+    return painted[:, :width]
+
+
 def _bound_deviation(rays, radii, ybar, row, start, end, marks) -> np.ndarray:
     """Per row, the max over the listed excursions [start, end] of the row,
     and the times n in them, of d(M_n, mark * Y-bar_n)."""
-    n_rows, width = rays.shape
-    mark = np.zeros((n_rows, width + 1), dtype=np.int64)
-    mark[row, start] = marks
-    mark[row, end + 1] -= marks
-    np.cumsum(mark, axis=1, out=mark)
-    mark = mark[:, :width]
+    mark = _paint(rays.shape, row, start, end, marks)
     same_ray = (rays == 0) | (rays == mark) | (ybar == 0)
     dev = np.where(same_ray, np.abs(radii - ybar), radii + ybar)
     return np.where(mark > 0, dev, 0).max(axis=1, initial=0)
@@ -386,23 +392,15 @@ def flip_bound_deviation(result: FlipResult, s_bar: WalkWindow, eta: np.ndarray)
 def flipped_product_chain(s_bar: WalkWindow, eta: np.ndarray, params: RayParams) -> ChainPath:
     """The chain eta . Y-bar: ray mark eta_i inside the i-th excursion,
     junction wherever the reflected path is zero.  Its transition law is the
-    lazy matrix.  Times after the last complete excursion are dropped."""
+    lazy matrix.  An excursion still open at the end is dropped: the chain
+    stops at the last k with Y-bar_{k-1} = Y-bar_k = 0."""
     ybar = reflected_path(s_bar.values)
-    exc = excursions(ybar)
-    covered_to = len(ybar)
-    if exc:
-        last_end = exc[-1].end
-    else:
-        last_end = -1
-    tail_pos = np.nonzero(ybar > 0)[0]
-    open_tail = tail_pos[tail_pos > last_end]
-    if open_tail.size:
-        covered_to = int(open_tail[0])  # keep [0, first uncovered positive - 1]
-    radii = ybar[:covered_to].copy()
-    rays = np.zeros(covered_to, dtype=np.int64)
-    for e in exc:
-        if e.end < covered_to:
-            rays[e.start : e.end + 1] = eta[e.ordinal - 1]
+    exc = excursion_table(ybar[None])
+    zero = ybar == 0
+    covered_to = int(np.flatnonzero(zero & np.append(True, zero[:-1]))[-1]) + 1
+    radii = ybar[:covered_to]
+    rays = _paint((1, covered_to), exc.row, exc.start, exc.end,
+                  np.asarray(eta)[exc.ordinal - 1])[0]
     rays[radii == 0] = 0
     return ChainPath(params, rays, radii)
 

@@ -160,16 +160,6 @@ def reflected_path(bar_values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(s, axis=-1) - s
 
 
-def cv_invariant_check(w: WalkWindow) -> int:
-    """max_n | Y-bar_n - |S_n| | over the common range; the contract is <= 2."""
-    if len(w) < 2:
-        raise TooShortError("invariant check needs walk length >= 2")
-    sbar = np.concatenate([[0], np.cumsum(cv_forward_increments(w.increments))])
-    ybar = reflected_path(sbar)
-    s_abs = np.abs(w.values[: len(sbar)])
-    return int(np.max(np.abs(ybar - s_abs)))
-
-
 def cv_deviation_batch(X: np.ndarray) -> np.ndarray:
     """Per-walk max deviation | Y-bar - |S| | for a (R, n) increment batch."""
     X, _ = _batch(X, 2, "transform")
@@ -179,6 +169,12 @@ def cv_deviation_batch(X: np.ndarray) -> np.ndarray:
         s, _, sbar, runmax = _forward_pass(X[rows].astype(np.int8, copy=False))
         out[rows] = _deviation(s, sbar, runmax)
     return out
+
+
+def cv_invariant_check(w: WalkWindow) -> int:
+    """max_n | Y-bar_n - |S_n| | over the common range; the contract is <= 2.
+    The one-row case of ``cv_deviation_batch`` (TooShortError below length 2)."""
+    return int(cv_deviation_batch(w.increments[None])[0])
 
 
 class CvCheck(NamedTuple):

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Rational
 from typing import Iterable, Union
+
+import numpy as np
 
 from .errors import NegativeRadiusError
 
@@ -50,6 +51,11 @@ class RayParams:
         denominators: alpha as integers over one common denominator."""
         common = math.lcm(*(a.denominator for a in self.alpha))
         return common, tuple(a.numerator * (common // a.denominator) for a in self.alpha)
+
+    @cached_property
+    def alpha_cumulative(self) -> np.ndarray:
+        """The cumulative sums of alpha in floats; the last may fall just below 1."""
+        return np.cumsum([float(a) for a in self.alpha])
 
 
 @dataclass(frozen=True)
@@ -100,11 +106,6 @@ def graph_distance(x: GraphPoint, y: GraphPoint) -> Radius:
     if x.ray == y.ray:
         return abs(x.radius - y.radius)
     return x.radius + y.radius
-
-
-def direction(x: GraphPoint, N: int) -> int:
-    """Ray index of the outward unit vector at x; ray N at the junction."""
-    return N if x.radius == 0 else x.ray
 
 
 def move_along(x: GraphPoint, delta: Radius, N: int) -> GraphPoint:

@@ -85,6 +85,18 @@ def test_invariant_random_walks():
     assert dev.max() <= 2
 
 
+def test_invariant_check_is_one_row_of_batch():
+    # reference: the per-walk formula | Y-bar - |S| | over the range of S-bar
+    for k in range(200):
+        w = generate_walk(0, 2 + 3 * k, 27, k)
+        y_bar = reflected_path(cv_forward(w).values)
+        expected = int(np.abs(y_bar - np.abs(w.values[: len(y_bar)])).max())
+        assert cv_invariant_check(w) == expected
+        assert cv_deviation_batch(w.increments[None])[0] == expected
+    with pytest.raises(TooShortError):
+        cv_invariant_check(WalkWindow(0, np.array([1])))
+
+
 def test_transformed_walk_is_srw():
     # increment frequencies and lag-1 pair frequencies of S-bar
     incs = (make_rng(26, 0).integers(0, 2, size=(10_000, 40)) * 2 - 1).astype(np.int64)

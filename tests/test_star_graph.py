@@ -1,11 +1,10 @@
-"""Geometry of the star graph: points, distance, direction, measures."""
+"""Geometry of the star graph: points, distance, measures."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, direction,
+from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams,
                             graph_distance, junction, move_along, point)
 from starflow.errors import NegativeRadiusError
 from starflow.rng import make_rng
@@ -36,12 +35,6 @@ def test_junction_points_compare_equal():
 
 def test_junction_canonicalizes_to_ray_n():
     assert point(1, 0, 5).ray == 5
-
-
-def test_direction():
-    assert direction(point(3, 5, 4), 4) == 3
-    assert direction(point(1, 0, 4), 4) == 4
-    assert direction(GraphPoint(4, 0.25), 4) == 4
 
 
 def test_move_along():

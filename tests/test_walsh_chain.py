@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
-                            CASE_TWO, check_proof_facts, draw_ray_marks, flip_batch,
+                            CASE_TWO, _exit_ray, _step, check_proof_facts,
+                            draw_ray_marks, flip_batch,
                             flip_bound_deviation, flip_excursions,
                             flipped_product_chain, simulate_chain,
                             simulate_chain_batch, step_chain, transition_counts)
@@ -80,18 +81,77 @@ def test_simulate_chain_lattice_moves():
     assert np.all(lazy.radii[:-1][holds] == 0)  # holds only at the junction
 
 
-def test_simulate_chain_batch_matches_single():
-    rays, radii = simulate_chain_batch(PARAMS, 200, 50, 35, 0)
-    assert radii.min() >= 0
-    assert np.all((radii % 2) == 0)  # parity lock of chain Q after even steps
-    # one replica draws the same uniforms as the single path, one per step
-    for lazy in (False, True):
-        for stream in range(50):
-            rays, radii = simulate_chain_batch(PARAMS, 200, 1, 35, stream, lazy=lazy)
-            path = simulate_chain(PARAMS, 200, 35, stream, lazy=lazy)
-            assert radii[0] == path.radii[-1]
-            if radii[0] > 0:
-                assert rays[0] == path.rays[-1]
+def _fold_step_chain(params, u, lazy):
+    """Reference: step_chain folded over the rows of a (steps, R) uniform
+    array, one chain per column; the (steps + 1, R) rays and radii."""
+    state = [junction(params.N)] * u.shape[1]
+    path = [state]
+    for row in u:
+        state = [step_chain(params, x, v, lazy=lazy) for x, v in zip(state, row.tolist())]
+        path.append(state)
+    rays = np.array([[x.ray for x in s] for s in path])
+    radii = np.array([[x.radius for x in s] for s in path])
+    return rays, radii
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_simulate_chain_batch_matches_folded_step_chain(lazy):
+    n_steps, n_replicas, seed = 200, 40, 35
+    for stream in range(5):
+        u = make_rng(seed, stream).random((n_steps, n_replicas))
+        rays, radii = _fold_step_chain(PARAMS, u, lazy)
+        got_rays, got_radii = simulate_chain_batch(PARAMS, n_steps, n_replicas, seed,
+                                                   stream, lazy=lazy)
+        assert np.array_equal(got_radii, radii[-1])
+        positive = radii[-1] > 0
+        assert np.array_equal(got_rays[positive], rays[-1][positive])
+        if not lazy:
+            assert np.all(got_radii % 2 == 0)  # parity lock of chain Q after even steps
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_simulate_chain_matches_folded_step_chain(lazy):
+    for stream in range(5):
+        u = make_rng(36, stream).random((300, 1))
+        rays, radii = _fold_step_chain(PARAMS, u, lazy)
+        path = simulate_chain(PARAMS, 300, 36, stream, lazy=lazy)
+        assert np.array_equal(path.radii, radii[:, 0])
+        positive = path.radii > 0
+        assert np.array_equal(path.rays[positive], rays[positive, 0])
+
+
+@pytest.mark.parametrize("params", [PARAMS, RayParams.uniform(10)], ids=["default", "tenths"])
+def test_exit_ray_clamps_the_last_uniform(params):
+    # the float cumulative alpha ends just below 1, where u can still fall
+    top = np.nextafter(1.0, 0.0)
+    assert params.alpha_cumulative[-1] == top
+    assert _exit_ray(params, top) == params.N
+    assert step_chain(params, junction(params.N), top).ray == params.N
+
+
+@pytest.mark.parametrize("params", [PARAMS, RayParams.uniform(10)], ids=["default", "tenths"])
+def test_exit_ray_at_bin_edges(params):
+    # a draw on an edge of the float cumulative alpha opens the next bin
+    cum = params.alpha_cumulative
+    for u in np.concatenate([[0.0], cum[cum < 1], np.nextafter(cum, 0.0)]).tolist():
+        assert _exit_ray(params, u) == min(1 + int(np.sum(cum <= u)), params.N)
+
+
+@pytest.mark.parametrize("params", [PARAMS, RayParams.uniform(10)], ids=["default", "tenths"])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_array_step_matches_step_chain_at_edges(params, lazy):
+    cum = params.alpha_cumulative
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), (1.0 + cum) / 2,
+                            np.nextafter((1.0 + cum) / 2, 0.0)])
+    us = np.concatenate([[0.0, 0.5 - 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0)],
+                         edges[edges < 1.0]])
+    radius, u = (a.ravel() for a in np.meshgrid(np.arange(4), us))
+    ray = np.full(len(u), 2)
+    expected = [step_chain(params, point(2, int(r), params.N), v, lazy=lazy)
+                for r, v in zip(radius.tolist(), u.tolist())]
+    _step(params, ray, radius, u, lazy)
+    assert radius.tolist() == [x.radius for x in expected]
+    assert all(x.ray == r for x, r in zip(expected, ray.tolist()) if x.radius > 0)
 
 
 def _flip(seed, length, stream):
@@ -305,6 +365,34 @@ def test_product_chain_transition_law():
     assert chi_square_pvalue(stat, dof) > 0.01
     stat, dof = updown_chi_square(counts["up_by_r"], counts["down_by_r"])
     assert chi_square_pvalue(stat, dof) > 0.01
+
+
+def _product_chain_reference(s_bar, eta):
+    """The per-excursion loop that painted the marks of the product chain."""
+    ybar = reflected_path(s_bar.values)
+    exc = excursions(ybar)
+    last_end = exc[-1].end if exc else -1
+    tail = np.nonzero(ybar > 0)[0]
+    tail = tail[tail > last_end]
+    covered_to = int(tail[0]) if tail.size else len(ybar)
+    radii = ybar[:covered_to].copy()
+    rays = np.zeros(covered_to, dtype=np.int64)
+    for e in exc:
+        if e.end < covered_to:
+            rays[e.start : e.end + 1] = eta[e.ordinal - 1]
+    rays[radii == 0] = 0
+    return rays, radii
+
+
+def test_product_chain_matches_per_excursion_reference():
+    lengths = make_rng(45, 0).integers(5, 1001, size=300)
+    for k, length in enumerate(lengths.tolist()):
+        s_bar = generate_walk(0, length, 45, k + 1)
+        eta = draw_ray_marks(PARAMS, length, 45, 10_000 + k)
+        chain = flipped_product_chain(s_bar, eta, PARAMS)
+        rays, radii = _product_chain_reference(s_bar, eta)
+        assert np.array_equal(chain.rays, rays)
+        assert np.array_equal(chain.radii, radii)
 
 
 def test_draw_ray_marks_reproducible_prefix():
