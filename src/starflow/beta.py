@@ -238,8 +238,11 @@ def beta_vertex_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     """Exact optimum by enumerating basic feasible points of the polytope.
 
     Every vertex of {v : A v <= b} solves some n-subset of tight rows; the
-    LP optimum is the best feasible such solution.  Exponential in the
-    support size, intended for <= 4 non-junction support points.
+    LP optimum is the best feasible such solution.  Every row but the last
+    (L + M <= 1) has right-hand side 0, so a nonsingular subset without it
+    solves to the origin, whose value 0 is the floor of the max: only the
+    subsets through the last row are solved.  Exponential in the support
+    size, intended for <= 4 non-junction support points.
     """
     pts, c = _signed_weights(P, Q)
     k = len(pts)
@@ -248,16 +251,15 @@ def beta_vertex_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     if k > 4:
         raise ValueError("vertex oracle supports at most 4 free g-values")
     A, b = _constraint_rows(pts)
-    n = k + 2
-    combos = np.array(list(itertools.combinations(range(len(A)), n)))
-    sub_A = A[combos]                      # (m, n, n)
+    m, n = A.shape
+    combos = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(m - 1), n - 1)), dtype=np.intp).reshape(-1, n - 1)
+    combos = np.hstack([combos, np.full((len(combos), 1), m - 1)])
+    sub_A = A[combos]                      # (subsets, n, n)
     sub_b = b[combos]
     dets = np.linalg.det(sub_A)
     good = np.abs(dets) > 1e-10
     verts = np.linalg.solve(sub_A[good], sub_b[good][..., None])[..., 0]
     feas = np.all(A @ verts.T <= b[:, None] + _FEAS_TOL, axis=0)
-    verts = verts[feas]
-    if len(verts) == 0:  # pragma: no cover - origin is always a vertex
-        return 0.0
-    vals = verts[:, :k] @ c
+    vals = verts[feas][:, :k] @ c
     return float(np.abs(vals).max(initial=0.0))

@@ -14,6 +14,7 @@ Kernel weights are exact rationals; equality of measures is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,18 +184,20 @@ def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: in
     # marks elsewhere marginalize to total weight 1 and the sum over full
     # assignments collapses to a sum over the departure candidates
     free = [j for j in range(p, n) if walk.s_plus(p, j) == 0]
-    atoms: dict[GraphPoint, Fraction] = {}
+    # weights are integer numerators over scale ** len(free); the validated
+    # DiscreteMeasure build rejects them unless they sum to that denominator
+    scale, numerators = params.alpha_numerators
+    atoms: dict[GraphPoint, int] = {}
     eta = np.ones(n_marks, dtype=np.int64)
     for assignment in itertools.product(range(1, params.N + 1), repeat=len(free)):
-        weight = Fraction(1)
-        for ray in assignment:
-            weight *= params.alpha[ray - 1]
         for j, ray in zip(free, assignment):
             eta[j - walk.p_min] = ray
         fr = FlowRealization(walk, eta, params)
         y = psi_closed_form(fr, p, n, x)
-        atoms[y] = atoms.get(y, Fraction(0)) + weight
-    return DiscreteMeasure(atoms.items()) == kernel_closed_form(walk, params, p, n, x)
+        atoms[y] = atoms.get(y, 0) + math.prod(numerators[ray - 1] for ray in assignment)
+    denominator = scale ** len(free)
+    law = DiscreteMeasure((y, Fraction(w, denominator)) for y, w in atoms.items())
+    return law == kernel_closed_form(walk, params, p, n, x)
 
 
 # ---------------------------------------------------------------------------

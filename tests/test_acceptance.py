@@ -189,7 +189,7 @@ def test_criterion_5_donsker():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 6: solver vs vertex oracle on 10^3 pairs (1e-9), exact Dirac values
+# Criterion 6: solver vs vertex oracle on 10^3 pairs (1e-9), exact Dirac values, <30 s
 # ---------------------------------------------------------------------------
 
 def _random_measure(rng, max_support=2):
@@ -206,6 +206,7 @@ def _random_measure(rng, max_support=2):
 
 
 def test_criterion_6_beta_metric():
+    t0 = time.time()
     rng = make_rng(SEED, 60)
     worst = 0.0
     for _ in range(1_000):
@@ -220,8 +221,10 @@ def test_criterion_6_beta_metric():
     for r in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(7, 3)):
         assert beta_distance(DiscreteMeasure.dirac(GraphPoint(1, r)),
                              DiscreteMeasure.dirac(junction(3))) == r / (1 + r)
+    elapsed = time.time() - t0
+    assert elapsed < 30.0
     print(f"\n[criterion 6] solver vs vertex oracle worst gap {worst:.2e} < 1e-9 on "
-          f"10^3 pairs; dirac values r/(1+r) exact PASS")
+          f"10^3 pairs; dirac values r/(1+r) exact, {elapsed:.1f}s PASS")
 
 
 # ---------------------------------------------------------------------------

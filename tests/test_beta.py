@@ -1,12 +1,14 @@
 """Bounded-Lipschitz metric: the exact solver against the LP, grid and vertex
 oracles, exact values, and metric properties."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from starflow.beta import (_ray_value, _rays, beta_distance, beta_grid_oracle,
+from starflow.beta import (_FEAS_TOL, _constraint_rows, _ray_value, _rays,
+                           _signed_weights, beta_distance, beta_grid_oracle,
                            beta_lp_oracle, beta_vertex_oracle)
 from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, graph_distance,
                             junction, point)
@@ -87,6 +89,58 @@ def test_lp_matches_vertex_oracle():
         q = random_measure(rng, max_support=2)
         assert beta_lp_oracle(p, q) == pytest.approx(
             beta_vertex_oracle(p, q), abs=1e-9)
+
+
+def _vertex_reference(P, Q):
+    """The vertex oracle solving every n-subset of the constraint rows."""
+    pts, c = _signed_weights(P, Q)
+    k = len(pts)
+    if k == 0:
+        return 0.0
+    A, b = _constraint_rows(pts)
+    n = k + 2
+    combos = np.array(list(itertools.combinations(range(len(A)), n)))
+    sub_A = A[combos]
+    sub_b = b[combos]
+    dets = np.linalg.det(sub_A)
+    good = np.abs(dets) > 1e-10
+    verts = np.linalg.solve(sub_A[good], sub_b[good][..., None])[..., 0]
+    feas = np.all(A @ verts.T <= b[:, None] + _FEAS_TOL, axis=0)
+    vals = verts[feas][:, :k] @ c
+    return float(np.abs(vals).max(initial=0.0))
+
+
+def _jitter_radii(rng, m):
+    """m with each non-junction radius moved by a float in (-0.4, 0.4)."""
+    return DiscreteMeasure((GraphPoint(pt.ray, pt.radius + float(rng.uniform(-0.4, 0.4)))
+                            if pt.radius else pt, w) for pt, w in m.atoms.items())
+
+
+def test_vertex_oracle_matches_full_subset_enumeration():
+    # the subsets that leave out the L + M <= 1 row solve to the origin, so
+    # solving only the rest must give the same float, bit for bit
+    rng = make_rng(18, 0)
+    wanted = {1: 70, 2: 70, 3: 70, 4: 5}  # pairs by number of free g-values
+    while any(wanted.values()):
+        p, q = random_measure(rng), random_measure(rng)
+        if rng.random() < 0.5:
+            p, q = _jitter_radii(rng, p), _jitter_radii(rng, q)
+        k = len(_signed_weights(p, q)[0])
+        if wanted.get(k, 0) == 0:
+            continue
+        wanted[k] -= 1
+        assert beta_vertex_oracle(p, q) == _vertex_reference(p, q), (p, q)
+
+
+def test_oracle_support_limits():
+    five = DiscreteMeasure((point(ray, radius, 3), Fraction(1, 5))
+                           for ray, radius in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2)))
+    three = DiscreteMeasure((point(ray, 1, 3), Fraction(1, 3)) for ray in (1, 2, 3))
+    origin = DiscreteMeasure.dirac(junction(3))
+    with pytest.raises(ValueError):
+        beta_vertex_oracle(five, origin)
+    with pytest.raises(ValueError):
+        beta_grid_oracle(three, origin)
 
 
 def test_beta_symmetry_and_triangle():

@@ -217,6 +217,18 @@ def test_conditional_law_all_short_walks():
         assert kernel_is_conditional_law(walk, PARAMS, 0, 6, junction(3))
 
 
+@pytest.mark.parametrize("params", [
+    RayParams(2, (Fraction(1, 4), Fraction(3, 4))),
+    RayParams(4, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))),
+], ids=["N2", "N4"])
+def test_conditional_law_other_alphas(params):
+    # common denominators 4 and 8, not PARAMS's 6, in the integer weights
+    for bits in itertools.product((1, -1), repeat=6):
+        walk = WalkWindow(0, np.array(bits))
+        for x in (junction(params.N), point(1, 2, params.N)):
+            assert kernel_is_conditional_law(walk, params, 0, 6, x)
+
+
 def test_conditional_law_translation_branch():
     walk = generate_walk(0, 8, 56, 0)
     assert kernel_is_conditional_law(walk, PARAMS, 0, 8, point(1, 9, 3))
