@@ -34,6 +34,7 @@ from .graph import DiscreteMeasure, GraphPoint, graph_distance
 
 _FEAS_TOL = 1e-9
 _FLOAT_GAP = 1e-14  # cutting-plane stop for float input: a few roundings
+_GRID_STEP = 1e-3  # spacing of beta_grid_oracle's g-values
 # HiGHS's default 1e-7 feasibility tolerance lets the LP overshoot beta by up
 # to about 1e-7 when radii are below about 1e-6
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -206,8 +207,8 @@ def beta_lp_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     return max(0.0, -res.fun)
 
 
-def beta_grid_oracle(P: DiscreteMeasure, Q: DiscreteMeasure, resolution: float = 1e-3) -> float:
-    """Brute-force grid search over g-values in [-1, 1].
+def beta_grid_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
+    """Brute-force grid search over g-values in [-1, 1], 1e-3 apart.
 
     Enumerates every grid assignment and keeps those with
     ||g||_inf + Lip(g) <= 1.  Only practical for <= 2 free values.
@@ -218,7 +219,7 @@ def beta_grid_oracle(P: DiscreteMeasure, Q: DiscreteMeasure, resolution: float =
         return 0.0
     if k > 2:
         raise ValueError("grid oracle supports at most 2 free g-values")
-    grid = np.arange(-1.0, 1.0 + resolution / 2, resolution)
+    grid = np.arange(-1.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
     radii = np.array([float(p.radius) for p in pts])
     if k == 1:
         g = grid[:, None]

@@ -209,7 +209,8 @@ def run_convergence(cfg: RunConfig, out: Path) -> CheckList:
     for rep in range(replicas):
         def fr_for_n(n, rep=rep):
             horizon = int(math.ceil(n * (cfg.s + cfg.T))) + 1
-            walk = generate_walk(min(int(n * cfg.s), 0), horizon, cfg.seed, 10_000 + rep)
+            walk = generate_walk(min(math.floor(n * cfg.s), 0), horizon, cfg.seed,
+                                 10_000 + rep)
             return FlowRealization.generate(walk, params, cfg.seed, 20_000 + rep)
 
         for row in convergence_profiles(fr_for_n, params, cfg.s, cfg.T, x, n_list):

@@ -24,6 +24,9 @@ from .errors import NegativeRadiusError, OutOfWindowError, WindowTooLargeError
 from .graph import DiscreteMeasure, GraphPoint, RayParams, junction, move_along, point
 from .walk import WalkWindow
 
+# the longest window kernel_is_conditional_law enumerates mark assignments on
+_LAW_MAX_STEPS = 16
+
 
 @dataclass(frozen=True)
 class FlowRealization:
@@ -174,12 +177,13 @@ def kernel_closed_form(walk: WalkWindow, params: RayParams, p: int, n: int,
 
 
 def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: int,
-                              x: GraphPoint, max_steps: int = 16) -> bool:
+                              x: GraphPoint) -> bool:
     """Check K_{p,n}(x) = E[delta_{Psi_{p,n}(x)} | sigma(S)] by enumerating
-    every mark assignment on the window with its product alpha weight."""
+    every mark assignment on the window with its product alpha weight; the
+    window may have at most 16 steps."""
     n_marks = len(walk.increments)
-    if n_marks > max_steps:
-        raise WindowTooLargeError(f"{n_marks} steps exceeds enumeration limit {max_steps}")
+    if n_marks > _LAW_MAX_STEPS:
+        raise WindowTooLargeError(f"{n_marks} steps exceeds enumeration limit {_LAW_MAX_STEPS}")
     # the flow reads a mark only at a departure index j with S+_{p,j} = 0, so
     # marks elsewhere marginalize to total weight 1 and the sum over full
     # assignments collapses to a sum over the departure candidates
@@ -200,29 +204,30 @@ def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: in
     return law == kernel_closed_form(walk, params, p, n, x)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized helpers for large exhaustive / Monte Carlo checks
-# ---------------------------------------------------------------------------
+def closed_forms_from(fr: FlowRealization, p: int,
+                      x: GraphPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(after, ray, radius) of Psi_{p,n}(x) for every n in [p, p_max], as
+    arrays indexed by n - p, for a lattice radius |x|.
 
-def psi_zero_batch(values: np.ndarray, eta: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rays, radii) of Psi_{p,n}(0) for all n >= p, batched over walks.
-
-    values: (n_walks, length+1) anchored walk values; eta: (n_walks, length)
-    marks.  Entry [w, n] describes walk w at absolute step index n (columns
-    before p are filled with the start state).
+    after[n] is n > the hitting time of -|x| by S_{p,.}, which for +-1 steps
+    is min_{[p, n-1]} S_{p,.} <= -|x|.  Before the hit the radius is
+    |x| + S_{p,n} on x's ray; after it the radius is S+_{p,n} on the ray of
+    the mark at the last departure, the last time S_{p,.} attains its
+    minimum over [p, n].  The junction carries ray N.  K_{p,n}(x) is the
+    alpha spread at that radius after the hit and the Dirac at Psi_{p,n}(x)
+    before it, as in ``psi_closed_form`` and ``kernel_closed_form``.
     """
-    vals = values[:, p:]
-    s_plus = vals - np.minimum.accumulate(vals, axis=1)
-    radii = s_plus
-    # last index j <= n with s_plus[j] == 0, propagated forward
-    idx = np.arange(vals.shape[1])[None, :]
-    last_zero = np.maximum.accumulate(np.where(s_plus == 0, idx, -1), axis=1)
-    # ray mark used at departure time J (absolute index p + last_zero)
-    dep = p + np.minimum(last_zero, eta.shape[1] - 1 - p)
-    rays = np.take_along_axis(eta, np.maximum(dep, 0), axis=1)
-    rays = np.where(radii > 0, rays, 0)
-    out_rays = np.zeros_like(values)
-    out_radii = np.zeros_like(values)
-    out_rays[:, p:] = rays
-    out_radii[:, p:] = radii
-    return out_rays, out_radii
+    walk = fr.walk
+    if not walk.p_min <= p <= walk.p_max:
+        raise OutOfWindowError(f"index {p} outside [{walk.p_min}, {walk.p_max}]")
+    i = p - walk.p_min
+    s = walk.values[i:] - walk.values[i]
+    low = np.minimum.accumulate(s)
+    departure = np.maximum.accumulate(np.where(s == low, np.arange(len(s)), 0))
+    after = np.zeros(len(s), dtype=bool)
+    after[1:] = low[:-1] <= -x.radius
+    radius = np.where(after, s - low, x.radius + s)
+    # a positive radius after the hit puts the departure before p_max
+    mark = fr.eta[np.minimum(i + departure, len(fr.eta) - 1)]
+    ray = np.where(radius == 0, fr.params.N, np.where(after, mark, x.ray))
+    return after, ray, radius

@@ -9,31 +9,33 @@ medians should shrink.  The output labels these as substitutions.
 
 ``convergence_profiles`` checks both limits on one realization per n: the
 flow of kernels against the Wiener kernel (distance beta) and the flow of
-mappings against its structural value (graph distance).  It finds the
-hitting time of the rescaled walk once per n and decides at each mesh time
-once whether that time is before or after the hit.
+mappings against its structural value (graph distance).  It works on arrays
+over the whole time mesh.  The discrete side is one ``closed_forms_from``
+pass from the fixed start time.  The Wiener side is the rescaled path at
+every mesh time, one prefix minimum and one hitting time.  Per mesh time it
+builds only the two measures that ``beta_distance`` takes; the graph
+distance is one array expression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .beta import beta_distance
 from .errors import OutOfDomainError
-from .flows import kernel_closed_form, psi_closed_form
-from .graph import DiscreteMeasure, GraphPoint, RayParams, graph_distance, junction, point
+from .flows import closed_forms_from
+from .graph import DiscreteMeasure, GraphPoint, RayParams, junction, point
 from .walk import NOT_HIT, WalkWindow
 
 
-def floor_time(u: float) -> int:
-    """Floor with the symmetric convention floor(u) = -floor(-u) for u <= 0."""
-    if u <= 0:
-        return -math.floor(-u)
-    return math.floor(u)
+def floor_time(u):
+    """Floor with the symmetric convention floor(u) = -floor(-u) for u <= 0;
+    elementwise on an array."""
+    k = np.where(np.asarray(u) <= 0, np.ceil(u), np.floor(u)).astype(np.int64)
+    return int(k) if k.ndim == 0 else k
 
 
 @dataclass(frozen=True)
@@ -56,27 +58,31 @@ class ContinuousPath:
     def t_max(self) -> float:
         return (self.k0 + len(self.values) - 1) / self.n
 
-    def value(self, t: float) -> float:
-        u = t * self.n - self.k0
-        if u < -1e-9 or u > len(self.values) - 1 + 1e-9:
-            raise OutOfDomainError(f"time {t} outside [{self.t_min}, {self.t_max}]")
-        u = min(max(u, 0.0), len(self.values) - 1.0)
-        k = int(math.floor(u))
-        if k == len(self.values) - 1:
-            return float(self.values[k])
+    def value(self, t):
+        """The path at a time, or elementwise at an array of times."""
+        u = np.asarray(t, dtype=float) * self.n - self.k0
+        last = len(self.values) - 1
+        outside = (u < -1e-9) | (u > last + 1e-9)
+        if np.any(outside):
+            bad = np.asarray(t)[outside] if u.ndim else t
+            raise OutOfDomainError(f"time {bad} outside [{self.t_min}, {self.t_max}]")
+        u = np.clip(u, 0.0, last)
+        # on the last breakpoint k = last - 1 and frac = 1 give its value
+        k = np.minimum(np.floor(u).astype(np.int64), last - 1)
         frac = u - k
-        return float(self.values[k] * (1 - frac) + self.values[k + 1] * frac)
+        v = self.values[k] * (1 - frac) + self.values[k + 1] * frac
+        return float(v) if v.ndim == 0 else v
 
-    def running_min(self, s: float, t: float) -> float:
-        """inf over [s, t]; exact since extrema sit at breakpoints or endpoints."""
-        lo, hi = self.value(s), self.value(t)
-        a = int(math.ceil(s * self.n - self.k0 - 1e-9))
-        b = int(math.floor(t * self.n - self.k0 + 1e-9))
-        m = min(lo, hi)
-        if b >= a:
-            inner = float(np.min(self.values[max(a, 0) : b + 1]))
-            m = min(m, inner)
-        return m
+    def running_min(self, s: float, t):
+        """inf over [s, t], elementwise for an array of t; exact since
+        extrema sit at breakpoints or endpoints."""
+        a = max(int(math.ceil(s * self.n - self.k0 - 1e-9)), 0)
+        b = np.floor(np.asarray(t, dtype=float) * self.n - self.k0 + 1e-9).astype(np.int64)
+        # prefix[j] is the minimum of values[a : a + j], with prefix[0] = inf
+        prefix = np.minimum.accumulate(np.concatenate([[np.inf], self.values[a:]]))
+        m = np.minimum(np.minimum(self.value(s), self.value(t)),
+                       prefix[np.clip(b + 1 - a, 0, len(prefix) - 1)])
+        return float(m) if m.ndim == 0 else m
 
 
 def rescale_path(walk: WalkWindow, n: int) -> ContinuousPath:
@@ -113,34 +119,26 @@ def tau_hit(w: ContinuousPath, s: float, x: GraphPoint | float):
 
 def wiener_kernel(w: ContinuousPath, params: RayParams, s: float, t: float,
                   x: GraphPoint) -> DiscreteMeasure:
-    """K^W_{s,t}(x): Dirac at the radial translate before tau_{s,x}, alpha
-    spread at radius W+_{s,t} after.  Radii here are floats, so atoms carry
-    float radii in a DiscreteMeasure with exact weights."""
-    return _wiener_at(w, params, s, t, x, tau_hit(w, s, x))[2]
-
-
-def _wiener_at(w: ContinuousPath, params: RayParams, s: float, t: float, x: GraphPoint,
-               tau) -> tuple[bool, float, DiscreteMeasure]:
-    """(t after the hitting time tau = tau_{s,x}, limit radius at t,
-    K^W_{s,t}(x)); the radius is |x| + W_t - W_s before the hit and W+_{s,t}
-    after."""
+    """K^W_{s,t}(x): Dirac at the radial translate, radius |x| + W_t - W_s,
+    up to tau_{s,x}; alpha spread at radius W+_{s,t} after.  Radii here are
+    floats, so atoms carry float radii in a DiscreteMeasure with exact
+    weights."""
+    tau = tau_hit(w, s, x)
     if t < s:
         raise OutOfDomainError(f"need s <= t, got {s} > {t}")
-    if tau is NOT_HIT or t <= tau:
-        radius = x.radius + w.value(t) - w.value(s)
-        return False, radius, DiscreteMeasure.dirac(_float_point(x.ray, radius, params.N))
-    radius = w.value(t) - w.running_min(s, t)
-    if radius <= 0:
-        return True, radius, DiscreteMeasure.dirac(junction(params.N))
-    atoms = {_float_point(i, radius, params.N): params.alpha[i - 1]
-             for i in range(1, params.N + 1)}
-    return True, radius, DiscreteMeasure(atoms.items())
+    if t <= tau:
+        return _measure(params, False, x.ray, float(x.radius) + w.value(t) - w.value(s))
+    return _measure(params, True, x.ray, w.value(t) - w.running_min(s, t))
 
 
-def _float_point(ray: int, radius: float, n_rays: int) -> GraphPoint:
+def _measure(params: RayParams, spread: bool, ray: int, radius) -> DiscreteMeasure:
+    """The alpha spread at a radius, or the Dirac at (ray, radius); the
+    junction Dirac if the radius is not positive."""
     if radius <= 0:
-        return junction(n_rays)
-    return GraphPoint(ray, radius)
+        return DiscreteMeasure.dirac(junction(params.N))
+    if spread:
+        return DiscreteMeasure.ray_spread(params, radius)
+    return DiscreteMeasure.dirac(GraphPoint(ray, radius))
 
 
 def grid_and_midpoints(n: int, s: float, t_end: float) -> np.ndarray:
@@ -165,7 +163,6 @@ def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
     times for the sups; defaults to the full n-grid with midpoints, which is
     O(n) points — pass a fixed mesh for large-n sweeps.
     """
-    x_limit = _float_point(x.ray, x.radius, params.N)
     rows = []
     for n in n_list:
         fr = fr_for_n(n)
@@ -174,28 +171,28 @@ def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
         root = math.sqrt(n)
         x_n = point(x.ray, round(root * x.radius), params.N)
         p = floor_time(n * s)
-        k_max = walk.p_min + len(walk.increments)
-        tau = tau_hit(w, s, x_limit)
-        sup_beta = sup_d = 0.0
-        for t in (grid_and_midpoints(n, s, s + big_t) if times is None else times):
-            k_t = min(max(floor_time(n * t), walk.p_min), k_max)
-            after, radius, limit = _wiener_at(w, params, s, t, x_limit, tau)
-            kernel = _rescale_measure(kernel_closed_form(walk, params, p, k_t, x_n), n)
-            sup_beta = max(sup_beta, float(beta_distance(kernel, limit)))
-            y = psi_closed_form(fr, p, k_t, x_n)
-            y_rescaled = _float_point(y.ray, y.radius / root, params.N)
-            # after the hit the structural value sits on the realized ray
-            ray = (y.ray if y.radius > 0 else params.N) if after else x_limit.ray
-            phi = _float_point(ray, radius, params.N)
-            sup_d = max(sup_d, graph_distance(y_rescaled, phi))
+        ts = np.asarray(grid_and_midpoints(n, s, s + big_t) if times is None else times,
+                        dtype=float)
+        if np.any(ts < s):
+            raise OutOfDomainError(f"need s <= t, got {s} > {ts.min()}")
+        k_t = np.clip(floor_time(n * ts), walk.p_min, walk.p_max)
+        after_n, ray_n, radius_n = (a[k_t - p] for a in closed_forms_from(fr, p, x_n))
+        radius_n = radius_n / root
+        # the Wiener side: radial translate up to the hitting time, W+ after it
+        tau = tau_hit(w, s, x)
+        after = ts > tau
+        wt = w.value(ts)
+        radius = np.where(after, wt - w.running_min(s, ts), float(x.radius) + wt - w.value(s))
+        sup_beta = 0.0
+        for spread, ray, r, hit, r_limit in zip(after_n.tolist(), ray_n.tolist(),
+                                                radius_n.tolist(), after.tolist(),
+                                                radius.tolist()):
+            sup_beta = max(sup_beta, float(beta_distance(
+                _measure(params, spread, ray, r), _measure(params, hit, x.ray, r_limit))))
+        # after the hit the structural value sits on the realized ray
+        phi_ray = np.where(radius > 0, np.where(after, ray_n, x.ray), params.N)
+        phi = np.where(radius > 0, radius, 0.0)
+        d = np.where(ray_n == phi_ray, np.abs(radius_n - phi), radius_n + phi)
+        sup_d = float(d.max(initial=0.0))
         rows.append({"n": n, "sup_beta": sup_beta, "sup_distance": sup_d})
     return rows
-
-
-def _rescale_measure(m: DiscreteMeasure, n: int) -> DiscreteMeasure:
-    root = math.sqrt(n)
-    atoms: dict[GraphPoint, Fraction] = {}
-    for pt, wgt in m.atoms.items():
-        q = _float_point(pt.ray, pt.radius / root, 0) if pt.radius else pt
-        atoms[q] = atoms.get(q, Fraction(0)) + wgt
-    return DiscreteMeasure(atoms.items())

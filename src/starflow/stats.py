@@ -22,18 +22,20 @@ from scipy.special import chdtrc, ndtr
 from .errors import SparseCellsError, TooFewSamplesError
 from .graph import RayParams
 
+# radii with fewer interior visits are left out of updown_chi_square
+_MIN_VISITS = 20
 
-def ks_statistic(samples: np.ndarray, cdf, shift: float = 0.0) -> float:
+
+def ks_statistic(samples: np.ndarray, cdf) -> float:
     """Two-sided sup distance between the empirical CDF and cdf.
 
-    samples need not be pre-sorted.  shift evaluates the target CDF at
-    x + shift (lattice continuity correction); 0 is the plain statistic.
+    samples need not be pre-sorted.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     m = len(x)
     if m < 100:
         raise TooFewSamplesError(f"need >= 100 samples, got {m}")
-    f = cdf(x + shift)
+    f = cdf(x)
     upper = np.max(np.arange(1, m + 1) / m - f)
     lower = np.max(f - np.arange(0, m) / m)
     return float(max(upper, lower))
@@ -78,20 +80,19 @@ def chi_square_pvalue(stat: float, dof: int) -> float:
     return float(chdtrc(dof, stat))
 
 
-def updown_chi_square(up_by_r: np.ndarray, down_by_r: np.ndarray,
-                      min_visits: int = 20) -> tuple[float, int]:
+def updown_chi_square(up_by_r: np.ndarray, down_by_r: np.ndarray) -> tuple[float, int]:
     """Per-radius fair-coin test of interior transitions, Pearson-summed.
 
     Aggregating all interior states against 50/50 is wrong for a chain path
     stopped at a junction visit: total downs exceed total ups by exactly the
     number of junction exits.  Per from-state the up/down choice is a fair
-    coin, so sum (up_r - down_r)^2 / (up_r + down_r) over states with enough
-    visits, asymptotically chi-square with one dof per state.
+    coin, so sum (up_r - down_r)^2 / (up_r + down_r) over states with at
+    least 20 visits, asymptotically chi-square with one dof per state.
     """
     up = np.asarray(up_by_r, dtype=float)
     down = np.asarray(down_by_r, dtype=float)
     visits = up + down
-    keep = visits >= min_visits
+    keep = visits >= _MIN_VISITS
     keep[0] = False  # radius 0 handled by the exit test
     if not np.any(keep):
         raise SparseCellsError("no interior radius has enough visits")

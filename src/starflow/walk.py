@@ -7,6 +7,7 @@ indices transparently.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,33 +18,8 @@ from .errors import EmptyWindowError, NegativeValueError, OutOfWindowError
 from .rng import make_rng
 
 
-class NotHitType:
-    """Symbolic +infinity returned when a hitting level is never reached."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotHit"
-
-    def __gt__(self, other):
-        return True
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, NotHitType)
-
-
-NOT_HIT = NotHitType()
+# the hitting time of a level that is never reached: above every time
+NOT_HIT = math.inf
 
 # steps per row block of the batched draws, transforms and flip batches; it
 # keeps each temporary near 1 MiB instead of one full-size array each

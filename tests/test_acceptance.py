@@ -20,8 +20,7 @@ from starflow.cv import (cv_deviation_batch, cv_forward_increments, cv_inverse_i
 from starflow.flows import (FlowRealization, kernel_closed_form, kernel_compose,
                             kernel_is_conditional_law, psi_closed_form, psi_compose)
 from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, junction, point)
-from starflow.limit import (_rescale_measure, convergence_profiles, rescale_path,
-                            wiener_kernel)
+from starflow.limit import convergence_profiles, rescale_path, wiener_kernel
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square,
                             walsh_marginal_check)
@@ -231,7 +230,7 @@ def test_criterion_6_beta_metric():
 # Criterion 7: convergence profiles + grid self-consistency, <3 min
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_convergence():
+def test_criterion_7_convergence(rescale_measure):
     t0 = time.time()
     n_list = [100, 1_000, 10_000]
     # fixed evaluation mesh: generic times where the 1/sqrt(n) interpolation
@@ -258,8 +257,8 @@ def test_criterion_7_convergence():
         walk = generate_walk(0, n, SEED, 90_000 + n)
         w = rescale_path(walk, n)
         for k in range(n + 1):
-            discrete = _rescale_measure(kernel_closed_form(walk, PARAMS, 0, k,
-                                                           junction(3)), n)
+            discrete = rescale_measure(kernel_closed_form(walk, PARAMS, 0, k,
+                                                          junction(3)), n)
             limit = wiener_kernel(w, PARAMS, 0.0, k / n, junction(3))
             worst = max(worst, beta_distance(discrete, limit))
     assert worst < 1e-12

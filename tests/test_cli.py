@@ -141,6 +141,16 @@ def test_out_of_range_value_exit_code(key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_convergence_negative_fractional_start(tmp_path):
+    # n * s = -2.5 at n = 10: the window has to start at floor(-2.5) = -3
+    # for the rescaled path to cover s
+    path = tmp_path / "config.txt"
+    path.write_text(f"{SMALL}s = -0.25\nn_list = 10, 100, 1000\n")
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(path), "--output-dir", str(out)]) == 0
+    assert (out / "convergence_beta.csv").exists()
+
+
 def test_workers_key_removed():
     with pytest.raises(ConfigError, match="workers"):
         parse_config("workers = 1\n")

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from starflow.errors import NegativeRadiusError, OutOfWindowError, WindowTooLargeError
-from starflow.flows import (FlowRealization, kernel_closed_form, kernel_compose,
-                            kernel_is_conditional_law, kernel_one_step,
-                            psi_closed_form, psi_compose, psi_one_step,
-                            psi_zero_batch)
+from starflow.flows import (FlowRealization, closed_forms_from, kernel_closed_form,
+                            kernel_compose, kernel_is_conditional_law, kernel_one_step,
+                            psi_closed_form, psi_compose, psi_one_step)
 from starflow.graph import (DiscreteMeasure, RayParams, junction, point)
 from starflow.rng import make_rng
 from starflow.walk import WalkWindow, generate_walk
@@ -257,19 +256,25 @@ def test_out_of_window_errors():
             oracle()
 
 
-def test_psi_zero_batch_matches_scalar():
-    n_walks, length = 64, 40
+def test_closed_forms_from_matches_scalar():
+    # every +-1 walk of length 8 on [-2, 6], every start time and radius 0..3,
+    # with random marks and start rays
     rng = make_rng(58, 0)
-    incs = (rng.integers(0, 2, size=(n_walks, length)) * 2 - 1).astype(np.int64)
-    eta = rng.integers(1, 4, size=(n_walks, length)).astype(np.int64)
-    values = np.hstack([np.zeros((n_walks, 1), dtype=np.int64),
-                        np.cumsum(incs, axis=1)])
-    p = 7
-    rays, radii = psi_zero_batch(values, eta, p)
-    for w in range(0, n_walks, 7):
-        fr = FlowRealization(WalkWindow(0, incs[w]), eta[w], PARAMS)
-        for n in range(p, length + 1, 3):
-            got = psi_closed_form(fr, p, n, junction(3))
-            assert radii[w, n] == got.radius
-            if got.radius > 0:
-                assert rays[w, n] == got.ray
+    for bits in itertools.product((1, -1), repeat=8):
+        eta = rng.integers(1, 4, size=8)
+        fr = FlowRealization(WalkWindow(-2, np.array(bits)), eta, PARAMS)
+        for p in range(-2, 7):
+            for radius in range(4):
+                x = point(int(rng.integers(1, 4)), radius, 3)
+                after, rays, radii = closed_forms_from(fr, p, x)
+                assert len(after) == 7 - p
+                for n, hit, ray, r in zip(range(p, 7), after.tolist(), rays.tolist(),
+                                          radii.tolist()):
+                    y = psi_closed_form(fr, p, n, x)
+                    assert (ray, r) == (y.ray, y.radius)
+                    kernel = (DiscreteMeasure.ray_spread(PARAMS, r) if hit
+                              else DiscreteMeasure.dirac(point(ray, r, 3)))
+                    assert kernel == kernel_closed_form(fr.walk, PARAMS, p, n, x)
+    for p in (-3, 7):
+        with pytest.raises(OutOfWindowError):
+            closed_forms_from(fr, p, junction(3))

@@ -1,5 +1,6 @@
 """Rescaled paths, continuum kernel, hitting times, and convergence profiles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,8 @@ from starflow.beta import beta_distance, beta_lp_oracle
 from starflow.errors import OutOfDomainError
 from starflow.flows import FlowRealization, kernel_closed_form, psi_closed_form
 from starflow.graph import GraphPoint, RayParams, graph_distance, junction, point
-from starflow.limit import (NOT_HIT, ContinuousPath, _rescale_measure,
-                            convergence_profiles, floor_time, grid_and_midpoints,
-                            rescale_path, tau_hit, wiener_kernel)
+from starflow.limit import (NOT_HIT, ContinuousPath, convergence_profiles, floor_time,
+                            grid_and_midpoints, rescale_path, tau_hit, wiener_kernel)
 from starflow.walk import generate_walk
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
@@ -128,32 +128,58 @@ def test_mapping_convergence_decreasing():
     assert rows[1]["sup_distance"] < rows[0]["sup_distance"]
 
 
-def test_convergence_profiles_match_pointwise_definitions():
+def _fr_from(start, walk_seed):
+    # the window [floor(n s), n + 1] that the CLI draws when s + T = 1
+    def fr_for_n(n):
+        walk = generate_walk(math.floor(n * start), n + 1, walk_seed, n)
+        return FlowRealization.generate(walk, PARAMS, walk_seed, n)
+    return fr_for_n
+
+
+# (s, T, x, n_list, window start / n, times): p = 0, p > 0, a window that
+# starts below a negative, non-integer n s, and an explicit mesh
+POINTWISE_CASES = [
+    (0.0, 1.0, point(2, 0.5, 3), [16, 64], 0.0, None),
+    (0.3, 0.7, point(2, 0.5, 3), [16, 64], 0.0, None),
+    (-0.25, 1.0, point(1, 0.5, 3), [10, 50], -0.25, None),
+    (0.3, 0.7, point(2, 0.5, 3), [16, 64], 0.0, np.linspace(0.3, 1.0, 37)),
+]
+
+
+def test_convergence_profiles_match_pointwise_definitions(rescale_measure):
+    for case in POINTWISE_CASES:
+        _check_pointwise(*case, rescale_measure)
+
+
+def _check_pointwise(s, big_t, x, n_list, start, times, rescale_measure):
     # off the junction both hitting-time branches occur; recompute each sup
     # time by time from the public kernel and hitting-time functions
-    x = point(2, 0.5, 3)
-    fr_for_n = _fr_for_n(65, 65, 0)
-    rows = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, [16, 64])
+    fr_for_n = _fr_from(start, 65)
+    rows = convergence_profiles(fr_for_n, PARAMS, s, big_t, x, n_list, times=times)
+    branches = set()
     for row in rows:
         n = row["n"]
         fr = fr_for_n(n)
         w = rescale_path(fr.walk, n)
-        x_n = point(2, round(0.5 * np.sqrt(n)), 3)
+        x_n = point(x.ray, round(x.radius * np.sqrt(n)), 3)
+        p = floor_time(n * s)
+        tau = tau_hit(w, s, x)
         sup_beta = sup_d = 0.0
-        for t in grid_and_midpoints(n, 0.0, 1.0):
+        for t in (grid_and_midpoints(n, s, s + big_t) if times is None else times):
             k = floor_time(n * t)
-            discrete = _rescale_measure(kernel_closed_form(fr.walk, PARAMS, 0, k, x_n), n)
-            limit = wiener_kernel(w, PARAMS, 0.0, t, x)
+            discrete = rescale_measure(kernel_closed_form(fr.walk, PARAMS, p, k, x_n), n)
+            limit = wiener_kernel(w, PARAMS, s, t, x)
             sup_beta = max(sup_beta, beta_distance(discrete, limit))
-            y = psi_closed_form(fr, 0, k, x_n)
-            tau = tau_hit(w, 0.0, x)
-            if tau is not NOT_HIT and t > tau:
-                phi = GraphPoint(y.ray if y.radius else 3, w.value(t) - w.running_min(0.0, t))
+            y = psi_closed_form(fr, p, k, x_n)
+            branches.add(t > tau)
+            if t > tau:
+                phi = GraphPoint(y.ray if y.radius else 3, w.value(t) - w.running_min(s, t))
             else:
-                phi = GraphPoint(2, 0.5 + w.value(t) - w.value(0.0))
+                phi = GraphPoint(x.ray, x.radius + w.value(t) - w.value(s))
             if phi.radius <= 0:
                 phi = junction(3)
             y_rescaled = GraphPoint(y.ray, y.radius / np.sqrt(n)) if y.radius else y
             sup_d = max(sup_d, graph_distance(y_rescaled, phi))
         assert row["sup_beta"] == sup_beta
         assert row["sup_distance"] == sup_d
+    assert branches == {False, True}

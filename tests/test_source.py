@@ -41,3 +41,33 @@ def test_sources_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name that a node reads: plain names, attribute names and the
+    names an import pulls in."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_no_dead_private_helpers():
+    # a module-level _helper must be read somewhere in the package outside
+    # its own definition
+    defined, read = {}, set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    node.name.startswith("_"):
+                defined[node.name] = path.name
+                read |= _names_read(node) - {node.name}
+            else:
+                read |= _names_read(node)
+    assert sorted(f"{name} ({module})" for name, module in defined.items()
+                  if name not in read) == []
