@@ -48,6 +48,7 @@ def _pad_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CheckList:
     def __init__(self):
         self.rows: list[dict] = []
+        self.work: list[dict] = []  # work counts for the manifest, if any
 
     def add(self, name: str, value, threshold, passed: bool):
         self.rows.append({"name": name, "status": "pass" if passed else "FAIL",
@@ -71,6 +72,8 @@ def _write_manifest(out: Path, subcommand: str, cfg: RunConfig, checks: CheckLis
         "input_hash": digest,
         "checks": checks.rows,
     }
+    if checks.work:
+        manifest["work"] = checks.work
     (out / f"{subcommand}_manifest.json").write_text(
         json.dumps(manifest, indent=2, default=str) + "\n")
 
@@ -206,6 +209,7 @@ def run_convergence(cfg: RunConfig, out: Path) -> CheckList:
     replicas = 50 if cfg.replicas >= 1000 else max(cfg.replicas // 20, 5)
     x = point(cfg.x_ray, cfg.x_radius, params.N)
     beta_rows, dist_rows = [], []
+    checks.work = [{"n": n, "times": 0, "beta_evaluations": 0} for n in n_list]
     for rep in range(replicas):
         def fr_for_n(n, rep=rep):
             horizon = int(math.ceil(n * (cfg.s + cfg.T))) + 1
@@ -213,9 +217,12 @@ def run_convergence(cfg: RunConfig, out: Path) -> CheckList:
                                  10_000 + rep)
             return FlowRealization.generate(walk, params, cfg.seed, 20_000 + rep)
 
-        for row in convergence_profiles(fr_for_n, params, cfg.s, cfg.T, x, n_list):
+        for row, work in zip(convergence_profiles(fr_for_n, params, cfg.s, cfg.T, x, n_list),
+                             checks.work):
             beta_rows.append([row["n"], rep, row["sup_beta"]])
             dist_rows.append([row["n"], rep, row["sup_distance"]])
+            work["times"] += row["times"]
+            work["beta_evaluations"] += row["beta_evaluations"]
     _write_csv(out / "convergence_beta.csv", ["n", "replica", "sup_beta"], beta_rows)
     _write_csv(out / "convergence_distance.csv", ["n", "replica", "sup_distance"],
                dist_rows)

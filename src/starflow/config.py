@@ -7,6 +7,7 @@ ConfigError naming the key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -98,6 +99,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _check_ranges(cfg: RunConfig) -> None:
+    for key in ("T", "s", "x_radius"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key}: need a finite number, got {getattr(cfg, key)}")
     if cfg.length < 2:
         raise ConfigError(f"length: need >= 2, got {cfg.length}")
     if cfg.replicas < 100:  # the KS tests need 100 samples
@@ -112,6 +116,13 @@ def _check_ranges(cfg: RunConfig) -> None:
         raise ConfigError(f"x_radius: need >= 0, got {cfg.x_radius}")
     if not cfg.T > 0:
         raise ConfigError(f"T: need > 0, got {cfg.T}")
+    try:
+        horizon = max(cfg.n_list) * (cfg.s + cfg.T)
+    except OverflowError:  # an n too large for a float
+        horizon = math.inf
+    if not math.isfinite(horizon):
+        raise ConfigError(f"n_list, s, T: max(n_list) * (s + T) is not finite, got "
+                          f"n = {max(cfg.n_list)}, s = {cfg.s}, T = {cfg.T}")
 
 
 def load_config(path: str | Path | None) -> RunConfig:

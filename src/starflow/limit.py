@@ -12,13 +12,15 @@ flow of kernels against the Wiener kernel (distance beta) and the flow of
 mappings against its structural value (graph distance).  It works on arrays
 over the whole time mesh.  The discrete side is one ``closed_forms_from``
 pass from the fixed start time.  The Wiener side is the rescaled path at
-every mesh time, one prefix minimum and one hitting time.  Per mesh time it
-builds only the two measures that ``beta_distance`` takes; the graph
-distance is one array expression.
+every mesh time, one prefix minimum and one hitting time.  The pair of
+measures repeats along the mesh, so ``beta_distance`` runs once per distinct
+pair and each distinct measure is built once; the graph distance is one
+array expression.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,20 +103,19 @@ def tau_hit(w: ContinuousPath, s: float, x: GraphPoint | float):
     if level == 0:
         return s
     target = w.value(s) - level
-    k_start = int(math.ceil(s * w.n - w.k0 - 1e-9))
-    prev_t = s
-    prev_v = w.value(s)
-    for k in range(max(k_start, 0), len(w.values)):
-        t_k = (w.k0 + k) / w.n
-        if t_k < s:
-            continue
-        v_k = float(w.values[k])
-        if v_k <= target:
-            # crossing inside [prev_t, t_k]
-            frac = (prev_v - target) / (prev_v - v_k)
-            return prev_t + frac * (t_k - prev_t)
-        prev_t, prev_v = t_k, v_k
-    return NOT_HIT
+    # the first breakpoint at or after s at or below the target, then the
+    # crossing on the segment that ends there
+    ks = np.arange(max(int(math.ceil(s * w.n - w.k0 - 1e-9)), 0), len(w.values))
+    t_k = (w.k0 + ks) / w.n
+    on = t_k >= s
+    t_k, v_k = t_k[on], w.values[ks[on]]
+    hits = np.flatnonzero(v_k <= target)
+    if len(hits) == 0:
+        return NOT_HIT
+    j = int(hits[0])
+    prev_t, prev_v = (float(t_k[j - 1]), float(v_k[j - 1])) if j else (s, w.value(s))
+    frac = (prev_v - target) / (prev_v - float(v_k[j]))
+    return prev_t + frac * (float(t_k[j]) - prev_t)
 
 
 def wiener_kernel(w: ContinuousPath, params: RayParams, s: float, t: float,
@@ -160,8 +161,8 @@ def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
     walk units.  sup_beta is sup_t beta(rescaled discrete kernel, Wiener
     kernel) and sup_distance is sup_t d(rescaled Psi, structural value with
     the realized rays), both on the same rescaled walk.  times: evaluation
-    times for the sups; defaults to the full n-grid with midpoints, which is
-    O(n) points — pass a fixed mesh for large-n sweeps.
+    times for the sups; defaults to the full n-grid with midpoints.  Each row
+    also counts its mesh times and its beta evaluations (distinct pairs).
     """
     rows = []
     for n in n_list:
@@ -183,16 +184,19 @@ def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
         after = ts > tau
         wt = w.value(ts)
         radius = np.where(after, wt - w.running_min(s, ts), float(x.radius) + wt - w.value(s))
-        sup_beta = 0.0
-        for spread, ray, r, hit, r_limit in zip(after_n.tolist(), ray_n.tolist(),
-                                                radius_n.tolist(), after.tolist(),
-                                                radius.tolist()):
-            sup_beta = max(sup_beta, float(beta_distance(
-                _measure(params, spread, ray, r), _measure(params, hit, x.ray, r_limit))))
+        # beta is a function of its two measures, which repeat along the mesh:
+        # one call per distinct key, compared by exact float equality
+        keys = set(zip(after_n.tolist(), ray_n.tolist(), radius_n.tolist(),
+                       after.tolist(), radius.tolist()))
+        measure = functools.cache(functools.partial(_measure, params))
+        betas = [float(beta_distance(measure(spread, ray, r), measure(hit, x.ray, r_limit)))
+                 for spread, ray, r, hit, r_limit in keys]
+        sup_beta = max([0.0, *betas])
         # after the hit the structural value sits on the realized ray
         phi_ray = np.where(radius > 0, np.where(after, ray_n, x.ray), params.N)
         phi = np.where(radius > 0, radius, 0.0)
         d = np.where(ray_n == phi_ray, np.abs(radius_n - phi), radius_n + phi)
         sup_d = float(d.max(initial=0.0))
-        rows.append({"n": n, "sup_beta": sup_beta, "sup_distance": sup_d})
+        rows.append({"n": n, "sup_beta": sup_beta, "sup_distance": sup_d,
+                     "times": len(ts), "beta_evaluations": len(keys)})
     return rows

@@ -141,6 +141,37 @@ def test_out_of_range_value_exit_code(key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("T", "inf"),
+    ("s", "nan"),
+    ("s", "inf"),
+    ("x_radius", "inf"),
+    ("s", "1e308"),  # finite, but n (s + T) overflows
+    ("n_list", "1" + "0" * 400),  # too large for a float
+])
+def test_non_finite_value_exit_code(key, value, tmp_path, capsys):
+    path = tmp_path / "config.txt"
+    path.write_text(f"{SMALL}{key} = {value}\n")
+    code = main(["convergence", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_convergence_manifest_work_counts(small_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(small_config),
+                 "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "convergence_manifest.json").read_text())
+    work = manifest["work"]
+    assert [w["n"] for w in work] == [100, 400]
+    # 15 replicas over the default mesh of 2n + 1 times
+    assert [w["times"] for w in work] == [15 * 201, 15 * 801]
+    assert all(0 < w["beta_evaluations"] < w["times"] for w in work)
+
+
 def test_convergence_negative_fractional_start(tmp_path):
     # n * s = -2.5 at n = 10: the window has to start at floor(-2.5) = -3
     # for the rescaled path to cover s

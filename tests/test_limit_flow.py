@@ -1,11 +1,13 @@
 """Rescaled paths, continuum kernel, hitting times, and convergence profiles."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import starflow.limit
 from starflow.beta import beta_distance, beta_lp_oracle
 from starflow.errors import OutOfDomainError
 from starflow.flows import FlowRealization, kernel_closed_form, psi_closed_form
@@ -51,6 +53,44 @@ def test_tau_hit_examples():
     # rising path never goes below its start
     up = ContinuousPath(1, 0, np.array([0.0, 1.0, 2.0]))
     assert tau_hit(up, 0.0, 0.5) is NOT_HIT
+
+
+def _tau_hit_loop(w, s, level):
+    """The breakpoint-by-breakpoint scan that ``tau_hit`` replaces: the
+    reference it must equal exactly."""
+    if level == 0:
+        return s
+    target = w.value(s) - level
+    prev_t, prev_v = s, w.value(s)
+    for k in range(max(int(math.ceil(s * w.n - w.k0 - 1e-9)), 0), len(w.values)):
+        t_k = (w.k0 + k) / w.n
+        if t_k < s:
+            continue
+        v_k = float(w.values[k])
+        if v_k <= target:
+            frac = (prev_v - target) / (prev_v - v_k)
+            return prev_t + frac * (t_k - prev_t)
+        prev_t, prev_v = t_k, v_k
+    return NOT_HIT
+
+
+def test_tau_hit_matches_loop_on_every_short_walk():
+    # every +-1 walk of length <= 10 on [-1/4, (length - 1)/4], rescaled at
+    # n = 4; s on the grid, off it and at both ends; level 0, levels hit on
+    # and between breakpoints, and one never hit
+    outcomes = set()
+    for length in range(1, 11):
+        for steps in itertools.product((-1, 1), repeat=length):
+            w = ContinuousPath(4, -1, np.concatenate([[0.0], np.cumsum(steps)]) / 2)
+            for s in (w.t_min, w.t_min + 0.25, w.t_min + 0.3, w.t_min + 0.6875, w.t_max):
+                if s > w.t_max:
+                    continue
+                for level in (0.0, 0.5, 0.75, 1.0, 1.3, 100.0):
+                    got = tau_hit(w, s, level)
+                    assert got == _tau_hit_loop(w, s, level)
+                    outcomes.add("never" if got is NOT_HIT else
+                                 "grid" if got * 4 == round(got * 4) else "between")
+    assert outcomes == {"never", "grid", "between"}
 
 
 def test_tau_hit_out_of_domain():
@@ -137,12 +177,14 @@ def _fr_from(start, walk_seed):
 
 
 # (s, T, x, n_list, window start / n, times): p = 0, p > 0, a window that
-# starts below a negative, non-integer n s, and an explicit mesh
+# starts below a negative, non-integer n s, an explicit mesh, and a start at
+# the junction
 POINTWISE_CASES = [
     (0.0, 1.0, point(2, 0.5, 3), [16, 64], 0.0, None),
     (0.3, 0.7, point(2, 0.5, 3), [16, 64], 0.0, None),
     (-0.25, 1.0, point(1, 0.5, 3), [10, 50], -0.25, None),
     (0.3, 0.7, point(2, 0.5, 3), [16, 64], 0.0, np.linspace(0.3, 1.0, 37)),
+    (0.0, 1.0, junction(3), [16, 64], 0.0, None),
 ]
 
 
@@ -183,3 +225,30 @@ def _check_pointwise(s, big_t, x, n_list, start, times, rescale_measure):
         assert row["sup_beta"] == sup_beta
         assert row["sup_distance"] == sup_d
     assert branches == {False, True}
+
+
+def test_convergence_profiles_one_beta_per_distinct_pair(monkeypatch, rescale_measure):
+    calls = []
+
+    def counting_beta(p, q):
+        calls.append((p, q))
+        return beta_distance(p, q)
+
+    monkeypatch.setattr(starflow.limit, "beta_distance", counting_beta)
+    # the walk hits -|x| inside [0, 1], and sqrt(n) |x| = 4.8 is off the
+    # lattice, so the discrete and Wiener hitting times differ
+    n, x = 256, point(2, 0.3, 3)
+    fr_for_n = _fr_from(0.0, 66)
+    row, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, [n])
+    mesh = grid_and_midpoints(n, 0.0, 1.0)
+    assert row["times"] == len(mesh)
+    assert len(calls) == row["beta_evaluations"] < len(mesh)
+    # every distinct pair of measures along the mesh is still evaluated
+    fr = fr_for_n(n)
+    w = rescale_path(fr.walk, n)
+    pairs = {(frozenset(rescale_measure(kernel_closed_form(
+                  fr.walk, PARAMS, 0, floor_time(n * t), point(2, 5, 3)), n).atoms.items()),
+              frozenset(wiener_kernel(w, PARAMS, 0.0, t, x).atoms.items()))
+             for t in mesh}
+    assert pairs == {(frozenset(p.atoms.items()), frozenset(q.atoms.items()))
+                     for p, q in calls}
