@@ -15,8 +15,7 @@ to every excursion of the reflected path, following the block case analysis
 the tau positions and the excursion table, the ray is set at its change
 points and carried forward, and the bound and the proof facts are masks
 over the batch.  ``flip_batches`` draws replicas in batches of bounded size;
-``flip_excursions``, ``flip_bound_deviation`` and ``check_proof_facts`` are
-its one-row cases.
+``flip_excursions`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cv import cv_forward, cv_forward_increments, reflected_path
-from .errors import NotAPreimageError
+from .cv import cv_forward_increments, reflected_path
 from .graph import GraphPoint, RayParams, point
 from .rng import make_rng
 from .walk import (Excursion, ExcursionTable, WalkWindow, excursion_table, generate_walk,
@@ -207,7 +205,9 @@ class FlipBatch:
                           n < self.rays.shape[1] - 1)
 
     def bound_deviation(self) -> np.ndarray:
-        """``flip_bound_deviation`` of every row."""
+        """Per row, max over excursions i and times n in them of
+        d(M_n, eta_i * Y-bar_n); excursions dropped with the truncated tail
+        are left out."""
         kept = self.exc.end <= self.n_end[self.exc.row]
         return _bound_deviation(self.rays, self.radii, self.ybar, self.exc.row[kept],
                                 self.exc.start[kept], self.exc.end[kept],
@@ -221,7 +221,13 @@ class FlipBatch:
         return np.bincount(self.rays[:, 1:][exits], minlength=self.params.N + 1)[1:]
 
     def proof_fact_violations(self) -> np.ndarray:
-        """``check_proof_facts`` of every row."""
+        """Per row, the violations of the pathwise facts used in the flipping
+        proof, over the completed blocks [tau_l, tau_{l+1}]:
+
+        (a) for k in [tau_l + 2, tau_{l+1}]: S-bar_{k-1} = 2l + 1  iff  S_k = 0;
+        (b) for k in [tau_l, tau_{l+1}]: Y-bar_k = 0 implies |S_{k+1}| <= 1, and
+            S_{k+1} = 0 implies Y-bar_k = 0.
+        """
         return _proof_fact_violations(self.s, self.sbar, self.ybar, self.is_tau,
                                       self.n_end)
 
@@ -305,9 +311,10 @@ def flip_batch(s: np.ndarray, sbar: np.ndarray, eta: np.ndarray,
                      b_row, cases)
 
 
-def flip_excursions(s_bar: WalkWindow, s: WalkWindow, eta: np.ndarray,
-                    beta_aux: np.ndarray, params: RayParams) -> FlipResult:
-    """Build the flipped chain M from a transform pair (S-bar, S) and marks.
+def flip_excursions(s: WalkWindow, eta: np.ndarray, beta_aux: np.ndarray,
+                    params: RayParams) -> FlipResult:
+    """Build the flipped chain M from a walk S, its transform S-bar = T(S)
+    and marks.
 
     eta[i-1] is the ray mark of the i-th excursion of the reflected path;
     beta_aux[l] is the auxiliary mark of block l.  M_n = (mark ray) * |S_n|
@@ -315,16 +322,15 @@ def flip_excursions(s_bar: WalkWindow, s: WalkWindow, eta: np.ndarray,
     block in the late-excursion and two-excursion cases.  The one-row case
     of ``flip_batch``.
     """
-    if not np.array_equal(cv_forward_increments(s.increments), s_bar.increments):
-        raise NotAPreimageError("cv_forward(S) != S_bar")
-    batch = flip_batch(s.values[None], s_bar.values[None], np.asarray(eta)[None],
+    sbar = _path_values(cv_forward_increments(s.increments[None]))
+    batch = flip_batch(s.values[None], sbar, np.asarray(eta)[None],
                        np.asarray(beta_aux)[None], params)
     return batch.result(0)
 
 
 def flip_realization(params: RayParams, length: int, seed: int,
-                     stream_id: int) -> tuple[FlipResult, WalkWindow, WalkWindow, np.ndarray]:
-    """(flipped chain, S, S-bar, eta) for a walk S of the given length.
+                     stream_id: int) -> FlipResult:
+    """The flipped chain of a walk S of the given length.
 
     S comes from stream stream_id, the excursion marks eta from stream_id + 1
     and the block marks from stream_id + 2.  Both mark streams give `length`
@@ -332,10 +338,9 @@ def flip_realization(params: RayParams, length: int, seed: int,
     so eta's first entries do not depend on that count.
     """
     s = generate_walk(0, length, seed, stream_id)
-    s_bar = cv_forward(s)
     eta = draw_ray_marks(params, length, seed, stream_id + 1)
     beta_aux = draw_ray_marks(params, length, seed, stream_id + 2)
-    return flip_excursions(s_bar, s, eta, beta_aux, params), s, s_bar, eta
+    return flip_excursions(s, eta, beta_aux, params)
 
 
 def flip_batches(params: RayParams, length: int, seed: int,
@@ -370,23 +375,6 @@ def _bound_deviation(rays, radii, ybar, row, start, end, marks) -> np.ndarray:
     same_ray = (rays == 0) | (rays == mark) | (ybar == 0)
     dev = np.where(same_ray, np.abs(radii - ybar), radii + ybar)
     return np.where(mark > 0, dev, 0).max(axis=1, initial=0)
-
-
-def flip_bound_deviation(result: FlipResult, s_bar: WalkWindow, eta: np.ndarray) -> int:
-    """max over excursions i and times n in them of d(M_n, eta_i * Y-bar_n).
-
-    Excursions dropped with the truncated tail are left out.  The one-row
-    case of ``FlipBatch.bound_deviation``.
-    """
-    chain = result.chain
-    n = len(chain.radii)
-    kept = np.array([(e.start, e.end, e.ordinal - 1) for e in result.excursion_list
-                     if e.end < n], dtype=np.intp).reshape(-1, 3)
-    ybar = reflected_path(s_bar.values)[:n]
-    start, end, index = kept.T
-    return int(_bound_deviation(chain.rays[None], chain.radii[None], ybar[None],
-                                np.zeros_like(start), start, end,
-                                np.asarray(eta)[index])[0])
 
 
 def flipped_product_chain(s_bar: WalkWindow, eta: np.ndarray, params: RayParams) -> ChainPath:
@@ -427,7 +415,7 @@ def transition_counts(chain: ChainPath) -> dict:
 
 
 def _proof_fact_violations(s, sbar, ybar, is_tau, n_end) -> np.ndarray:
-    """Per row, the violations of the facts in ``check_proof_facts``."""
+    """Per row, the violations of the facts in ``FlipBatch.proof_fact_violations``."""
     cols = np.arange(sbar.shape[1])
     last = n_end[:, None]
     after = s[:, 1:]  # S_{k+1} in column k
@@ -440,18 +428,3 @@ def _proof_fact_violations(s, sbar, ybar, is_tau, n_end) -> np.ndarray:
         ((after == 0) & (ybar != 0))
     checks = ((cols <= last) & (last > 0)) + (is_tau & (cols > 0) & (cols < last))
     return bad_a.sum(axis=1) + (bad_b * checks).sum(axis=1)
-
-
-def check_proof_facts(s: WalkWindow, s_bar: WalkWindow) -> int:
-    """Pathwise facts used in the flipping proof; returns violation count.
-
-    (a) for k in [tau_l + 2, tau_{l+1}]: S-bar_{k-1} = 2l + 1  iff  S_k = 0;
-    (b) for k in [tau_l, tau_{l+1}]: Y-bar_k = 0 implies |S_{k+1}| <= 1, and
-        S_{k+1} = 0 implies Y-bar_k = 0.
-    The one-row case of ``FlipBatch.proof_fact_violations``.
-    """
-    s_vals = s.values[None]
-    sbar = s_bar.values[None]
-    is_tau = _tau_mask(s_vals)
-    return int(_proof_fact_violations(s_vals, sbar, reflected_path(sbar), is_tau,
-                                      _last_tau(is_tau))[0])

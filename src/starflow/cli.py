@@ -143,10 +143,7 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     down_by_r = np.zeros(1, dtype=np.int64)
     long_len = max(cfg.length, 20 * cfg.replicas)
     for r in range(5):
-        # keep only the chain: the long walks held into the next replica
-        # would raise the peak memory of this loop by about a tenth
-        result = flip_realization(params, long_len, cfg.seed,
-                                  STREAM_FLIP * 7919 + 10 * r)[0]
+        result = flip_realization(params, long_len, cfg.seed, STREAM_FLIP * 7919 + 10 * r)
         counts = transition_counts(result.chain)
         up_by_r = _pad_add(up_by_r, counts["up_by_r"])
         down_by_r = _pad_add(down_by_r, counts["down_by_r"])

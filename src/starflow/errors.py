@@ -25,10 +25,6 @@ class NegativeValueError(StarflowError):
     """An excursion decomposition was asked for on a path with negative values."""
 
 
-class NotAPreimageError(StarflowError):
-    """The supplied walk is not a transform preimage of the given walk."""
-
-
 class WindowTooLargeError(StarflowError):
     """Exhaustive enumeration was requested on a window that is too long."""
 

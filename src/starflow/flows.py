@@ -3,10 +3,11 @@
 One step of the mapping flow moves a point at radius >= 1 radially by the walk
 increment, and sends the junction to (mark ray, 1) on an up step and back to
 the junction on a down step.  The kernel flow replaces the mark by the alpha
-spread.  Closed forms skip the composition: before the hitting time of -|x| by
-the increment path the motion is a pure radial translation; after it the value
-is the flow started at the junction, whose radius is the reflected increment
-S+ and whose ray is the mark at the last junction departure.
+spread.  Closed forms skip the composition and read one scan of S_p..S_n:
+before the hitting time of -|x| by the increment path the motion is a pure
+radial translation; after it the value is the flow started at the junction,
+whose radius is the reflected increment S+ and whose ray is the mark at the
+last junction departure.
 
 Kernel weights are exact rationals; equality of measures is exact.
 """
@@ -21,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NegativeRadiusError, OutOfWindowError, WindowTooLargeError
-from .graph import DiscreteMeasure, GraphPoint, RayParams, junction, move_along, point
+from .graph import (DiscreteMeasure, GraphPoint, Radius, RayParams, junction, move_along,
+                    point)
 from .walk import WalkWindow
 
 # the longest window kernel_is_conditional_law enumerates mark assignments on
@@ -89,29 +91,42 @@ def _crossing(radius, step: int) -> NegativeRadiusError:
     return NegativeRadiusError(f"move from radius {radius} by {step} crosses the junction")
 
 
-def _before_hit(walk: WalkWindow, p: int, n: int, radius) -> bool:
-    """n <= the hitting time of -radius by S_{p,.}: nothing but radial
-    translation has happened on [p, n].  Steps are +-1, so for a lattice
-    radius this is a range-minimum query over [p, n - 1]."""
-    if type(radius) is int and radius >= 0:
-        return n == p or walk.window_min(p, n - 1) > -radius
-    return n <= walk.hitting_time(p, radius)  # NOT_HIT exceeds every integer
+def _flow_radius(path: list[int], radius: Radius) -> tuple[bool, Radius, int]:
+    """(hit, radius, j) of the flow from radius |x| along path = S_p..S_n.
+
+    The hit of -|x| by S_{p,.} has happened by n when n > p, |x| is a whole
+    number and min_{[p, n-1]} S_{p,.} <= -|x| (steps are +-1).  Before it
+    the radius is |x| + S_{p,n} and j is -1.  After it the radius is S+_{p,n}
+    and j is the offset in path of J, the last time S attains its minimum
+    over [p, n]: S_J is a running minimum there and S+ stays positive after
+    it, so J < n is the last junction departure when S+_{p,n} > 0.  A radius
+    off the lattice never reaches the junction; one that would cross it
+    raises the error ``move_along`` raises.
+    """
+    start, end = path[0], path[-1]
+    if len(path) > 1:
+        if radius % 1 == 0:
+            low = min(path[:-1])
+            if low - start <= -radius:
+                low = min(low, end)
+                return True, end - low, len(path) - 1 - path[::-1].index(low)
+        elif min(path) - start < -radius:
+            raise _crossing(radius % 1, -1)
+    return False, radius + end - start, -1
 
 
 def psi_closed_form(fr: FlowRealization, p: int, n: int, x: GraphPoint) -> GraphPoint:
     """Psi_{p,n}(x) without composing: radial translation before the hitting
-    time of -|x|, then the junction-started flow value."""
+    time of -|x|, then the junction-started flow value: radius S+_{p,n} on
+    the ray of the mark at the last departure."""
     if n < p:
         raise OutOfWindowError(f"need p <= n, got {p} > {n}")
-    if _before_hit(fr.walk, p, n, x.radius):
-        return move_along(x, fr.walk.diff(p, n), fr.params.N)
-    radius = fr.walk.s_plus(p, n)
+    hit, radius, j = _flow_radius(fr.walk.path(p, n), x.radius)
+    if not hit:
+        return point(x.ray, radius, fr.params.N)
     if radius == 0:
         return junction(fr.params.N)
-    # the ray is the mark at the last departure J < n, the last time with
-    # S+_{p,J} = 0: S_J is a running minimum there and S+ stays positive
-    # after it, so J is the last time S attains its minimum over [p, n]
-    return point(fr.mark(fr.walk.last_min_time(p, n)), radius, fr.params.N)
+    return point(fr.mark(p + j), radius, fr.params.N)
 
 
 def kernel_one_step(walk: WalkWindow, params: RayParams, p: int,
@@ -171,9 +186,10 @@ def kernel_closed_form(walk: WalkWindow, params: RayParams, p: int, n: int,
     alpha spread at radius S+_{p,n} after."""
     if n < p:
         raise OutOfWindowError(f"need p <= n, got {p} > {n}")
-    if _before_hit(walk, p, n, x.radius):
-        return DiscreteMeasure.dirac(move_along(x, walk.diff(p, n), params.N))
-    return DiscreteMeasure.ray_spread(params, walk.s_plus(p, n))
+    hit, radius, _ = _flow_radius(walk.path(p, n), x.radius)
+    if hit:
+        return DiscreteMeasure.ray_spread(params, radius)
+    return DiscreteMeasure.dirac(point(x.ray, radius, params.N))
 
 
 def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: int,
@@ -187,7 +203,9 @@ def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: in
     # the flow reads a mark only at a departure index j with S+_{p,j} = 0, so
     # marks elsewhere marginalize to total weight 1 and the sum over full
     # assignments collapses to a sum over the departure candidates
-    free = [j for j in range(p, n) if walk.s_plus(p, j) == 0]
+    before = walk.path(p, n)[:-1]
+    free = [j for j, (v, low) in enumerate(zip(before, itertools.accumulate(before, min)), p)
+            if v == low]
     # weights are integer numerators over scale ** len(free); the validated
     # DiscreteMeasure build rejects them unless they sum to that denominator
     scale, numerators = params.alpha_numerators

@@ -29,13 +29,11 @@ ROW_BLOCK_STEPS = 2 ** 17
 class WalkWindow:
     """A +-1 increment path on [p_min, p_max], values anchored to S_{p_min} = 0.
 
-    ``values[i] = S_{p_min + i} - S_{p_min}``; a sparse table over values
-    gives O(1) range-minimum queries (value and last position) after
-    O(n log n) preprocessing.
+    ``values[i] = S_{p_min + i} - S_{p_min}``; per-query callers scan it as
+    the Python list slices of ``path`` and ``steps``.
     """
 
-    __slots__ = ("p_min", "p_max", "increments", "values", "_min_table", "_value_list",
-                 "_step_list")
+    __slots__ = ("p_min", "p_max", "increments", "values", "_value_list", "_step_list")
 
     def __init__(self, p_min: int, increments: np.ndarray):
         increments = np.asarray(increments, dtype=np.int64)
@@ -47,7 +45,6 @@ class WalkWindow:
         self.p_max = int(p_min) + len(increments)
         self.increments = increments
         self.values = np.concatenate([[0], np.cumsum(increments)])
-        self._min_table = None
         self._value_list = None
         self._step_list = None
 
@@ -76,70 +73,15 @@ class WalkWindow:
             self._step_list = self.increments.tolist()
         return self._value_list, self._step_list
 
+    def path(self, p: int, n: int) -> list[int]:
+        """S_p, ..., S_n (anchored at S_{p_min} = 0) as Python ints."""
+        i, j = self._idx(p), self._idx(n)
+        return self._lists()[0][i : j + 1]
+
     def steps(self, p: int, n: int) -> list[int]:
         """Increments S_{k+1} - S_k for k in [p, n), as Python ints."""
         i, j = self._idx(p), self._idx(n)
         return self._lists()[1][i:j]
-
-    def _build_min_table(self):
-        # level k holds, for each start i, the last index of the minimum of
-        # values[i : i + 2**k], as a Python list
-        v = self.values
-        prev = np.arange(len(v))
-        levels = [range(len(v))]
-        span = 1
-        while span * 2 <= len(v):
-            a, b = prev[: len(prev) - span], prev[span:]
-            prev = np.where(v[a] < v[b], a, b)
-            levels.append(prev.tolist())
-            span *= 2
-        self._min_table = levels
-
-    def _range_min(self, p: int, n: int) -> tuple[int, int, int]:
-        """(i, j, h): the offsets of p and n, and the last offset in [i, j]
-        at which values attains its minimum over [i, j]."""
-        i, j = self._idx(p), self._idx(n)
-        if i > j:
-            raise OutOfWindowError(f"empty range [{p}, {n}]")
-        if self._min_table is None:
-            self._build_min_table()
-        k = (j - i + 1).bit_length() - 1
-        t = self._min_table[k]
-        a, b = t[i], t[j - (1 << k) + 1]  # on a tie b is the later index
-        v = self._lists()[0]
-        return i, j, a if v[a] < v[b] else b
-
-    def window_min(self, p: int, n: int) -> int:
-        """min_{h in [p,n]} S_h - S_p (anchor-free), O(1) per query."""
-        i, _, h = self._range_min(p, n)
-        return self._value_list[h] - self._value_list[i]
-
-    def s_plus(self, p: int, n: int) -> int:
-        """S^+_{p,n} = S_{p,n} - min_{h in [p,n]} S_{p,h} >= 0."""
-        _, j, h = self._range_min(p, n)
-        return self._value_list[j] - self._value_list[h]
-
-    def last_min_time(self, p: int, n: int) -> int:
-        """The last h in [p, n] with S_h = min_{[p,n]} S, O(1) per query."""
-        return self.p_min + self._range_min(p, n)[2]
-
-    def hitting_time(self, w_p: int, depth: int):
-        """Smallest q >= p with S_q - S_p = -depth, or NOT_HIT.
-
-        Steps are +-1, so the first time the running minimum reaches -depth
-        is the first hit of the level itself.
-        """
-        p = w_p
-        i = self._idx(p)
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        if depth == 0:
-            return p
-        rel = self.values[i:] - self.values[i]
-        hits = np.nonzero(rel == -depth)[0]
-        if hits.size == 0:
-            return NOT_HIT
-        return p + int(hits[0])
 
 
 def row_blocks(n_rows: int, length: int) -> Iterator[slice]:

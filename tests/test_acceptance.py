@@ -90,7 +90,7 @@ def test_criterion_3_flip():
     assert worst <= 2
     assert fact_violations == 0
     # transition frequencies on one 10^5-step realization, Bonferroni 1%
-    result, *_ = flip_realization(PARAMS, 100_000, SEED, 777)
+    result = flip_realization(PARAMS, 100_000, SEED, 777)
     counts = transition_counts(result.chain)
     assert counts["hold"] == 0  # immediate-exit chain never holds at 0
     stat_e, dof_e = chi_square(counts["exits"], PARAMS.alpha)

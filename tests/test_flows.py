@@ -113,8 +113,7 @@ def test_closed_form_matches_compose_exhaustive():
 
 
 def test_closed_forms_lattice_radius_agrees_with_hitting_time_path():
-    # an integer radius takes the range-minimum test for "before the hit";
-    # the same radius as a float takes the hitting-time scan
+    # a whole radius as an int and as a float takes the same hit test
     eta = np.array([3, 1, 2, 2, 1, 3, 1, 2], dtype=np.int64)
     for bits in itertools.product((1, -1), repeat=8):
         fr = FlowRealization(WalkWindow(0, np.array(bits)), eta, PARAMS)
@@ -127,6 +126,33 @@ def test_closed_forms_lattice_radius_agrees_with_hitting_time_path():
                         kernel_closed_form(fr.walk, PARAMS, p, n, y)
 
 
+def _or_crossing(oracle, *args):
+    """The oracle's value, or the message of the NegativeRadiusError it raises."""
+    try:
+        return oracle(*args)
+    except NegativeRadiusError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("radius", [Fraction(1, 2), Fraction(3, 2), 0.5, 1.5],
+                         ids=["1/2", "3/2", "0.5", "1.5"])
+def test_closed_forms_off_lattice_exhaustive(radius):
+    # every +-1 walk of length <= 8 and every window: a radius off the
+    # lattice never reaches the junction, so it translates until it would
+    # cross it, where the closed forms raise as the compositions do
+    for length in range(1, 9):
+        eta = np.arange(length) % 3 + 1
+        for bits in itertools.product((1, -1), repeat=length):
+            fr = FlowRealization(WalkWindow(0, np.array(bits)), eta, PARAMS)
+            x = point(2, radius, 3)
+            for p in range(length + 1):
+                for n in range(p, length + 1):
+                    assert _or_crossing(psi_closed_form, fr, p, n, x) == \
+                        _or_crossing(psi_compose, fr, p, n, x)
+                    assert _or_crossing(kernel_closed_form, fr.walk, PARAMS, p, n, x) == \
+                        _or_crossing(kernel_compose, fr.walk, PARAMS, p, n, x)
+
+
 def test_closed_form_after_hit_equals_zero_start():
     rng = make_rng(51, 0)
     walk = generate_walk(0, 400, 51, 1)
@@ -136,11 +162,11 @@ def test_closed_form_after_hit_equals_zero_start():
         n = int(rng.integers(p, 401))
         radius = int(rng.integers(0, 4))
         x = point(2, radius, 3)
-        t_hit = walk.hitting_time(p, radius)
+        s = walk.values[p : n + 1] - walk.values[p]
         got = psi_closed_form(fr, p, n, x)
-        if n > t_hit:
+        if np.any(s[:-1] == -radius):  # the hitting time of -|x| is before n
             assert got == psi_closed_form(fr, p, n, junction(3))
-            assert got.radius == walk.s_plus(p, n)
+            assert got.radius == s[-1] - s.min()
 
 
 def test_cocycle_random_triples():
@@ -165,11 +191,9 @@ def test_ray_merge_property():
         p = int(rng.integers(0, 498))
         r = int(rng.integers(p + 1, 500))
         q = int(rng.integers(r + 1, 501))
-        if walk.window_min(p, q) + walk.value(p) != \
-                walk.window_min(r, q) + walk.value(r):
-            continue
-        if walk.s_plus(p, q) == 0:
-            continue
+        low = walk.values[p : q + 1].min()
+        if low != walk.values[r : q + 1].min() or walk.values[q] == low:
+            continue  # the running minima differ, or S+_{p,q} = 0
         checked += 1
         assert psi_closed_form(fr, p, q, junction(3)).ray == \
             psi_closed_form(fr, r, q, junction(3)).ray

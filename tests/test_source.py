@@ -71,3 +71,37 @@ def test_no_dead_private_helpers():
                 read |= _names_read(node)
     assert sorted(f"{name} ({module})" for name, module in defined.items()
                   if name not in read) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _foreign_private_reads(tree: ast.AST) -> list[str]:
+    """Reads of another object's private names: ``obj._x`` where obj is not
+    ``self`` or ``cls``, and ``from .m import _x``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr) and not (
+                isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found += [f"from {module} import {alias.name} (line {node.lineno})"
+                      for alias in node.names if _is_private(alias.name)]
+    return found
+
+
+def test_foreign_private_reads_are_found():
+    tree = ast.parse("from .walk import _lists, WalkWindow\n"
+                     "w._lists()\nself._lists()\ncls._cache\nw.__len__()\n")
+    assert _foreign_private_reads(tree) == ["from .walk import _lists (line 1)",
+                                            "w._lists (line 2)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_foreign_private_reads(path):
+    # a module reaches another object only through its public names, so a
+    # representation such as WalkWindow's cached lists can change in one place
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _foreign_private_reads(tree) == []

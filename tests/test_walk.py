@@ -1,4 +1,4 @@
-"""Walk windows: generation, window statistics, hitting times, excursions."""
+"""Walk windows: generation, path reads, window statistics, hitting times, excursions."""
 
 import csv
 from pathlib import Path
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from starflow.errors import EmptyWindowError, NegativeValueError, OutOfWindowError
+from starflow.flows import _flow_radius
 from starflow.rng import make_rng
 from starflow.walk import (NOT_HIT, ROW_BLOCK_STEPS, WalkWindow, excursion_table,
                            excursions, excursions_brute, generate_walk, increment_blocks,
@@ -63,14 +64,19 @@ def test_clt_mean():
     assert abs(finals.mean() / 10.0) < 0.05  # 3 sigma band ~ 0.03
 
 
+# The window statistics of the closed forms come from one scan of a path
+# read, flows._flow_radius; each is checked here against a scan of values.
+
 def test_window_min_against_scan():
+    # -r is hit before n iff min_{[p, n-1]} S_{p,.} <= -r, for a whole r
     rng = make_rng(6, 0)
     w = generate_walk(-30, 60, 6, 1)
     for _ in range(1_000):
         p = int(rng.integers(-30, 60))
-        n = int(rng.integers(p, 61))
-        scan = min(w.value(h) for h in range(p, n + 1)) - w.value(p)
-        assert w.window_min(p, n) == scan
+        n = int(rng.integers(p + 1, 61))
+        scan = min(w.value(h) for h in range(p, n)) - w.value(p)
+        for radius in range(4):
+            assert _flow_radius(w.path(p, n), radius)[0] == (scan <= -radius)
 
 
 def test_last_min_time_and_steps_against_scan():
@@ -80,19 +86,27 @@ def test_last_min_time_and_steps_against_scan():
         p = int(rng.integers(-30, 60))
         n = int(rng.integers(p, 61))
         low = min(w.value(h) for h in range(p, n + 1))
-        assert w.last_min_time(p, n) == max(h for h in range(p, n + 1) if w.value(h) == low)
+        if n > p:  # the junction start has hit by n
+            j = _flow_radius(w.path(p, n), 0)[2]
+            assert p + j == max(h for h in range(p, n + 1) if w.value(h) == low)
+        assert w.path(p, n) == [w.value(h) for h in range(p, n + 1)]
         assert w.steps(p, n) == [w.diff(k, k + 1) for k in range(p, n)]
     with pytest.raises(OutOfWindowError):
-        w.last_min_time(5, 4)
+        w.path(5, 61)
     with pytest.raises(OutOfWindowError):
         w.steps(-31, 0)
 
 
+def _s_plus(w, p, n):
+    """S+_{p,n}: the radius of the flow started at the junction."""
+    return _flow_radius(w.path(p, n), 0)[1]
+
+
 def test_s_plus_examples():
     w = example_walk()
-    assert w.s_plus(0, 0) == 0
-    assert w.s_plus(0, 5) == 0
-    assert w.s_plus(0, 2) == 2
+    assert _s_plus(w, 0, 0) == 0
+    assert _s_plus(w, 0, 5) == 0
+    assert _s_plus(w, 0, 2) == 2
 
 
 def test_s_plus_zero_iff_min_at_right_end():
@@ -101,17 +115,23 @@ def test_s_plus_zero_iff_min_at_right_end():
     for _ in range(10_000):
         p = int(rng.integers(0, 200))
         n = int(rng.integers(p, 201))
-        sp = w.s_plus(p, n)
+        sp = _s_plus(w, p, n)
         assert sp >= 0
-        assert (sp == 0) == (w.window_min(p, n) == w.diff(p, n))
+        assert (sp == 0) == (w.values[p : n + 1].min() == w.values[n])
+
+
+def _hit_by(w, p, n, depth):
+    """Whether S_{p,.} has hit -depth before time n."""
+    return _flow_radius(w.path(p, n), depth)[0]
 
 
 def test_hitting_time_examples():
-    w = example_walk()
-    assert w.hitting_time(0, 0) == 0
-    assert w.hitting_time(0, 1) == 5
+    # S = (0, 1, 2, 1, 0, -1, 0): 0 is hit at p, -1 first at 5
+    w = WalkWindow(0, np.array([1, 1, -1, -1, -1, 1]))
+    assert _hit_by(w, 0, 1, 0)
+    assert [_hit_by(w, 0, n, 1) for n in range(7)] == [False] * 6 + [True]
     up = WalkWindow(0, np.ones(6, dtype=np.int64))
-    assert up.hitting_time(0, 3) is NOT_HIT
+    assert not _hit_by(up, 0, 6, 3)
 
 
 def test_hitting_time_monotone_in_depth():
@@ -119,10 +139,10 @@ def test_hitting_time_monotone_in_depth():
     rng = make_rng(8, 1)
     for _ in range(1_000):
         p = int(rng.integers(0, 300))
+        n = int(rng.integers(p, 301))
         d1 = int(rng.integers(0, 5))
         d2 = d1 + int(rng.integers(1, 5))
-        t1, t2 = w.hitting_time(p, d1), w.hitting_time(p, d2)
-        assert t1 <= t2
+        assert _hit_by(w, p, n, d1) >= _hit_by(w, p, n, d2)
 
 
 def test_not_hit_ordering():

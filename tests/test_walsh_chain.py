@@ -7,13 +7,10 @@ import numpy as np
 import pytest
 
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
-                            CASE_TWO, _exit_ray, _step, check_proof_facts,
-                            draw_ray_marks, flip_batch,
-                            flip_bound_deviation, flip_excursions,
-                            flipped_product_chain, simulate_chain,
+                            CASE_TWO, _exit_ray, _step, draw_ray_marks, flip_batch,
+                            flip_excursions, flipped_product_chain, simulate_chain,
                             simulate_chain_batch, step_chain, transition_counts)
-from starflow.cv import cv_forward, cv_forward_increments, reflected_path, tau_sequence
-from starflow.errors import NotAPreimageError
+from starflow.cv import cv_forward_increments, reflected_path, tau_sequence
 from starflow.graph import RayParams, junction, point
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square)
@@ -154,32 +151,36 @@ def test_array_step_matches_step_chain_at_edges(params, lazy):
     assert all(x.ray == r for x, r in zip(expected, ray.tolist()) if x.radius > 0)
 
 
+def _marks(seed, length, streams):
+    """(walks, excursion marks, block marks) of the given streams, one row
+    each: the inputs of one flip realization per stream."""
+    incs = np.stack([generate_walk(0, length, seed, k).increments for k in streams])
+    eta = np.stack([draw_ray_marks(PARAMS, length, seed, k + 50_000) for k in streams])
+    beta_aux = np.stack([draw_ray_marks(PARAMS, length, seed, k + 90_000) for k in streams])
+    return incs, eta, beta_aux
+
+
 def _flip(seed, length, stream):
-    s = generate_walk(0, length, seed, stream)
-    s_bar = cv_forward(s)
-    exc = excursions(reflected_path(s_bar.values))
-    eta = draw_ray_marks(PARAMS, len(exc), seed, stream + 50_000)
-    beta_aux = draw_ray_marks(PARAMS, length, seed, stream + 90_000)
-    return flip_excursions(s_bar, s, eta, beta_aux, PARAMS), s, s_bar, eta
+    incs, eta, beta_aux = _marks(seed, length, [stream])
+    s = WalkWindow(0, incs[0])
+    return flip_excursions(s, eta[0], beta_aux[0], PARAMS), s
 
 
-def test_flip_rejects_non_preimage():
-    s = generate_walk(0, 40, 36, 0)
-    other = generate_walk(0, 40, 36, 1)
-    s_bar = cv_forward(other)
-    with pytest.raises(NotAPreimageError):
-        flip_excursions(s_bar, s, np.ones(10, dtype=np.int64),
-                        np.ones(40, dtype=np.int64), PARAMS)
+def _flip_rows(seed, length, streams):
+    """The flip realizations of _flip for many streams, as one batch."""
+    incs, eta, beta_aux = _marks(seed, length, streams)
+    return flip_batch(_values(incs), _values(cv_forward_increments(incs)), eta, beta_aux,
+                      PARAMS)
 
 
 def test_flip_radial_part_is_abs_s():
-    res, s, s_bar, eta = _flip(37, 300, 0)
+    res, s = _flip(37, 300, 0)
     n = len(res.chain)
     assert np.array_equal(res.chain.radii, np.abs(s.values[:n]))
 
 
 def test_flip_block_boundaries_at_zero():
-    res, s, s_bar, eta = _flip(37, 300, 1)
+    res, s = _flip(37, 300, 1)
     for tau in res.taus:
         assert s.values[tau] == 0
         assert res.chain.radii[tau] == 0
@@ -201,18 +202,11 @@ def test_flip_cases_exhaustive():
 
 
 def test_flip_bound_many_replicas():
-    worst = 0
-    for stream in range(300):
-        res, s, s_bar, eta = _flip(39, 120, stream)
-        worst = max(worst, flip_bound_deviation(res, s_bar, eta))
-    assert worst <= 2
+    assert _flip_rows(39, 120, range(300)).bound_deviation().max() <= 2
 
 
 def test_proof_facts_pathwise():
-    for stream in range(300):
-        s = generate_walk(0, 150, 40, stream)
-        s_bar = cv_forward(s)
-        assert check_proof_facts(s, s_bar) == 0
+    assert not _flip_rows(40, 150, range(300)).proof_fact_violations().any()
 
 
 def _flip_reference(s_bar, s, eta, beta_aux):
@@ -320,10 +314,8 @@ def test_flip_batch_matches_per_block_reference_exhaustive(length):
         assert got.block_cases == cases, incs[r]
         assert got.excursion_list == exc, incs[r]
         assert got.truncated == truncated, incs[r]
-        bound = _bound_reference(rays, radii, exc, s_bar, eta[r])
-        assert bounds[r] == bound == flip_bound_deviation(got, s_bar, eta[r]), incs[r]
-        fact = _proof_facts_reference(s, s_bar)
-        assert facts[r] == fact == check_proof_facts(s, s_bar), incs[r]
+        assert bounds[r] == _bound_reference(rays, radii, exc, s_bar, eta[r]), incs[r]
+        assert facts[r] == _proof_facts_reference(s, s_bar), incs[r]
 
 
 def test_flip_transition_law():
