@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .graph import (DiscreteMeasure, GraphPoint, RayParams, graph_distance,
                     junction, move_along, point)
 from .beta import beta_distance
-from .walk import (NOT_HIT, Excursion, WalkWindow, excursions, generate_walk,
-                   random_increments)
-from .cv import (cv_forward, cv_forward_increments, cv_inverse,
-                 cv_inverse_increments, cv_invariant_check, reflected_path,
+from .walk import NOT_HIT, Excursion, WalkWindow, generate_walk, random_increments
+from .cv import (cv_forward_increments, cv_inverse_increments, reflected_path,
                  tau_sequence, taus_from_first_hits)
 from .chain import (ChainPath, flip_excursions, flip_realization,
                     flipped_product_chain, simulate_chain, simulate_chain_batch)
@@ -23,11 +21,10 @@ from .stats import chi_square, half_normal_cdf, ks_statistic, walsh_marginal_che
 __all__ = [
     "DiscreteMeasure", "GraphPoint", "RayParams", "graph_distance", "junction",
     "move_along", "point", "beta_distance", "NOT_HIT",
-    "Excursion", "WalkWindow", "excursions", "generate_walk", "random_increments",
-    "cv_forward", "cv_forward_increments", "cv_inverse", "cv_inverse_increments",
-    "cv_invariant_check", "reflected_path", "tau_sequence",
-    "taus_from_first_hits", "ChainPath", "flip_excursions", "flip_realization",
-    "flipped_product_chain", "simulate_chain", "simulate_chain_batch",
+    "Excursion", "WalkWindow", "generate_walk", "random_increments",
+    "cv_forward_increments", "cv_inverse_increments", "reflected_path",
+    "tau_sequence", "taus_from_first_hits", "ChainPath", "flip_excursions",
+    "flip_realization", "flipped_product_chain", "simulate_chain", "simulate_chain_batch",
     "FlowRealization", "kernel_closed_form",
     "kernel_compose", "kernel_is_conditional_law", "psi_closed_form",
     "psi_compose", "psi_one_step", "ContinuousPath", "convergence_profiles",

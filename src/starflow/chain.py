@@ -8,14 +8,15 @@ probability alpha_i (lazy: alpha_i / 2, from 2u - 1) by one clamped lookup
 on ``RayParams.alpha_cumulative``.
 
 ``flip_batch`` realizes the coupling that builds an immediate-exit chain
-from a transformed walk pair (S, S-bar) by assigning an independent ray mark
-to every excursion of the reflected path, following the block case analysis
-(no excursion / one excursion, two sub-cases / two excursions).  It flips a
-(replicas, steps) batch in one array pass: the blocks are classified from
-the tau positions and the excursion table, the ray is set at its change
-points and carried forward, and the bound and the proof facts are masks
-over the batch.  ``flip_batches`` draws replicas in batches of bounded size;
-``flip_excursions`` is its one-row case.
+from a walk S and its transform S-bar = T(S) by assigning an independent ray
+mark to every excursion of the reflected path, following the block case
+analysis (no excursion / one excursion, two sub-cases / two excursions).  It
+reads S, S-bar, Y-bar and the tau positions from one ``cv.transform`` pass
+and flips a (replicas, steps) batch in one array pass: the blocks are
+classified from the tau positions and the excursion table, the ray is set at
+its change points and carried forward, and the bound and the proof facts are
+masks over the batch.  ``flip_batches`` draws replicas in batches of bounded
+size; ``flip_excursions`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cv import cv_forward_increments, reflected_path
+from .cv import Transform, reflected_path, transform
 from .graph import GraphPoint, RayParams, point
 from .rng import make_rng
 from .walk import (Excursion, ExcursionTable, WalkWindow, excursion_table, generate_walk,
@@ -145,21 +146,6 @@ class FlipResult:
     truncated: bool
 
 
-def _path_values(increments: np.ndarray) -> np.ndarray:
-    """Values 0, S_1, ..., S_n of each row of a (R, n) increment batch."""
-    values = np.zeros((increments.shape[0], increments.shape[1] + 1), dtype=np.int64)
-    np.cumsum(increments, axis=1, out=values[:, 1:])
-    return values
-
-
-def _tau_mask(s: np.ndarray) -> np.ndarray:
-    """(R, n) block boundaries of walks with values S_0..S_n per row:
-    tau_0 = 0 and every i in [1, n - 1] with S_{i-1} S_{i+1} < 0."""
-    is_tau = np.ones((s.shape[0], s.shape[1] - 1), dtype=bool)
-    is_tau[:, 1:] = s[:, :-2] * s[:, 2:] < 0
-    return is_tau
-
-
 def _last_tau(is_tau: np.ndarray) -> np.ndarray:
     """Per row, the last block boundary: where the flipped chain stops."""
     return is_tau.shape[1] - 1 - np.argmax(is_tau[:, ::-1], axis=1)
@@ -167,25 +153,23 @@ def _last_tau(is_tau: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FlipBatch:
-    """Flipped chains of R transform pairs of one length, as (R, L) arrays.
+    """Flipped chains of R walks of L steps, as (R, L) arrays.
 
-    Row r holds S_0..S_L in ``s``, S-bar_0..S-bar_{L-1} in ``sbar`` and the
-    reflected path in ``ybar``.  ``rays`` and ``radii`` are the flipped chain
-    M on [0, L - 1]; its ray is 0 at the junction and after ``n_end[r]``, the
-    end of the last completed block, where the chain stops.  ``is_tau``
-    marks the block boundaries.  ``exc`` is the excursion table of ``ybar``
-    and ``marks`` the ray mark of each entry.  ``block_row`` and ``cases``
-    give each completed block's row and case (an index into CASES), in
-    row-major order.
+    ``t`` is the transform pass of the walks: row r holds S_0..S_L in
+    ``t.s``, S-bar_0..S-bar_{L-1} in ``t.sbar`` and the block boundaries in
+    ``t.is_tau``; ``ybar`` is the reflected path.  ``rays`` and ``radii``
+    are the flipped chain M on [0, L - 1]; its ray is 0 at the junction and
+    after ``n_end[r]``, the end of the last completed block, where the chain
+    stops.  ``exc`` is the excursion table of ``ybar`` and ``marks`` the ray
+    mark of each entry.  ``block_row`` and ``cases`` give each completed
+    block's row and case (an index into CASES), in row-major order.
     """
 
     params: RayParams
-    s: np.ndarray
-    sbar: np.ndarray
+    t: Transform
     ybar: np.ndarray
     rays: np.ndarray
     radii: np.ndarray
-    is_tau: np.ndarray
     n_end: np.ndarray
     exc: ExcursionTable
     marks: np.ndarray
@@ -201,7 +185,7 @@ class FlipBatch:
                                            self.exc.ordinal[own].tolist())]
         cases = [CASES[c] for c in self.cases[self.block_row == r].tolist()]
         chain = ChainPath(self.params, self.rays[r, : n + 1], self.radii[r, : n + 1])
-        return FlipResult(chain, np.flatnonzero(self.is_tau[r]), cases, excs,
+        return FlipResult(chain, np.flatnonzero(self.t.is_tau[r]), cases, excs,
                           n < self.rays.shape[1] - 1)
 
     def bound_deviation(self) -> np.ndarray:
@@ -228,16 +212,14 @@ class FlipBatch:
         (b) for k in [tau_l, tau_{l+1}]: Y-bar_k = 0 implies |S_{k+1}| <= 1, and
             S_{k+1} = 0 implies Y-bar_k = 0.
         """
-        return _proof_fact_violations(self.s, self.sbar, self.ybar, self.is_tau,
+        return _proof_fact_violations(self.t.s, self.t.sbar, self.ybar, self.t.is_tau,
                                       self.n_end)
 
 
-def flip_batch(s: np.ndarray, sbar: np.ndarray, eta: np.ndarray,
-               beta_aux: np.ndarray, params: RayParams) -> FlipBatch:
-    """Flip every row of a batch of transform pairs at once.
+def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray,
+               params: RayParams) -> FlipBatch:
+    """Flip every row of the transform pass t of a batch of walks at once.
 
-    s (R, L + 1) and sbar (R, L) hold the values of walks S and of their
-    transforms S-bar = T(S); the caller guarantees the pairing.
     eta[r, i - 1] is the ray mark of the i-th excursion of row r's reflected
     path and beta_aux[r, l] the auxiliary mark of its block l.  Each block
     is classified by how many excursions it holds and where they end; the
@@ -245,10 +227,10 @@ def flip_batch(s: np.ndarray, sbar: np.ndarray, eta: np.ndarray,
     the block in the late-excursion and two-excursion cases) and carried
     forward.
     """
-    n_rows, length = sbar.shape
-    ybar = reflected_path(sbar)
+    n_rows, length = t.sbar.shape
+    ybar = t.runmax - t.sbar
     exc = excursion_table(ybar)
-    is_tau = _tau_mask(s)
+    is_tau = t.is_tau
     n_end = _last_tau(is_tau)
     t_row, t_pos = np.nonzero(is_tau)
     # a tau opens a completed block when the next tau is in the same row
@@ -305,16 +287,15 @@ def flip_batch(s: np.ndarray, sbar: np.ndarray, eta: np.ndarray,
     rays = np.zeros((n_rows, length), dtype=np.int64)
     rays[ch_row, ch_pos] = ch_ray - prev
     np.cumsum(rays, axis=1, out=rays)
-    radii = np.abs(s[:, :length])
+    radii = np.abs(t.s[:, :length])
     rays[(radii == 0) | (np.arange(length) > n_end[:, None])] = 0
-    return FlipBatch(params, s, sbar, ybar, rays, radii, is_tau, n_end, exc, marks,
-                     b_row, cases)
+    return FlipBatch(params, t, ybar, rays, radii, n_end, exc, marks, b_row, cases)
 
 
 def flip_excursions(s: WalkWindow, eta: np.ndarray, beta_aux: np.ndarray,
                     params: RayParams) -> FlipResult:
     """Build the flipped chain M from a walk S, its transform S-bar = T(S)
-    and marks.
+    and marks; S-bar comes from ``cv.transform``.
 
     eta[i-1] is the ray mark of the i-th excursion of the reflected path;
     beta_aux[l] is the auxiliary mark of block l.  M_n = (mark ray) * |S_n|
@@ -322,8 +303,7 @@ def flip_excursions(s: WalkWindow, eta: np.ndarray, beta_aux: np.ndarray,
     block in the late-excursion and two-excursion cases.  The one-row case
     of ``flip_batch``.
     """
-    sbar = _path_values(cv_forward_increments(s.increments[None]))
-    batch = flip_batch(s.values[None], sbar, np.asarray(eta)[None],
+    batch = flip_batch(transform(s.increments[None]), np.asarray(eta)[None],
                        np.asarray(beta_aux)[None], params)
     return batch.result(0)
 
@@ -353,8 +333,7 @@ def flip_batches(params: RayParams, length: int, seed: int,
         incs = np.stack([random_increments(length, seed, sid) for sid in ids])
         eta = np.stack([draw_ray_marks(params, length, seed, sid + 1) for sid in ids])
         beta_aux = np.stack([draw_ray_marks(params, length, seed, sid + 2) for sid in ids])
-        yield flip_batch(_path_values(incs), _path_values(cv_forward_increments(incs)),
-                         eta, beta_aux, params)
+        yield flip_batch(transform(incs), eta, beta_aux, params)
 
 
 def _paint(shape: tuple[int, int], row, start, end, marks) -> np.ndarray:

@@ -102,6 +102,8 @@ def _check_ranges(cfg: RunConfig) -> None:
     for key in ("T", "s", "x_radius"):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key}: need a finite number, got {getattr(cfg, key)}")
+    if not 0 <= cfg.seed < 2**64:  # the Philox key is one 64-bit word
+        raise ConfigError(f"seed: need 0 <= seed < 2**64, got {cfg.seed}")
     if cfg.length < 2:
         raise ConfigError(f"length: need >= 2, got {cfg.length}")
     if cfg.replicas < 100:  # the KS tests need 100 samples

@@ -7,9 +7,12 @@ tau_0 = 0); the sign of the transformed increment alternates between blocks.
 The transform is even (T(S) = T(-S)) and invertible up to global sign given
 the single extra bit S_1.
 
-The batched transforms and checks run over row blocks of at most
-``walk.ROW_BLOCK_STEPS`` steps, on int8 steps and int32 values.
-``tau_sequence`` keeps the literal int64 product and is their reference.
+``transform`` is the one forward pass: it builds S, the boundaries, T's
+increments, S-bar and its running maximum of a step block, and the batch
+functions here and the excursion flip in ``chain`` all read it.  The batches
+run over row blocks of at most ``walk.ROW_BLOCK_STEPS`` steps, on int8 steps
+and int32 values.  ``tau_sequence`` keeps the literal int64 product and is
+their reference.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TooShortError
-from .walk import WalkWindow, row_blocks
+from .walk import row_blocks
 
 
 def tau_sequence(values: np.ndarray) -> np.ndarray:
@@ -36,15 +39,20 @@ def tau_sequence(values: np.ndarray) -> np.ndarray:
     return np.nonzero(prod < 0)[0] + 1
 
 
+def _first_hits(sbar: np.ndarray, runmax: np.ndarray) -> np.ndarray:
+    """Mask of the tau_l, l >= 1, read off S-bar (values along the last axis,
+    S-bar_0 = 0) and its running maximum: tau_l is the first hit of 2l by
+    S-bar, a new running maximum at an even level (a new maximum is >= 1, so
+    even means >= 2)."""
+    hits = np.zeros(sbar.shape, dtype=bool)
+    hits[..., 1:] = (runmax[..., 1:] > runmax[..., :-1]) & ((sbar[..., 1:] & 1) == 0)
+    return hits
+
+
 def taus_from_first_hits(bar_values: np.ndarray) -> np.ndarray:
     """tau_l recovered from the transformed walk: first hit of 2l by S-bar."""
     s = np.asarray(bar_values, dtype=np.int64)
-    runmax = np.maximum.accumulate(s)
-    new_max = np.empty(len(s), dtype=bool)
-    new_max[0] = False
-    new_max[1:] = runmax[1:] > runmax[:-1]
-    is_tau = new_max & (s >= 2) & (s % 2 == 0)
-    return np.nonzero(is_tau)[0]
+    return np.nonzero(_first_hits(s, np.maximum.accumulate(s)))[0]
 
 
 def _values(x: np.ndarray) -> np.ndarray:
@@ -56,24 +64,27 @@ def _values(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _odd_prefix(marks: np.ndarray) -> np.ndarray:
-    """(R, k + 1) parity of the number of marks among the first j columns of
-    a (R, k) bool block, for j = 0..k."""
-    odd = np.zeros((marks.shape[0], marks.shape[1] + 1), dtype=bool)
-    np.logical_xor.accumulate(marks, axis=1, out=odd[:, 1:])
-    return odd
-
-
-def _forward(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """T's int8 increments for a (R, n) int8 step block x with values s."""
+def _boundaries(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(R, n) block boundaries of a (R, n) step block x with values s:
+    tau_0 = 0 and every i in [1, n - 1] with S_{i-1} S_{i+1} < 0.  With +-1
+    steps that means S_i = 0 and X_i = X_{i+1}, a test no length can
+    overflow; column i holds i."""
     n = x.shape[1]
-    # A boundary at i has S_{i-1}, S_{i+1} of opposite signs.  With +-1 steps
-    # that means S_i = 0 and X_i = X_{i+1}, a test no length can overflow.
-    # Column i-1 holds i = 1..n-2; a boundary at n-1 moves no increment.
-    bound = (s[:, 1 : n - 1] == 0) & (x[:, : n - 2] == x[:, 1 : n - 1])
+    is_tau = np.empty(x.shape, dtype=bool)
+    is_tau[:, 0] = True
+    np.equal(s[:, 1:n], 0, out=is_tau[:, 1:])
+    is_tau[:, 1:] &= x[:, : n - 1] == x[:, 1:]
+    return is_tau
+
+
+def _forward(x: np.ndarray, is_tau: np.ndarray) -> np.ndarray:
+    """T's int8 increments for a (R, n) int8 step block x with boundaries
+    is_tau; a boundary at n - 1 moves no increment."""
+    n = x.shape[1]
     xbar = x[:, 1:] * x[:, :1]
-    # sign (-1)^(l+1), l(j) = number of boundaries <= j - 1, for j = 1..n-1
-    return np.negative(xbar, out=xbar, where=~_odd_prefix(bound))
+    # sign (-1)^(l+1) for j = 1..n-1, l + 1 = number of taus <= j - 1 (tau_0 too)
+    odd = np.logical_xor.accumulate(is_tau[:, : n - 1], axis=1)
+    return np.negative(xbar, out=xbar, where=odd)
 
 
 def _inverse(xbar: np.ndarray, sbar: np.ndarray, runmax: np.ndarray,
@@ -81,27 +92,41 @@ def _inverse(xbar: np.ndarray, sbar: np.ndarray, runmax: np.ndarray,
     """T^{-1}'s int8 increments with first steps eps (R, 1) for a (R, m)
     int8 block xbar, given its values sbar and their running maximum."""
     m = xbar.shape[1]
-    # tau_l is the first hit of 2l: a new running maximum at an even level
-    # (a new maximum is >= 1, so even means >= 2); column k-1 holds k = 1..m-1
-    is_tau = (runmax[:, 1:m] > runmax[:, : m - 1]) & ((sbar[:, 1:m] & 1) == 0)
+    # sign (-1)^(l+1) for k = 1..m, l = number of taus in [1, k - 1]
+    odd = np.logical_xor.accumulate(_first_hits(sbar, runmax)[:, :m], axis=1)
     x = np.empty((xbar.shape[0], m + 1), dtype=np.int8)
     x[:, :1] = eps
     np.multiply(xbar, eps, out=x[:, 1:])
-    np.negative(x[:, 1:], out=x[:, 1:], where=~_odd_prefix(is_tau))
+    np.negative(x[:, 1:], out=x[:, 1:], where=~odd)
     return x
 
 
-def _forward_pass(x: np.ndarray):
-    """(S, T's increments, S-bar, running max of S-bar) of one step block."""
+class Transform(NamedTuple):
+    """One forward pass of T over a (R, n) step block, n >= 2."""
+
+    s: np.ndarray       # (R, n + 1) values S_0..S_n
+    xbar: np.ndarray    # (R, n - 1) int8 increments of S-bar = T(S)
+    sbar: np.ndarray    # (R, n) values S-bar_0..S-bar_{n-1}
+    runmax: np.ndarray  # (R, n) running maximum of S-bar; Y-bar = runmax - sbar
+    is_tau: np.ndarray  # (R, n) block boundaries: tau_0 = 0 and S_i = 0, X_i = X_{i+1}
+
+
+def transform(x: np.ndarray) -> Transform:
+    """S, its boundaries, T's increments, S-bar and its running maximum for a
+    (R, n) block of +-1 steps, in one pass; TooShortError below n = 2."""
+    x = np.asarray(x).astype(np.int8, copy=False)
+    if x.shape[1] < 2:
+        raise TooShortError("transform needs walk length >= 2")
     s = _values(x)
-    xbar = _forward(x, s)
+    is_tau = _boundaries(x, s)
+    xbar = _forward(x, is_tau)
     sbar = _values(xbar)
-    return s, xbar, sbar, np.maximum.accumulate(sbar, axis=1)
+    return Transform(s, xbar, sbar, np.maximum.accumulate(sbar, axis=1), is_tau)
 
 
-def _deviation(s: np.ndarray, sbar: np.ndarray, runmax: np.ndarray) -> np.ndarray:
+def _deviation(t: Transform) -> np.ndarray:
     """Per row, max | Y-bar - |S| | over the range of S-bar."""
-    return np.abs((runmax - sbar) - np.abs(s[:, : sbar.shape[1]])).max(axis=1)
+    return np.abs((t.runmax - t.sbar) - np.abs(t.s[:, : t.sbar.shape[1]])).max(axis=1)
 
 
 def _batch(X: np.ndarray, min_length: int, what: str) -> tuple[np.ndarray, bool]:
@@ -122,8 +147,7 @@ def cv_forward_increments(X: np.ndarray) -> np.ndarray:
     R, n = X.shape
     out = np.empty((R, n - 1), dtype=np.int8)
     for rows in row_blocks(R, n):
-        x = X[rows].astype(np.int8, copy=False)
-        out[rows] = _forward(x, _values(x))
+        out[rows] = transform(X[rows]).xbar
     return out[0] if single else out
 
 
@@ -144,16 +168,6 @@ def cv_inverse_increments(Xbar: np.ndarray, epsilon) -> np.ndarray:
     return out[0] if single else out
 
 
-def cv_forward(w: WalkWindow) -> WalkWindow:
-    """T(S): transform a walk window on [p, p+n] into one on [0, n-1]."""
-    return WalkWindow(0, cv_forward_increments(w.increments))
-
-
-def cv_inverse(w_bar: WalkWindow, epsilon: int) -> WalkWindow:
-    """A member of T^{-1}{S-bar} with first step epsilon, on [0, m+1]."""
-    return WalkWindow(0, cv_inverse_increments(w_bar.increments, epsilon))
-
-
 def reflected_path(bar_values: np.ndarray) -> np.ndarray:
     """Y-bar_n = max_{k<=n} S-bar_k - S-bar_n."""
     s = np.asarray(bar_values)
@@ -166,15 +180,8 @@ def cv_deviation_batch(X: np.ndarray) -> np.ndarray:
     R, n = X.shape
     out = np.empty(R, dtype=np.int32)
     for rows in row_blocks(R, n):
-        s, _, sbar, runmax = _forward_pass(X[rows].astype(np.int8, copy=False))
-        out[rows] = _deviation(s, sbar, runmax)
+        out[rows] = _deviation(transform(X[rows]))
     return out
-
-
-def cv_invariant_check(w: WalkWindow) -> int:
-    """max_n | Y-bar_n - |S_n| | over the common range; the contract is <= 2.
-    The one-row case of ``cv_deviation_batch`` (TooShortError below length 2)."""
-    return int(cv_deviation_batch(w.increments[None])[0])
 
 
 class CvCheck(NamedTuple):
@@ -187,13 +194,14 @@ class CvCheck(NamedTuple):
 
 def cv_check_blocks(blocks: Iterable[np.ndarray]) -> CvCheck:
     """Bound, evenness and round trip of T on int8 step blocks (R, n), one
-    pass per block: S, S-bar and its running maximum are built once and
-    shared by the three checks; the evenness check transforms -S itself."""
+    ``transform`` per block shared by the three checks; the evenness check
+    finds the boundaries of -S itself, from -x and -s."""
     devs, even_gap, roundtrip_gap = [], 0, 0
     for x in blocks:
-        s, xbar, sbar, runmax = _forward_pass(x)
-        devs.append(_deviation(s, sbar, runmax))
-        even_gap = max(even_gap, int(np.abs(xbar - _forward(-x, -s)).max()))
-        back = _inverse(xbar, sbar, runmax, x[:, :1])
+        t = transform(x)
+        devs.append(_deviation(t))
+        neg = _forward(-x, _boundaries(-x, -t.s))
+        even_gap = max(even_gap, int(np.abs(t.xbar - neg).max()))
+        back = _inverse(t.xbar, t.sbar, t.runmax, x[:, :1])
         roundtrip_gap = max(roundtrip_gap, int(np.abs(back - x).max()))
     return CvCheck(np.concatenate(devs), even_gap, roundtrip_gap)

@@ -171,18 +171,6 @@ def excursion_table(paths: np.ndarray) -> ExcursionTable:
     return ExcursionTable(row, cols[:-1][keep], cols[1:][keep] - 1, ordinal)
 
 
-def excursions(path_y: np.ndarray, a: int = 0) -> list[Excursion]:
-    """Decompose a nonnegative path on [a, a + len - 1] into excursions.
-
-    The one-row case of ``excursion_table``: every interior zero of an
-    excursion is immediately followed by 1, and intervals still open at the
-    window end are discarded.  Returned in start order with ordinals 1, 2, ...
-    """
-    table = excursion_table(np.asarray(path_y)[None, :])
-    return [Excursion(a + p, a + q, i + 1)
-            for i, (p, q) in enumerate(zip(table.start.tolist(), table.end.tolist()))]
-
-
 def excursions_brute(path_y: np.ndarray, a: int = 0) -> list[Excursion]:
     """Definition-checking oracle: test every (p, q) pair directly."""
     y = np.asarray(path_y)

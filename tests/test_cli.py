@@ -129,6 +129,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ("x_ray", "7"),
     ("x_radius", "-0.5"),
     ("T", "0"),
+    ("seed", "-1"),
+    ("seed", str(2**64)),
 ])
 def test_out_of_range_value_exit_code(key, value, tmp_path, capsys):
     path = tmp_path / "config.txt"

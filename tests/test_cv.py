@@ -3,73 +3,79 @@
 import numpy as np
 import pytest
 
-from starflow.cv import (cv_check_blocks, cv_deviation_batch, cv_forward, cv_forward_increments,
-                         cv_inverse, cv_inverse_increments, cv_invariant_check, reflected_path,
-                         tau_sequence, taus_from_first_hits)
+from starflow.cv import (cv_check_blocks, cv_deviation_batch, cv_forward_increments,
+                         cv_inverse_increments, reflected_path, tau_sequence,
+                         taus_from_first_hits, transform)
 from starflow.errors import TooShortError
 from starflow.rng import make_rng
 from starflow.stats import chi_square, chi_square_pvalue
-from starflow.walk import ROW_BLOCK_STEPS, WalkWindow, generate_walk, random_increments
+from starflow.walk import ROW_BLOCK_STEPS, generate_walk, random_increments, row_blocks
 
 
-def example_walk():
-    return WalkWindow(0, np.array([1, 1, -1, -1, -1]))
+def _walks(length, seed, streams):
+    """(len(streams), length) steps, row k the walk of stream streams[k]."""
+    return np.stack([generate_walk(0, length, seed, k).increments for k in streams])
+
+
+def _path(steps):
+    """Values 0, S_1, ..., S_n of a walk's steps."""
+    return np.concatenate([[0], np.cumsum(steps)])
 
 
 def test_forward_worked_example():
-    w = example_walk()
-    assert tau_sequence(w.values).tolist() == [4]
-    w_bar = cv_forward(w)
-    assert w_bar.increments.tolist() == [-1, 1, 1, 1]
-    assert w_bar.values.tolist() == [0, -1, 0, 1, 2]
-    y_bar = reflected_path(w_bar.values)
-    deviation = np.abs(y_bar - np.abs(w.values[: len(y_bar)]))
+    x = np.array([1, 1, -1, -1, -1])
+    s = _path(x)
+    assert tau_sequence(s).tolist() == [4]
+    assert cv_forward_increments(x).tolist() == [-1, 1, 1, 1]
+    t = transform(x[None])
+    assert t.is_tau[0].tolist() == [True, False, False, False, True]
+    assert t.sbar[0].tolist() == [0, -1, 0, 1, 2]
+    y_bar = reflected_path(t.sbar[0])
+    assert np.array_equal(y_bar, t.runmax[0] - t.sbar[0])
+    deviation = np.abs(y_bar - np.abs(s[: len(y_bar)]))
     assert deviation.tolist() == [0, 0, 2, 1, 0]
-    assert cv_invariant_check(w) == 2
+    assert cv_deviation_batch(x[None]).tolist() == [2]
 
 
-def test_forward_too_short():
+def test_transform_too_short():
     with pytest.raises(TooShortError):
-        cv_forward(WalkWindow(0, np.array([1])))
+        transform(np.array([[1]]))
+    with pytest.raises(TooShortError):
+        cv_forward_increments(np.array([1]))
 
 
 def test_forward_even_function():
-    for s in range(1_000):
-        w = generate_walk(0, 50, 21, s)
-        neg = WalkWindow(0, -w.increments)
-        assert np.array_equal(cv_forward(w).increments, cv_forward(neg).increments)
+    incs = _walks(50, 21, range(1_000))
+    assert np.array_equal(cv_forward_increments(incs), cv_forward_increments(-incs))
 
 
 def test_tau_first_hit_consistency():
-    for s in range(1_000):
-        w = generate_walk(0, 200, 22, s)
-        taus = tau_sequence(w.values)
-        bar_vals = cv_forward(w).values
+    incs = _walks(200, 22, range(1_000))
+    sbar = transform(incs).sbar
+    for x, bar_vals in zip(incs, sbar):
+        taus = tau_sequence(_path(x))
         hits = taus_from_first_hits(bar_vals)
         realized = taus[taus <= len(bar_vals) - 1]
         assert np.array_equal(realized, hits[: len(realized)])
 
 
 def test_roundtrip():
-    for s in range(1_000):
-        w = generate_walk(0, 100, 23, s)
-        back = cv_inverse(cv_forward(w), int(w.increments[0]))
-        assert np.array_equal(back.increments, w.increments)
+    incs = _walks(100, 23, range(1_000))
+    back = cv_inverse_increments(cv_forward_increments(incs), incs[:, 0])
+    assert np.array_equal(back, incs)
 
 
 def test_preimage_pair():
-    for s in range(200):
-        w_bar = generate_walk(0, 60, 24, s)
-        plus = cv_inverse(w_bar, 1)
-        minus = cv_inverse(w_bar, -1)
-        assert np.array_equal(plus.increments, -minus.increments)
-        assert np.array_equal(cv_forward(plus).increments, w_bar.increments)
-        assert np.array_equal(cv_forward(minus).increments, w_bar.increments)
+    bars = _walks(60, 24, range(200))
+    plus = cv_inverse_increments(bars, 1)
+    minus = cv_inverse_increments(bars, -1)
+    assert np.array_equal(plus, -minus)
+    assert np.array_equal(cv_forward_increments(plus), bars)
+    assert np.array_equal(cv_forward_increments(minus), bars)
 
 
 def test_invariant_monotone_walk():
-    up = WalkWindow(0, np.ones(20, dtype=np.int64))
-    assert cv_invariant_check(up) <= 2
+    assert cv_deviation_batch(np.ones((1, 20), dtype=np.int64))[0] <= 2
 
 
 def test_invariant_random_walks():
@@ -85,16 +91,15 @@ def test_invariant_random_walks():
     assert dev.max() <= 2
 
 
-def test_invariant_check_is_one_row_of_batch():
+def test_deviation_batch_matches_per_walk_formula():
     # reference: the per-walk formula | Y-bar - |S| | over the range of S-bar
     for k in range(200):
-        w = generate_walk(0, 2 + 3 * k, 27, k)
-        y_bar = reflected_path(cv_forward(w).values)
-        expected = int(np.abs(y_bar - np.abs(w.values[: len(y_bar)])).max())
-        assert cv_invariant_check(w) == expected
-        assert cv_deviation_batch(w.increments[None])[0] == expected
+        x = generate_walk(0, 2 + 3 * k, 27, k).increments
+        y_bar = reflected_path(_path(cv_forward_increments(x)))
+        expected = int(np.abs(y_bar - np.abs(_path(x)[: len(y_bar)])).max())
+        assert cv_deviation_batch(x[None])[0] == expected
     with pytest.raises(TooShortError):
-        cv_invariant_check(WalkWindow(0, np.array([1])))
+        cv_deviation_batch(np.array([[1]]))
 
 
 def test_transformed_walk_is_srw():
@@ -127,15 +132,15 @@ def test_first_step_independent_of_transform():
 
 def test_cv_inverse_minimal_window():
     # m = 1 is the smallest legal input; the result has two increments
-    w_bar = WalkWindow(0, np.array([1]))
-    s = cv_inverse(w_bar, 1)
-    assert len(s.increments) == 2
-    assert np.array_equal(cv_forward(s).increments, w_bar.increments)
+    x = cv_inverse_increments(np.array([1]), 1)
+    assert len(x) == 2
+    assert cv_forward_increments(x).tolist() == [1]
 
 
 def _cv_reference(X: np.ndarray, eps: np.ndarray):
-    """(T increments, deviation per row, T^{-1}(T(X), eps)) of a (R, n) batch
-    by the whole-array int64 code the row-block pass replaced."""
+    """(T increments, deviation per row, T^{-1}(T(X), eps), block boundaries
+    tau_0 = 0 and S_{i-1} S_{i+1} < 0) of a (R, n) batch by the whole-array
+    int64 code the row-block pass replaced."""
     X = np.asarray(X, dtype=np.int64)
     R, n = X.shape
     zero = np.zeros((R, 1), dtype=np.int64)
@@ -154,7 +159,7 @@ def _cv_reference(X: np.ndarray, eps: np.ndarray):
     sign = np.where(np.cumsum(is_tau[:, :-1], axis=1) % 2 == 0, -1, 1)
     eps = np.asarray(eps, dtype=np.int64).reshape(-1, 1)
     back = np.concatenate([eps, sign * eps * Xbar], axis=1)
-    return Xbar, dev, back
+    return Xbar, dev, back, np.concatenate([np.ones((R, 1), dtype=bool), ind], axis=1)
 
 
 @pytest.mark.parametrize("length", [2, 3, 4, 999, 1_000])
@@ -163,7 +168,9 @@ def test_block_transforms_match_reference(length):
     rows = 2 * (ROW_BLOCK_STEPS // length) + 7
     X = random_increments((rows, length), 31, length)
     eps = make_rng(32, length).integers(0, 2, size=rows) * 2 - 1
-    bars, dev, back = _cv_reference(X, eps)
+    bars, dev, back, is_tau = _cv_reference(X, eps)
+    for block in row_blocks(rows, length):
+        assert np.array_equal(transform(X[block]).is_tau, is_tau[block])
     assert np.array_equal(cv_forward_increments(X), bars)
     assert np.array_equal(cv_deviation_batch(X), dev)
     assert np.array_equal(cv_inverse_increments(bars, eps), back)
@@ -179,7 +186,8 @@ def test_monotone_walk_beyond_int32_product(step):
     # |S| passes 46341, where S_{i-1} S_{i+1} leaves int32; there is no boundary
     X = np.full((1, 100_000), step, dtype=np.int8)
     assert tau_sequence(np.concatenate([[0], np.cumsum(X[0])])).size == 0
-    bars, dev, back = _cv_reference(X, X[:, 0])
+    bars, dev, back, is_tau = _cv_reference(X, X[:, 0])
+    assert np.array_equal(transform(X).is_tau, is_tau)
     assert np.array_equal(cv_forward_increments(X[0]), bars[0])
     assert np.array_equal(cv_deviation_batch(X), dev)
     assert np.array_equal(cv_inverse_increments(bars, X[:, 0]), back)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import starflow
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "starflow").glob("*.py"))
 
 
@@ -105,3 +107,8 @@ def test_no_foreign_private_reads(path):
     # representation such as WalkWindow's cached lists can change in one place
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _foreign_private_reads(tree) == []
+
+
+def test_package_exports_are_bound():
+    # a name left in __all__ after its definition is gone breaks `import *`
+    assert [name for name in starflow.__all__ if not hasattr(starflow, name)] == []

@@ -9,8 +9,8 @@ import pytest
 from starflow.errors import EmptyWindowError, NegativeValueError, OutOfWindowError
 from starflow.flows import _flow_radius
 from starflow.rng import make_rng
-from starflow.walk import (NOT_HIT, ROW_BLOCK_STEPS, WalkWindow, excursion_table,
-                           excursions, excursions_brute, generate_walk, increment_blocks,
+from starflow.walk import (NOT_HIT, ROW_BLOCK_STEPS, Excursion, WalkWindow, excursion_table,
+                           excursions_brute, generate_walk, increment_blocks,
                            random_increments)
 
 GOLDEN = Path(__file__).parent / "golden" / "walk_seed1_win0_8.csv"
@@ -157,21 +157,30 @@ def test_out_of_window():
         w.value(9)
 
 
+def _one_row(y) -> list[Excursion]:
+    """The excursions of one path, read off its one-row excursion table."""
+    table = excursion_table(np.asarray(y)[None, :])
+    return [Excursion(*e) for e in zip(table.start.tolist(), table.end.tolist(),
+                                       table.ordinal.tolist())]
+
+
 def test_excursions_spec_example():
     y = np.array([0, 1, 0, 0, 1, 2, 1, 0])
-    got = excursions(y)
+    got = _one_row(y)
     assert got == excursions_brute(y)
     assert [(e.start, e.end) for e in got] == [(0, 2)]
     assert got[0].ordinal == 1
 
 
 def test_excursions_all_zero():
-    assert excursions(np.zeros(9, dtype=np.int64)) == []
+    assert _one_row(np.zeros(9, dtype=np.int64)) == []
 
 
 def test_excursions_negative_rejected():
     with pytest.raises(NegativeValueError):
-        excursions(np.array([0, 1, -1, 0]))
+        excursion_table(np.array([[0, 1, -1, 0]]))
+    with pytest.raises(NegativeValueError):
+        excursions_brute(np.array([0, 1, -1, 0]))
 
 
 def _all_lazy_reflected_paths(length):
@@ -214,7 +223,7 @@ def _excursion_test_paths(length):
 def test_excursions_exhaustive_vs_brute(length):
     for p in _excursion_test_paths(length):
         y = np.array(p)
-        assert excursions(y) == excursions_brute(y), f"path {p}"
+        assert _one_row(y) == excursions_brute(y), f"path {p}"
 
 
 @pytest.mark.parametrize("length", range(1, 15))
@@ -242,7 +251,7 @@ def test_excursions_disjoint_ordered_interior():
             y.append(y[-1] + int(rng.integers(0, 2)) * 2 - 1 if y[-1] > 0
                      else int(rng.integers(0, 2)))
         y = np.array(y)
-        exc = excursions(y)
+        exc = _one_row(y)
         for i, e in enumerate(exc):
             assert e.ordinal == i + 1
             if i + 1 < len(exc):
@@ -254,5 +263,6 @@ def test_excursions_disjoint_ordered_interior():
 
 def test_excursion_window_offset():
     y = np.array([0, 1, 0, 0, 1, 2, 1, 0, 0])
-    got = excursions(y, a=5)
+    assert [(e.start, e.end) for e in _one_row(y)] == [(0, 2), (3, 7)]
+    got = excursions_brute(y, a=5)
     assert [(e.start, e.end) for e in got] == [(5, 7), (8, 12)]

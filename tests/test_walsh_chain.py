@@ -10,11 +10,11 @@ from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
                             CASE_TWO, _exit_ray, _step, draw_ray_marks, flip_batch,
                             flip_excursions, flipped_product_chain, simulate_chain,
                             simulate_chain_batch, step_chain, transition_counts)
-from starflow.cv import cv_forward_increments, reflected_path, tau_sequence
+from starflow.cv import reflected_path, tau_sequence, transform
 from starflow.graph import RayParams, junction, point
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square)
-from starflow.walk import WalkWindow, excursions, excursions_brute, generate_walk
+from starflow.walk import WalkWindow, excursion_table, excursions_brute, generate_walk
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
@@ -169,8 +169,7 @@ def _flip(seed, length, stream):
 def _flip_rows(seed, length, streams):
     """The flip realizations of _flip for many streams, as one batch."""
     incs, eta, beta_aux = _marks(seed, length, streams)
-    return flip_batch(_values(incs), _values(cv_forward_increments(incs)), eta, beta_aux,
-                      PARAMS)
+    return flip_batch(transform(incs), eta, beta_aux, PARAMS)
 
 
 def test_flip_radial_part_is_abs_s():
@@ -287,24 +286,19 @@ def _proof_facts_reference(s, s_bar):
     return bad
 
 
-def _values(increments):
-    return np.concatenate([np.zeros((len(increments), 1), dtype=np.int64),
-                           np.cumsum(increments, axis=1)], axis=1)
-
-
 @pytest.mark.parametrize("length", range(3, 13))
 def test_flip_batch_matches_per_block_reference_exhaustive(length):
     # every +-1 walk of this length in one batch, with seeded marks
     incs = np.array(list(itertools.product((1, -1), repeat=length)), dtype=np.int64)
-    bars = cv_forward_increments(incs)
+    t = transform(incs)
     rng = make_rng(45, length)
     eta = rng.integers(1, 4, size=incs.shape)
     beta_aux = rng.integers(1, 4, size=incs.shape)
-    batch = flip_batch(_values(incs), _values(bars), eta, beta_aux, PARAMS)
+    batch = flip_batch(t, eta, beta_aux, PARAMS)
     bounds = batch.bound_deviation()
     facts = batch.proof_fact_violations()
     for r in range(len(incs)):
-        s, s_bar = WalkWindow(0, incs[r]), WalkWindow(0, bars[r])
+        s, s_bar = WalkWindow(0, incs[r]), WalkWindow(0, t.xbar[r])
         rays, radii, taus, cases, exc, truncated = _flip_reference(s_bar, s, eta[r],
                                                                    beta_aux[r])
         got = batch.result(r)
@@ -332,7 +326,7 @@ def test_flip_transition_law():
 def test_product_chain_structure():
     s_bar = generate_walk(0, 400, 42, 0)
     y_bar = reflected_path(s_bar.values)
-    exc = excursions(y_bar)
+    exc = excursions_brute(y_bar)
     eta = draw_ray_marks(PARAMS, len(exc), 42, 1)
     chain = flipped_product_chain(s_bar, eta, PARAMS)
     n = len(chain)
@@ -346,8 +340,8 @@ def test_product_chain_structure():
 
 def test_product_chain_transition_law():
     s_bar = generate_walk(0, 100_000, 43, 0)
-    exc = excursions(reflected_path(s_bar.values))
-    eta = draw_ray_marks(PARAMS, len(exc), 43, 1)
+    exc = excursion_table(reflected_path(s_bar.values)[None])
+    eta = draw_ray_marks(PARAMS, len(exc.row), 43, 1)
     chain = flipped_product_chain(s_bar, eta, PARAMS)
     counts = transition_counts(chain)
     # junction row of the lazy matrix: hold 1/2, exit i with alpha_i/2
@@ -362,16 +356,17 @@ def test_product_chain_transition_law():
 def _product_chain_reference(s_bar, eta):
     """The per-excursion loop that painted the marks of the product chain."""
     ybar = reflected_path(s_bar.values)
-    exc = excursions(ybar)
-    last_end = exc[-1].end if exc else -1
+    exc = excursion_table(ybar[None])
+    last_end = exc.end[-1] if len(exc.end) else -1
     tail = np.nonzero(ybar > 0)[0]
     tail = tail[tail > last_end]
     covered_to = int(tail[0]) if tail.size else len(ybar)
     radii = ybar[:covered_to].copy()
     rays = np.zeros(covered_to, dtype=np.int64)
-    for e in exc:
-        if e.end < covered_to:
-            rays[e.start : e.end + 1] = eta[e.ordinal - 1]
+    for start, end, ordinal in zip(exc.start.tolist(), exc.end.tolist(),
+                                   exc.ordinal.tolist()):
+        if end < covered_to:
+            rays[start : end + 1] = eta[ordinal - 1]
     rays[radii == 0] = 0
     return rays, radii
 
