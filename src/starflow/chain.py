@@ -16,7 +16,9 @@ and flips a (replicas, steps) batch in one array pass: the blocks are
 classified from the tau positions and the excursion table, the ray is set at
 its change points and carried forward, and the bound and the proof facts are
 masks over the batch.  ``flip_batches`` draws replicas in batches of bounded
-size; ``flip_excursions`` is its one-row case.
+size: each batch draws its walks and both mark arrays from one re-keyed
+Philox per array (``rng.stream_rows``) and maps each mark array to rays with
+one exit-ray lookup.  ``flip_excursions`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -28,15 +30,25 @@ import numpy as np
 
 from .cv import Transform, reflected_path, transform
 from .graph import GraphPoint, RayParams, point
-from .rng import make_rng
+from .rng import make_rng, stream_rows
 from .walk import (Excursion, ExcursionTable, WalkWindow, excursion_table, generate_walk,
-                   random_increments, row_blocks)
+                   increment_rows, row_blocks)
 
 
 def _exit_ray(params: RayParams, u):
-    """Ray 1..N of a junction exit for uniform(s) u.  The lookup skips the
-    last edge, so it clamps to N: the float sum can end just below 1."""
-    return np.searchsorted(params.alpha_cumulative[:-1], u, side="right") + 1
+    """Ray 1..N of a junction exit for uniform(s) u: 1 + #{j < N : u >= c_j}
+    over the cumulative edges c_j of alpha, the count that
+    ``searchsorted(side="right")`` gives.  The last edge is skipped, so the
+    ray clamps to N: the float sum can end just below 1.
+
+    The first edge turns an array u into an int64 array of rays, and the
+    later edges add in place; a float u gives an int.  With N = 1 there is
+    no edge, so the rays start as an array of u's shape.
+    """
+    ray = 1 if params.N > 1 else np.ones(np.shape(u), dtype=np.int64)
+    for edge in params.alpha_cumulative[:-1].tolist():
+        ray += u >= edge
+    return ray
 
 
 def draw_ray_marks(params: RayParams, count: int, seed: int, stream_id: int) -> np.ndarray:
@@ -46,6 +58,13 @@ def draw_ray_marks(params: RayParams, count: int, seed: int, stream_id: int) -> 
     reproduces the same mark sequence regardless of how many are needed.
     """
     return _exit_ray(params, make_rng(seed, stream_id).random(count))
+
+
+def ray_mark_rows(params: RayParams, count: int, seed: int,
+                  stream_ids: Sequence[int]) -> np.ndarray:
+    """Row r is ``draw_ray_marks(params, count, seed, stream_ids[r])``; the
+    uniforms come from ``rng.stream_rows`` and take one lookup together."""
+    return _exit_ray(params, stream_rows(seed, stream_ids, lambda rng: rng.random(count)))
 
 
 @dataclass
@@ -327,13 +346,14 @@ def flip_batches(params: RayParams, length: int, seed: int,
                  stream_ids: Sequence[int]) -> Iterator[FlipBatch]:
     """The flip realizations of the given streams, drawn as
     ``flip_realization`` draws them, in the batches of ``row_blocks``: at
-    most ROW_BLOCK_STEPS walk steps (and at least one replica)."""
+    most ROW_BLOCK_STEPS walk steps (and at least one replica).  Row r of
+    a batch is ``flip_realization(params, length, seed, id)`` for the r-th
+    stream id of the batch."""
     for rows in row_blocks(len(stream_ids), length):
         ids = stream_ids[rows]
-        incs = np.stack([random_increments(length, seed, sid) for sid in ids])
-        eta = np.stack([draw_ray_marks(params, length, seed, sid + 1) for sid in ids])
-        beta_aux = np.stack([draw_ray_marks(params, length, seed, sid + 2) for sid in ids])
-        yield flip_batch(transform(incs), eta, beta_aux, params)
+        eta = ray_mark_rows(params, length, seed, [sid + 1 for sid in ids])
+        beta_aux = ray_mark_rows(params, length, seed, [sid + 2 for sid in ids])
+        yield flip_batch(transform(increment_rows(length, seed, ids)), eta, beta_aux, params)
 
 
 def _paint(shape: tuple[int, int], row, start, end, marks) -> np.ndarray:

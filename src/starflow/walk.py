@@ -8,14 +8,14 @@ indices transparently.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyWindowError, NegativeValueError, OutOfWindowError
-from .rng import make_rng
+from .rng import make_rng, stream_rows
 
 
 # the hitting time of a level that is never reached: above every time
@@ -102,11 +102,21 @@ def increment_blocks(replicas: int, length: int, seed: int,
     """
     rng = make_rng(seed, stream_id)
     for rows in row_blocks(replicas, length):
-        steps = rng.integers(0, 2, size=(rows.stop - rows.start, length),
-                             dtype=np.int64).astype(np.int8)
-        steps *= 2
-        steps -= 1
-        yield steps
+        yield _fair_steps(rng, (rows.stop - rows.start, length))
+
+
+def _fair_steps(rng: np.random.Generator, shape) -> np.ndarray:
+    """Fair +-1 steps (int8) of the given shape, the next ones of rng."""
+    steps = rng.integers(0, 2, size=shape, dtype=np.int64).astype(np.int8)
+    steps *= 2
+    steps -= 1
+    return steps
+
+
+def increment_rows(length: int, seed: int, stream_ids: Sequence[int]) -> np.ndarray:
+    """Row r is ``random_increments(length, seed, stream_ids[r])``: one walk
+    per stream, drawn through ``rng.stream_rows``."""
+    return stream_rows(seed, stream_ids, lambda rng: _fair_steps(rng, length))
 
 
 def random_increments(shape, seed: int, stream_id: int = 0) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +104,22 @@ def test_cv_check_reproducible(small_config, tmp_path):
     for m in (m1, m2):
         m["config"].pop("output_dir")
     assert m1 == m2
+
+
+def test_seeds_at_or_above_2_63_have_their_own_streams(tmp_path):
+    # a float-valued Philox key once folded 2**63 + 1 onto 2**63 and
+    # 2**64 - 1 onto 0
+    def cv_csv(seed):
+        path = tmp_path / f"config_{seed}.txt"
+        path.write_text(f"{SMALL}seed = {seed}\n")
+        out = tmp_path / str(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cv-check", "--config", str(path), "--output-dir", str(out)]) == 0
+        return (out / "cv_check.csv").read_bytes()
+
+    assert cv_csv(2**63) != cv_csv(2**63 + 1)
+    assert cv_csv(2**64 - 1) != cv_csv(0)
 
 
 def test_flow_check_subcommand(small_config, tmp_path):

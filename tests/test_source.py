@@ -112,3 +112,37 @@ def test_no_foreign_private_reads(path):
 def test_package_exports_are_bound():
     # a name left in __all__ after its definition is gone breaks `import *`
     assert [name for name in starflow.__all__ if not hasattr(starflow, name)] == []
+
+
+def _direct_random_calls(tree: ast.AST) -> list[str]:
+    """Calls into ``np.random`` / ``numpy.random`` and imports from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name.startswith(("np.random.", "numpy.random.")):
+                found.append(f"{name} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            found.append(f"from {node.module} import (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            found += [f"import {alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("numpy.random")]
+    return found
+
+
+def test_direct_random_calls_are_found():
+    tree = ast.parse("np.random.default_rng(1)\nnumpy.random.Philox(key=k).random_raw()\n"
+                     "from numpy.random import Generator\nimport numpy.random\n"
+                     "def f(rng: np.random.Generator): return rng.random(3)\n")
+    assert sorted(_direct_random_calls(tree)) == [
+        "from numpy.random import (line 3)", "import numpy.random (line 4)",
+        "np.random.default_rng (line 1)", "numpy.random.Philox (line 2)",
+        "numpy.random.Philox(key=k).random_raw (line 2)"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "rng.py"],
+                         ids=[p.name for p in SOURCES if p.name != "rng.py"])
+def test_streams_come_from_rng(path):
+    # every stream goes through the range-checked (seed, stream_id) key of rng
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _direct_random_calls(tree) == []

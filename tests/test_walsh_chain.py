@@ -8,7 +8,8 @@ import pytest
 
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
                             CASE_TWO, _exit_ray, _step, draw_ray_marks, flip_batch,
-                            flip_excursions, flipped_product_chain, simulate_chain,
+                            flip_batches, flip_excursions, flip_realization,
+                            flipped_product_chain, ray_mark_rows, simulate_chain,
                             simulate_chain_batch, step_chain, transition_counts)
 from starflow.cv import reflected_path, tau_sequence, transform
 from starflow.graph import RayParams, junction, point
@@ -132,6 +133,28 @@ def test_exit_ray_at_bin_edges(params):
     cum = params.alpha_cumulative
     for u in np.concatenate([[0.0], cum[cum < 1], np.nextafter(cum, 0.0)]).tolist():
         assert _exit_ray(params, u) == min(1 + int(np.sum(cum <= u)), params.N)
+
+
+def _searchsorted_exit_ray(params, u):
+    """The exit ray as one binary search over the inner cumulative edges."""
+    return np.searchsorted(params.alpha_cumulative[:-1], u, side="right") + 1
+
+
+@pytest.mark.parametrize("params", [RayParams.uniform(1), PARAMS, RayParams.uniform(12)],
+                         ids=["one_ray", "default", "twelfths"])
+def test_exit_ray_matches_searchsorted(params):
+    cum = params.alpha_cumulative
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum,
+                        np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
+    u = u[u < 1.0]
+    rays = _exit_ray(params, u)
+    assert rays.dtype == np.int64
+    assert rays.tolist() == _searchsorted_exit_ray(params, u).tolist()
+    # step_chain passes one Python float
+    assert [int(_exit_ray(params, v)) for v in u.tolist()] == rays.tolist()
+    # a batch of rows, as the flip batches look up their marks
+    grid = np.stack([u, u[::-1]])
+    assert np.array_equal(_exit_ray(params, grid), _searchsorted_exit_ray(params, grid))
 
 
 @pytest.mark.parametrize("params", [PARAMS, RayParams.uniform(10)], ids=["default", "tenths"])
@@ -380,6 +403,28 @@ def test_product_chain_matches_per_excursion_reference():
         rays, radii = _product_chain_reference(s_bar, eta)
         assert np.array_equal(chain.rays, rays)
         assert np.array_equal(chain.radii, radii)
+
+
+def test_flip_batches_rows_are_flip_realizations():
+    length = 40_000  # three rows per batch
+    ids = range(600, 670, 10)
+    batches = list(flip_batches(PARAMS, length, 46, ids))
+    assert [len(b.rays) for b in batches] == [3, 3, 1]
+    rows = [b.result(r) for b in batches for r in range(len(b.rays))]
+    for row, stream_id in zip(rows, ids, strict=True):
+        one = flip_realization(PARAMS, length, 46, stream_id)
+        assert np.array_equal(row.chain.rays, one.chain.rays)
+        assert np.array_equal(row.chain.radii, one.chain.radii)
+        assert np.array_equal(row.taus, one.taus)
+        assert row.block_cases == one.block_cases
+        assert row.excursion_list == one.excursion_list
+        assert row.truncated == one.truncated
+
+
+def test_ray_mark_rows_match_draw_ray_marks():
+    ids = [2, 2**63, 2**64 - 1, 2]
+    rows = ray_mark_rows(PARAMS, 50, 47, ids)
+    assert np.array_equal(rows, np.stack([draw_ray_marks(PARAMS, 50, 47, k) for k in ids]))
 
 
 def test_draw_ray_marks_reproducible_prefix():
