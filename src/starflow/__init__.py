@@ -9,8 +9,8 @@ from .beta import beta_distance
 from .walk import NOT_HIT, Excursion, WalkWindow, generate_walk, random_increments
 from .cv import (cv_forward_increments, cv_inverse_increments, reflected_path,
                  tau_sequence, taus_from_first_hits)
-from .chain import (ChainPath, flip_excursions, flip_realization,
-                    flipped_product_chain, simulate_chain, simulate_chain_batch)
+from .chain import (FlipBatch, flip_batches, flipped_product_chain, simulate_chain_batch,
+                    transition_counts)
 from .flows import (FlowRealization, kernel_closed_form, kernel_compose,
                     kernel_is_conditional_law, psi_closed_form, psi_compose,
                     psi_one_step)
@@ -23,8 +23,8 @@ __all__ = [
     "move_along", "point", "beta_distance", "NOT_HIT",
     "Excursion", "WalkWindow", "generate_walk", "random_increments",
     "cv_forward_increments", "cv_inverse_increments", "reflected_path",
-    "tau_sequence", "taus_from_first_hits", "ChainPath", "flip_excursions",
-    "flip_realization", "flipped_product_chain", "simulate_chain", "simulate_chain_batch",
+    "tau_sequence", "taus_from_first_hits", "FlipBatch", "flip_batches",
+    "flipped_product_chain", "simulate_chain_batch", "transition_counts",
     "FlowRealization", "kernel_closed_form",
     "kernel_compose", "kernel_is_conditional_law", "psi_closed_form",
     "psi_compose", "psi_one_step", "ContinuousPath", "convergence_profiles",

@@ -18,7 +18,9 @@ its change points and carried forward, and the bound and the proof facts are
 masks over the batch.  ``flip_batches`` draws replicas in batches of bounded
 size: each batch draws its walks and both mark arrays from one re-keyed
 Philox per array (``rng.stream_rows``) and maps each mark array to rays with
-one exit-ray lookup.  ``flip_excursions`` is its one-row case.
+one exit-ray lookup.  ``FlipBatch`` is the only flip result, and
+``transition_counts`` counts the live transitions of a batch of chains, the
+flipped ones and the product chain ``flipped_product_chain`` alike.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ import numpy as np
 from .cv import Transform, reflected_path, transform
 from .graph import GraphPoint, RayParams, point
 from .rng import make_rng, stream_rows
-from .walk import (Excursion, ExcursionTable, WalkWindow, excursion_table, generate_walk,
-                   increment_rows, row_blocks)
+from .walk import ExcursionTable, WalkWindow, excursion_table, increment_rows, row_blocks
 
 
 def _exit_ray(params: RayParams, u):
@@ -65,19 +66,6 @@ def ray_mark_rows(params: RayParams, count: int, seed: int,
     """Row r is ``draw_ray_marks(params, count, seed, stream_ids[r])``; the
     uniforms come from ``rng.stream_rows`` and take one lookup together."""
     return _exit_ray(params, stream_rows(seed, stream_ids, lambda rng: rng.random(count)))
-
-
-@dataclass
-class ChainPath:
-    """A lattice path on the graph: ray index (junction entries ignored) and
-    integer radius per time step."""
-
-    params: RayParams
-    rays: np.ndarray
-    radii: np.ndarray
-
-    def __len__(self):
-        return len(self.radii)
 
 
 def step_chain(params: RayParams, x: GraphPoint, u: float, lazy: bool = False) -> GraphPoint:
@@ -125,14 +113,6 @@ def _chain_states(params: RayParams, n_steps: int, n_replicas: int, seed: int,
             yield rays, radii
 
 
-def simulate_chain(params: RayParams, n_steps: int, seed: int, stream_id: int,
-                   lazy: bool = False) -> ChainPath:
-    """A single chain path started at the junction."""
-    path = np.array([np.concatenate(state) for state in
-                     _chain_states(params, n_steps, 1, seed, stream_id, lazy)])
-    return ChainPath(params, path[:, 0], path[:, 1])
-
-
 def simulate_chain_batch(params: RayParams, n_steps: int, n_replicas: int, seed: int,
                          stream_id: int, lazy: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Final (rays, radii) of many independent chains, vectorized across replicas."""
@@ -150,19 +130,6 @@ CASE_ONE_EARLY = "ii1"
 CASE_ONE_LATE = "ii2"
 CASE_TWO = "iii"
 CASES = (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE, CASE_TWO)
-
-
-@dataclass
-class FlipResult:
-    """Output of ``flip_excursions``: the chain, the block structure, the
-    excursion list of the reflected path, and whether a trailing partial
-    block was truncated."""
-
-    chain: ChainPath
-    taus: np.ndarray                      # tau_0 = 0 included; completed blocks only
-    block_cases: list[str]
-    excursion_list: list[Excursion]
-    truncated: bool
 
 
 def _last_tau(is_tau: np.ndarray) -> np.ndarray:
@@ -195,18 +162,6 @@ class FlipBatch:
     block_row: np.ndarray
     cases: np.ndarray
 
-    def result(self, r: int) -> FlipResult:
-        """Row r, as ``flip_excursions`` returns it."""
-        n = int(self.n_end[r])
-        own = self.exc.row == r
-        excs = [Excursion(*e) for e in zip(self.exc.start[own].tolist(),
-                                           self.exc.end[own].tolist(),
-                                           self.exc.ordinal[own].tolist())]
-        cases = [CASES[c] for c in self.cases[self.block_row == r].tolist()]
-        chain = ChainPath(self.params, self.rays[r, : n + 1], self.radii[r, : n + 1])
-        return FlipResult(chain, np.flatnonzero(self.t.is_tau[r]), cases, excs,
-                          n < self.rays.shape[1] - 1)
-
     def bound_deviation(self) -> np.ndarray:
         """Per row, max over excursions i and times n in them of
         d(M_n, eta_i * Y-bar_n); excursions dropped with the truncated tail
@@ -215,13 +170,6 @@ class FlipBatch:
         return _bound_deviation(self.rays, self.radii, self.ybar, self.exc.row[kept],
                                 self.exc.start[kept], self.exc.end[kept],
                                 self.marks[kept])
-
-    def exit_counts(self) -> np.ndarray:
-        """Junction exits per ray 1..N, summed over the rows' chains."""
-        r = self.radii
-        live = np.arange(1, r.shape[1]) <= self.n_end[:, None]
-        exits = live & (r[:, :-1] == 0) & (r[:, 1:] == 1)
-        return np.bincount(self.rays[:, 1:][exits], minlength=self.params.N + 1)[1:]
 
     def proof_fact_violations(self) -> np.ndarray:
         """Per row, the violations of the pathwise facts used in the flipping
@@ -311,49 +259,27 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray,
     return FlipBatch(params, t, ybar, rays, radii, n_end, exc, marks, b_row, cases)
 
 
-def flip_excursions(s: WalkWindow, eta: np.ndarray, beta_aux: np.ndarray,
-                    params: RayParams) -> FlipResult:
-    """Build the flipped chain M from a walk S, its transform S-bar = T(S)
-    and marks; S-bar comes from ``cv.transform``.
-
-    eta[i-1] is the ray mark of the i-th excursion of the reflected path;
-    beta_aux[l] is the auxiliary mark of block l.  M_n = (mark ray) * |S_n|
-    on each block, with the mark switching at the first zero of S inside the
-    block in the late-excursion and two-excursion cases.  The one-row case
-    of ``flip_batch``.
-    """
-    batch = flip_batch(transform(s.increments[None]), np.asarray(eta)[None],
-                       np.asarray(beta_aux)[None], params)
-    return batch.result(0)
-
-
-def flip_realization(params: RayParams, length: int, seed: int,
-                     stream_id: int) -> FlipResult:
-    """The flipped chain of a walk S of the given length.
-
-    S comes from stream stream_id, the excursion marks eta from stream_id + 1
-    and the block marks from stream_id + 2.  Both mark streams give `length`
-    marks, more than there are excursions or blocks; marks are prefix-stable,
-    so eta's first entries do not depend on that count.
-    """
-    s = generate_walk(0, length, seed, stream_id)
-    eta = draw_ray_marks(params, length, seed, stream_id + 1)
-    beta_aux = draw_ray_marks(params, length, seed, stream_id + 2)
-    return flip_excursions(s, eta, beta_aux, params)
-
-
 def flip_batches(params: RayParams, length: int, seed: int,
                  stream_ids: Sequence[int]) -> Iterator[FlipBatch]:
-    """The flip realizations of the given streams, drawn as
-    ``flip_realization`` draws them, in the batches of ``row_blocks``: at
-    most ROW_BLOCK_STEPS walk steps (and at least one replica).  Row r of
-    a batch is ``flip_realization(params, length, seed, id)`` for the r-th
-    stream id of the batch."""
+    """The flip realizations of the given streams, in the batches of
+    ``row_blocks``: at most ROW_BLOCK_STEPS walk steps (and at least one
+    replica).
+
+    For stream id k, the walk of `length` steps comes from stream k
+    (``generate_walk``), the excursion marks eta from stream k + 1 and the
+    block marks from stream k + 2 (``draw_ray_marks``).  A completed block
+    or excursion spans at least two of the `length` values of S-bar, so
+    there are at most (length - 1) // 2 of each, and each mark stream gives
+    length // 2 marks; marks are prefix-stable, so they do not depend on
+    that count.  The generator keeps no array of a batch once it is yielded.
+    """
+    n_marks = length // 2
     for rows in row_blocks(len(stream_ids), length):
         ids = stream_ids[rows]
-        eta = ray_mark_rows(params, length, seed, [sid + 1 for sid in ids])
-        beta_aux = ray_mark_rows(params, length, seed, [sid + 2 for sid in ids])
-        yield flip_batch(transform(increment_rows(length, seed, ids)), eta, beta_aux, params)
+        yield flip_batch(transform(increment_rows(length, seed, ids)),
+                         ray_mark_rows(params, n_marks, seed, [sid + 1 for sid in ids]),
+                         ray_mark_rows(params, n_marks, seed, [sid + 2 for sid in ids]),
+                         params)
 
 
 def _paint(shape: tuple[int, int], row, start, end, marks) -> np.ndarray:
@@ -376,11 +302,13 @@ def _bound_deviation(rays, radii, ybar, row, start, end, marks) -> np.ndarray:
     return np.where(mark > 0, dev, 0).max(axis=1, initial=0)
 
 
-def flipped_product_chain(s_bar: WalkWindow, eta: np.ndarray, params: RayParams) -> ChainPath:
-    """The chain eta . Y-bar: ray mark eta_i inside the i-th excursion,
-    junction wherever the reflected path is zero.  Its transition law is the
-    lazy matrix.  An excursion still open at the end is dropped: the chain
-    stops at the last k with Y-bar_{k-1} = Y-bar_k = 0."""
+def flipped_product_chain(s_bar: WalkWindow,
+                          eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rays, radii) of the chain eta . Y-bar: ray mark eta_i inside the
+    i-th excursion, junction (ray 0) wherever the reflected path is zero.
+    Its transition law is the lazy matrix.  An excursion still open at the
+    end is dropped: the chain stops at the last k with
+    Y-bar_{k-1} = Y-bar_k = 0."""
     ybar = reflected_path(s_bar.values)
     exc = excursion_table(ybar[None])
     zero = ybar == 0
@@ -389,27 +317,29 @@ def flipped_product_chain(s_bar: WalkWindow, eta: np.ndarray, params: RayParams)
     rays = _paint((1, covered_to), exc.row, exc.start, exc.end,
                   np.asarray(eta)[exc.ordinal - 1])[0]
     rays[radii == 0] = 0
-    return ChainPath(params, rays, radii)
+    return rays, radii
 
 
-def transition_counts(chain: ChainPath) -> dict:
-    """Counts of junction holds, junction exits per ray, and interior up/down."""
-    radii = chain.radii
-    rays = chain.rays
-    at0 = radii[:-1] == 0
-    hold = int(np.sum(at0 & (radii[1:] == 0)))
-    exit_mask = at0 & (radii[1:] == 1)
-    exit_rays = rays[1:][exit_mask]
-    exits = np.bincount(exit_rays, minlength=chain.params.N + 1)[1:]
-    interior = radii[:-1] >= 1
-    up_mask = interior & (radii[1:] > radii[:-1])
-    down_mask = interior & (radii[1:] < radii[:-1])
-    up = int(np.sum(up_mask))
-    down = int(np.sum(down_mask))
-    max_r = int(radii.max(initial=0))
-    up_by_r = np.bincount(radii[:-1][up_mask], minlength=max_r + 1)
-    down_by_r = np.bincount(radii[:-1][down_mask], minlength=max_r + 1)
-    return {"hold": hold, "exits": exits, "up": up, "down": down,
+def transition_counts(params: RayParams, rays: np.ndarray, radii: np.ndarray,
+                      n_end: np.ndarray) -> dict:
+    """Transition counts of R chains given as (R, L) rays and radii, over
+    the live transitions k -> k + 1 with k + 1 <= n_end[r]: junction holds,
+    junction exits per ray 1..N, and interior up and down moves by the
+    radius they leave (``up_by_r`` and ``down_by_r`` have one length).
+
+    Away from the junction a chain moves its radius by +-1, so one count of
+    2 R + (up) over the live transitions gives every cell: 0 a hold, 1 an
+    exit, 2 r + 1 and 2 r a move up and down from radius r >= 1.
+    """
+    live = np.arange(1, radii.shape[1]) <= n_end[:, None]
+    before, after = radii[:, :-1], radii[:, 1:]
+    up = after > before
+    moves = np.bincount((2 * before + up)[live], minlength=2 * int(radii.max(initial=0)) + 2)
+    up_by_r, down_by_r = moves[1::2].copy(), moves[::2].copy()
+    up_by_r[0] = down_by_r[0] = 0
+    return {"hold": int(moves[0]),
+            "exits": np.bincount(rays[:, 1:][live & up & (before == 0)],
+                                 minlength=params.N + 1)[1:],
             "up_by_r": up_by_r, "down_by_r": down_by_r}
 
 

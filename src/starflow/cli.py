@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import flip_batches, flip_realization, simulate_chain_batch, transition_counts
+from .chain import flip_batches, simulate_chain_batch, transition_counts
 from .config import RunConfig, load_config
 from .cv import cv_check_blocks
 from .errors import ConfigError, StarflowError
@@ -33,7 +33,10 @@ from .stats import (chi_square, chi_square_pvalue, updown_chi_square,
 from .svg import line_plot
 from .walk import WalkWindow, generate_walk, increment_blocks
 
-# fixed stream ids per purpose, so subcommands never share draws
+# fixed stream ids per purpose.  They do not keep subcommands apart:
+# flow-check's walk is the first 64 steps of cv-check's replica 0 (both read
+# STREAM_WALK), and from 600 flip replicas on, flip-check's streams
+# STREAM_FLIP * 1000 + 10 k (+ 1, + 2) run into convergence's 10_000 + rep
 STREAM_WALK, STREAM_ETA, STREAM_CHAIN, STREAM_FLIP, STREAM_SPOT = 1, 2, 3, 4, 5
 
 
@@ -117,41 +120,43 @@ def run_chain_donsker(cfg: RunConfig, out: Path) -> CheckList:
     return checks
 
 
-def _flip_replica_checks(params, cfg: RunConfig, replicas: int) -> tuple[int, np.ndarray]:
-    """(worst bound deviation, junction exits per ray) over the short flip
-    replicas; their batches are released when this returns."""
+def _flip_totals(params, seed: int, length: int, stream_ids,
+                 bound: bool) -> tuple[int, dict]:
+    """(worst bound deviation, transition counts) summed over the flip
+    realizations of the streams; the bound is left at 0 unless asked for.
+    Each batch is reduced to these before the next one is built."""
+    def reduce(batch):
+        worst = int(batch.bound_deviation().max()) if bound else 0
+        return worst, transition_counts(params, batch.rays, batch.radii, batch.n_end)
+
     worst = 0
-    exits = np.zeros(params.N, dtype=np.int64)
-    stream_ids = range(STREAM_FLIP * 1000, STREAM_FLIP * 1000 + 10 * replicas, 10)
-    for batch in flip_batches(params, cfg.length, cfg.seed, stream_ids):
-        worst = max(worst, int(batch.bound_deviation().max()))
-        # junction exits follow the marks, which are independent of the walk,
-        # so truncation at the last completed block cannot bias them
-        exits += batch.exit_counts()
-    return worst, exits
+    totals = dict.fromkeys(("exits", "up_by_r", "down_by_r"), np.zeros(0, dtype=np.int64))
+    for dev, counts in map(reduce, flip_batches(params, length, seed, stream_ids)):
+        worst = max(worst, dev)
+        totals = {key: _pad_add(total, counts[key]) for key, total in totals.items()}
+    return worst, totals
 
 
 def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     checks = CheckList()
     params = cfg.ray_params()
     replicas = max(cfg.replicas // 10, 10)
-    worst, exits = _flip_replica_checks(params, cfg, replicas)
+    # junction exits follow the marks, which are independent of the walk, so
+    # truncation at the last completed block cannot bias them
+    worst, short = _flip_totals(params, cfg.seed, cfg.length,
+                                range(STREAM_FLIP * 1000, STREAM_FLIP * 1000 + 10 * replicas, 10),
+                                bound=True)
     # interior up/down frequencies do get biased by that truncation (it is a
     # look-ahead boundary), and the bias does not average out over short
     # replicas; on long paths it is negligible, so count those separately
-    up_by_r = np.zeros(1, dtype=np.int64)
-    down_by_r = np.zeros(1, dtype=np.int64)
     long_len = max(cfg.length, 20 * cfg.replicas)
-    for r in range(5):
-        result = flip_realization(params, long_len, cfg.seed, STREAM_FLIP * 7919 + 10 * r)
-        counts = transition_counts(result.chain)
-        up_by_r = _pad_add(up_by_r, counts["up_by_r"])
-        down_by_r = _pad_add(down_by_r, counts["down_by_r"])
+    _, long = _flip_totals(params, cfg.seed, long_len,
+                           range(STREAM_FLIP * 7919, STREAM_FLIP * 7919 + 50, 10), bound=False)
     checks.add("flip_bound_max_deviation", worst, 2, worst <= 2)
-    stat, dof = chi_square(exits, params.alpha)
+    stat, dof = chi_square(short["exits"], params.alpha)
     p_exit = chi_square_pvalue(stat, dof)
     checks.add("flip_exit_chi2", p_exit, "> 0.005", p_exit > 0.005)
-    stat2, dof2 = updown_chi_square(up_by_r, down_by_r)
+    stat2, dof2 = updown_chi_square(long["up_by_r"], long["down_by_r"])
     p_ud = chi_square_pvalue(stat2, dof2)
     checks.add("flip_updown_chi2", p_ud, "> 0.005", p_ud > 0.005)
     _write_csv(out / "flip_check.csv", ["check", "value"],
@@ -181,18 +186,20 @@ def run_flow_check(cfg: RunConfig, out: Path) -> CheckList:
             bad_closed += 1
     checks.add("psi_cocycle_violations", bad_cocycle, 0, bad_cocycle == 0)
     checks.add("psi_closed_form_violations", bad_closed, 0, bad_closed == 0)
-    short = WalkWindow(0, walk.increments[:12])
+    # the exhaustive kernel and law windows, clamped to the walk
+    k_len, law_len = min(length, 12), min(length, 10)
+    short = WalkWindow(0, walk.increments[:k_len])
     bad_kernel = 0
-    for p in range(0, 13):
-        for n in range(p, 13):
+    for p in range(0, k_len + 1):
+        for n in range(p, k_len + 1):
             for radius in range(0, 4):
                 x = point(1, radius, params.N)
                 if kernel_compose(short, params, p, n, x) != \
                         kernel_closed_form(short, params, p, n, x):
                     bad_kernel += 1
     checks.add("kernel_closed_form_violations", bad_kernel, 0, bad_kernel == 0)
-    cond = kernel_is_conditional_law(WalkWindow(0, walk.increments[:10]), params,
-                                     0, 10, junction(params.N))
+    cond = kernel_is_conditional_law(WalkWindow(0, walk.increments[:law_len]), params,
+                                     0, law_len, junction(params.N))
     checks.add("kernel_conditional_law", cond, True, cond)
     _write_csv(out / "flow_check.csv", ["check", "violations"],
                [[r["name"], r["value"]] for r in checks.rows])

@@ -225,7 +225,8 @@ def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: in
 def closed_forms_from(fr: FlowRealization, p: int,
                       x: GraphPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(after, ray, radius) of Psi_{p,n}(x) for every n in [p, p_max], as
-    arrays indexed by n - p, for a lattice radius |x|.
+    arrays indexed by n - p, for a lattice radius |x| (ValueError for any
+    other).
 
     after[n] is n > the hitting time of -|x| by S_{p,.}, which for +-1 steps
     is min_{[p, n-1]} S_{p,.} <= -|x|.  Before the hit the radius is
@@ -238,6 +239,8 @@ def closed_forms_from(fr: FlowRealization, p: int,
     walk = fr.walk
     if not walk.p_min <= p <= walk.p_max:
         raise OutOfWindowError(f"index {p} outside [{walk.p_min}, {walk.p_max}]")
+    if x.radius % 1 != 0:
+        raise ValueError(f"radius {x.radius} is off the lattice")
     i = p - walk.p_min
     s = walk.values[i:] - walk.values[i]
     low = np.minimum.accumulate(s)

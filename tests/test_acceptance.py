@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from starflow.beta import beta_distance, beta_vertex_oracle
-from starflow.chain import (flip_batches, flip_realization, simulate_chain_batch,
-                            transition_counts)
+from starflow.chain import flip_batches, simulate_chain_batch, transition_counts
 from starflow.cv import (cv_deviation_batch, cv_forward_increments, cv_inverse_increments,
                          tau_sequence, taus_from_first_hits)
 from starflow.flows import (FlowRealization, kernel_closed_form, kernel_compose,
@@ -90,8 +89,8 @@ def test_criterion_3_flip():
     assert worst <= 2
     assert fact_violations == 0
     # transition frequencies on one 10^5-step realization, Bonferroni 1%
-    result = flip_realization(PARAMS, 100_000, SEED, 777)
-    counts = transition_counts(result.chain)
+    batch, = flip_batches(PARAMS, 100_000, SEED, [777])
+    counts = transition_counts(PARAMS, batch.rays, batch.radii, batch.n_end)
     assert counts["hold"] == 0  # immediate-exit chain never holds at 0
     stat_e, dof_e = chi_square(counts["exits"], PARAMS.alpha)
     p_exit = chi_square_pvalue(stat_e, dof_e)

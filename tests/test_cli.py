@@ -6,13 +6,15 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import starflow
-from starflow.cli import main
+from starflow import chain
+from starflow.cli import main, run_flip_check
 from starflow.config import ConfigError, parse_config
 
 SMALL = """
@@ -127,6 +129,34 @@ def test_flow_check_subcommand(small_config, tmp_path):
     assert main(["flow-check", "--config", str(small_config),
                  "--output-dir", str(out)]) == 0
     assert (out / "flow-check_manifest.json").exists()
+
+
+@pytest.mark.parametrize("length", range(2, 13))
+def test_flow_check_short_walks(length, tmp_path):
+    # the exhaustive kernel and law windows are clamped to the walk
+    path = tmp_path / "config.txt"
+    path.write_text(f"{SMALL}length = {length}\n")
+    out = tmp_path / "artifacts"
+    assert main(["flow-check", "--config", str(path), "--output-dir", str(out)]) == 0
+    assert (out / "flow_check.csv").exists()
+
+
+def test_flip_check_keeps_one_batch_alive(tmp_path, monkeypatch):
+    # each batch is reduced before the next one is built: 10 short replicas
+    # and 5 long paths of 70,000 steps, one row per batch
+    built = []
+    flip_batch = chain.flip_batch
+
+    def tracked(*args):
+        assert sum(ref() is not None for ref in built) == 0
+        batch = flip_batch(*args)
+        built.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(chain, "flip_batch", tracked)
+    cfg = parse_config(f"{SMALL}replicas = 100\nlength = 70000\n")
+    run_flip_check(cfg, tmp_path)
+    assert len(built) == 15
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

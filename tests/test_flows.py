@@ -302,3 +302,18 @@ def test_closed_forms_from_matches_scalar():
     for p in (-3, 7):
         with pytest.raises(OutOfWindowError):
             closed_forms_from(fr, p, junction(3))
+
+
+def test_closed_forms_from_rejects_off_lattice_radius():
+    # radius 1/2 on steps (-1, -1, 1, 1) once gave radius -1/2 at n = 1 and a
+    # hit that never happens; the scalar closed form raises for it too
+    fr = _fr([-1, -1, 1, 1], [1, 2, 3, 1])
+    for radius in (0.5, Fraction(1, 2), Fraction(5, 2)):
+        with pytest.raises(ValueError, match="off the lattice"):
+            closed_forms_from(fr, 0, point(2, radius, 3))
+    with pytest.raises(NegativeRadiusError):
+        psi_closed_form(fr, 0, 1, point(2, 0.5, 3))
+    # whole radii of any type are lattice radii
+    want = [a.tolist() for a in closed_forms_from(fr, 0, point(2, 2, 3))]
+    for radius in (2.0, Fraction(2)):
+        assert [a.tolist() for a in closed_forms_from(fr, 0, point(2, radius, 3))] == want

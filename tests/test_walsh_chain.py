@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
-                            CASE_TWO, _exit_ray, _step, draw_ray_marks, flip_batch,
-                            flip_batches, flip_excursions, flip_realization,
-                            flipped_product_chain, ray_mark_rows, simulate_chain,
+                            CASE_TWO, CASES, _chain_states, _exit_ray, _step, draw_ray_marks,
+                            flip_batch, flip_batches, flipped_product_chain, ray_mark_rows,
                             simulate_chain_batch, step_chain, transition_counts)
 from starflow.cv import reflected_path, tau_sequence, transform
 from starflow.graph import RayParams, junction, point
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square)
-from starflow.walk import WalkWindow, excursion_table, excursions_brute, generate_walk
+from starflow.walk import Excursion, WalkWindow, excursion_table, excursions_brute, generate_walk
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
@@ -69,14 +68,18 @@ def test_step_lazy_exit_rays():
         assert abs(hits[i] / n - target) < 3.5 * sigma
 
 
+def _radius_paths(n_steps, n_replicas, seed, stream, lazy):
+    """The (steps + 1, R) radii of ``_chain_states``, one chain per column."""
+    return np.array([radii.copy() for _, radii in
+                     _chain_states(PARAMS, n_steps, n_replicas, seed, stream, lazy)])
+
+
 def test_simulate_chain_lattice_moves():
-    path = simulate_chain(PARAMS, 500, 34, 0)
-    d = np.abs(np.diff(path.radii))
-    assert set(d.tolist()) <= {1}  # chain Q never holds
-    lazy = simulate_chain(PARAMS, 500, 34, 1, lazy=True)
-    dl = np.diff(lazy.radii)
-    holds = (dl == 0)
-    assert np.all(lazy.radii[:-1][holds] == 0)  # holds only at the junction
+    d = np.abs(np.diff(_radius_paths(500, 20, 34, 0, lazy=False), axis=0))
+    assert set(d.ravel().tolist()) <= {1}  # chain Q never holds
+    lazy = _radius_paths(500, 20, 34, 1, lazy=True)
+    holds = np.diff(lazy, axis=0) == 0
+    assert np.all(lazy[:-1][holds] == 0)  # holds only at the junction
 
 
 def _fold_step_chain(params, u, lazy):
@@ -94,28 +97,20 @@ def _fold_step_chain(params, u, lazy):
 
 @pytest.mark.parametrize("lazy", [False, True])
 def test_simulate_chain_batch_matches_folded_step_chain(lazy):
-    n_steps, n_replicas, seed = 200, 40, 35
-    for stream in range(5):
-        u = make_rng(seed, stream).random((n_steps, n_replicas))
-        rays, radii = _fold_step_chain(PARAMS, u, lazy)
-        got_rays, got_radii = simulate_chain_batch(PARAMS, n_steps, n_replicas, seed,
-                                                   stream, lazy=lazy)
-        assert np.array_equal(got_radii, radii[-1])
-        positive = radii[-1] > 0
-        assert np.array_equal(got_rays[positive], rays[-1][positive])
-        if not lazy:
-            assert np.all(got_radii % 2 == 0)  # parity lock of chain Q after even steps
-
-
-@pytest.mark.parametrize("lazy", [False, True])
-def test_simulate_chain_matches_folded_step_chain(lazy):
-    for stream in range(5):
-        u = make_rng(36, stream).random((300, 1))
-        rays, radii = _fold_step_chain(PARAMS, u, lazy)
-        path = simulate_chain(PARAMS, 300, 36, stream, lazy=lazy)
-        assert np.array_equal(path.radii, radii[:, 0])
-        positive = path.radii > 0
-        assert np.array_equal(path.rays[positive], rays[positive, 0])
+    # several horizons, so that intermediate states are checked too
+    n_replicas, seed = 40, 35
+    for n_steps in (1, 2, 7, 200):
+        for stream in range(5):
+            u = make_rng(seed, stream).random((n_steps, n_replicas))
+            rays, radii = _fold_step_chain(PARAMS, u, lazy)
+            got_rays, got_radii = simulate_chain_batch(PARAMS, n_steps, n_replicas, seed,
+                                                       stream, lazy=lazy)
+            assert np.array_equal(got_radii, radii[-1])
+            positive = radii[-1] > 0
+            assert np.array_equal(got_rays[positive], rays[-1][positive])
+            if not lazy:
+                # parity lock of chain Q
+                assert np.all(got_radii % 2 == n_steps % 2)
 
 
 @pytest.mark.parametrize("params", [PARAMS, RayParams.uniform(10)], ids=["default", "tenths"])
@@ -183,39 +178,49 @@ def _marks(seed, length, streams):
     return incs, eta, beta_aux
 
 
-def _flip(seed, length, stream):
-    incs, eta, beta_aux = _marks(seed, length, [stream])
-    s = WalkWindow(0, incs[0])
-    return flip_excursions(s, eta[0], beta_aux[0], PARAMS), s
-
-
 def _flip_rows(seed, length, streams):
-    """The flip realizations of _flip for many streams, as one batch."""
+    """The flip realizations of the given streams, as one batch."""
     incs, eta, beta_aux = _marks(seed, length, streams)
     return flip_batch(transform(incs), eta, beta_aux, PARAMS)
 
 
+def _flip_row(batch, r):
+    """Row r of a flip batch as the per-block reference gives it: (rays,
+    radii) up to the end of the last completed block, the taus, the block
+    case names, the excursions of the reflected path and whether a trailing
+    partial block was truncated."""
+    n = int(batch.n_end[r])
+    own = batch.exc.row == r
+    excs = [Excursion(*e) for e in zip(batch.exc.start[own].tolist(),
+                                       batch.exc.end[own].tolist(),
+                                       batch.exc.ordinal[own].tolist())]
+    cases = [CASES[c] for c in batch.cases[batch.block_row == r].tolist()]
+    return (batch.rays[r, : n + 1], batch.radii[r, : n + 1], np.flatnonzero(batch.t.is_tau[r]),
+            cases, excs, n < batch.rays.shape[1] - 1)
+
+
 def test_flip_radial_part_is_abs_s():
-    res, s = _flip(37, 300, 0)
-    n = len(res.chain)
-    assert np.array_equal(res.chain.radii, np.abs(s.values[:n]))
+    s = WalkWindow(0, _marks(37, 300, [0])[0][0])
+    _, radii, *_ = _flip_row(_flip_rows(37, 300, [0]), 0)
+    assert np.array_equal(radii, np.abs(s.values[: len(radii)]))
 
 
 def test_flip_block_boundaries_at_zero():
-    res, s = _flip(37, 300, 1)
-    for tau in res.taus:
+    s = WalkWindow(0, _marks(37, 300, [1])[0][0])
+    _, radii, taus, *_ = _flip_row(_flip_rows(37, 300, [1]), 0)
+    for tau in taus:
         assert s.values[tau] == 0
-        assert res.chain.radii[tau] == 0
+        assert radii[tau] == 0
 
 
 def test_flip_cases_exhaustive():
     seen = set()
-    for stream in range(60):
-        res, *_ = _flip(38, 200, stream)
-        assert len(res.block_cases) == len(res.taus) - 1
-        seen.update(res.block_cases)
-        for case, (lo, hi) in zip(res.block_cases,
-                                  zip(res.taus[:-1], res.taus[1:])):
+    batch = _flip_rows(38, 200, range(60))
+    for r in range(60):
+        _, _, taus, block_cases, *_ = _flip_row(batch, r)
+        assert len(block_cases) == len(taus) - 1
+        seen.update(block_cases)
+        for case, (lo, hi) in zip(block_cases, zip(taus[:-1], taus[1:])):
             assert case in (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
                             CASE_TWO)
             if case == CASE_NO_EXCURSION:
@@ -233,7 +238,7 @@ def test_proof_facts_pathwise():
 
 def _flip_reference(s_bar, s, eta, beta_aux):
     """The per-block flip loop, on brute-force excursions: (rays, radii,
-    taus, block cases, excursions, truncated) as flip_excursions gives them."""
+    taus, block cases, excursions, truncated) as _flip_row gives them."""
     sbar_vals = s_bar.values
     s_vals = s.values
     ybar = reflected_path(sbar_vals)
@@ -292,6 +297,36 @@ def _bound_reference(rays, radii, exc, s_bar, eta):
     return worst
 
 
+def _counts_reference(rays, radii):
+    """The per-time loop of the transition counts of one chain: holds, exits
+    per ray and the up and down moves by from-radius, as dicts."""
+    hold, exits, up, down = 0, {}, {}, {}
+    for k in range(len(radii) - 1):
+        a, b = int(radii[k]), int(radii[k + 1])
+        if a == 0 and b == 0:
+            hold += 1
+        elif a == 0:
+            exits[int(rays[k + 1])] = exits.get(int(rays[k + 1]), 0) + 1
+        else:
+            moves = up if b > a else down
+            moves[a] = moves.get(a, 0) + 1
+    return hold, exits, up, down
+
+
+def _as_dict(counts):
+    return {i: c for i, c in enumerate(counts.tolist()) if c}
+
+
+def _assert_counts(counts, hold, exits, up, down):
+    """transition_counts output against the reference's dicts."""
+    assert counts["hold"] == hold
+    assert len(counts["exits"]) == PARAMS.N
+    assert _as_dict(np.append(0, counts["exits"])) == exits
+    assert _as_dict(counts["up_by_r"]) == up
+    assert _as_dict(counts["down_by_r"]) == down
+    assert len(counts["up_by_r"]) == len(counts["down_by_r"])
+
+
 def _proof_facts_reference(s, s_bar):
     """The per-block loops of the proof facts (a) and (b)."""
     s_vals = s.values
@@ -318,27 +353,38 @@ def test_flip_batch_matches_per_block_reference_exhaustive(length):
     eta = rng.integers(1, 4, size=incs.shape)
     beta_aux = rng.integers(1, 4, size=incs.shape)
     batch = flip_batch(t, eta, beta_aux, PARAMS)
+    # flip_batches draws length // 2 marks of each kind per walk
+    assert batch.exc.ordinal.max(initial=0) <= length // 2
+    assert np.bincount(batch.block_row, minlength=len(incs)).max() <= length // 2
     bounds = batch.bound_deviation()
     facts = batch.proof_fact_violations()
+    hold, exits, up, down = 0, {}, {}, {}
     for r in range(len(incs)):
         s, s_bar = WalkWindow(0, incs[r]), WalkWindow(0, t.xbar[r])
         rays, radii, taus, cases, exc, truncated = _flip_reference(s_bar, s, eta[r],
                                                                    beta_aux[r])
-        got = batch.result(r)
-        assert np.array_equal(got.chain.rays, rays), incs[r]
-        assert np.array_equal(got.chain.radii, radii), incs[r]
-        assert np.array_equal(got.taus, taus), incs[r]
-        assert got.block_cases == cases, incs[r]
-        assert got.excursion_list == exc, incs[r]
-        assert got.truncated == truncated, incs[r]
+        got = _flip_row(batch, r)
+        assert np.array_equal(got[0], rays), incs[r]
+        assert np.array_equal(got[1], radii), incs[r]
+        assert np.array_equal(got[2], taus), incs[r]
+        assert got[3:] == (cases, exc, truncated), incs[r]
+        # past the last completed block the chain sits at ray 0
+        assert not batch.rays[r, len(rays):].any(), incs[r]
         assert bounds[r] == _bound_reference(rays, radii, exc, s_bar, eta[r]), incs[r]
         assert facts[r] == _proof_facts_reference(s, s_bar), incs[r]
+        row = _counts_reference(rays, radii)
+        hold += row[0]
+        for total, part in zip((exits, up, down), row[1:]):
+            for key, c in part.items():
+                total[key] = total.get(key, 0) + c
+    _assert_counts(transition_counts(PARAMS, batch.rays, batch.radii, batch.n_end),
+                   hold, exits, up, down)
 
 
 def test_flip_transition_law():
     # one long path: short truncated replicas bias the interior counts
-    res, *_ = _flip(41, 100_000, 0)
-    counts = transition_counts(res.chain)
+    batch = _flip_rows(41, 100_000, [0])
+    counts = transition_counts(PARAMS, batch.rays, batch.radii, batch.n_end)
     assert counts["hold"] == 0
     stat, dof = chi_square(counts["exits"], PARAMS.alpha)
     assert chi_square_pvalue(stat, dof) > 0.01
@@ -351,13 +397,13 @@ def test_product_chain_structure():
     y_bar = reflected_path(s_bar.values)
     exc = excursions_brute(y_bar)
     eta = draw_ray_marks(PARAMS, len(exc), 42, 1)
-    chain = flipped_product_chain(s_bar, eta, PARAMS)
-    n = len(chain)
-    assert np.array_equal(chain.radii, y_bar[:n])
+    rays, radii = flipped_product_chain(s_bar, eta)
+    n = len(radii)
+    assert np.array_equal(radii, y_bar[:n])
     for e in exc:
         if e.end < n:
-            seg = chain.rays[e.start : e.end + 1]
-            positive = chain.radii[e.start : e.end + 1] > 0
+            seg = rays[e.start : e.end + 1]
+            positive = radii[e.start : e.end + 1] > 0
             assert np.all(seg[positive] == eta[e.ordinal - 1])
 
 
@@ -365,8 +411,9 @@ def test_product_chain_transition_law():
     s_bar = generate_walk(0, 100_000, 43, 0)
     exc = excursion_table(reflected_path(s_bar.values)[None])
     eta = draw_ray_marks(PARAMS, len(exc.row), 43, 1)
-    chain = flipped_product_chain(s_bar, eta, PARAMS)
-    counts = transition_counts(chain)
+    rays, radii = flipped_product_chain(s_bar, eta)
+    counts = transition_counts(PARAMS, rays[None], radii[None],
+                               np.array([len(radii) - 1]))
     # junction row of the lazy matrix: hold 1/2, exit i with alpha_i/2
     cells = np.concatenate([[counts["hold"]], counts["exits"]])
     probs = np.concatenate([[0.5], [float(a) / 2 for a in PARAMS.alpha]])
@@ -399,26 +446,41 @@ def test_product_chain_matches_per_excursion_reference():
     for k, length in enumerate(lengths.tolist()):
         s_bar = generate_walk(0, length, 45, k + 1)
         eta = draw_ray_marks(PARAMS, length, 45, 10_000 + k)
-        chain = flipped_product_chain(s_bar, eta, PARAMS)
-        rays, radii = _product_chain_reference(s_bar, eta)
-        assert np.array_equal(chain.rays, rays)
-        assert np.array_equal(chain.radii, radii)
+        rays, radii = flipped_product_chain(s_bar, eta)
+        ref_rays, ref_radii = _product_chain_reference(s_bar, eta)
+        assert np.array_equal(rays, ref_rays)
+        assert np.array_equal(radii, ref_radii)
+        # the lazy chain holds at the junction; counts stop at n_end
+        for n_end in (len(radii) - 1, len(radii) // 2):
+            counts = transition_counts(PARAMS, rays[None], radii[None], np.array([n_end]))
+            _assert_counts(counts, *_counts_reference(ref_rays[: n_end + 1],
+                                                      ref_radii[: n_end + 1]))
+
+
+def _row_arrays(batch, r):
+    """Every array of row r of a flip batch, its excursions and blocks
+    included."""
+    own, blocks = batch.exc.row == r, batch.block_row == r
+    return [*(a[r] for a in batch.t), batch.ybar[r], batch.rays[r], batch.radii[r],
+            batch.n_end[r : r + 1], batch.exc.start[own], batch.exc.end[own],
+            batch.exc.ordinal[own], batch.marks[own], batch.cases[blocks]]
 
 
 def test_flip_batches_rows_are_flip_realizations():
+    # row r is the flip of the walk of stream k with marks from k + 1, k + 2
     length = 40_000  # three rows per batch
     ids = range(600, 670, 10)
     batches = list(flip_batches(PARAMS, length, 46, ids))
     assert [len(b.rays) for b in batches] == [3, 3, 1]
-    rows = [b.result(r) for b in batches for r in range(len(b.rays))]
-    for row, stream_id in zip(rows, ids, strict=True):
-        one = flip_realization(PARAMS, length, 46, stream_id)
-        assert np.array_equal(row.chain.rays, one.chain.rays)
-        assert np.array_equal(row.chain.radii, one.chain.radii)
-        assert np.array_equal(row.taus, one.taus)
-        assert row.block_cases == one.block_cases
-        assert row.excursion_list == one.excursion_list
-        assert row.truncated == one.truncated
+    rows = [(b, r) for b in batches for r in range(len(b.rays))]
+    for (batch, r), k in zip(rows, ids, strict=True):
+        one = flip_batch(transform(generate_walk(0, length, 46, k).increments[None]),
+                         draw_ray_marks(PARAMS, length, 46, k + 1)[None],
+                         draw_ray_marks(PARAMS, length, 46, k + 2)[None], PARAMS)
+        got, want = _row_arrays(batch, r), _row_arrays(one, 0)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_ray_mark_rows_match_draw_ray_marks():
