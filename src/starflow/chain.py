@@ -267,19 +267,27 @@ def flip_batches(params: RayParams, length: int, seed: int,
 
     For stream id k, the walk of `length` steps comes from stream k
     (``generate_walk``), the excursion marks eta from stream k + 1 and the
-    block marks from stream k + 2 (``draw_ray_marks``).  A completed block
-    or excursion spans at least two of the `length` values of S-bar, so
-    there are at most (length - 1) // 2 of each, and each mark stream gives
-    length // 2 marks; marks are prefix-stable, so they do not depend on
-    that count.  The generator keeps no array of a batch once it is yielded.
+    block marks from stream k + 2 (``draw_ray_marks``).  The generator keeps
+    no array of a batch once it is yielded.
     """
-    n_marks = length // 2
     for rows in row_blocks(len(stream_ids), length):
-        ids = stream_ids[rows]
-        yield flip_batch(transform(increment_rows(length, seed, ids)),
-                         ray_mark_rows(params, n_marks, seed, [sid + 1 for sid in ids]),
-                         ray_mark_rows(params, n_marks, seed, [sid + 2 for sid in ids]),
-                         params)
+        yield _flip_streams(params, length, seed, stream_ids[rows])
+
+
+def _flip_streams(params: RayParams, length: int, seed: int,
+                  ids: Sequence[int]) -> FlipBatch:
+    """The ``flip_batch`` of the walks of the streams ids.
+
+    Every excursion of Y-bar starts at a zero of Y-bar, and so does every
+    completed block, so each mark stream draws as many marks as the row with
+    the most zeros has; marks are prefix-stable, so they do not depend on
+    that count.  A random walk of n steps has on the order of sqrt(n) zeros.
+    """
+    t = transform(increment_rows(length, seed, ids))
+    n_marks = int(np.count_nonzero(t.sbar == t.runmax, axis=1).max())
+    return flip_batch(t, ray_mark_rows(params, n_marks, seed, [sid + 1 for sid in ids]),
+                      ray_mark_rows(params, n_marks, seed, [sid + 2 for sid in ids]),
+                      params)
 
 
 def _paint(shape: tuple[int, int], row, start, end, marks) -> np.ndarray:

@@ -9,6 +9,7 @@ code is nonzero when any check fails.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import json
@@ -120,6 +121,31 @@ def run_chain_donsker(cfg: RunConfig, out: Path) -> CheckList:
     return checks
 
 
+# glibc mallopt parameters and the ceilings of its adaptive thresholds on
+# 64-bit builds (DEFAULT_MMAP_THRESHOLD_MAX and twice it)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_MAX = 32 * 2**20
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc's malloc keep up to 64 MiB of freed heap for reuse.
+
+    flip-check builds and frees one batch of tens of MB after another.
+    glibc raises its trim threshold only to twice the largest freed mmap
+    chunk, a few MB here, so it returns each freed batch to the OS and the
+    next one faults the same pages in again.  This starts both thresholds
+    at the ceilings glibc's own adaptation stops at.  The setting holds for
+    the rest of the process; a C library without ``mallopt`` is left as it
+    is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX)
+    mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX)
+
+
 def _flip_totals(params, seed: int, length: int, stream_ids,
                  bound: bool) -> tuple[int, dict]:
     """(worst bound deviation, transition counts) summed over the flip
@@ -138,6 +164,7 @@ def _flip_totals(params, seed: int, length: int, stream_ids,
 
 
 def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
+    _keep_freed_heap()
     checks = CheckList()
     params = cfg.ray_params()
     replicas = max(cfg.replicas // 10, 10)

@@ -353,9 +353,10 @@ def test_flip_batch_matches_per_block_reference_exhaustive(length):
     eta = rng.integers(1, 4, size=incs.shape)
     beta_aux = rng.integers(1, 4, size=incs.shape)
     batch = flip_batch(t, eta, beta_aux, PARAMS)
-    # flip_batches draws length // 2 marks of each kind per walk
-    assert batch.exc.ordinal.max(initial=0) <= length // 2
-    assert np.bincount(batch.block_row, minlength=len(incs)).max() <= length // 2
+    # flip_batches draws as many marks of each kind as Y-bar has zeros
+    zeros = np.count_nonzero(batch.ybar == 0, axis=1)
+    assert np.all(np.bincount(batch.exc.row, minlength=len(incs)) <= zeros)
+    assert np.all(np.bincount(batch.block_row, minlength=len(incs)) <= zeros)
     bounds = batch.bound_deviation()
     facts = batch.proof_fact_violations()
     hold, exits, up, down = 0, {}, {}, {}
