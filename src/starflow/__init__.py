@@ -7,8 +7,8 @@ from .graph import (DiscreteMeasure, GraphPoint, RayParams, graph_distance,
                     junction, move_along, point)
 from .beta import beta_distance
 from .walk import NOT_HIT, Excursion, WalkWindow, generate_walk, random_increments
-from .cv import (cv_forward_increments, cv_inverse_increments, reflected_path,
-                 tau_sequence, taus_from_first_hits)
+from .cv import (cv_inverse_increments, reflected_path, tau_sequence,
+                 taus_from_first_hits, transform)
 from .chain import (FlipBatch, flip_batches, flipped_product_chain, simulate_chain_batch,
                     transition_counts)
 from .flows import (FlowRealization, kernel_closed_form, kernel_compose,
@@ -22,8 +22,8 @@ __all__ = [
     "DiscreteMeasure", "GraphPoint", "RayParams", "graph_distance", "junction",
     "move_along", "point", "beta_distance", "NOT_HIT",
     "Excursion", "WalkWindow", "generate_walk", "random_increments",
-    "cv_forward_increments", "cv_inverse_increments", "reflected_path",
-    "tau_sequence", "taus_from_first_hits", "FlipBatch", "flip_batches",
+    "cv_inverse_increments", "reflected_path", "tau_sequence",
+    "taus_from_first_hits", "transform", "FlipBatch", "flip_batches",
     "flipped_product_chain", "simulate_chain_batch", "transition_counts",
     "FlowRealization", "kernel_closed_form",
     "kernel_compose", "kernel_is_conditional_law", "psi_closed_form",

@@ -7,20 +7,29 @@ down draw holds at the junction.  A junction exit takes ray i with
 probability alpha_i (lazy: alpha_i / 2, from 2u - 1) by one clamped lookup
 on ``RayParams.alpha_cumulative``.
 
-``flip_batch`` realizes the coupling that builds an immediate-exit chain
+``flip_batch`` realizes the coupling that builds an immediate-exit chain M
 from a walk S and its transform S-bar = T(S) by assigning an independent ray
-mark to every excursion of the reflected path, following the block case
-analysis (no excursion / one excursion, two sub-cases / two excursions).  It
-reads S, S-bar, Y-bar and the tau positions from one ``cv.transform`` pass
-and flips a (replicas, steps) batch in one array pass: the blocks are
-classified from the tau positions and the excursion table, the ray is set at
-its change points and carried forward, and the bound and the proof facts are
-masks over the batch.  ``flip_batches`` draws replicas in batches of bounded
-size: each batch draws its walks and both mark arrays from one re-keyed
-Philox per array (``rng.stream_rows``) and maps each mark array to rays with
-one exit-ray lookup.  ``FlipBatch`` is the only flip result, and
-``transition_counts`` counts the live transitions of a batch of chains, the
-flipped ones and the product chain ``flipped_product_chain`` alike.
+mark to every excursion of the reflected path Y-bar.  M's radius is |S|, and
+its ray follows one rule: from each block boundary tau_l on it is the block's
+auxiliary mark, and one step after excursion i of Y-bar starts it is that
+excursion's mark eta_i, carried forward and 0 at the junction.  The blocks
+are classified by case (no excursion / one excursion, two sub-cases /
+two excursions) from the tau positions and the excursion table.  The flip
+reads S, S-bar, Y-bar and the taus from one ``cv.transform`` pass over a
+(replicas, steps) batch, and the bound and the proof facts are masks over
+the batch.  ``flip_batches`` draws replicas in batches of bounded size: each
+batch draws its walks and both mark arrays from one re-keyed Philox per array
+(``rng.stream_rows``) and maps each mark array to rays with one exit-ray
+lookup.
+
+The chain eta . Y-bar of ``flipped_product_chain`` is the discrete flow of
+mappings started at the junction and driven by -S-bar, with every departure
+inside excursion i given eta_i.  So the flip bound d(M_n, eta_i Y-bar_n) <= 2
+is the link from the chain stage to the flow stage: the flipped chain stays
+within 2 of that flow.  One change-point helper builds the ray of M, the
+marked path of the bound and the product chain.  ``FlipBatch`` is the only
+flip result, and ``transition_counts`` counts the live transitions of a batch
+of chains, the flipped ones and the product chain alike.
 """
 
 from __future__ import annotations
@@ -137,6 +146,26 @@ def _last_tau(is_tau: np.ndarray) -> np.ndarray:
     return is_tau.shape[1] - 1 - np.argmax(is_tau[:, ::-1], axis=1)
 
 
+def _carry(shape: tuple[int, int], row, pos, marks) -> np.ndarray:
+    """A (rows, width) int64 array whose row r holds at each column the mark
+    of row r's last change point (row[i], pos[i]) at or before it, and 0
+    before the first.  Every pos is below width; of change points at one
+    place, the one listed last wins."""
+    n_rows, width = shape
+    key = np.asarray(row) * width + pos
+    order = np.argsort(key, kind="stable")
+    key, marks = key[order], np.asarray(marks)[order]
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    key, marks = key[last], marks[last]
+    # each change point adds its mark less the one it replaces in its row
+    step = marks.astype(np.int64)
+    step[1:] -= np.where(key[1:] // width == key[:-1] // width, marks[:-1], 0)
+    carried = np.zeros((n_rows, width), dtype=np.int64)
+    np.put(carried, key, step)
+    return np.cumsum(carried, axis=1, out=carried)
+
+
 @dataclass
 class FlipBatch:
     """Flipped chains of R walks of L steps, as (R, L) arrays.
@@ -151,7 +180,6 @@ class FlipBatch:
     block's row and case (an index into CASES), in row-major order.
     """
 
-    params: RayParams
     t: Transform
     ybar: np.ndarray
     rays: np.ndarray
@@ -167,9 +195,14 @@ class FlipBatch:
         d(M_n, eta_i * Y-bar_n); excursions dropped with the truncated tail
         are left out."""
         kept = self.exc.end <= self.n_end[self.exc.row]
-        return _bound_deviation(self.rays, self.radii, self.ybar, self.exc.row[kept],
-                                self.exc.start[kept], self.exc.end[kept],
-                                self.marks[kept])
+        start, end = self.exc.start[kept], self.exc.end[kept]
+        # eta_i on [start, end] of each kept excursion i, 0 elsewhere
+        mark = _carry(self.rays.shape, np.repeat(self.exc.row[kept], 2),
+                      np.column_stack([start, end + 1]).ravel(),
+                      np.column_stack([self.marks[kept], np.zeros_like(start)]).ravel())
+        same_ray = (self.rays == 0) | (self.rays == mark) | (self.ybar == 0)
+        dev = np.where(same_ray, np.abs(self.radii - self.ybar), self.radii + self.ybar)
+        return np.where(mark > 0, dev, 0).max(axis=1, initial=0)
 
     def proof_fact_violations(self) -> np.ndarray:
         """Per row, the violations of the pathwise facts used in the flipping
@@ -179,20 +212,33 @@ class FlipBatch:
         (b) for k in [tau_l, tau_{l+1}]: Y-bar_k = 0 implies |S_{k+1}| <= 1, and
             S_{k+1} = 0 implies Y-bar_k = 0.
         """
-        return _proof_fact_violations(self.t.s, self.t.sbar, self.ybar, self.t.is_tau,
-                                      self.n_end)
+        sbar, ybar, is_tau = self.t.sbar, self.ybar, self.t.is_tau
+        cols = np.arange(sbar.shape[1])
+        last = self.n_end[:, None]
+        after = self.t.s[:, 1:]  # S_{k+1} in column k
+        # (a) at k = j + 1 for every j strictly inside block l = #(taus <= j) - 1
+        l = np.cumsum(is_tau, axis=1) - 1
+        bad_a = ~is_tau & (cols < last) & ((sbar == 2 * l + 1) != (after == 0))
+        # (b) at every k of every block [tau_l, tau_{l+1}]: a tau between two
+        # blocks is checked once for each
+        bad_b = ((ybar == 0) & (np.abs(after) > 1)).astype(np.int64) + \
+            ((after == 0) & (ybar != 0))
+        checks = ((cols <= last) & (last > 0)) + (is_tau & (cols > 0) & (cols < last))
+        return bad_a.sum(axis=1) + (bad_b * checks).sum(axis=1)
 
 
-def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray,
-               params: RayParams) -> FlipBatch:
+def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray) -> FlipBatch:
     """Flip every row of the transform pass t of a batch of walks at once.
 
     eta[r, i - 1] is the ray mark of the i-th excursion of row r's reflected
-    path and beta_aux[r, l] the auxiliary mark of its block l.  Each block
-    is classified by how many excursions it holds and where they end; the
-    ray is set where it changes (at tau_l, and at the first zero of S inside
-    the block in the late-excursion and two-excursion cases) and carried
-    forward.
+    path and beta_aux[r, l] the auxiliary mark of its block l.  M's ray
+    follows one rule: from tau_l on it is beta_aux[r, l], and one step after
+    excursion i starts it is eta_i; it is carried forward, and set to 0
+    where |S| = 0 and after n_end.  So on every kept excursion, from its
+    start + 1, M is off the junction only on the ray eta_i, and the flip
+    bound d(M_n, eta_i * Y-bar_n) <= 2 is the CV bound ||S_n| - Y-bar_n| <= 2.
+    Each completed block is classified by how many excursions it holds and
+    where the first one ends.
     """
     n_rows, length = t.sbar.shape
     ybar = t.runmax - t.sbar
@@ -200,10 +246,10 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray,
     is_tau = t.is_tau
     n_end = _last_tau(is_tau)
     t_row, t_pos = np.nonzero(is_tau)
+    t_ord = np.arange(len(t_row)) - np.searchsorted(t_row, t_row)
     # a tau opens a completed block when the next tau is in the same row
     opens = np.append(t_row[1:] == t_row[:-1], False)
     b_row, lo, hi = t_row[opens], t_pos[opens], t_pos[1:][opens[:-1]]
-    b_ord = (np.arange(len(t_row)) - np.searchsorted(t_row, t_row))[opens]
     if np.any(ybar[b_row, lo] != 0) or np.any(ybar[b_row, hi] != 0):
         raise AssertionError("reflected path must vanish at block ends")
     # an excursion lies in the block of the last tau at or before its start;
@@ -220,16 +266,13 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray,
     block = (np.cumsum(opens) - 1)[t_in]
     count = np.bincount(block, minlength=len(lo))
     marks = eta[exc.row, exc.ordinal - 1]
-    # first and second excursion of each block; the padding entry stands in
-    # where a block has fewer
-    start, end, mark = (np.append(a, 0) for a in (exc.start, exc.end, marks))
-    at = np.searchsorted(block, np.arange(len(lo)))
-    padded = np.append(inside, len(marks))
-    e1, e2 = padded[at], padded[np.minimum(at + 1, len(inside))]
+    # first excursion of each block; the padding entry stands in where a
+    # block has none
+    start, end = np.append(exc.start, 0), np.append(exc.end, 0)
+    e1 = np.append(inside, len(marks))[np.searchsorted(block, np.arange(len(lo)))]
     one = count == 1
     early = one & (end[e1] == hi - 2)
     late = one & (end[e1] == hi - 1)
-    two = count == 2
     if np.any((count == 0) & (hi != lo + 2)):
         raise AssertionError("blocks without excursions must have length 2")
     if np.any(late & (start[e1] + 1 != lo + 2)):
@@ -239,24 +282,11 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray,
     if np.any(count > 2):
         raise AssertionError("a block holds at most two excursions")
     cases = np.select([count == 0, early, late], [0, 1, 2], 3)
-    switch = late | two
-    first_ray = np.where((count == 0) | late, beta_aux[b_row, b_ord], mark[e1])
-    t_star = np.where(late, start[e1], start[e2]) + 1
-    second_ray = np.where(late, mark[e1], mark[e2])
-    # change points in row-major order: lo, then t_star where the ray switches
-    ch_row = np.column_stack([b_row, b_row]).ravel()
-    ch_pos = np.column_stack([lo, t_star]).ravel()
-    ch_ray = np.column_stack([first_ray, second_ray]).ravel()
-    keep = np.column_stack([np.ones_like(switch), switch]).ravel()
-    ch_row, ch_pos, ch_ray = ch_row[keep], ch_pos[keep], ch_ray[keep]
-    prev = np.zeros_like(ch_ray)
-    prev[1:] = np.where(ch_row[1:] == ch_row[:-1], ch_ray[:-1], 0)
-    rays = np.zeros((n_rows, length), dtype=np.int64)
-    rays[ch_row, ch_pos] = ch_ray - prev
-    np.cumsum(rays, axis=1, out=rays)
+    rays = _carry((n_rows, length), np.append(t_row, exc.row),
+                  np.append(t_pos, exc.start + 1), np.append(beta_aux[t_row, t_ord], marks))
     radii = np.abs(t.s[:, :length])
     rays[(radii == 0) | (np.arange(length) > n_end[:, None])] = 0
-    return FlipBatch(params, t, ybar, rays, radii, n_end, exc, marks, b_row, cases)
+    return FlipBatch(t, ybar, rays, radii, n_end, exc, marks, b_row, cases)
 
 
 def flip_batches(params: RayParams, length: int, seed: int,
@@ -279,35 +309,15 @@ def _flip_streams(params: RayParams, length: int, seed: int,
     """The ``flip_batch`` of the walks of the streams ids.
 
     Every excursion of Y-bar starts at a zero of Y-bar, and so does every
-    completed block, so each mark stream draws as many marks as the row with
-    the most zeros has; marks are prefix-stable, so they do not depend on
-    that count.  A random walk of n steps has on the order of sqrt(n) zeros.
+    block, at its tau, so each mark stream draws as many marks as the row
+    with the most zeros has; marks are prefix-stable, so they do not depend
+    on that count.  A random walk of n steps has on the order of sqrt(n)
+    zeros.
     """
     t = transform(increment_rows(length, seed, ids))
     n_marks = int(np.count_nonzero(t.sbar == t.runmax, axis=1).max())
     return flip_batch(t, ray_mark_rows(params, n_marks, seed, [sid + 1 for sid in ids]),
-                      ray_mark_rows(params, n_marks, seed, [sid + 2 for sid in ids]),
-                      params)
-
-
-def _paint(shape: tuple[int, int], row, start, end, marks) -> np.ndarray:
-    """A (rows, width) int64 array with marks[i] on [start[i], end[i]] of row
-    row[i], 0 elsewhere; a row's intervals are disjoint, in start order."""
-    n_rows, width = shape
-    painted = np.zeros((n_rows, width + 1), dtype=np.int64)
-    painted[row, start] = marks
-    painted[row, end + 1] -= marks
-    np.cumsum(painted, axis=1, out=painted)
-    return painted[:, :width]
-
-
-def _bound_deviation(rays, radii, ybar, row, start, end, marks) -> np.ndarray:
-    """Per row, the max over the listed excursions [start, end] of the row,
-    and the times n in them, of d(M_n, mark * Y-bar_n)."""
-    mark = _paint(rays.shape, row, start, end, marks)
-    same_ray = (rays == 0) | (rays == mark) | (ybar == 0)
-    dev = np.where(same_ray, np.abs(radii - ybar), radii + ybar)
-    return np.where(mark > 0, dev, 0).max(axis=1, initial=0)
+                      ray_mark_rows(params, n_marks, seed, [sid + 2 for sid in ids]))
 
 
 def flipped_product_chain(s_bar: WalkWindow,
@@ -322,8 +332,8 @@ def flipped_product_chain(s_bar: WalkWindow,
     zero = ybar == 0
     covered_to = int(np.flatnonzero(zero & np.append(True, zero[:-1]))[-1]) + 1
     radii = ybar[:covered_to]
-    rays = _paint((1, covered_to), exc.row, exc.start, exc.end,
-                  np.asarray(eta)[exc.ordinal - 1])[0]
+    # Y-bar is zero between excursions, so each mark needs no end
+    rays = _carry((1, covered_to), exc.row, exc.start, np.asarray(eta)[exc.ordinal - 1])[0]
     rays[radii == 0] = 0
     return rays, radii
 
@@ -349,19 +359,3 @@ def transition_counts(params: RayParams, rays: np.ndarray, radii: np.ndarray,
             "exits": np.bincount(rays[:, 1:][live & up & (before == 0)],
                                  minlength=params.N + 1)[1:],
             "up_by_r": up_by_r, "down_by_r": down_by_r}
-
-
-def _proof_fact_violations(s, sbar, ybar, is_tau, n_end) -> np.ndarray:
-    """Per row, the violations of the facts in ``FlipBatch.proof_fact_violations``."""
-    cols = np.arange(sbar.shape[1])
-    last = n_end[:, None]
-    after = s[:, 1:]  # S_{k+1} in column k
-    # (a) at k = j + 1 for every j strictly inside block l = #(taus <= j) - 1
-    l = np.cumsum(is_tau, axis=1) - 1
-    bad_a = ~is_tau & (cols < last) & ((sbar == 2 * l + 1) != (after == 0))
-    # (b) at every k of every block [tau_l, tau_{l+1}]: a tau between two
-    # blocks is checked once for each
-    bad_b = ((ybar == 0) & (np.abs(after) > 1)).astype(np.int64) + \
-        ((after == 0) & (ybar != 0))
-    checks = ((cols <= last) & (last > 0)) + (is_tau & (cols > 0) & (cols < last))
-    return bad_a.sum(axis=1) + (bad_b * checks).sum(axis=1)

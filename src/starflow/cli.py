@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import flip_batches, simulate_chain_batch, transition_counts
+from .chain import CASES, flip_batches, simulate_chain_batch, transition_counts
 from .config import RunConfig, load_config
 from .cv import cv_check_blocks
 from .errors import ConfigError, StarflowError
@@ -147,20 +147,29 @@ def _keep_freed_heap() -> None:
 
 
 def _flip_totals(params, seed: int, length: int, stream_ids,
-                 bound: bool) -> tuple[int, dict]:
-    """(worst bound deviation, transition counts) summed over the flip
-    realizations of the streams; the bound is left at 0 unless asked for.
-    Each batch is reduced to these before the next one is built."""
+                 bound: bool) -> tuple[int, dict, dict]:
+    """(worst bound deviation, transition counts, work counts) summed over
+    the flip realizations of the streams; the bound is left at 0 unless
+    asked for.  Each batch is reduced to these before the next one is built.
+    The work counts are the replicas, the walk steps drawn, the live
+    transitions counted (the sum of n_end) and the completed blocks by case.
+    """
     def reduce(batch):
         worst = int(batch.bound_deviation().max()) if bound else 0
-        return worst, transition_counts(params, batch.rays, batch.radii, batch.n_end)
+        return (worst, transition_counts(params, batch.rays, batch.radii, batch.n_end),
+                int(batch.n_end.sum()), np.bincount(batch.cases, minlength=len(CASES)))
 
-    worst = 0
+    worst, live, blocks = 0, 0, np.zeros(len(CASES), dtype=np.int64)
     totals = dict.fromkeys(("exits", "up_by_r", "down_by_r"), np.zeros(0, dtype=np.int64))
-    for dev, counts in map(reduce, flip_batches(params, length, seed, stream_ids)):
+    for dev, counts, n_end, cases in map(reduce, flip_batches(params, length, seed,
+                                                               stream_ids)):
         worst = max(worst, dev)
         totals = {key: _pad_add(total, counts[key]) for key, total in totals.items()}
-    return worst, totals
+        live += n_end
+        blocks += cases
+    work = {"replicas": len(stream_ids), "length": length, "steps": len(stream_ids) * length,
+            "live_transitions": live, "blocks": dict(zip(CASES, blocks.tolist()))}
+    return worst, totals, work
 
 
 def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
@@ -170,15 +179,22 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     replicas = max(cfg.replicas // 10, 10)
     # junction exits follow the marks, which are independent of the walk, so
     # truncation at the last completed block cannot bias them
-    worst, short = _flip_totals(params, cfg.seed, cfg.length,
-                                range(STREAM_FLIP * 1000, STREAM_FLIP * 1000 + 10 * replicas, 10),
-                                bound=True)
+    worst, short, short_work = _flip_totals(
+        params, cfg.seed, cfg.length,
+        range(STREAM_FLIP * 1000, STREAM_FLIP * 1000 + 10 * replicas, 10), bound=True)
     # interior up/down frequencies do get biased by that truncation (it is a
     # look-ahead boundary), and the bias does not average out over short
-    # replicas; on long paths it is negligible, so count those separately
+    # replicas, so those are counted on long paths.  The cut is not small
+    # there either: at 20,000 replicas of 1,000 steps and seed 4242, the five
+    # paths of 400,000 steps end their last block at 202,490, 379,826,
+    # 390,772, 101,750 and 1,068.  The manifest's work list records the live
+    # transitions each population counted.
     long_len = max(cfg.length, 20 * cfg.replicas)
-    _, long = _flip_totals(params, cfg.seed, long_len,
-                           range(STREAM_FLIP * 7919, STREAM_FLIP * 7919 + 50, 10), bound=False)
+    _, long, long_work = _flip_totals(
+        params, cfg.seed, long_len, range(STREAM_FLIP * 7919, STREAM_FLIP * 7919 + 50, 10),
+        bound=False)
+    checks.work = [{"population": "short replicas", **short_work},
+                   {"population": "long paths", **long_work}]
     checks.add("flip_bound_max_deviation", worst, 2, worst <= 2)
     stat, dof = chi_square(short["exits"], params.alpha)
     p_exit = chi_square_pvalue(stat, dof)

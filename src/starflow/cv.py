@@ -8,11 +8,11 @@ The transform is even (T(S) = T(-S)) and invertible up to global sign given
 the single extra bit S_1.
 
 ``transform`` is the one forward pass: it builds S, the boundaries, T's
-increments, S-bar and its running maximum of a step block, and the batch
-functions here and the excursion flip in ``chain`` all read it.  The batches
-run over row blocks of at most ``walk.ROW_BLOCK_STEPS`` steps, on int8 steps
-and int32 values.  ``tau_sequence`` keeps the literal int64 product and is
-their reference.
+increments, S-bar and its running maximum of a step block, and
+``cv_check_blocks`` and the excursion flip in ``chain`` both read it.  They
+take row blocks of at most ``walk.ROW_BLOCK_STEPS`` steps, on int8 steps and
+int32 values, and ``cv_inverse_increments`` runs over the same row blocks.
+``tau_sequence`` keeps the literal int64 product and is their reference.
 """
 
 from __future__ import annotations
@@ -129,32 +129,15 @@ def _deviation(t: Transform) -> np.ndarray:
     return np.abs((t.runmax - t.sbar) - np.abs(t.s[:, : t.sbar.shape[1]])).max(axis=1)
 
 
-def _batch(X: np.ndarray, min_length: int, what: str) -> tuple[np.ndarray, bool]:
-    """(X as a (R, n) batch, whether it was one (n,) walk); n >= min_length."""
-    X = np.asarray(X)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.shape[1] < min_length:
-        raise TooShortError(f"{what} needs walk length >= {min_length}")
-    return X, single
-
-
-def cv_forward_increments(X: np.ndarray) -> np.ndarray:
-    """Transform increments (int8); works on a (R, n) batch or a single (n,)
-    walk, one row block at a time."""
-    X, single = _batch(X, 2, "transform")
-    R, n = X.shape
-    out = np.empty((R, n - 1), dtype=np.int8)
-    for rows in row_blocks(R, n):
-        out[rows] = transform(X[rows]).xbar
-    return out[0] if single else out
-
-
 def cv_inverse_increments(Xbar: np.ndarray, epsilon) -> np.ndarray:
     """Inverse transform (int8); epsilon in {-1, +1} is the recovered first
     step, one per row."""
-    Xbar, single = _batch(Xbar, 1, "inverse transform")
+    Xbar = np.asarray(Xbar)
+    single = Xbar.ndim == 1
+    if single:
+        Xbar = Xbar[None, :]
+    if Xbar.shape[1] < 1:
+        raise TooShortError("inverse transform needs walk length >= 1")
     eps = np.asarray(epsilon).reshape(-1, 1)
     if not np.all(np.abs(eps) == 1):
         raise ValueError("epsilon must be +-1")
@@ -172,16 +155,6 @@ def reflected_path(bar_values: np.ndarray) -> np.ndarray:
     """Y-bar_n = max_{k<=n} S-bar_k - S-bar_n."""
     s = np.asarray(bar_values)
     return np.maximum.accumulate(s, axis=-1) - s
-
-
-def cv_deviation_batch(X: np.ndarray) -> np.ndarray:
-    """Per-walk max deviation | Y-bar - |S| | for a (R, n) increment batch."""
-    X, _ = _batch(X, 2, "transform")
-    R, n = X.shape
-    out = np.empty(R, dtype=np.int32)
-    for rows in row_blocks(R, n):
-        out[rows] = _deviation(transform(X[rows]))
-    return out
 
 
 class CvCheck(NamedTuple):

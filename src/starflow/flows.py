@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .chain import draw_ray_marks
 from .errors import NegativeRadiusError, OutOfWindowError, WindowTooLargeError
 from .graph import (DiscreteMeasure, GraphPoint, Radius, RayParams, junction, move_along,
                     point)
@@ -42,8 +43,6 @@ class FlowRealization:
     @classmethod
     def generate(cls, walk: WalkWindow, params: RayParams, seed: int,
                  eta_stream_id: int) -> "FlowRealization":
-        from .chain import draw_ray_marks
-
         n_marks = len(walk.increments)
         eta = draw_ray_marks(params, n_marks, seed, eta_stream_id)
         return cls(walk, eta, params)

@@ -14,8 +14,8 @@ import pytest
 
 from starflow.beta import beta_distance, beta_vertex_oracle
 from starflow.chain import flip_batches, simulate_chain_batch, transition_counts
-from starflow.cv import (cv_deviation_batch, cv_forward_increments, cv_inverse_increments,
-                         tau_sequence, taus_from_first_hits)
+from starflow.cv import (cv_check_blocks, cv_inverse_increments, tau_sequence,
+                         taus_from_first_hits, transform)
 from starflow.flows import (FlowRealization, kernel_closed_form, kernel_compose,
                             kernel_is_conditional_law, psi_closed_form, psi_compose)
 from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, junction, point)
@@ -23,7 +23,8 @@ from starflow.limit import convergence_profiles, rescale_path, wiener_kernel
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square,
                             walsh_marginal_check)
-from starflow.walk import WalkWindow, generate_walk, random_increments
+from starflow.walk import (WalkWindow, generate_walk, increment_blocks, random_increments,
+                           row_blocks)
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 SEED = 20260826
@@ -35,8 +36,7 @@ SEED = 20260826
 
 def test_criterion_1_cv_bound():
     t0 = time.time()
-    X = random_increments((10_000, 1_000), SEED, 1)
-    dev = cv_deviation_batch(X)
+    dev = cv_check_blocks(increment_blocks(10_000, 1_000, SEED, 1)).deviation
     violations = int((dev > 2).sum())
     elapsed = time.time() - t0
     assert violations == 0
@@ -53,7 +53,7 @@ def test_criterion_1_cv_bound():
 def test_criterion_2_cv_structure():
     t0 = time.time()
     X = random_increments((10_000, 1_000), SEED, 2)
-    bars = cv_forward_increments(X)
+    bars = np.concatenate([transform(X[rows]).xbar for rows in row_blocks(10_000, 1_000)])
     S = np.concatenate([np.zeros((10_000, 1), np.int64), np.cumsum(X, axis=1)], axis=1)
     Sbar = np.concatenate([np.zeros((10_000, 1), np.int64), np.cumsum(bars, axis=1)],
                           axis=1)
@@ -65,7 +65,8 @@ def test_criterion_2_cv_structure():
         assert np.array_equal(taus[:m], hits[:m])
         assert len(taus) == len(hits)
     # evenness T(S) = T(-S)
-    assert np.array_equal(bars, cv_forward_increments(-X))
+    assert all(np.array_equal(bars[rows], transform(-X[rows]).xbar)
+               for rows in row_blocks(10_000, 1_000))
     # inverse roundtrip and the exact preimage pair
     assert np.array_equal(cv_inverse_increments(bars, X[:, 0]), X)
     assert np.array_equal(cv_inverse_increments(bars, -X[:, 0]), -X)

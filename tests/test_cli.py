@@ -14,8 +14,10 @@ import pytest
 
 import starflow
 from starflow import chain
-from starflow.cli import main, run_flip_check
+from starflow.cli import STREAM_FLIP, main, run_flip_check
 from starflow.config import ConfigError, parse_config
+from starflow.cv import tau_sequence
+from starflow.walk import generate_walk
 
 SMALL = """
 N = 3
@@ -157,6 +159,29 @@ def test_flip_check_keeps_one_batch_alive(tmp_path, monkeypatch):
     cfg = parse_config(f"{SMALL}replicas = 100\nlength = 70000\n")
     run_flip_check(cfg, tmp_path)
     assert len(built) == 15
+
+
+def test_flip_check_manifest_work_counts(small_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["flip-check", "--config", str(small_config), "--output-dir", str(out)]) == 0
+    work = json.loads((out / "flip-check_manifest.json").read_text())["work"]
+    # 30 short replicas of 200 steps and 5 long paths of 20 * 300 steps
+    short, long = STREAM_FLIP * 1000, STREAM_FLIP * 7919
+    streams = {"short replicas": range(short, short + 300, 10),
+               "long paths": range(long, long + 50, 10)}
+    assert [(w["population"], w["replicas"], w["length"]) for w in work] == [
+        ("short replicas", 30, 200), ("long paths", 5, 6000)]
+    for w in work:
+        assert w["steps"] == w["replicas"] * w["length"]
+        assert sorted(w["blocks"]) == sorted(chain.CASES)
+        # each walk counts the transitions up to its last tau <= length - 1,
+        # over the blocks that end there, each at least 2 steps long
+        taus = [tau_sequence(generate_walk(0, w["length"], 42, k).values)
+                for k in streams[w["population"]]]
+        assert w["live_transitions"] == sum(int(t[-1]) for t in taus if len(t))
+        assert w["live_transitions"] <= w["replicas"] * (w["length"] - 1)
+        assert sum(w["blocks"].values()) == sum(len(t) for t in taus)
+        assert 0 < 2 * sum(w["blocks"].values()) <= w["live_transitions"]
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

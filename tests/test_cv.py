@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from starflow.cv import (cv_check_blocks, cv_deviation_batch, cv_forward_increments,
-                         cv_inverse_increments, reflected_path, tau_sequence,
-                         taus_from_first_hits, transform)
+from starflow.cv import (cv_check_blocks, cv_inverse_increments, reflected_path,
+                         tau_sequence, taus_from_first_hits, transform)
 from starflow.errors import TooShortError
 from starflow.rng import make_rng
 from starflow.stats import chi_square, chi_square_pvalue
@@ -26,27 +25,27 @@ def test_forward_worked_example():
     x = np.array([1, 1, -1, -1, -1])
     s = _path(x)
     assert tau_sequence(s).tolist() == [4]
-    assert cv_forward_increments(x).tolist() == [-1, 1, 1, 1]
     t = transform(x[None])
+    assert t.xbar[0].tolist() == [-1, 1, 1, 1]
     assert t.is_tau[0].tolist() == [True, False, False, False, True]
     assert t.sbar[0].tolist() == [0, -1, 0, 1, 2]
     y_bar = reflected_path(t.sbar[0])
     assert np.array_equal(y_bar, t.runmax[0] - t.sbar[0])
     deviation = np.abs(y_bar - np.abs(s[: len(y_bar)]))
     assert deviation.tolist() == [0, 0, 2, 1, 0]
-    assert cv_deviation_batch(x[None]).tolist() == [2]
+    assert cv_check_blocks([x[None]]).deviation.tolist() == [2]
 
 
 def test_transform_too_short():
     with pytest.raises(TooShortError):
         transform(np.array([[1]]))
     with pytest.raises(TooShortError):
-        cv_forward_increments(np.array([1]))
+        cv_check_blocks([np.array([[1]])])
 
 
 def test_forward_even_function():
     incs = _walks(50, 21, range(1_000))
-    assert np.array_equal(cv_forward_increments(incs), cv_forward_increments(-incs))
+    assert np.array_equal(transform(incs).xbar, transform(-incs).xbar)
 
 
 def test_tau_first_hit_consistency():
@@ -61,7 +60,7 @@ def test_tau_first_hit_consistency():
 
 def test_roundtrip():
     incs = _walks(100, 23, range(1_000))
-    back = cv_inverse_increments(cv_forward_increments(incs), incs[:, 0])
+    back = cv_inverse_increments(transform(incs).xbar, incs[:, 0])
     assert np.array_equal(back, incs)
 
 
@@ -70,17 +69,17 @@ def test_preimage_pair():
     plus = cv_inverse_increments(bars, 1)
     minus = cv_inverse_increments(bars, -1)
     assert np.array_equal(plus, -minus)
-    assert np.array_equal(cv_forward_increments(plus), bars)
-    assert np.array_equal(cv_forward_increments(minus), bars)
+    assert np.array_equal(transform(plus).xbar, bars)
+    assert np.array_equal(transform(minus).xbar, bars)
 
 
 def test_invariant_monotone_walk():
-    assert cv_deviation_batch(np.ones((1, 20), dtype=np.int64))[0] <= 2
+    assert cv_check_blocks([np.ones((1, 20), dtype=np.int8)]).deviation[0] <= 2
 
 
 def test_invariant_random_walks():
     incs = (make_rng(25, 0).integers(0, 2, size=(2_000, 200)) * 2 - 1).astype(np.int64)
-    bars = cv_forward_increments(incs)
+    bars = transform(incs).xbar
     s = np.cumsum(incs, axis=1)
     s_bar = np.cumsum(bars, axis=1)
     y_bar = np.maximum.accumulate(np.hstack([np.zeros((2_000, 1), dtype=np.int64),
@@ -95,17 +94,15 @@ def test_deviation_batch_matches_per_walk_formula():
     # reference: the per-walk formula | Y-bar - |S| | over the range of S-bar
     for k in range(200):
         x = generate_walk(0, 2 + 3 * k, 27, k).increments
-        y_bar = reflected_path(_path(cv_forward_increments(x)))
+        y_bar = reflected_path(_path(transform(x[None]).xbar[0]))
         expected = int(np.abs(y_bar - np.abs(_path(x)[: len(y_bar)])).max())
-        assert cv_deviation_batch(x[None])[0] == expected
-    with pytest.raises(TooShortError):
-        cv_deviation_batch(np.array([[1]]))
+        assert cv_check_blocks([x[None]]).deviation[0] == expected
 
 
 def test_transformed_walk_is_srw():
     # increment frequencies and lag-1 pair frequencies of S-bar
     incs = (make_rng(26, 0).integers(0, 2, size=(10_000, 40)) * 2 - 1).astype(np.int64)
-    bars = cv_forward_increments(incs)
+    bars = transform(incs).xbar
     ups = int((bars == 1).sum())
     stat, dof = chi_square(np.array([ups, bars.size - ups]), np.array([0.5, 0.5]))
     assert chi_square_pvalue(stat, dof) > 0.01
@@ -118,7 +115,7 @@ def test_transformed_walk_is_srw():
 def test_first_step_independent_of_transform():
     # chi-square independence between S_1 and the sign pattern of (Sbar_1, Sbar_2)
     incs = (make_rng(27, 0).integers(0, 2, size=(10_000, 30)) * 2 - 1).astype(np.int64)
-    bars = cv_forward_increments(incs)
+    bars = transform(incs).xbar
     s1 = incs[:, 0]
     pattern = (bars[:, 0] == 1) * 2 + (bars[:, 1] == 1)
     table = np.zeros((2, 4))
@@ -134,7 +131,7 @@ def test_cv_inverse_minimal_window():
     # m = 1 is the smallest legal input; the result has two increments
     x = cv_inverse_increments(np.array([1]), 1)
     assert len(x) == 2
-    assert cv_forward_increments(x).tolist() == [1]
+    assert transform(x[None]).xbar[0].tolist() == [1]
 
 
 def _cv_reference(X: np.ndarray, eps: np.ndarray):
@@ -170,9 +167,9 @@ def test_block_transforms_match_reference(length):
     eps = make_rng(32, length).integers(0, 2, size=rows) * 2 - 1
     bars, dev, back, is_tau = _cv_reference(X, eps)
     for block in row_blocks(rows, length):
-        assert np.array_equal(transform(X[block]).is_tau, is_tau[block])
-    assert np.array_equal(cv_forward_increments(X), bars)
-    assert np.array_equal(cv_deviation_batch(X), dev)
+        t = transform(X[block])
+        assert np.array_equal(t.is_tau, is_tau[block])
+        assert np.array_equal(t.xbar, bars[block])
     assert np.array_equal(cv_inverse_increments(bars, eps), back)
     assert np.array_equal(cv_inverse_increments(bars, X[:, 0]), X)
     blocks = [X[i : i + 100] for i in range(0, rows, 100)]
@@ -187,9 +184,9 @@ def test_monotone_walk_beyond_int32_product(step):
     X = np.full((1, 100_000), step, dtype=np.int8)
     assert tau_sequence(np.concatenate([[0], np.cumsum(X[0])])).size == 0
     bars, dev, back, is_tau = _cv_reference(X, X[:, 0])
-    assert np.array_equal(transform(X).is_tau, is_tau)
-    assert np.array_equal(cv_forward_increments(X[0]), bars[0])
-    assert np.array_equal(cv_deviation_batch(X), dev)
+    t = transform(X)
+    assert np.array_equal(t.is_tau, is_tau)
+    assert np.array_equal(t.xbar, bars)
     assert np.array_equal(cv_inverse_increments(bars, X[:, 0]), back)
     report = cv_check_blocks([X])
     assert np.array_equal(report.deviation, dev)

@@ -114,6 +114,43 @@ def test_package_exports_are_bound():
     assert [name for name in starflow.__all__ if not hasattr(starflow, name)] == []
 
 
+def _function_level_package_imports(tree: ast.AST) -> list[str]:
+    """Imports from inside the package made in a function body: relative
+    imports and imports of ``starflow``."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "starflow"):
+                found.append(f"from {'.' * node.level}{node.module or ''} import "
+                             f"(line {node.lineno})")
+            elif isinstance(node, ast.Import):
+                found += [f"import {alias.name} (line {node.lineno})" for alias in node.names
+                          if alias.name.split(".")[0] == "starflow"]
+    return sorted(set(found))
+
+
+def test_function_level_package_imports_are_found():
+    tree = ast.parse("from .chain import a\n"
+                     "def f():\n    from .chain import b\n    from scipy.optimize import c\n"
+                     "class K:\n    def g(self):\n        import starflow.walk\n"
+                     "        from starflow import d\n        from . import e\n")
+    assert _function_level_package_imports(tree) == [
+        "from . import (line 9)", "from .chain import (line 3)",
+        "from starflow import (line 8)", "import starflow.walk (line 7)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_function_level_package_imports(path):
+    # the package's modules import each other at module level, so an import
+    # cycle fails on import and not on the first call; imports of outside
+    # packages may stay lazy
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _function_level_package_imports(tree) == []
+
+
 def _direct_random_calls(tree: ast.AST) -> list[str]:
     """Calls into ``np.random`` / ``numpy.random`` and imports from it."""
     found = []

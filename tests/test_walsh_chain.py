@@ -11,6 +11,7 @@ from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
                             flip_batch, flip_batches, flipped_product_chain, ray_mark_rows,
                             simulate_chain_batch, step_chain, transition_counts)
 from starflow.cv import reflected_path, tau_sequence, transform
+from starflow.flows import FlowRealization, closed_forms_from
 from starflow.graph import RayParams, junction, point
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square)
@@ -181,7 +182,7 @@ def _marks(seed, length, streams):
 def _flip_rows(seed, length, streams):
     """The flip realizations of the given streams, as one batch."""
     incs, eta, beta_aux = _marks(seed, length, streams)
-    return flip_batch(transform(incs), eta, beta_aux, PARAMS)
+    return flip_batch(transform(incs), eta, beta_aux)
 
 
 def _flip_row(batch, r):
@@ -352,7 +353,7 @@ def test_flip_batch_matches_per_block_reference_exhaustive(length):
     rng = make_rng(45, length)
     eta = rng.integers(1, 4, size=incs.shape)
     beta_aux = rng.integers(1, 4, size=incs.shape)
-    batch = flip_batch(t, eta, beta_aux, PARAMS)
+    batch = flip_batch(t, eta, beta_aux)
     # flip_batches draws as many marks of each kind as Y-bar has zeros
     zeros = np.count_nonzero(batch.ybar == 0, axis=1)
     assert np.all(np.bincount(batch.exc.row, minlength=len(incs)) <= zeros)
@@ -458,6 +459,78 @@ def test_product_chain_matches_per_excursion_reference():
                                                       ref_radii[: n_end + 1]))
 
 
+def _flow_from_junction(s_bar, eta):
+    """(rays, radii) of the flow of mappings from the junction at time 0,
+    driven by -S-bar, with every departure inside excursion i given the mark
+    eta_i; the junction is on ray 0."""
+    exc = excursion_table(reflected_path(s_bar.values)[None])
+    marks = np.ones(len(s_bar), dtype=np.int64)
+    for start, end, ordinal in zip(exc.start.tolist(), exc.end.tolist(),
+                                   exc.ordinal.tolist()):
+        marks[start : end + 1] = eta[ordinal - 1]
+    fr = FlowRealization(WalkWindow(0, -s_bar.increments), marks, PARAMS)
+    _, rays, radii = closed_forms_from(fr, 0, junction(PARAMS.N))
+    return np.where(radii == 0, 0, rays), radii
+
+
+def _assert_product_chain_is_flow(s_bar, eta):
+    rays, radii = flipped_product_chain(s_bar, eta)
+    flow_rays, flow_radii = _flow_from_junction(s_bar, eta)
+    assert np.array_equal(radii, flow_radii[: len(radii)]), s_bar.increments
+    assert np.array_equal(rays, flow_rays[: len(rays)]), s_bar.increments
+
+
+def test_product_chain_is_the_flow_from_the_junction():
+    # the chain eta . Y-bar is the discrete flow of mappings started at the
+    # junction: every walk of length <= 12, then random walks up to 1000 steps
+    rng = make_rng(48, 0)
+    for length in range(1, 13):
+        for incs in itertools.product((1, -1), repeat=length):
+            _assert_product_chain_is_flow(WalkWindow(0, incs),
+                                          rng.integers(1, PARAMS.N + 1, size=length))
+    for k, length in enumerate(rng.integers(5, 1001, size=300).tolist()):
+        _assert_product_chain_is_flow(generate_walk(0, length, 48, k + 1),
+                                      draw_ray_marks(PARAMS, length, 48, 10_000 + k))
+
+
+def _assert_rays_follow_marks(batch):
+    """On every kept excursion, from its start + 1, M off the junction is on
+    the ray of the excursion's mark, and the flip bound is the max of
+    ||S_n| - Y-bar_n| over the times n of the kept excursions; the number of
+    kept excursions."""
+    dev = np.abs(batch.radii - batch.ybar)
+    want = np.zeros(len(batch.rays), dtype=np.int64)
+    kept = 0
+    for r, start, end, mark in zip(batch.exc.row.tolist(), batch.exc.start.tolist(),
+                                   batch.exc.end.tolist(), batch.marks.tolist()):
+        if end > batch.n_end[r]:
+            continue
+        kept += 1
+        off = batch.radii[r, start + 1 : end + 1] > 0
+        assert np.all(batch.rays[r, start + 1 : end + 1][off] == mark)
+        want[r] = max(want[r], dev[r, start : end + 1].max())
+    assert np.array_equal(batch.bound_deviation(), want)
+    return kept
+
+
+@pytest.mark.parametrize("length", range(3, 13))
+def test_flip_rays_follow_excursion_marks_exhaustive(length):
+    incs = np.array(list(itertools.product((1, -1), repeat=length)), dtype=np.int64)
+    rng = make_rng(49, length)
+    _assert_rays_follow_marks(flip_batch(transform(incs),
+                                         rng.integers(1, 4, size=incs.shape),
+                                         rng.integers(1, 4, size=incs.shape)))
+
+
+@pytest.mark.parametrize("params, length, rows", [(PARAMS, 100_000, 5),
+                                                   (RayParams.uniform(12), 1_000, 300)],
+                         ids=["long", "short_twelve_rays"])
+def test_flip_rays_follow_excursion_marks_on_batches(params, length, rows):
+    kept = [_assert_rays_follow_marks(b) for b in
+            flip_batches(params, length, 50, range(0, 10 * rows, 10))]
+    assert min(kept) > 0
+
+
 def _row_arrays(batch, r):
     """Every array of row r of a flip batch, its excursions and blocks
     included."""
@@ -477,7 +550,7 @@ def test_flip_batches_rows_are_flip_realizations():
     for (batch, r), k in zip(rows, ids, strict=True):
         one = flip_batch(transform(generate_walk(0, length, 46, k).increments[None]),
                          draw_ray_marks(PARAMS, length, 46, k + 1)[None],
-                         draw_ray_marks(PARAMS, length, 46, k + 2)[None], PARAMS)
+                         draw_ray_marks(PARAMS, length, 46, k + 2)[None])
         got, want = _row_arrays(batch, r), _row_arrays(one, 0)
         assert len(got) == len(want)
         for a, b in zip(got, want):
