@@ -144,12 +144,15 @@ def _measure(params: RayParams, spread: bool, ray: int, radius) -> DiscreteMeasu
 
 def grid_and_midpoints(n: int, s: float, t_end: float) -> np.ndarray:
     """Breakpoints k/n in [s, t_end] plus segment midpoints (where the sup of
-    a piecewise-linear expression in t can sit), plus the endpoints."""
+    a piecewise-linear expression in t can sit), plus the endpoints, sorted
+    and without repeats."""
     k_lo = int(math.ceil(s * n - 1e-9))
     k_hi = int(math.floor(t_end * n + 1e-9))
     ks = np.arange(k_lo, k_hi + 1) / n
     mids = (ks[:-1] + ks[1:]) / 2 if len(ks) > 1 else np.empty(0)
-    return np.unique(np.concatenate([[s, t_end], ks, mids]))
+    # sort and drop neighbours by hand: np.unique imports numpy.ma on first use
+    grid = np.sort(np.concatenate([[s, t_end], ks, mids]))
+    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
 def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,

@@ -11,6 +11,9 @@ half of the key is one 64-bit word, so seeds and stream ids lie in
 Philox per stream instead of building a generator each: a new generator
 also builds (and discards) a seed sequence from OS entropy, which costs more
 than the short draws of a replica.
+
+numpy.random is imported with this module, which numpy would otherwise do
+on the first draw, inside a run.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import operator
 from collections.abc import Callable, Iterable
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 
 def _key(seed: int, stream_id: int) -> np.ndarray:
@@ -30,21 +34,21 @@ def _key(seed: int, stream_id: int) -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
-def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
+def make_rng(seed: int, stream_id: int = 0) -> Generator:
     """Return a Generator for the (seed, stream_id) stream."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream_id)))
+    return Generator(Philox(key=_key(seed, stream_id)))
 
 
 def stream_rows(seed: int, stream_ids: Iterable[int],
-                draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
+                draw: Callable[[Generator], np.ndarray]) -> np.ndarray:
     """Row r is ``draw(make_rng(seed, stream_ids[r]))``, stacked.
 
     One Philox serves every stream.  Before each draw its state is reset to
     that of a new (seed, stream_id) generator: the key, a zero counter, an
     empty output buffer and no buffered 32-bit half.
     """
-    bit_generator = np.random.Philox(key=_key(seed, 0))
-    rng = np.random.Generator(bit_generator)
+    bit_generator = Philox(key=_key(seed, 0))
+    rng = Generator(bit_generator)
     fresh = bit_generator.state
     rows = []
     for stream_id in stream_ids:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -10,6 +11,7 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import starflow
@@ -267,14 +269,14 @@ def test_unknown_subcommand_rejected(small_config):
 
 
 # SHA-256 of every CSV and SVG that `starflow all` writes at SMALL with
-# x_radius = 0.5.  Manifests are left out: they echo the version and the
-# output directory.
+# x_radius = 0.5.  Manifests are left out: they echo the package, Python and
+# numpy versions and the output directory.
 GOLDEN_DIGESTS = {
-    "chain_donsker.csv": "966efbdcef0d74409bd2357215a657ec0de1e3be2e19cce8ee109b84d87e7be5",
+    "chain_donsker.csv": "ac122f1af2ac7d0c185d185a142ae51fa1b09ba2b44b2491febf616922c3d173",
     "convergence_beta.csv": "33d5a7a368cd00d0ecd42b0397682cff6dc1360fd9d201dab7b9d03adafb5940",
     "convergence_distance.csv": "f62ba8f4760c5560d54adec36f3522428a8b9ee1bbde2120a9e9d8bc932f30a8",
     "cv_check.csv": "85ecbf7ad265b79843a04b7329e6df4e348eaf3259cbf39236b9ddcfdd2ac1ab",
-    "flip_check.csv": "b0eb3279a113adcd602dbd09c39506f45fd824c27235bf0a3611c3e73330aa2e",
+    "flip_check.csv": "26420d78d9e9753527ed0b6f5677bab2b57a2ef5bd1bdb0e5622b26817782456",
     "flow_check.csv": "cf43f04203ef4091f673708a7025b68445e5058ca9670c05b176dec8c38a3511",
     "convergence.svg": "473e2a2656fbc5dde04ef57dca69457bb759a3b78ed722a6ca1f6ea0c23ead17",
 }
@@ -292,14 +294,59 @@ def test_all_artifacts_golden(tmp_path):
     assert digests == GOLDEN_DIGESTS
 
 
-def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    # the CLI needs only scipy.special; the LP oracle imports scipy.optimize
-    # when it is called
+def _run_python(code: str) -> str:
+    """Standard output of a fresh interpreter running code on this package."""
     src = str(Path(starflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = ("import sys, starflow.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    # the CLI needs no scipy; the LP oracle imports scipy.optimize when it is
+    # called
+    assert _run_python(
+        "import sys, starflow.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    ) == "[]"
+
+
+def test_cli_import_leaves_out_scipy():
+    # the p-values and the half-normal CDF are closed forms over math
+    assert _run_python("import sys, starflow.cli; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+                       ) == "[]"
+
+
+def test_runs_import_nothing_after_the_cli(tmp_path):
+    # every module a run needs is loaded with starflow.cli, so a timed run
+    # pays for no import: numpy loads numpy.random and numpy.ma lazily, and
+    # argparse the locale module
+    config = tmp_path / "config.txt"
+    config.write_text(SMALL)
+    out = tmp_path / "out"
+    assert _run_python(
+        "import sys, starflow.cli; before = set(sys.modules); "
+        f"code = starflow.cli.main(['all', '--config', {str(config)!r}, "
+        f"'--output-dir', {str(out)!r}]); "
+        "print(code, sorted(set(sys.modules) - before))").splitlines()[-1] == "0 []"
+
+
+def test_manifests_record_versions(small_config, tmp_path):
+    out = tmp_path / "out"
+    main(["all", "--config", str(small_config), "--output-dir", str(out)])
+    for path in sorted(out.glob("*_manifest.json")):
+        manifest = json.loads(path.read_text())
+        assert (manifest["version"], manifest["python"], manifest["numpy"]) == (
+            starflow.__version__, platform.python_version(), np.__version__)
+
+
+def test_chain_donsker_chi2_threshold_is_the_adjusted_level(small_config, tmp_path):
+    out = tmp_path / "out"
+    main(["chain-donsker", "--config", str(small_config), "--output-dir", str(out)])
+    rows = json.loads((out / "chain-donsker_manifest.json").read_text())["checks"]
+    chi2 = [row for row in rows if row["name"].endswith("_chi2")]
+    assert [row["threshold"] for row in chi2] == ["> 0.005", "> 0.005"]
+    assert all((row["status"] == "pass") == (row["value"] > 0.005) for row in chi2)

@@ -134,6 +134,17 @@ def test_grid_and_midpoints():
     assert len(ts) == 7
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 100, 1000, 10_000])
+@pytest.mark.parametrize("s, t_end", [(0.0, 1.0), (0.25, 1.0), (-0.37, 0.63), (0.1, 0.1)])
+def test_grid_and_midpoints_is_the_sorted_unique_mesh(n, s, t_end):
+    k_lo, k_hi = math.ceil(s * n - 1e-9), math.floor(t_end * n + 1e-9)
+    ks = np.arange(k_lo, k_hi + 1) / n
+    mids = (ks[:-1] + ks[1:]) / 2 if len(ks) > 1 else np.empty(0)
+    expected = np.unique(np.concatenate([[s, t_end], ks, mids]))
+    ts = grid_and_midpoints(n, s, t_end)
+    assert ts.dtype == expected.dtype and np.array_equal(ts, expected)
+
+
 def test_kernel_beta_zero_and_positive():
     w = ContinuousPath(1, 0, np.array([0.0, -1.0, 0.0]))
     a = wiener_kernel(w, PARAMS, 0.0, 2.0, junction(3))

@@ -183,3 +183,35 @@ def test_streams_come_from_rng(path):
     # every stream goes through the range-checked (seed, stream_id) key of rng
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _direct_random_calls(tree) == []
+
+
+def _module_level_packages(tree: ast.AST) -> list[str]:
+    """Outside packages imported when the module is imported: every absolute
+    import that is not inside a function body."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        found |= set(_module_level_packages(node))
+    return sorted(found)
+
+
+def test_module_level_packages_are_found():
+    tree = ast.parse("import numpy as np\nfrom . import walk\n"
+                     "try:\n    import scipy.special\nexcept ImportError:\n    pass\n"
+                     "class K:\n    from math import erf\n"
+                     "    def g(self):\n        from scipy.optimize import linprog\n"
+                     "def f():\n    import json\n")
+    assert _module_level_packages(tree) == ["math", "numpy", "scipy"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_level_scipy_import(path):
+    # importing the package loads no scipy: the production paths use none,
+    # and an oracle that does imports it when it is called
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "scipy" not in _module_level_packages(tree)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc, ndtr
 from scipy.stats import binom, norm
 
 from starflow.chain import simulate_chain_batch
@@ -81,10 +82,60 @@ def test_chi_square_sparse_cells():
         chi_square(np.array([10, 1]), np.array([0.999, 0.001]))
 
 
+def test_chi_square_pvalue_matches_chdtrc():
+    # the closed-form tail sum against scipy's cephes chdtrc, over stat in
+    # [0, 4 dof + 20]; below 1e-300 only the absolute error is meaningful
+    bad = []
+    for dof in [*range(1, 201), 499, 500, 1999, 2000, 5000]:
+        points = np.linspace(0.0, 4 * dof + 20, 241)
+        ref = chdtrc(dof, points)
+        p = np.array([chi_square_pvalue(stat, dof) for stat in points.tolist()])
+        off = np.abs(p - ref) > 1e-10 * ref + 1e-300
+        bad += [(dof, *row) for row in zip(points[off], p[off], ref[off])]
+    assert bad == []
+
+
+def test_chi_square_pvalue_edges():
+    assert chi_square_pvalue(0.0, 1) == 1.0
+    assert chi_square_pvalue(0.0, 7) == 1.0
+    assert chi_square_pvalue(1e-9, 100) == 1.0
+    # e^-1000 alone underflows; the scaled sum does not
+    assert chi_square_pvalue(2000.0, 2000) == pytest.approx(0.4958, abs=1e-4)
+    assert chi_square_pvalue(2000.0, np.int64(2000)) == chi_square_pvalue(2000.0, 2000)
+
+
+@pytest.mark.parametrize("dof", [0, -3])
+def test_chi_square_pvalue_rejects_dof_below_one(dof):
+    with pytest.raises(ValueError, match="dof"):
+        chi_square_pvalue(1.0, dof)
+
+
+@pytest.mark.parametrize("dof", [2.0, 2.5, "3"])
+def test_chi_square_pvalue_rejects_non_integer_dof(dof):
+    with pytest.raises(TypeError):
+        chi_square_pvalue(1.0, dof)
+
+
 def test_half_normal_cdf():
-    assert half_normal_cdf(0.0) == pytest.approx(0.0)
+    assert half_normal_cdf(0.0) == 0.0
     assert half_normal_cdf(1.0) == pytest.approx(2 * norm.cdf(1.0) - 1.0)
     assert half_normal_cdf(-1.0) == 0.0
+    assert np.all(half_normal_cdf(-np.linspace(1e-12, 10, 50)) == 0.0)
+
+
+def test_half_normal_cdf_matches_ndtr():
+    r = np.linspace(0.0, 8.0, 20_001)
+    assert np.max(np.abs(half_normal_cdf(r) - (2 * ndtr(r) - 1))) <= 1e-15
+
+
+def test_half_normal_cdf_keeps_shapes():
+    scalar = half_normal_cdf(0.5)
+    assert np.shape(scalar) == () and scalar == pytest.approx(2 * norm.cdf(0.5) - 1.0)
+    grid = np.linspace(-1.0, 3.0, 12).reshape(3, 4)
+    cdf = half_normal_cdf(grid)
+    assert cdf.shape == (3, 4) and cdf.dtype == np.float64
+    assert np.array_equal(cdf.ravel(), half_normal_cdf(grid.ravel()))
+    assert half_normal_cdf(np.empty(0)).shape == (0,)
 
 
 def test_updown_chi_square_balanced():
