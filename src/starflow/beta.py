@@ -242,8 +242,12 @@ def beta_vertex_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     LP optimum is the best feasible such solution.  Every row but the last
     (L + M <= 1) has right-hand side 0, so a nonsingular subset without it
     solves to the origin, whose value 0 is the floor of the max: only the
-    subsets through the last row are solved.  Exponential in the support
-    size, intended for <= 4 non-junction support points.
+    subsets through the last row are solved.  The other rows come in pairs
+    2i, 2i + 1 that swap under g -> -g, which maps each vertex to one of the
+    same |value|: of a subset and its mirror only the lexicographically
+    smaller is solved, and a subset that is its own mirror, which solves to
+    g = 0, not at all.  Exponential in the support size, intended for <= 4
+    non-junction support points.
     """
     pts, c = _signed_weights(P, Q)
     k = len(pts)
@@ -255,7 +259,10 @@ def beta_vertex_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     m, n = A.shape
     combos = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(m - 1), n - 1)), dtype=np.intp).reshape(-1, n - 1)
-    combos = np.hstack([combos, np.full((len(combos), 1), m - 1)])
+    mirror = np.sort(combos ^ 1, axis=1)
+    first = (combos != mirror).argmax(axis=1)[:, None]
+    keep = (np.take_along_axis(combos, first, 1) < np.take_along_axis(mirror, first, 1))[:, 0]
+    combos = np.hstack([combos[keep], np.full((int(keep.sum()), 1), m - 1)])
     sub_A = A[combos]                      # (subsets, n, n)
     sub_b = b[combos]
     dets = np.linalg.det(sub_A)

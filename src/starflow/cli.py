@@ -260,7 +260,8 @@ def run_convergence(cfg: RunConfig, out: Path) -> CheckList:
     replicas = 50 if cfg.replicas >= 1000 else max(cfg.replicas // 20, 5)
     x = point(cfg.x_ray, cfg.x_radius, params.N)
     beta_rows, dist_rows = [], []
-    checks.work = [{"n": n, "times": 0, "beta_evaluations": 0} for n in n_list]
+    checks.work = [{"n": n, "times": 0, "beta_pairs": 0, "beta_evaluations": 0}
+                   for n in n_list]
     for rep in range(replicas):
         def fr_for_n(n, rep=rep):
             horizon = int(math.ceil(n * (cfg.s + cfg.T))) + 1
@@ -272,8 +273,8 @@ def run_convergence(cfg: RunConfig, out: Path) -> CheckList:
                              checks.work):
             beta_rows.append([row["n"], rep, row["sup_beta"]])
             dist_rows.append([row["n"], rep, row["sup_distance"]])
-            work["times"] += row["times"]
-            work["beta_evaluations"] += row["beta_evaluations"]
+            for count in ("times", "beta_pairs", "beta_evaluations"):
+                work[count] += row[count]
     _write_csv(out / "convergence_beta.csv", ["n", "replica", "sup_beta"], beta_rows)
     _write_csv(out / "convergence_distance.csv", ["n", "replica", "sup_distance"],
                dist_rows)

@@ -13,9 +13,12 @@ mappings against its structural value (graph distance).  It works on arrays
 over the whole time mesh.  The discrete side is one ``closed_forms_from``
 pass from the fixed start time.  The Wiener side is the rescaled path at
 every mesh time, one prefix minimum and one hitting time.  The pair of
-measures repeats along the mesh, so ``beta_distance`` runs once per distinct
-pair and each distinct measure is built once; the graph distance is one
-array expression.
+measures repeats along the mesh, so the sup of beta is taken over the distinct
+pairs.  Each pair gets the upper bound W1 TV / (W1 + TV) from beta's two end
+slopes, computed from the pair's key without building measures; the exact
+``beta_distance`` runs on the pairs in order of decreasing bound and stops
+once no bound can raise the sup, so the sup is the same float as over every
+pair.  The graph distance is one array expression.
 """
 
 from __future__ import annotations
@@ -142,6 +145,61 @@ def _measure(params: RayParams, spread: bool, ray: int, radius) -> DiscreteMeasu
     return DiscreteMeasure.dirac(GraphPoint(ray, radius))
 
 
+def _measure_keys(spread, ray, radius) -> tuple[list, list, list]:
+    """Lists (spread, ray, radius) that name the measures of ``_measure`` one
+    to one: the ray is 0 for a spread, and the junction is (False, 0, 0.0)."""
+    on = radius > 0
+    return ((spread & on).tolist(), np.where(spread | ~on, 0, ray).tolist(),
+            np.where(on, radius, 0.0).tolist())
+
+
+def _beta_slopes(weights, p_spread, p_ray, p_radius, q_spread, q_ray, q_radius):
+    """(W1, TV): ``beta_distance``'s end slopes F'(0+) and -F'(1-) for
+    P = _measure(p_spread, p_ray, p_radius) and Q likewise with alpha =
+    weights, ray by ray without building the measures.
+
+    On ray i, P puts mass m at radius a and Q mass n at radius b (a = 0 where
+    m = 0).  With c = P - Q off the junction, TV = ||c||_1 and W1 is the cost
+    of moving c to the junction: (a - b) m + b |m - n| when a > b.
+    """
+    w1 = tv = 0
+    for i, alpha in enumerate(weights, 1):
+        a = p_radius if p_radius > 0 and (p_spread or i == p_ray) else 0
+        b = q_radius if q_radius > 0 and (q_spread or i == q_ray) else 0
+        m = (alpha if p_spread else 1) if a else 0
+        n = (alpha if q_spread else 1) if b else 0
+        if a == b:
+            w1 += a * abs(m - n)
+            tv += abs(m - n)
+        else:
+            w1 += (a - b) * m + b * abs(m - n) if a > b else (b - a) * n + a * abs(m - n)
+            tv += m + n
+    return w1, tv
+
+
+def _beta_bound(weights, *pair) -> float:
+    """An upper bound on beta for the pair of ``_beta_slopes``: F is concave
+    with F(0) = F(1) = 0, so F(L) <= min(L W1, (1 - L) TV), whose max is
+    W1 TV / (W1 + TV).  It is 0 only for equal measures."""
+    w1, tv = _beta_slopes(weights, *pair)
+    return w1 * tv / (w1 + tv) if tv else 0.0
+
+
+def _screened_sup(bounded, solve) -> tuple[float, int]:
+    """(max of 0 and solve(key) over every key, solves run) for (bound, key)
+    pairs whose bound is at least solve(key) up to rounding, and 0 only where
+    solve(key) is.  Keys are solved by decreasing bound until no bound can
+    raise the max; the margin is far above beta_distance's rounding (< 1e-15)
+    and keeps a key whose value rounds above its bound."""
+    sup, solved = 0.0, 0
+    for bound, key in sorted(bounded, key=lambda bound_key: bound_key[0], reverse=True):
+        if not bound or bound * (1 + 1e-9) + 1e-12 < sup:
+            break
+        sup = max(sup, solve(key))
+        solved += 1
+    return sup, solved
+
+
 def grid_and_midpoints(n: int, s: float, t_end: float) -> np.ndarray:
     """Breakpoints k/n in [s, t_end] plus segment midpoints (where the sup of
     a piecewise-linear expression in t can sit), plus the endpoints, sorted
@@ -165,8 +223,10 @@ def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
     kernel) and sup_distance is sup_t d(rescaled Psi, structural value with
     the realized rays), both on the same rescaled walk.  times: evaluation
     times for the sups; defaults to the full n-grid with midpoints.  Each row
-    also counts its mesh times and its beta evaluations (distinct pairs).
+    also counts its mesh times, its distinct pairs of measures and the beta
+    evaluations the sup took.
     """
+    weights = [float(a) for a in params.alpha]
     rows = []
     for n in n_list:
         fr = fr_for_n(n)
@@ -188,18 +248,19 @@ def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
         wt = w.value(ts)
         radius = np.where(after, wt - w.running_min(s, ts), float(x.radius) + wt - w.value(s))
         # beta is a function of its two measures, which repeat along the mesh:
-        # one call per distinct key, compared by exact float equality
-        keys = set(zip(after_n.tolist(), ray_n.tolist(), radius_n.tolist(),
-                       after.tolist(), radius.tolist()))
+        # distinct pairs, compared by exact float equality
+        keys = set(zip(*_measure_keys(after_n, ray_n, radius_n),
+                       *_measure_keys(after, x.ray, radius)))
         measure = functools.cache(functools.partial(_measure, params))
-        betas = [float(beta_distance(measure(spread, ray, r), measure(hit, x.ray, r_limit)))
-                 for spread, ray, r, hit, r_limit in keys]
-        sup_beta = max([0.0, *betas])
+        sup_beta, solved = _screened_sup(
+            ((_beta_bound(weights, *key), key) for key in keys),
+            lambda key: float(beta_distance(measure(*key[:3]), measure(*key[3:]))))
         # after the hit the structural value sits on the realized ray
         phi_ray = np.where(radius > 0, np.where(after, ray_n, x.ray), params.N)
         phi = np.where(radius > 0, radius, 0.0)
         d = np.where(ray_n == phi_ray, np.abs(radius_n - phi), radius_n + phi)
         sup_d = float(d.max(initial=0.0))
         rows.append({"n": n, "sup_beta": sup_beta, "sup_distance": sup_d,
-                     "times": len(ts), "beta_evaluations": len(keys)})
+                     "times": len(ts), "beta_pairs": len(keys),
+                     "beta_evaluations": solved})
     return rows

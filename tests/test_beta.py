@@ -132,6 +132,42 @@ def test_vertex_oracle_matches_full_subset_enumeration():
         assert beta_vertex_oracle(p, q) == _vertex_reference(p, q), (p, q)
 
 
+def _vertex_unhalved(P, Q):
+    """The vertex oracle solving every subset through the last row, a subset
+    and its mirror under g -> -g both."""
+    pts, c = _signed_weights(P, Q)
+    k = len(pts)
+    if k == 0:
+        return 0.0
+    A, b = _constraint_rows(pts)
+    m, n = A.shape
+    combos = np.array([(*rows, m - 1) for rows in itertools.combinations(range(m - 1), n - 1)])
+    sub_A = A[combos]
+    sub_b = b[combos]
+    dets = np.linalg.det(sub_A)
+    good = np.abs(dets) > 1e-10
+    verts = np.linalg.solve(sub_A[good], sub_b[good][..., None])[..., 0]
+    feas = np.all(A @ verts.T <= b[:, None] + _FEAS_TOL, axis=0)
+    vals = verts[feas][:, :k] @ c
+    return float(np.abs(vals).max(initial=0.0))
+
+
+def test_vertex_oracle_matches_unhalved_enumeration():
+    # a mirrored subset solves to the mirrored vertex, whose value has the
+    # same absolute value, so solving one of each pair gives the same float
+    rng = make_rng(19, 0)
+    wanted = {1: 30, 2: 30, 3: 30, 4: 5}
+    while any(wanted.values()):
+        p, q = random_measure(rng), random_measure(rng)
+        if rng.random() < 0.5:
+            p, q = _jitter_radii(rng, p), _jitter_radii(rng, q)
+        k = len(_signed_weights(p, q)[0])
+        if wanted.get(k, 0) == 0:
+            continue
+        wanted[k] -= 1
+        assert beta_vertex_oracle(p, q) == _vertex_unhalved(p, q), (p, q)
+
+
 def test_oracle_support_limits():
     five = DiscreteMeasure((point(ray, radius, 3), Fraction(1, 5))
                            for ray, radius in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2)))

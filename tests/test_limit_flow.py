@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import starflow.limit
-from starflow.beta import beta_distance, beta_lp_oracle
+from starflow.beta import _rays, beta_distance, beta_lp_oracle
 from starflow.errors import OutOfDomainError
 from starflow.flows import FlowRealization, kernel_closed_form, psi_closed_form
 from starflow.graph import GraphPoint, RayParams, graph_distance, junction, point
-from starflow.limit import (NOT_HIT, ContinuousPath, convergence_profiles, floor_time,
+from starflow.limit import (NOT_HIT, ContinuousPath, _beta_bound, _beta_slopes, _measure,
+                            _screened_sup, convergence_profiles, floor_time,
                             grid_and_midpoints, rescale_path, tau_hit, wiener_kernel)
+from starflow.rng import make_rng
 from starflow.walk import generate_walk
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
@@ -253,13 +255,93 @@ def test_convergence_profiles_one_beta_per_distinct_pair(monkeypatch, rescale_me
     row, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, [n])
     mesh = grid_and_midpoints(n, 0.0, 1.0)
     assert row["times"] == len(mesh)
-    assert len(calls) == row["beta_evaluations"] < len(mesh)
-    # every distinct pair of measures along the mesh is still evaluated
+    assert 0 < len(calls) == row["beta_evaluations"] < row["beta_pairs"] < len(mesh)
+    # the distinct pairs of measures along the mesh, from the definitions
     fr = fr_for_n(n)
     w = rescale_path(fr.walk, n)
-    pairs = {(frozenset(rescale_measure(kernel_closed_form(
-                  fr.walk, PARAMS, 0, floor_time(n * t), point(2, 5, 3)), n).atoms.items()),
-              frozenset(wiener_kernel(w, PARAMS, 0.0, t, x).atoms.items()))
-             for t in mesh}
-    assert pairs == {(frozenset(p.atoms.items()), frozenset(q.atoms.items()))
-                     for p, q in calls}
+    pairs = {}
+    for t in mesh:
+        p = rescale_measure(kernel_closed_form(fr.walk, PARAMS, 0, floor_time(n * t),
+                                               point(2, 5, 3)), n)
+        q = wiener_kernel(w, PARAMS, 0.0, t, x)
+        pairs[frozenset(p.atoms.items()), frozenset(q.atoms.items())] = p, q
+    assert len(pairs) == row["beta_pairs"]
+    # no pair is solved twice, and no pair left out can raise the sup
+    solved = [(frozenset(p.atoms.items()), frozenset(q.atoms.items())) for p, q in calls]
+    assert len(set(solved)) == len(solved) and set(solved) <= set(pairs)
+    for key in set(pairs) - set(solved):
+        assert beta_distance(*pairs[key]) <= row["sup_beta"]
+
+
+@pytest.mark.parametrize("n, walk_seed", [(256, 60), (1000, 61)])
+def test_convergence_profiles_screened_sup_equals_full_sup(monkeypatch, n, walk_seed):
+    # from the junction many pairs tie at the sup: bit for bit at n = 256,
+    # up to the last bits at n = 1000
+    fr_for_n = _fr_from(0.0, walk_seed)
+    row, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, junction(3), [n])
+    betas = []
+
+    def recording_beta(p, q):
+        betas.append(beta_distance(p, q))
+        return betas[-1]
+
+    monkeypatch.setattr(starflow.limit, "beta_distance", recording_beta)
+    monkeypatch.setattr(starflow.limit, "_beta_bound", lambda *pair: math.inf)
+    full, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, junction(3), [n])
+    assert full["beta_evaluations"] == full["beta_pairs"] == row["beta_pairs"] == len(betas)
+    assert row["beta_evaluations"] < row["beta_pairs"]
+    assert sum(full["sup_beta"] - b < 1e-12 for b in betas) > 1
+    assert row["sup_beta"] == full["sup_beta"] == max(betas)
+
+
+def test_screened_sup_keeps_values_that_round_above_their_bound():
+    # B's value rounds 2e-16 above its bound (beta_distance's float excess
+    # over the bound reaches about 4e-16) and above A's value, which is
+    # solved first: the margin must keep B
+    values = {"A": 0.25 - 1e-16, "B": 0.25, "C": 0.1, "equal": 0.0}
+    bounded = [(0.25, "A"), (0.25 - 2e-16, "B"), (0.2, "C"), (0.0, "equal")]
+    assert _screened_sup(bounded, values.get) == (0.25, 2)
+    assert _screened_sup([(0.0, "equal")], values.get) == (0.0, 0)
+
+
+def _sides(radius):
+    """(spread, ray, radius) keys of _measure at one radius: the junction
+    (reached two ways), the Dirac on each ray and the spread."""
+    return [(False, 2, 0.0), (True, 1, 0.0), (True, 1, radius),
+            *((False, ray, radius) for ray in (1, 2, 3))]
+
+
+def _radius_pairs(rng, count):
+    """count pairs of each kind: equal, 1 ulp apart, below 1e-7, random."""
+    for _ in range(count):
+        a, b = (float(r) for r in rng.uniform(0.0, 3.0, size=2))
+        yield a, a
+        yield a, math.nextafter(a, math.inf)
+        yield a * 3e-8, b * 3e-8
+        yield a, b
+
+
+def test_beta_bound_is_an_upper_bound():
+    weights = [float(a) for a in PARAMS.alpha]
+    rng = make_rng(67, 0)
+    for a, b in _radius_pairs(rng, 60):
+        for p, q in itertools.product(_sides(a), _sides(b)):
+            p_measure, q_measure = _measure(PARAMS, *p), _measure(PARAMS, *q)
+            bound = _beta_bound(weights, *p, *q)
+            assert bound >= beta_distance(p_measure, q_measure) - 1e-15, (p, q)
+            # the screen drops bound-0 pairs unsolved
+            assert (bound == 0) == (p_measure == q_measure), (p, q)
+
+
+def test_beta_slopes_are_beta_distance_end_slopes():
+    rng = make_rng(68, 0)
+    for _ in range(40):
+        a, b = (Fraction(int(k), 7) for k in rng.integers(1, 15, size=2))
+        for p, q in itertools.product(_sides(a), _sides(b)):
+            rays, exact = _rays(_measure(PARAMS, *p), _measure(PARAMS, *q))
+            assert exact
+            # F'(0+) and F'(1-) as beta_distance derives them
+            slope_lo = sum(d * abs(tail) for gaps, masses in rays
+                           for d, tail in zip(gaps, itertools.accumulate(masses)))
+            slope_hi = -sum(abs(c) for _, masses in rays for c in masses)
+            assert _beta_slopes(PARAMS.alpha, *p, *q) == (slope_lo, -slope_hi), (p, q)
