@@ -21,10 +21,13 @@ there extends to the whole graph (Lipschitz extension with truncation):
 * ``beta_grid_oracle``   - brute-force grid search (<= 2 free values);
 * ``beta_vertex_oracle`` - enumeration of the polytope's vertices (<= 4 free
                            values), independent of the LP solver's pivoting.
+                           It solves a table of row subsets built once per
+                           support size, in chunks of a fixed size.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -35,6 +38,7 @@ from .graph import DiscreteMeasure, GraphPoint, graph_distance
 _FEAS_TOL = 1e-9
 _FLOAT_GAP = 1e-14  # cutting-plane stop for float input: a few roundings
 _GRID_STEP = 1e-3  # spacing of beta_grid_oracle's g-values
+_VERTEX_CHUNK = 4096  # subsets beta_vertex_oracle solves at once
 # HiGHS's default 1e-7 feasibility tolerance lets the LP overshoot beta by up
 # to about 1e-7 when radii are below about 1e-6
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -235,6 +239,27 @@ def beta_grid_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     return float(np.abs(vals).max(initial=0.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _vertex_subsets(m: int, n: int) -> np.ndarray:
+    """Read-only int8 table of the n-subsets of m rows that the vertex oracle
+    solves: each holds the last row m - 1 and n - 1 rows of the pairs
+    (2i, 2i + 1) below it, and is kept when the first pair it holds only one
+    row of gives its even row.  That is the lexicographically smaller of the
+    subset and its mirror under 2i <-> 2i + 1; self-mirrors hold no lone row
+    and are dropped."""
+    combos = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(m - 1), n - 1)), dtype=np.int8).reshape(-1, n - 1)
+    pair = combos >> 1  # rows are sorted, so the two rows of a pair sit side by side
+    edge = np.ones((len(combos), 1), dtype=bool)
+    lone = (np.hstack([edge, pair[:, 1:] != pair[:, :-1]])
+            & np.hstack([pair[:, :-1] != pair[:, 1:], edge]))
+    first = np.take_along_axis(combos, lone.argmax(axis=1)[:, None], 1)[:, 0]
+    keep = lone.any(axis=1) & (first % 2 == 0)
+    table = np.hstack([combos[keep], np.full((int(keep.sum()), 1), m - 1, dtype=np.int8)])
+    table.flags.writeable = False
+    return table
+
+
 def beta_vertex_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     """Exact optimum by enumerating basic feasible points of the polytope.
 
@@ -246,8 +271,10 @@ def beta_vertex_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     2i, 2i + 1 that swap under g -> -g, which maps each vertex to one of the
     same |value|: of a subset and its mirror only the lexicographically
     smaller is solved, and a subset that is its own mirror, which solves to
-    g = 0, not at all.  Exponential in the support size, intended for <= 4
-    non-junction support points.
+    g = 0, not at all.  The subsets depend only on the support size, so their
+    table is built once per size; it is solved in chunks of a fixed number of
+    subsets, each n x n system factored on its own.  Exponential in the support size,
+    intended for <= 4 non-junction support points.
     """
     pts, c = _signed_weights(P, Q)
     k = len(pts)
@@ -256,18 +283,15 @@ def beta_vertex_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     if k > 4:
         raise ValueError("vertex oracle supports at most 4 free g-values")
     A, b = _constraint_rows(pts)
-    m, n = A.shape
-    combos = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(m - 1), n - 1)), dtype=np.intp).reshape(-1, n - 1)
-    mirror = np.sort(combos ^ 1, axis=1)
-    first = (combos != mirror).argmax(axis=1)[:, None]
-    keep = (np.take_along_axis(combos, first, 1) < np.take_along_axis(mirror, first, 1))[:, 0]
-    combos = np.hstack([combos[keep], np.full((int(keep.sum()), 1), m - 1)])
-    sub_A = A[combos]                      # (subsets, n, n)
-    sub_b = b[combos]
-    dets = np.linalg.det(sub_A)
-    good = np.abs(dets) > 1e-10
-    verts = np.linalg.solve(sub_A[good], sub_b[good][..., None])[..., 0]
-    feas = np.all(A @ verts.T <= b[:, None] + _FEAS_TOL, axis=0)
-    vals = verts[feas][:, :k] @ c
-    return float(np.abs(vals).max(initial=0.0))
+    table = _vertex_subsets(*A.shape)
+    best = 0.0
+    for start in range(0, len(table), _VERTEX_CHUNK):
+        combos = table[start:start + _VERTEX_CHUNK]
+        sub_A = A[combos]                  # (subsets, n, n)
+        sub_b = b[combos]
+        good = np.abs(np.linalg.det(sub_A)) > 1e-10
+        verts = np.linalg.solve(sub_A[good], sub_b[good][..., None])[..., 0]
+        feas = np.all(A @ verts.T <= b[:, None] + _FEAS_TOL, axis=0)
+        vals = verts[feas][:, :k] @ c
+        best = max(best, float(np.abs(vals).max(initial=0.0)))
+    return best

@@ -31,6 +31,11 @@ class RunConfig:
     output_dir: str = "artifacts"
 
     def ray_params(self) -> RayParams:
+        if self.N < 1:
+            raise ConfigError(f"N: need >= 1, got {self.N}")
+        if len(self.alpha) != self.N:
+            raise ConfigError(f"N, alpha: alpha has {len(self.alpha)} entries, "
+                              f"need N = {self.N}")
         try:
             return RayParams(self.N, self.alpha)
         except ValueError as exc:

@@ -209,11 +209,10 @@ def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: in
     # DiscreteMeasure build rejects them unless they sum to that denominator
     scale, numerators = params.alpha_numerators
     atoms: dict[GraphPoint, int] = {}
-    eta = np.ones(n_marks, dtype=np.int64)
+    fr = FlowRealization(walk, np.ones(n_marks, dtype=np.int64), params)
     for assignment in itertools.product(range(1, params.N + 1), repeat=len(free)):
         for j, ray in zip(free, assignment):
-            eta[j - walk.p_min] = ray
-        fr = FlowRealization(walk, eta, params)
+            fr.eta[j - walk.p_min] = ray  # the one realization reads its marks in place
         y = psi_closed_form(fr, p, n, x)
         atoms[y] = atoms.get(y, 0) + math.prod(numerators[ray - 1] for ray in assignment)
     denominator = scale ** len(free)

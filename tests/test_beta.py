@@ -2,14 +2,15 @@
 oracles, exact values, and metric properties."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from starflow.beta import (_FEAS_TOL, _constraint_rows, _ray_value, _rays,
-                           _signed_weights, beta_distance, beta_grid_oracle,
-                           beta_lp_oracle, beta_vertex_oracle)
+                           _signed_weights, _vertex_subsets, beta_distance,
+                           beta_grid_oracle, beta_lp_oracle, beta_vertex_oracle)
 from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, graph_distance,
                             junction, point)
 from starflow.rng import make_rng
@@ -166,6 +167,82 @@ def test_vertex_oracle_matches_unhalved_enumeration():
             continue
         wanted[k] -= 1
         assert beta_vertex_oracle(p, q) == _vertex_unhalved(p, q), (p, q)
+
+
+def _halved_subsets_reference(m, n):
+    """The subsets through the last row of m that keep the lexicographically
+    smaller of each mirror pair under 2i <-> 2i + 1, built from the sorted
+    mirror of every subset."""
+    combos = np.array(list(itertools.combinations(range(m - 1), n - 1)))
+    mirror = np.sort(combos ^ 1, axis=1)
+    first = (combos != mirror).argmax(axis=1)[:, None]
+    keep = (np.take_along_axis(combos, first, 1) < np.take_along_axis(mirror, first, 1))[:, 0]
+    return np.hstack([combos[keep], np.full((int(keep.sum()), 1), m - 1)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_vertex_subset_table_matches_mirror_filter(k):
+    m, n = k * k + 3 * k + 1, k + 2  # rows of _constraint_rows on k points
+    assert _constraint_rows([point(1, r, 3) for r in range(1, k + 1)])[0].shape == (m, n)
+    table = _vertex_subsets(m, n)
+    reference = _halved_subsets_reference(m, n)
+    assert table.dtype == np.int8
+    assert np.array_equal(table, reference)
+    assert _vertex_subsets(m, n) is table  # built once per size
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+
+
+def _four_point_pair():
+    p = DiscreteMeasure([(GraphPoint(1, 1.5), Fraction(1, 2)),
+                         (GraphPoint(2, 0.7), Fraction(1, 2))])
+    q = DiscreteMeasure([(GraphPoint(3, 2.5), Fraction(1, 3)),
+                         (GraphPoint(1, 0.3), Fraction(2, 3))])
+    assert len(_signed_weights(p, q)[0]) == 4
+    return p, q
+
+
+def _traced_peak(f, *args):
+    """(f(*args), peak bytes tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_VERTEX_PEAK_BOUND = 8 * 2**20
+
+
+def test_vertex_oracle_allocation_bound():
+    # one 4-point call solves 49,140 subsets, whose systems take about 34 MiB
+    # when solved at once; in chunks the call stays a few MiB, whether or not
+    # the subset table is already cached
+    p, q = _four_point_pair()
+    _vertex_subsets.cache_clear()
+    for _ in range(2):  # the first call builds the table
+        value, peak = _traced_peak(beta_vertex_oracle, p, q)
+        assert peak < _VERTEX_PEAK_BOUND, peak
+        assert value == _vertex_unhalved(p, q)
+
+
+def test_vertex_oracle_chunks_cover_the_table(monkeypatch):
+    # the chunks hand every subset of the table to det once, in order
+    p, q = _four_point_pair()
+    A, _ = _constraint_rows(_signed_weights(p, q)[0])
+    seen, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: seen.append(a.copy()) or det(a))
+    beta_vertex_oracle(p, q)
+    assert len(seen) > 1
+    assert np.array_equal(np.concatenate(seen), A[_vertex_subsets(*A.shape)])
+
+
+def test_traced_peak_sees_numpy_allocations():
+    # the bound above is not vacuous: tracemalloc counts numpy's buffers
+    _, peak = _traced_peak(lambda: float(np.ones(_VERTEX_PEAK_BOUND // 8 + 1).sum()))
+    assert peak > _VERTEX_PEAK_BOUND
 
 
 def test_oracle_support_limits():

@@ -75,6 +75,25 @@ def test_alpha_must_sum_to_one():
         parse_config("alpha = 1/2, 1/3, 1/3\n").ray_params()
 
 
+@pytest.mark.parametrize("text, keys", [
+    ("N = 0\n", "N"),
+    ("N = -2\nalpha = 1\n", "N"),
+    ("N = 2\n", "N, alpha"),  # the default alpha has 3 entries
+    ("alpha = 1/2, 1/2\n", "N, alpha"),
+    ("N = 4\nalpha = 1/2, 1/3, 1/6\n", "N, alpha"),
+])
+def test_parse_n_errors_name_n(text, keys):
+    # the message opens with the offending keys: "alpha" alone would blame
+    # the weights for a bad ray count
+    with pytest.raises(ConfigError, match=f"^{keys}: "):
+        parse_config(text)
+
+
+def test_parse_n_with_matching_alpha():
+    cfg = parse_config("N = 2\nalpha = 1/4, 3/4\nx_ray = 2\n")
+    assert cfg.ray_params().alpha == (Fraction(1, 4), Fraction(3, 4))
+
+
 @pytest.fixture()
 def small_config(tmp_path):
     path = tmp_path / "config.txt"
@@ -193,6 +212,17 @@ def test_bad_config_exit_code(tmp_path, capsys):
                  "--output-dir", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, keys", [("N = 0\n", "N"), ("N = 2\n", "N, alpha")])
+def test_bad_ray_count_exit_code(text, keys, tmp_path, capsys):
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    code = main(["cv-check", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {keys}: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [
