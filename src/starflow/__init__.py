@@ -3,8 +3,7 @@ of Tanaka-type stochastic flows on an N-ray star graph."""
 
 __version__ = "0.1.0"
 
-from .graph import (DiscreteMeasure, GraphPoint, RayParams, graph_distance,
-                    junction, move_along, point)
+from .graph import DiscreteMeasure, GraphPoint, RayParams, graph_distance, junction, point
 from .beta import beta_distance
 from .walk import NOT_HIT, Excursion, WalkWindow, generate_walk, random_increments
 from .cv import (cv_inverse_increments, reflected_path, tau_sequence,
@@ -20,7 +19,7 @@ from .stats import chi_square, half_normal_cdf, ks_statistic, walsh_marginal_che
 
 __all__ = [
     "DiscreteMeasure", "GraphPoint", "RayParams", "graph_distance", "junction",
-    "move_along", "point", "beta_distance", "NOT_HIT",
+    "point", "beta_distance", "NOT_HIT",
     "Excursion", "WalkWindow", "generate_walk", "random_increments",
     "cv_inverse_increments", "reflected_path", "tau_sequence",
     "taus_from_first_hits", "transform", "FlipBatch", "flip_batches",

@@ -325,7 +325,11 @@ def main(argv=None) -> int:
     if args.output_dir:
         cfg.output_dir = args.output_dir
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: output_dir: {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     names = list(SUBCOMMANDS) if args.subcommand == "all" else [args.subcommand]
     failed = False
     for name in names:

@@ -8,7 +8,7 @@ ConfigError naming the key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,19 +42,9 @@ class RunConfig:
             raise ConfigError(f"alpha: {exc}") from exc
 
     def as_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "alpha": ",".join(str(a) for a in self.alpha),
-            "seed": self.seed,
-            "replicas": self.replicas,
-            "length": self.length,
-            "n_list": ",".join(str(n) for n in self.n_list),
-            "T": self.T,
-            "s": self.s,
-            "x_ray": self.x_ray,
-            "x_radius": self.x_radius,
-            "output_dir": self.output_dir,
-        }
+        """Every key in field order; tuples are joined with ","."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {key: ",".join(map(str, v)) if isinstance(v, tuple) else v for key, v in values}
 
 
 def _parse_fraction(text: str, key: str) -> Fraction:
@@ -64,8 +54,8 @@ def _parse_fraction(text: str, key: str) -> Fraction:
         raise ConfigError(f"{key}: bad rational {text!r}") from exc
 
 
-_INT_KEYS = {"N", "seed", "replicas", "length", "x_ray"}
-_FLOAT_KEYS = {"T", "s", "x_radius"}
+_INT_KEYS = {f.name for f in fields(RunConfig) if type(f.default) is int}
+_FLOAT_KEYS = {f.name for f in fields(RunConfig) if type(f.default) is float}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -136,6 +126,10 @@ def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"config file {p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p}: not UTF-8 ({exc})") from exc
+    return parse_config(text)

@@ -9,7 +9,9 @@ radial translation; after it the value is the flow started at the junction,
 whose radius is the reflected increment S+ and whose ray is the mark at the
 last junction departure.
 
-Kernel weights are exact rationals; equality of measures is exact.
+The flows move points of the lattice star graph: every entry point takes a
+whole radius (2, 2.0 and Fraction(2) alike) and raises ValueError for any
+other.  Kernel weights are exact rationals; equality of measures is exact.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import draw_ray_marks
-from .errors import NegativeRadiusError, OutOfWindowError, WindowTooLargeError
-from .graph import (DiscreteMeasure, GraphPoint, Radius, RayParams, junction, move_along,
-                    point)
+from .errors import OutOfWindowError, WindowTooLargeError
+from .graph import DiscreteMeasure, GraphPoint, Radius, RayParams, junction, point
 from .walk import WalkWindow
 
 # the longest window kernel_is_conditional_law enumerates mark assignments on
@@ -54,11 +55,18 @@ class FlowRealization:
         return int(self.eta[i])
 
 
+def _check_lattice(x: GraphPoint) -> None:
+    """Reject a point whose radius is not a whole number."""
+    if x.radius % 1:
+        raise ValueError(f"radius {x.radius} is off the lattice")
+
+
 def psi_one_step(fr: FlowRealization, p: int, x: GraphPoint) -> GraphPoint:
     """One transition of the mapping flow from time p to p+1."""
+    _check_lattice(x)
     step = fr.walk.diff(p, p + 1)
     if x.radius > 0:
-        return move_along(x, step, fr.params.N)
+        return point(x.ray, x.radius + step, fr.params.N)
     if step == 1:
         return point(fr.mark(p), 1, fr.params.N)
     return junction(fr.params.N)
@@ -70,6 +78,7 @@ def psi_compose(fr: FlowRealization, p: int, n: int, x: GraphPoint) -> GraphPoin
     Applies the rule of ``psi_one_step`` to a plain (ray, radius) pair over
     the window's increments and builds one GraphPoint at the end.
     """
+    _check_lattice(x)
     if n < p:
         raise OutOfWindowError(f"need p <= n, got {p} > {n}")
     if n == p:
@@ -77,40 +86,29 @@ def psi_compose(fr: FlowRealization, p: int, n: int, x: GraphPoint) -> GraphPoin
     ray, radius = (x.ray, x.radius) if x.radius > 0 else (fr.params.N, 0)
     for k, step in enumerate(fr.walk.steps(p, n), p):
         if radius > 0:
-            if radius < -step:
-                raise _crossing(radius, step)
             radius += step
         elif step == 1:
             ray, radius = fr.mark(k), 1
     return point(ray, radius, fr.params.N)
 
 
-def _crossing(radius, step: int) -> NegativeRadiusError:
-    """The error ``move_along`` raises for a radial move below the junction."""
-    return NegativeRadiusError(f"move from radius {radius} by {step} crosses the junction")
-
-
 def _flow_radius(path: list[int], radius: Radius) -> tuple[bool, Radius, int]:
-    """(hit, radius, j) of the flow from radius |x| along path = S_p..S_n.
+    """(hit, radius, j) of the flow from the lattice radius |x| along
+    path = S_p..S_n.
 
-    The hit of -|x| by S_{p,.} has happened by n when n > p, |x| is a whole
-    number and min_{[p, n-1]} S_{p,.} <= -|x| (steps are +-1).  Before it
-    the radius is |x| + S_{p,n} and j is -1.  After it the radius is S+_{p,n}
-    and j is the offset in path of J, the last time S attains its minimum
-    over [p, n]: S_J is a running minimum there and S+ stays positive after
-    it, so J < n is the last junction departure when S+_{p,n} > 0.  A radius
-    off the lattice never reaches the junction; one that would cross it
-    raises the error ``move_along`` raises.
+    The hit of -|x| by S_{p,.} has happened by n when n > p and
+    min_{[p, n-1]} S_{p,.} <= -|x| (steps are +-1).  Before it the radius is
+    |x| + S_{p,n} and j is -1.  After it the radius is S+_{p,n} and j is the
+    offset in path of J, the last time S attains its minimum over [p, n]:
+    S_J is a running minimum there and S+ stays positive after it, so J < n
+    is the last junction departure when S+_{p,n} > 0.
     """
     start, end = path[0], path[-1]
     if len(path) > 1:
-        if radius % 1 == 0:
-            low = min(path[:-1])
-            if low - start <= -radius:
-                low = min(low, end)
-                return True, end - low, len(path) - 1 - path[::-1].index(low)
-        elif min(path) - start < -radius:
-            raise _crossing(radius % 1, -1)
+        low = min(path[:-1])
+        if low - start <= -radius:
+            low = min(low, end)
+            return True, end - low, len(path) - 1 - path[::-1].index(low)
     return False, radius + end - start, -1
 
 
@@ -118,6 +116,7 @@ def psi_closed_form(fr: FlowRealization, p: int, n: int, x: GraphPoint) -> Graph
     """Psi_{p,n}(x) without composing: radial translation before the hitting
     time of -|x|, then the junction-started flow value: radius S+_{p,n} on
     the ray of the mark at the last departure."""
+    _check_lattice(x)
     if n < p:
         raise OutOfWindowError(f"need p <= n, got {p} > {n}")
     hit, radius, j = _flow_radius(fr.walk.path(p, n), x.radius)
@@ -130,9 +129,10 @@ def psi_closed_form(fr: FlowRealization, p: int, n: int, x: GraphPoint) -> Graph
 
 def kernel_one_step(walk: WalkWindow, params: RayParams, p: int,
                     x: GraphPoint) -> DiscreteMeasure:
+    _check_lattice(x)
     step = walk.diff(p, p + 1)
     if x.radius > 0:
-        return DiscreteMeasure.dirac(move_along(x, step, params.N))
+        return DiscreteMeasure.dirac(point(x.ray, x.radius + step, params.N))
     if step == 1:
         return DiscreteMeasure.ray_spread(params, 1)
     return DiscreteMeasure.dirac(junction(params.N))
@@ -148,6 +148,7 @@ def kernel_compose(walk: WalkWindow, params: RayParams, p: int, n: int,
     mass.  The weights are checked to be positive and to sum to the
     denominator, and one DiscreteMeasure is built at the end.
     """
+    _check_lattice(x)
     if n < p:
         raise OutOfWindowError(f"need p <= n, got {p} > {n}")
     if n == p:
@@ -163,8 +164,6 @@ def kernel_compose(walk: WalkWindow, params: RayParams, p: int, n: int,
         moved: dict[tuple, int] = {}
         for (ray, radius), w in atoms.items():
             if radius > 0:
-                if radius < -step:
-                    raise _crossing(radius, step)
                 key = (ray, radius + step) if radius + step else hub
                 moved[key] = moved.get(key, 0) + w * factor
             elif step == 1:
@@ -183,6 +182,7 @@ def kernel_closed_form(walk: WalkWindow, params: RayParams, p: int, n: int,
                        x: GraphPoint) -> DiscreteMeasure:
     """K_{p,n}(x): Dirac at the radial translate before the hitting time,
     alpha spread at radius S+_{p,n} after."""
+    _check_lattice(x)
     if n < p:
         raise OutOfWindowError(f"need p <= n, got {p} > {n}")
     hit, radius, _ = _flow_radius(walk.path(p, n), x.radius)
@@ -223,8 +223,7 @@ def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: in
 def closed_forms_from(fr: FlowRealization, p: int,
                       x: GraphPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(after, ray, radius) of Psi_{p,n}(x) for every n in [p, p_max], as
-    arrays indexed by n - p, for a lattice radius |x| (ValueError for any
-    other).
+    arrays indexed by n - p.
 
     after[n] is n > the hitting time of -|x| by S_{p,.}, which for +-1 steps
     is min_{[p, n-1]} S_{p,.} <= -|x|.  Before the hit the radius is
@@ -234,11 +233,10 @@ def closed_forms_from(fr: FlowRealization, p: int,
     alpha spread at that radius after the hit and the Dirac at Psi_{p,n}(x)
     before it, as in ``psi_closed_form`` and ``kernel_closed_form``.
     """
+    _check_lattice(x)
     walk = fr.walk
     if not walk.p_min <= p <= walk.p_max:
         raise OutOfWindowError(f"index {p} outside [{walk.p_min}, {walk.p_max}]")
-    if x.radius % 1 != 0:
-        raise ValueError(f"radius {x.radius} is off the lattice")
     i = p - walk.p_min
     s = walk.values[i:] - walk.values[i]
     low = np.minimum.accumulate(s)

@@ -108,14 +108,6 @@ def graph_distance(x: GraphPoint, y: GraphPoint) -> Radius:
     return x.radius + y.radius
 
 
-def move_along(x: GraphPoint, delta: Radius, N: int) -> GraphPoint:
-    """Translate x radially along its own ray by delta (may land on the junction)."""
-    r = x.radius + delta
-    if r < 0:
-        raise NegativeRadiusError(f"move from radius {x.radius} by {delta} crosses the junction")
-    return point(x.ray, r, N)
-
-
 class DiscreteMeasure:
     """Finitely supported probability measure with exact rational weights.
 
@@ -167,6 +159,3 @@ class DiscreteMeasure:
 
     def total_mass(self) -> Fraction:
         return sum(self.atoms.values(), Fraction(0))
-
-    def support(self) -> list[GraphPoint]:
-        return list(self.atoms)

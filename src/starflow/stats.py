@@ -37,6 +37,8 @@ from .graph import RayParams
 
 # radii with fewer interior visits are left out of updown_chi_square
 _MIN_VISITS = 20
+# family level of the two tests of walsh_marginal_check
+_MARGINAL_LEVEL = 0.01
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -149,7 +151,7 @@ def half_normal_cdf(r):
 
 
 def walsh_marginal_check(rays: np.ndarray, radii: np.ndarray, n: int,
-                         params: RayParams, level: float = 0.01) -> dict:
+                         params: RayParams) -> dict:
     """Marginal checks of a rescaled chain at t = 1.
 
     rays/radii: final states of the replicas after n steps (lattice units).
@@ -160,7 +162,7 @@ def walsh_marginal_check(rays: np.ndarray, radii: np.ndarray, n: int,
     m = len(radii)
     scaled = radii / math.sqrt(n)
     ks = ks_statistic_lattice(scaled, half_normal_cdf, 2.0 / math.sqrt(n))
-    adj = level / 2  # two tests in the family
+    adj = _MARGINAL_LEVEL / 2  # two tests in the family
     ks_crit = ks_critical(m, adj)
     positive = radii > 0
     counts = np.bincount(rays[positive], minlength=params.N + 1)[1:]
@@ -175,7 +177,7 @@ def walsh_marginal_check(rays: np.ndarray, radii: np.ndarray, n: int,
         "chi2_dof": dof,
         "chi2_pvalue": p_chi,
         "chi2_pass": p_chi > adj,
-        "level": level,
+        "level": _MARGINAL_LEVEL,
         "adjusted_level": adj,
     }
     report["pass"] = bool(report["ks_pass"] and report["chi2_pass"])

@@ -177,7 +177,7 @@ def test_criterion_5_donsker():
     for lazy, label in ((False, "immediate-exit"), (True, "lazy")):
         rays, radii = simulate_chain_batch(PARAMS, 10_000, 10_000, SEED,
                                            50 + lazy, lazy=lazy)
-        report = walsh_marginal_check(rays, radii, 10_000, PARAMS, level=0.01)
+        report = walsh_marginal_check(rays, radii, 10_000, PARAMS)
         assert report["pass"], f"{label}: {report}"
         reports[label] = report
     elapsed = time.time() - t0

@@ -17,7 +17,7 @@ import pytest
 import starflow
 from starflow import chain
 from starflow.cli import STREAM_FLIP, main, run_flip_check
-from starflow.config import ConfigError, parse_config
+from starflow.config import ConfigError, RunConfig, parse_config
 from starflow.cv import tau_sequence
 from starflow.walk import generate_walk
 
@@ -264,6 +264,46 @@ def test_non_finite_value_exit_code(key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "key"])
+def test_output_dir_on_a_file_exit_code(route, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = tmp_path / "config.txt"
+    path.write_text(SMALL + (f"output_dir = {taken}\n" if route == "key" else ""))
+    argv = ["cv-check", "--config", str(path)]
+    code = main(argv + (["--output-dir", str(taken)] if route == "flag" else []))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: output_dir: {taken}: ")
+
+
+def test_config_on_a_directory_exit_code(tmp_path, capsys):
+    code = main(["cv-check", "--config", str(tmp_path), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: config file {tmp_path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_not_utf8_exit_code(tmp_path, capsys):
+    path = tmp_path / "config.txt"
+    path.write_bytes(SMALL.encode() + b"output_dir = \xff\n")
+    code = main(["cv-check", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: config file {path}: not UTF-8")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_as_dict_keys_and_values():
+    # the manifests' config block and input_hash read this dict, key order included
+    want = {"N": 3, "alpha": "1/2,1/3,1/6", "seed": 20260826, "replicas": 10_000,
+            "length": 1_000, "n_list": "100,1000,10000", "T": 1.0, "s": 0.0, "x_ray": 1,
+            "x_radius": 0.0, "output_dir": "artifacts"}
+    assert list(RunConfig().as_dict().items()) == list(want.items())
+    parsed = parse_config(SMALL + "T = 2\nx_radius = 1.5\n").as_dict()
+    assert list(parsed) == list(want)
+    assert (parsed["alpha"], parsed["n_list"], parsed["T"], parsed["x_radius"]) == \
+        ("1/2,1/3,1/6", "100,400", 2.0, 1.5)
 
 
 def test_convergence_manifest_work_counts(small_config, tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from starflow.errors import NegativeRadiusError, OutOfWindowError, WindowTooLargeError
+from starflow.errors import OutOfWindowError, WindowTooLargeError
 from starflow.flows import (FlowRealization, closed_forms_from, kernel_closed_form,
                             kernel_compose, kernel_is_conditional_law, kernel_one_step,
                             psi_closed_form, psi_compose, psi_one_step)
@@ -76,26 +76,6 @@ def test_compose_oracles_equal_one_step_chaining_exhaustive():
                         _kernel_chain(walk, p, n, x)
 
 
-def test_compose_oracles_off_lattice_radius():
-    # a non-lattice radius moves like any other until it would cross the
-    # junction, which move_along refuses
-    fr = _fr([1, -1, -1], [1, 1, 1])
-    x = point(2, Fraction(3, 2), 3)
-    assert psi_compose(fr, 0, 3, x) == point(2, Fraction(1, 2), 3) == _psi_fold(fr, 0, 3, x)
-    assert kernel_compose(fr.walk, PARAMS, 0, 3, x) == _kernel_chain(fr.walk, 0, 3, x)
-    assert psi_closed_form(fr, 0, 3, x) == point(2, Fraction(1, 2), 3)
-    y = point(2, 2.0, 3)
-    assert psi_compose(fr, 0, 3, y) == psi_closed_form(fr, 0, 3, y) == point(2, 1, 3)
-    assert kernel_compose(fr.walk, PARAMS, 0, 3, y) == kernel_closed_form(fr.walk, PARAMS, 0, 3, y)
-    z = point(2, Fraction(1, 2), 3)
-    for crossing in (lambda: psi_compose(fr, 1, 3, z),
-                     lambda: kernel_compose(fr.walk, PARAMS, 1, 3, z),
-                     lambda: psi_closed_form(fr, 1, 3, z),
-                     lambda: kernel_closed_form(fr.walk, PARAMS, 1, 3, z)):
-        with pytest.raises(NegativeRadiusError):
-            crossing()
-
-
 def test_closed_form_translation_branch():
     fr = _fr([-1, 1, 1], [1, 1, 1])
     assert psi_closed_form(fr, 0, 1, point(1, 2, 3)) == point(1, 1, 3)
@@ -124,33 +104,6 @@ def test_closed_forms_lattice_radius_agrees_with_hitting_time_path():
                     assert psi_closed_form(fr, p, n, x) == psi_closed_form(fr, p, n, y)
                     assert kernel_closed_form(fr.walk, PARAMS, p, n, x) == \
                         kernel_closed_form(fr.walk, PARAMS, p, n, y)
-
-
-def _or_crossing(oracle, *args):
-    """The oracle's value, or the message of the NegativeRadiusError it raises."""
-    try:
-        return oracle(*args)
-    except NegativeRadiusError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("radius", [Fraction(1, 2), Fraction(3, 2), 0.5, 1.5],
-                         ids=["1/2", "3/2", "0.5", "1.5"])
-def test_closed_forms_off_lattice_exhaustive(radius):
-    # every +-1 walk of length <= 8 and every window: a radius off the
-    # lattice never reaches the junction, so it translates until it would
-    # cross it, where the closed forms raise as the compositions do
-    for length in range(1, 9):
-        eta = np.arange(length) % 3 + 1
-        for bits in itertools.product((1, -1), repeat=length):
-            fr = FlowRealization(WalkWindow(0, np.array(bits)), eta, PARAMS)
-            x = point(2, radius, 3)
-            for p in range(length + 1):
-                for n in range(p, length + 1):
-                    assert _or_crossing(psi_closed_form, fr, p, n, x) == \
-                        _or_crossing(psi_compose, fr, p, n, x)
-                    assert _or_crossing(kernel_closed_form, fr.walk, PARAMS, p, n, x) == \
-                        _or_crossing(kernel_compose, fr.walk, PARAMS, p, n, x)
 
 
 def test_closed_form_after_hit_equals_zero_start():
@@ -305,15 +258,26 @@ def test_closed_forms_from_matches_scalar():
 
 
 def test_closed_forms_from_rejects_off_lattice_radius():
-    # radius 1/2 on steps (-1, -1, 1, 1) once gave radius -1/2 at n = 1 and a
-    # hit that never happens; the scalar closed form raises for it too
+    # every entry point of the flows takes lattice points only; radius 1/2 on
+    # steps (-1, -1, 1, 1) once gave closed_forms_from radius -1/2 at n = 1
+    # and a hit that never happens
     fr = _fr([-1, -1, 1, 1], [1, 2, 3, 1])
-    for radius in (0.5, Fraction(1, 2), Fraction(5, 2)):
-        with pytest.raises(ValueError, match="off the lattice"):
-            closed_forms_from(fr, 0, point(2, radius, 3))
-    with pytest.raises(NegativeRadiusError):
-        psi_closed_form(fr, 0, 1, point(2, 0.5, 3))
-    # whole radii of any type are lattice radii
-    want = [a.tolist() for a in closed_forms_from(fr, 0, point(2, 2, 3))]
-    for radius in (2.0, Fraction(2)):
-        assert [a.tolist() for a in closed_forms_from(fr, 0, point(2, radius, 3))] == want
+    walk = fr.walk
+    entry_points = {
+        "psi_one_step": lambda x: psi_one_step(fr, 0, x),
+        "kernel_one_step": lambda x: kernel_one_step(walk, PARAMS, 0, x),
+        "psi_compose": lambda x: psi_compose(fr, 0, 4, x),
+        "kernel_compose": lambda x: kernel_compose(walk, PARAMS, 0, 4, x),
+        "psi_closed_form": lambda x: psi_closed_form(fr, 0, 4, x),
+        "kernel_closed_form": lambda x: kernel_closed_form(walk, PARAMS, 0, 4, x),
+        "kernel_is_conditional_law": lambda x: kernel_is_conditional_law(walk, PARAMS, 0, 4, x),
+        "closed_forms_from": lambda x: [a.tolist() for a in closed_forms_from(fr, 0, x)],
+    }
+    for name, entry in entry_points.items():
+        for radius in (Fraction(1, 2), 0.5, Fraction(5, 2)):
+            with pytest.raises(ValueError, match="off the lattice"):
+                entry(point(2, radius, 3))
+        # whole radii of any type are lattice radii
+        want = entry(point(2, 2, 3))
+        for radius in (2.0, Fraction(2)):
+            assert entry(point(2, radius, 3)) == want, (name, radius)

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams,
-                            graph_distance, junction, move_along, point)
+from starflow.graph import DiscreteMeasure, GraphPoint, RayParams, graph_distance, junction, point
 from starflow.errors import NegativeRadiusError
 from starflow.rng import make_rng
 
@@ -37,11 +36,9 @@ def test_junction_canonicalizes_to_ray_n():
     assert point(1, 0, 5).ray == 5
 
 
-def test_move_along():
-    assert move_along(point(2, 3, 3), 1, 3) == point(2, 4, 3)
-    assert move_along(point(2, 3, 3), -3, 3) == junction(3)
+def test_point_rejects_negative_radius():
     with pytest.raises(NegativeRadiusError):
-        move_along(point(2, 3, 3), -4, 3)
+        point(2, -1, 3)
 
 
 def test_metric_axioms_random_triples():
