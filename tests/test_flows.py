@@ -76,6 +76,26 @@ def test_compose_oracles_equal_one_step_chaining_exhaustive():
                         _kernel_chain(walk, p, n, x)
 
 
+def test_compose_oracles_off_lattice_radius():
+    # a whole radius of float type steps like its int, through the compose
+    # oracles as through the one-step chain and the closed forms; a radius
+    # off the lattice is refused before it can move
+    fr = _fr([1, -1, -1], [1, 1, 1])
+    y = point(2, 2.0, 3)
+    assert psi_compose(fr, 0, 3, y) == _psi_fold(fr, 0, 3, y) == \
+        psi_closed_form(fr, 0, 3, y) == point(2, 1, 3)
+    assert kernel_compose(fr.walk, PARAMS, 0, 3, y) == _kernel_chain(fr.walk, 0, 3, y) == \
+        kernel_closed_form(fr.walk, PARAMS, 0, 3, y)
+    for radius in (Fraction(3, 2), Fraction(1, 2)):
+        x = point(2, radius, 3)
+        for off_lattice in (lambda: psi_compose(fr, 0, 3, x),
+                            lambda: kernel_compose(fr.walk, PARAMS, 0, 3, x),
+                            lambda: psi_closed_form(fr, 0, 3, x),
+                            lambda: kernel_closed_form(fr.walk, PARAMS, 0, 3, x)):
+            with pytest.raises(ValueError, match="off the lattice"):
+                off_lattice()
+
+
 def test_closed_form_translation_branch():
     fr = _fr([-1, 1, 1], [1, 1, 1])
     assert psi_closed_form(fr, 0, 1, point(1, 2, 3)) == point(1, 1, 3)
