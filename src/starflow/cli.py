@@ -17,6 +17,7 @@ import math
 import platform
 import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ from .chain import CASES, flip_batches, simulate_chain_batch, transition_counts
 from .config import RunConfig, load_config
 from .cv import cv_check_blocks
 from .errors import ConfigError, StarflowError
-from .flows import (FlowRealization, kernel_closed_form, kernel_compose,
-                    kernel_is_conditional_law, psi_closed_form, psi_compose)
+from .flows import (FlowRealization, departure_candidates, kernel_closed_form,
+                    kernel_compose, kernel_is_conditional_law, psi_closed_form, psi_compose)
 from .graph import junction, point
 from .limit import convergence_profiles
 from .rng import make_rng
@@ -65,7 +66,8 @@ class CheckList:
         return all(r["status"] == "pass" for r in self.rows)
 
 
-def _write_manifest(out: Path, subcommand: str, cfg: RunConfig, checks: CheckList):
+def _write_manifest(out: Path, subcommand: str, cfg: RunConfig, checks: CheckList,
+                    elapsed_s: float):
     config_dict = cfg.as_dict()
     # where the artifacts go is not an input: leave it out of the hash
     hashed = {k: v for k, v in config_dict.items() if k != "output_dir"}
@@ -78,6 +80,7 @@ def _write_manifest(out: Path, subcommand: str, cfg: RunConfig, checks: CheckLis
         "python": platform.python_version(),
         "numpy": np.__version__,
         "input_hash": digest,
+        "elapsed_s": elapsed_s,
         "checks": checks.rows,
     }
     if checks.work:
@@ -245,9 +248,17 @@ def run_flow_check(cfg: RunConfig, out: Path) -> CheckList:
                         kernel_closed_form(short, params, p, n, x):
                     bad_kernel += 1
     checks.add("kernel_closed_form_violations", bad_kernel, 0, bad_kernel == 0)
-    cond = kernel_is_conditional_law(WalkWindow(0, walk.increments[:law_len]), params,
-                                     0, law_len, junction(params.N))
+    law_walk = WalkWindow(0, walk.increments[:law_len])
+    cond = kernel_is_conditional_law(law_walk, params, 0, law_len, junction(params.N))
     checks.add("kernel_conditional_law", cond, True, cond)
+    checks.work = [
+        {"check": "psi_cocycle_violations", "trials": trials},
+        {"check": "psi_closed_form_violations", "comparisons": trials},
+        {"check": "kernel_closed_form_violations",
+         "grid_cells": (k_len + 1) * (k_len + 2) // 2 * 4},
+        {"check": "kernel_conditional_law",
+         "assignments": params.N ** len(departure_candidates(law_walk, 0, law_len))},
+    ]
     _write_csv(out / "flow_check.csv", ["check", "violations"],
                [[r["name"], r["value"]] for r in checks.rows])
     return checks
@@ -333,12 +344,13 @@ def main(argv=None) -> int:
     names = list(SUBCOMMANDS) if args.subcommand == "all" else [args.subcommand]
     failed = False
     for name in names:
+        start = time.perf_counter()
         try:
             checks = SUBCOMMANDS[name](cfg, out)
         except StarflowError as exc:
             print(f"{name}: error: {exc}", file=sys.stderr)
             return 2
-        _write_manifest(out, name, cfg, checks)
+        _write_manifest(out, name, cfg, checks, time.perf_counter() - start)
         for row in checks.rows:
             print(f"{name}: {row['name']}: {row['status']} "
                   f"(value={row['value']}, threshold={row['threshold']})")

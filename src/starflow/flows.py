@@ -25,11 +25,14 @@ import numpy as np
 
 from .chain import draw_ray_marks
 from .errors import OutOfWindowError, WindowTooLargeError
-from .graph import DiscreteMeasure, GraphPoint, Radius, RayParams, junction, point
+from .graph import CACHE_MAX, DiscreteMeasure, GraphPoint, Radius, RayParams, junction, point
 from .walk import WalkWindow
 
 # the longest window kernel_is_conditional_law enumerates mark assignments on
 _LAW_MAX_STEPS = 16
+
+# kernel_compose's weights by (numerator, denominator), each normalised once
+_WEIGHTS: dict[tuple[int, int], Fraction] = {}
 
 
 @dataclass(frozen=True)
@@ -174,8 +177,18 @@ def kernel_compose(walk: WalkWindow, params: RayParams, p: int, n: int,
         atoms = moved
     if any(w <= 0 for w in atoms.values()) or sum(atoms.values()) != denominator:
         raise ValueError(f"kernel weights {atoms} over {denominator} are not a probability")
-    return DiscreteMeasure(((point(ray, radius, N), Fraction(w, denominator))
-                            for (ray, radius), w in atoms.items()), _checked=True)
+    return DiscreteMeasure({point(ray, radius, N): _weight(w, denominator)
+                            for (ray, radius), w in atoms.items()}, trusted=True)
+
+
+def _weight(numerator: int, denominator: int) -> Fraction:
+    """numerator / denominator, from the table of weights while it has room."""
+    w = _WEIGHTS.get((numerator, denominator))
+    if w is None:
+        w = Fraction(numerator, denominator)
+        if len(_WEIGHTS) < CACHE_MAX:
+            _WEIGHTS[numerator, denominator] = w
+    return w
 
 
 def kernel_closed_form(walk: WalkWindow, params: RayParams, p: int, n: int,
@@ -191,6 +204,14 @@ def kernel_closed_form(walk: WalkWindow, params: RayParams, p: int, n: int,
     return DiscreteMeasure.dirac(point(x.ray, radius, params.N))
 
 
+def departure_candidates(walk: WalkWindow, p: int, n: int) -> list[int]:
+    """The times j in [p, n) with S_j = min S over [p, j], that is
+    S+_{p,j} = 0: where the flow can leave the junction and read a mark."""
+    before = walk.path(p, n)[:-1]
+    return [j for j, (v, low) in enumerate(zip(before, itertools.accumulate(before, min)), p)
+            if v == low]
+
+
 def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: int,
                               x: GraphPoint) -> bool:
     """Check K_{p,n}(x) = E[delta_{Psi_{p,n}(x)} | sigma(S)] by enumerating
@@ -202,9 +223,7 @@ def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: in
     # the flow reads a mark only at a departure index j with S+_{p,j} = 0, so
     # marks elsewhere marginalize to total weight 1 and the sum over full
     # assignments collapses to a sum over the departure candidates
-    before = walk.path(p, n)[:-1]
-    free = [j for j, (v, low) in enumerate(zip(before, itertools.accumulate(before, min)), p)
-            if v == low]
+    free = departure_candidates(walk, p, n)
     # weights are integer numerators over scale ** len(free); the validated
     # DiscreteMeasure build rejects them unless they sum to that denominator
     scale, numerators = params.alpha_numerators

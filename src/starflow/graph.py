@@ -4,6 +4,10 @@ The graph consists of N half-lines (rays) glued at a single junction.  A
 point is a (ray, radius) pair; every radius-0 point is the same junction and
 canonicalizes to ray N, so atoms of a measure never split the junction mass.
 Distances are radial within a ray and pass through the junction across rays.
+
+Points with an int ray and an int radius are interned, in a table of bounded
+size filled as they are first asked for, so the per-query flows get one
+object per lattice point and measure equality meets keys by identity.
 """
 
 from __future__ import annotations
@@ -20,6 +24,13 @@ from .errors import NegativeRadiusError
 
 Weight = Fraction
 Radius = Union[int, float, Fraction]
+
+# the most entries of each table of immutable lattice values: the interned
+# points, the alpha spreads of one RayParams and the kernel weights of flows;
+# past that, further ones are built on every call
+CACHE_MAX = 1024
+_LATTICE_POINTS: dict[tuple[int, int, int], "GraphPoint"] = {}
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,22 @@ class RayParams:
         """The cumulative sums of alpha in floats; the last may fall just below 1."""
         return np.cumsum([float(a) for a in self.alpha])
 
+    @cached_property
+    def _spreads(self) -> dict[int, dict]:
+        """spread_atoms' table: the atoms at each int radius, as first built."""
+        return {}
+
+    def spread_atoms(self, radius: Radius) -> dict[GraphPoint, Fraction]:
+        """The atoms of the alpha spread at a radius > 0, as a new dict.  The
+        atoms at an int radius are built once and copied after that."""
+        cached = type(radius) is int
+        atoms = self._spreads.get(radius) if cached else None
+        if atoms is None:
+            atoms = {point(i, radius, self.N): a for i, a in enumerate(self.alpha, 1)}
+            if cached and len(self._spreads) < CACHE_MAX:
+                self._spreads[radius] = atoms
+        return dict(atoms)
+
 
 @dataclass(frozen=True)
 class GraphPoint:
@@ -83,18 +110,31 @@ class GraphPoint:
 
 
 def point(ray: int, radius: Radius, N: int) -> GraphPoint:
-    """Canonical GraphPoint: the junction stores ray N regardless of input ray."""
+    """Canonical GraphPoint: the junction stores ray N regardless of input ray.
+
+    With ray, radius and N all of type int the point is interned: the same
+    arguments give the same object.  Other radii keep their type.
+    """
+    lattice = type(ray) is int and type(radius) is int and type(N) is int
+    if lattice:
+        pt = _LATTICE_POINTS.get((ray if radius else N, radius, N))
+        if pt is not None:
+            return pt
     if radius < 0:
         raise NegativeRadiusError(f"radius {radius} < 0")
     if radius == 0:
-        return GraphPoint(N, 0)
-    if not 1 <= ray <= N:
+        pt = GraphPoint(N, 0)
+    elif not 1 <= ray <= N:
         raise ValueError(f"ray {ray} outside [1..{N}]")
-    return GraphPoint(ray, radius)
+    else:
+        pt = GraphPoint(ray, radius)
+    if lattice and len(_LATTICE_POINTS) < CACHE_MAX:
+        _LATTICE_POINTS[pt.ray, radius, N] = pt
+    return pt
 
 
 def junction(N: int) -> GraphPoint:
-    return GraphPoint(N, 0)
+    return point(N, 0, N)
 
 
 def graph_distance(x: GraphPoint, y: GraphPoint) -> Radius:
@@ -113,11 +153,19 @@ class DiscreteMeasure:
 
     Atoms are keyed by canonical point, so junction mass is always a single
     atom.  Weights must be positive and sum exactly to 1.
+
+    A builder that has made sure of that passes ``trusted=True`` and a dict
+    from distinct canonical points to Fraction weights.  The dict becomes
+    the measure's atoms as it is, unchecked, so it must not be shared.
     """
 
     __slots__ = ("atoms",)
 
-    def __init__(self, atoms: Iterable[tuple[GraphPoint, Weight]], *, _checked: bool = False):
+    def __init__(self, atoms: Iterable[tuple[GraphPoint, Weight]] | dict[GraphPoint, Fraction],
+                 *, trusted: bool = False):
+        if trusted:
+            self.atoms = atoms
+            return
         merged: dict[GraphPoint, Fraction] = {}
         for pt, w in atoms:
             w = Fraction(w) if not isinstance(w, Fraction) else w
@@ -125,26 +173,22 @@ class DiscreteMeasure:
                 merged[pt] += w
             else:
                 merged[pt] = w
-        if not _checked:
-            if any(w <= 0 for w in merged.values()):
-                raise ValueError("weights must be > 0")
-            if sum(merged.values()) != 1:
-                raise ValueError("weights must sum to exactly 1")
+        if any(w <= 0 for w in merged.values()):
+            raise ValueError("weights must be > 0")
+        if sum(merged.values()) != 1:
+            raise ValueError("weights must sum to exactly 1")
         self.atoms = merged
 
     @classmethod
     def dirac(cls, x: GraphPoint) -> "DiscreteMeasure":
-        return cls([(x, Fraction(1))], _checked=True)
+        return cls({x: _ONE}, trusted=True)
 
     @classmethod
     def ray_spread(cls, params: RayParams, radius: Radius) -> "DiscreteMeasure":
         """The alpha-weighted spread at a common radius (a single junction atom at radius 0)."""
         if radius == 0:
             return cls.dirac(junction(params.N))
-        return cls(
-            [(point(i + 1, radius, params.N), a) for i, a in enumerate(params.alpha)],
-            _checked=True,
-        )
+        return cls(params.spread_atoms(radius), trusted=True)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiscreteMeasure) and self.atoms == other.atoms

@@ -16,7 +16,7 @@ import pytest
 
 import starflow
 from starflow import chain
-from starflow.cli import STREAM_FLIP, main, run_flip_check
+from starflow.cli import STREAM_FLIP, STREAM_WALK, main, run_flip_check
 from starflow.config import ConfigError, RunConfig, parse_config
 from starflow.cv import tau_sequence
 from starflow.walk import generate_walk
@@ -122,12 +122,13 @@ def test_cv_check_reproducible(small_config, tmp_path):
                      "--output-dir", str(out)]) == 0
     assert (out1 / "cv_check.csv").read_bytes() == \
         (out2 / "cv_check.csv").read_bytes()
-    # manifests echo the (differing) output_dir, which the hash leaves out;
-    # everything else is identical
+    # manifests echo the (differing) output_dir, which the hash leaves out,
+    # and the wall time; everything else is identical
     m1 = json.loads((out1 / "cv-check_manifest.json").read_text())
     m2 = json.loads((out2 / "cv-check_manifest.json").read_text())
     for m in (m1, m2):
         m["config"].pop("output_dir")
+        m.pop("elapsed_s")
     assert m1 == m2
 
 
@@ -407,10 +408,29 @@ def test_runs_import_nothing_after_the_cli(tmp_path):
 def test_manifests_record_versions(small_config, tmp_path):
     out = tmp_path / "out"
     main(["all", "--config", str(small_config), "--output-dir", str(out)])
-    for path in sorted(out.glob("*_manifest.json")):
+    paths = sorted(out.glob("*_manifest.json"))
+    assert len(paths) == 5
+    for path in paths:
         manifest = json.loads(path.read_text())
         assert (manifest["version"], manifest["python"], manifest["numpy"]) == (
             starflow.__version__, platform.python_version(), np.__version__)
+        assert isinstance(manifest["elapsed_s"], float) and manifest["elapsed_s"] > 0
+
+
+def test_flow_check_manifest_work_counts(small_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["flow-check", "--config", str(small_config), "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "flow-check_manifest.json").read_text())
+    # the law window is the first 10 steps of the 64-step walk; its marks
+    # are enumerated at the times where S sits at its running minimum
+    s = generate_walk(0, 64, 42, STREAM_WALK).values[:10]
+    departures = int(np.sum(s == np.minimum.accumulate(s)))
+    assert manifest["work"] == [
+        {"check": "psi_cocycle_violations", "trials": 200},
+        {"check": "psi_closed_form_violations", "comparisons": 200},
+        {"check": "kernel_closed_form_violations", "grid_cells": 13 * 14 // 2 * 4},
+        {"check": "kernel_conditional_law", "assignments": 3 ** departures}]
+    assert [row["name"] for row in manifest["checks"]] == [w["check"] for w in manifest["work"]]
 
 
 def test_chain_donsker_chi2_threshold_is_the_adjusted_level(small_config, tmp_path):

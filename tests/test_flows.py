@@ -76,6 +76,28 @@ def test_compose_oracles_equal_one_step_chaining_exhaustive():
                         _kernel_chain(walk, p, n, x)
 
 
+def test_trusted_kernels_equal_validated_rebuilds_exhaustive():
+    # kernels skip the validating DiscreteMeasure build; rebuilding their
+    # atoms through it must give the same measure, on canonical points
+    eta = np.array([3, 1, 2, 2, 1, 3, 1], dtype=np.int64)
+    for bits in itertools.product((1, -1), repeat=7):
+        walk = WalkWindow(0, np.array(bits))
+        for p in range(0, 8):
+            kernels = [kernel_one_step(walk, PARAMS, p, point(2, r, 3))
+                       for r in range(4) if p < 7]
+            for n in range(p, 8):
+                for radius in range(0, 4):
+                    x = point(1 + radius % 3, radius, 3)
+                    kernels += [kernel_compose(walk, PARAMS, p, n, x),
+                                kernel_closed_form(walk, PARAMS, p, n, x)]
+            for k in kernels:
+                assert DiscreteMeasure(k.atoms.items()) == k
+                assert all(point(pt.ray, pt.radius, 3) is pt and type(w) is Fraction
+                           for pt, w in k.atoms.items())
+        assert psi_closed_form(FlowRealization(walk, eta, PARAMS), 0, 7, junction(3)) is \
+            psi_compose(FlowRealization(walk, eta, PARAMS), 0, 7, junction(3))
+
+
 def test_compose_oracles_off_lattice_radius():
     # a whole radius of float type steps like its int, through the compose
     # oracles as through the one-step chain and the closed forms; a radius

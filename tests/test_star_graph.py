@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from starflow import graph
 from starflow.graph import DiscreteMeasure, GraphPoint, RayParams, graph_distance, junction, point
 from starflow.errors import NegativeRadiusError
 from starflow.rng import make_rng
+
+PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
 
 def test_distance_same_ray():
@@ -81,3 +84,53 @@ def test_measure_atom_merge_on_equal_points():
                          (GraphPoint(2, 0), Fraction(1, 2))])
     assert len(m.atoms) == 1
     assert m.total_mass() == 1
+
+
+def test_int_lattice_points_are_interned():
+    assert point(2, 3, 3) is point(2, 3, 3)
+    assert point(1, 0, 3) is point(2, 0, 3) is junction(3)
+
+
+@pytest.mark.parametrize("radius", [2.0, Fraction(2)], ids=["float", "Fraction"])
+def test_whole_radii_of_other_types_keep_their_type(radius):
+    x = point(1, radius, 3)
+    assert type(x.radius) is type(radius)
+    assert x == point(1, 2, 3) and hash(x) == hash(point(1, 2, 3))
+    assert point(1, radius, 3) is not x
+    spread = DiscreteMeasure.ray_spread(PARAMS, radius)
+    assert [type(pt.radius) for pt in spread.atoms] == [type(radius)] * 3
+    assert spread == DiscreteMeasure.ray_spread(PARAMS, 2)
+
+
+def test_point_errors_are_raised_on_every_call():
+    for _ in range(2):
+        with pytest.raises(NegativeRadiusError):
+            point(2, -1, 3)
+        with pytest.raises(ValueError, match="outside"):
+            point(4, 1, 3)
+        with pytest.raises(NegativeRadiusError):
+            DiscreteMeasure.ray_spread(PARAMS, -1)
+
+
+def test_caches_stop_growing_at_their_bound(monkeypatch):
+    monkeypatch.setattr(graph, "CACHE_MAX", 8)
+    monkeypatch.setattr(graph, "_LATTICE_POINTS", {})
+    for radius in range(1, 21):
+        x = point(1, radius, 5)
+        assert x == GraphPoint(1, radius)
+        assert (point(1, radius, 5) is x) == (radius <= 8)
+    assert len(graph._LATTICE_POINTS) == 8
+    params = RayParams.uniform(2)
+    for radius in range(1, 21):
+        assert DiscreteMeasure.ray_spread(params, radius).atoms == {
+            GraphPoint(1, radius): Fraction(1, 2), GraphPoint(2, radius): Fraction(1, 2)}
+    assert len(params._spreads) == 8
+    assert len(graph._LATTICE_POINTS) == 8
+
+
+def test_ray_spread_atoms_are_not_shared():
+    first = DiscreteMeasure.ray_spread(PARAMS, 3)
+    first.atoms[point(1, 3, 3)] = Fraction(1)
+    del first.atoms[point(2, 3, 3)]
+    assert DiscreteMeasure.ray_spread(PARAMS, 3).atoms == {
+        point(i, 3, 3): a for i, a in enumerate(PARAMS.alpha, 1)}

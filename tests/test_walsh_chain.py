@@ -114,6 +114,47 @@ def test_simulate_chain_batch_matches_folded_step_chain(lazy):
                 assert np.all(got_radii % 2 == n_steps % 2)
 
 
+def _skorokhod_chains(params, u, lazy):
+    """Pathwise oracle: the final (rays, radii) of the chains that the
+    uniforms u (steps, R) drive, one chain per column, from the Skorokhod
+    maps of T, the running sum of d = +-1.  The lazy radius is
+    T - min(0, min T); the immediate-exit radius is T + 2 max(0, max
+    ceil(-T / 2)).  The ray is the exit ray of the last exit's uniform
+    (lazy: of 2u - 1), and 0 before the first exit."""
+    t = np.zeros((u.shape[0] + 1, u.shape[1]), dtype=np.int64)
+    np.cumsum(np.where(u >= 0.5, 1, -1), axis=0, out=t[1:])
+    if lazy:
+        radii = t - np.minimum(0, np.minimum.accumulate(t, axis=0))
+    else:
+        radii = t + 2 * np.maximum(0, np.maximum.accumulate(-(t // 2), axis=0))
+    exits = radii[:-1] == 0
+    if lazy:
+        exits &= u >= 0.5
+    last = u.shape[0] - 1 - np.argmax(exits[::-1], axis=0)
+    u_exit = u[last, np.arange(u.shape[1])]
+    if lazy:
+        u_exit = 2 * u_exit - 1
+    rays = np.minimum(np.searchsorted(params.alpha_cumulative, u_exit, side="right") + 1,
+                      params.N)
+    return np.where(exits.any(axis=0), rays, 0), radii[-1]
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_simulate_chain_batch_matches_skorokhod_oracle(lazy):
+    # exact equality, junction rays included, across the row blocks in
+    # which the stream's uniforms are drawn
+    seed = 36
+    for n_steps in (1, 2, 7, 200):
+        for n_replicas in (1, 5, 40, 10_000):
+            for stream in range(3):
+                u = make_rng(seed, stream).random((n_steps, n_replicas))
+                rays, radii = _skorokhod_chains(PARAMS, u, lazy)
+                got_rays, got_radii = simulate_chain_batch(PARAMS, n_steps, n_replicas, seed,
+                                                           stream, lazy=lazy)
+                assert np.array_equal(got_radii, radii)
+                assert np.array_equal(got_rays, rays)
+
+
 @pytest.mark.parametrize("params", [PARAMS, RayParams.uniform(10)], ids=["default", "tenths"])
 def test_exit_ray_clamps_the_last_uniform(params):
     # the float cumulative alpha ends just below 1, where u can still fall
