@@ -246,7 +246,8 @@ def _vertex_subsets(m: int, n: int) -> np.ndarray:
     (2i, 2i + 1) below it, and is kept when the first pair it holds only one
     row of gives its even row.  That is the lexicographically smaller of the
     subset and its mirror under 2i <-> 2i + 1; self-mirrors hold no lone row
-    and are dropped."""
+    and are dropped.  So is every subset whose rows leave a column of A at
+    zero on every support of n - 2 points: its determinant is exactly 0."""
     combos = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(m - 1), n - 1)), dtype=np.int8).reshape(-1, n - 1)
     pair = combos >> 1  # rows are sorted, so the two rows of a pair sit side by side
@@ -256,6 +257,12 @@ def _vertex_subsets(m: int, n: int) -> np.ndarray:
     first = np.take_along_axis(combos, lone.argmax(axis=1)[:, None], 1)[:, 0]
     keep = lone.any(axis=1) & (first % 2 == 0)
     table = np.hstack([combos[keep], np.full((int(keep.sum()), 1), m - 1, dtype=np.int8)])
+    # the zero pattern of A depends on the support size only: one point per
+    # radius 1..n - 2 on one ray has it
+    touched = _constraint_rows([GraphPoint(1, r) for r in range(1, n - 1)])[0] != 0
+    if touched.shape != (m, n):
+        raise ValueError(f"no support has {m} constraint rows and {n} unknowns")
+    table = table[touched[table].any(axis=1).all(axis=1)]
     table.flags.writeable = False
     return table
 

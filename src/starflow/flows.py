@@ -38,11 +38,22 @@ _WEIGHTS: dict[tuple[int, int], Fraction] = {}
 @dataclass(frozen=True)
 class FlowRealization:
     """A walk window plus one ray mark per time index (the junction-departure
-    choices), independent of the walk."""
+    choices), independent of the walk.
+
+    The realization keeps its own read-only int64 copy of ``eta`` for the
+    array readers, and the same marks as a tuple of ints that ``mark`` reads.
+    Neither can be written, so the two cannot differ.
+    """
 
     walk: WalkWindow
     eta: np.ndarray  # eta[p - p_min] is the mark used by step p -> p+1
     params: RayParams
+
+    def __post_init__(self):
+        eta = np.array(self.eta, dtype=np.int64)
+        eta.flags.writeable = False
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "_marks", tuple(eta.tolist()))
 
     @classmethod
     def generate(cls, walk: WalkWindow, params: RayParams, seed: int,
@@ -53,9 +64,9 @@ class FlowRealization:
 
     def mark(self, p: int) -> int:
         i = p - self.walk.p_min
-        if not 0 <= i < len(self.eta):
+        if not 0 <= i < len(self._marks):
             raise OutOfWindowError(f"no mark at time {p}")
-        return int(self.eta[i])
+        return self._marks[i]
 
 
 def _check_lattice(x: GraphPoint) -> None:
@@ -216,27 +227,50 @@ def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: in
                               x: GraphPoint) -> bool:
     """Check K_{p,n}(x) = E[delta_{Psi_{p,n}(x)} | sigma(S)] by enumerating
     every mark assignment on the window with its product alpha weight; the
-    window may have at most 16 steps."""
+    window may have at most 16 steps.  See ``_mark_law``."""
+    return _mark_law(walk, params, p, n, x) == kernel_closed_form(walk, params, p, n, x)
+
+
+def _mark_law(walk: WalkWindow, params: RayParams, p: int, n: int,
+              x: GraphPoint) -> DiscreteMeasure | None:
+    """The law of Psi_{p,n}(x) given S, summed over every mark assignment of
+    the departure candidates with its product alpha weight.
+
+    Given S, Psi_{p,n}(x) reads one mark at most: the one at the last
+    departure p + j, from one scan of S_p..S_n by ``_flow_radius``.  The marks
+    elsewhere are never read, so they marginalize to total weight 1 and the
+    sum over full assignments collapses to one over the candidates.  Each
+    assignment's value is then its ray at p + j, or the one point the flow
+    reaches without reading a mark.  None when the read is not a candidate:
+    the flow cannot leave the junction there.
+    """
     n_marks = len(walk.increments)
     if n_marks > _LAW_MAX_STEPS:
         raise WindowTooLargeError(f"{n_marks} steps exceeds enumeration limit {_LAW_MAX_STEPS}")
-    # the flow reads a mark only at a departure index j with S+_{p,j} = 0, so
-    # marks elsewhere marginalize to total weight 1 and the sum over full
-    # assignments collapses to a sum over the departure candidates
+    _check_lattice(x)
+    if n < p:
+        raise OutOfWindowError(f"need p <= n, got {p} > {n}")
+    hit, radius, j = _flow_radius(walk.path(p, n), x.radius)
     free = departure_candidates(walk, p, n)
+    N = params.N
+    if hit and radius:
+        if p + j not in free:
+            return None
+        read = free.index(p + j)
+        values = [point(ray, radius, N) for ray in range(1, N + 1)]
+    else:  # no mark is read: every assignment gives the same point
+        read = None
+        values = [junction(N) if hit else point(x.ray, radius, N)]
     # weights are integer numerators over scale ** len(free); the validated
     # DiscreteMeasure build rejects them unless they sum to that denominator
     scale, numerators = params.alpha_numerators
     atoms: dict[GraphPoint, int] = {}
-    fr = FlowRealization(walk, np.ones(n_marks, dtype=np.int64), params)
-    for assignment in itertools.product(range(1, params.N + 1), repeat=len(free)):
-        for j, ray in zip(free, assignment):
-            fr.eta[j - walk.p_min] = ray  # the one realization reads its marks in place
-        y = psi_closed_form(fr, p, n, x)
-        atoms[y] = atoms.get(y, 0) + math.prod(numerators[ray - 1] for ray in assignment)
+    for rays, weights in zip(itertools.product(range(N), repeat=len(free)),
+                             itertools.product(numerators, repeat=len(free))):
+        y = values[rays[read]] if read is not None else values[0]
+        atoms[y] = atoms.get(y, 0) + math.prod(weights)
     denominator = scale ** len(free)
-    law = DiscreteMeasure((y, Fraction(w, denominator)) for y, w in atoms.items())
-    return law == kernel_closed_form(walk, params, p, n, x)
+    return DiscreteMeasure((y, Fraction(w, denominator)) for y, w in atoms.items())
 
 
 def closed_forms_from(fr: FlowRealization, p: int,

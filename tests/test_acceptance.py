@@ -20,6 +20,7 @@ from starflow.flows import (FlowRealization, kernel_closed_form, kernel_compose,
                             kernel_is_conditional_law, psi_closed_form, psi_compose)
 from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, junction, point)
 from starflow.limit import convergence_profiles, rescale_path, wiener_kernel
+from starflow.oracles import grid_measures, grid_points, kernel_compose_grid, psi_compose_grid
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square,
                             walsh_marginal_check)
@@ -111,17 +112,31 @@ def test_criterion_3_flip():
 # Criterion 4: flow exactness, exhaustive + spot checks + kernels, <60 s
 # ---------------------------------------------------------------------------
 
+def _grid_starts(times, length):
+    """The start times and radii of a grid of starts (p, point(1, radius))
+    for p in times and radius 0..3, and its cells (start, p, n, x) for every
+    n in [p, length] in the order the checks walk them."""
+    starts = [(p, radius) for p in times for radius in range(4)]
+    cells = [(s, p, n, point(1, radius, 3)) for s, (p, radius) in enumerate(starts)
+             for n in range(p, length + 1)]
+    return (*(np.array(a) for a in zip(*starts)), cells,
+            *(np.array(a) for a in zip(*((s, n) for s, _, n, _ in cells))))
+
+
 def test_criterion_4_flow_exactness():
     t0 = time.time()
     eta = np.tile([2, 1, 3, 1], 3).astype(np.int64)
-    # mapping: every walk of length 12, every window, every |x| <= 3
-    for bits in itertools.product((1, -1), repeat=12):
-        fr = FlowRealization(WalkWindow(0, np.array(bits)), eta, PARAMS)
-        for p in range(13):
-            for n in range(p, 13):
-                for radius in range(4):
-                    x = point(1, radius, 3)
-                    assert psi_closed_form(fr, p, n, x) == psi_compose(fr, p, n, x)
+    walks = np.array(list(itertools.product((1, -1), repeat=12)))
+    blocks = [walks[i:i + 512] for i in range(0, len(walks), 512)]
+    # mapping: every walk of length 12, every window, every |x| <= 3, against
+    # the one-step rule stepped over the whole grid at once
+    times, radius, cells, s_idx, n_idx = _grid_starts(range(13), 12)
+    for block in blocks:
+        rays, radii = psi_compose_grid(block, eta, 3, times, np.ones_like(times), radius)
+        want = grid_points(rays[:, s_idx, n_idx], radii[:, s_idx, n_idx], 3)
+        for bits, row in zip(block, want.tolist()):
+            fr = FlowRealization(WalkWindow(0, bits), eta, PARAMS)
+            assert [psi_closed_form(fr, p, n, x) for _, p, n, x in cells] == row, bits
     # mapping: 10^4 random spot checks at length 10^3
     walk = generate_walk(0, 1_000, SEED, 40)
     fr = FlowRealization.generate(walk, PARAMS, SEED, 41)
@@ -131,15 +146,18 @@ def test_criterion_4_flow_exactness():
         n = int(rng.integers(p, 1_001))
         x = point(int(rng.integers(1, 4)), int(rng.integers(0, 4)), 3)
         assert psi_closed_form(fr, p, n, x) == psi_compose(fr, p, n, x)
-    # kernel: closed form = exact rational composition on the length-12 grid
-    for bits in itertools.product((1, -1), repeat=12):
-        w = WalkWindow(0, np.array(bits))
-        for p in (0, 6, 12):
-            for n in range(p, 13):
-                for radius in range(4):
-                    x = point(1, radius, 3)
-                    assert kernel_compose(w, PARAMS, p, n, x) == \
-                        kernel_closed_form(w, PARAMS, p, n, x)
+    # kernel: closed form = exact rational composition on the length-12 grid,
+    # as integer numerators stepped over the whole grid at once
+    times, radius, cells, s_idx, n_idx = _grid_starts((0, 6, 12), 12)
+    for block in blocks:
+        numerators, denominators = kernel_compose_grid(block, PARAMS, times,
+                                                       np.ones_like(times), radius)
+        kernels, index = grid_measures(numerators[:, s_idx, n_idx],
+                                       denominators[:, s_idx, n_idx])
+        for bits, row in zip(block, index.tolist()):
+            w = WalkWindow(0, bits)
+            assert [kernel_closed_form(w, PARAMS, p, n, x) for _, p, n, x in cells] == \
+                [kernels[i] for i in row], bits
     # kernel cocycle, exact rational chaining on random triples
     rng = make_rng(SEED, 43)
     for _ in range(128):

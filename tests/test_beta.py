@@ -180,18 +180,45 @@ def _halved_subsets_reference(m, n):
     return np.hstack([combos[keep], np.full((int(keep.sum()), 1), m - 1)])
 
 
+def _covers_every_column(A, subsets):
+    """For each row subset, whether its rows of A touch every column."""
+    return (A[subsets] != 0).any(axis=1).all(axis=1)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_vertex_subset_table_matches_mirror_filter(k):
+    # the mirror filter's subsets, less those that leave a column of A at zero
     m, n = k * k + 3 * k + 1, k + 2  # rows of _constraint_rows on k points
-    assert _constraint_rows([point(1, r, 3) for r in range(1, k + 1)])[0].shape == (m, n)
+    A = _constraint_rows([point(1, r, 3) for r in range(1, k + 1)])[0]
+    assert A.shape == (m, n)
     table = _vertex_subsets(m, n)
     reference = _halved_subsets_reference(m, n)
     assert table.dtype == np.int8
-    assert np.array_equal(table, reference)
+    assert np.array_equal(table, reference[_covers_every_column(A, reference)])
     assert _vertex_subsets(m, n) is table  # built once per size
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_vertex_table_drops_only_subsets_with_a_zero_column(k):
+    # every subset the mirror filter keeps and the table drops leaves a column
+    # of A at zero on any support of k points, so its determinant is exactly
+    # 0 and the det cut would have dropped it
+    m, n = k * k + 3 * k + 1, k + 2
+    halved = _halved_subsets_reference(m, n)
+    kept = set(map(tuple, _vertex_subsets(m, n).tolist()))
+    dropped = halved[[row not in kept for row in map(tuple, halved.tolist())]]
+    assert len(kept) + len(dropped) == len(halved)
+    assert len(dropped) == {1: 0, 2: 4, 3: 300, 4: 16380}[k]
+    rng = make_rng(20, k)
+    for _ in range(5):
+        pts = [GraphPoint(int(rng.integers(1, 4)), float(rng.uniform(0.5, 4.0)))
+               for _ in range(k)]
+        A = _constraint_rows(pts)[0]
+        assert not _covers_every_column(A, dropped).any()
+        assert np.all(np.linalg.det(A[dropped]) == 0.0)
 
 
 def _four_point_pair():
@@ -217,7 +244,7 @@ _VERTEX_PEAK_BOUND = 8 * 2**20
 
 
 def test_vertex_oracle_allocation_bound():
-    # one 4-point call solves 49,140 subsets, whose systems take about 34 MiB
+    # one 4-point call solves 32,760 subsets, whose systems take about 23 MiB
     # when solved at once; in chunks the call stays a few MiB, whether or not
     # the subset table is already cached
     p, q = _four_point_pair()
@@ -229,14 +256,17 @@ def test_vertex_oracle_allocation_bound():
 
 
 def test_vertex_oracle_chunks_cover_the_table(monkeypatch):
-    # the chunks hand every subset of the table to det once, in order
+    # the chunks hand every subset of the filtered table to det once, in
+    # order, and none of them leaves a column at zero
     p, q = _four_point_pair()
     A, _ = _constraint_rows(_signed_weights(p, q)[0])
     seen, det = [], np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda a: seen.append(a.copy()) or det(a))
     beta_vertex_oracle(p, q)
-    assert len(seen) > 1
-    assert np.array_equal(np.concatenate(seen), A[_vertex_subsets(*A.shape)])
+    table = _vertex_subsets(*A.shape)
+    assert len(seen) > 1 and len(table) == 32_760
+    assert np.array_equal(np.concatenate(seen), A[table])
+    assert (np.concatenate(seen) != 0).any(axis=1).all()
 
 
 def test_traced_peak_sees_numpy_allocations():

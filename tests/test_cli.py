@@ -391,6 +391,12 @@ def test_cli_import_leaves_out_scipy():
                        ) == "[]"
 
 
+def test_cli_import_leaves_out_the_oracles():
+    # the grid oracles are for tests; the CLI never loads them
+    assert _run_python("import sys, starflow.cli; "
+                       "print('starflow.oracles' in sys.modules)") == "False"
+
+
 def test_runs_import_nothing_after_the_cli(tmp_path):
     # every module a run needs is loaded with starflow.cli, so a timed run
     # pays for no import: numpy loads numpy.random and numpy.ma lazily, and

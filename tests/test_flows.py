@@ -1,15 +1,18 @@
 """Mapping and kernel flows: one-step laws, cocycle, closed forms, conditional law."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from starflow import flows
 from starflow.errors import OutOfWindowError, WindowTooLargeError
-from starflow.flows import (FlowRealization, closed_forms_from, kernel_closed_form,
-                            kernel_compose, kernel_is_conditional_law, kernel_one_step,
-                            psi_closed_form, psi_compose, psi_one_step)
+from starflow.flows import (FlowRealization, _mark_law, closed_forms_from,
+                            departure_candidates, kernel_closed_form, kernel_compose,
+                            kernel_is_conditional_law, kernel_one_step, psi_closed_form,
+                            psi_compose, psi_one_step)
 from starflow.graph import (DiscreteMeasure, RayParams, junction, point)
 from starflow.rng import make_rng
 from starflow.walk import WalkWindow, generate_walk
@@ -250,6 +253,112 @@ def test_conditional_law_other_alphas(params):
 def test_conditional_law_translation_branch():
     walk = generate_walk(0, 8, 56, 0)
     assert kernel_is_conditional_law(walk, PARAMS, 0, 8, point(1, 9, 3))
+
+
+def _law_by_closed_form(walk, params, p, n, x):
+    """The law of Psi_{p,n}(x) given S as the check once summed it: one
+    realization per mark assignment of the departure candidates, marks 1
+    elsewhere, each valued by psi_closed_form."""
+    free = departure_candidates(walk, p, n)
+    scale, numerators = params.alpha_numerators
+    atoms = {}
+    for assignment in itertools.product(range(1, params.N + 1), repeat=len(free)):
+        eta = np.ones(len(walk.increments), dtype=np.int64)
+        eta[np.array(free, dtype=np.int64) - walk.p_min] = assignment
+        y = psi_closed_form(FlowRealization(walk, eta, params), p, n, x)
+        atoms[y] = atoms.get(y, 0) + math.prod(numerators[ray - 1] for ray in assignment)
+    return DiscreteMeasure((y, Fraction(w, scale ** len(free))) for y, w in atoms.items())
+
+
+def test_mark_law_matches_per_assignment_closed_forms():
+    # the scan-once law against the closed form valued on every assignment,
+    # on every walk of length <= 8, from junction and off-junction starts
+    for length in range(1, 9):
+        for bits in itertools.product((1, -1), repeat=length):
+            walk = WalkWindow(0, np.array(bits))
+            for p in (0, length // 2):
+                for x in (junction(3), point(2, 2, 3)):
+                    law = _mark_law(walk, PARAMS, p, length, x)
+                    assert law == _law_by_closed_form(walk, PARAMS, p, length, x), (bits, p, x)
+                    assert law == kernel_closed_form(walk, PARAMS, p, length, x)
+
+
+def _reads_a_mark(walk, p, n, x):
+    """Psi_{p,n}(x) leaves the junction on a mark: the hit has happened and
+    the radius is positive."""
+    s = walk.values[p : n + 1] - walk.values[p]
+    return n > p and s[:-1].min() <= -x.radius and s[-1] > s.min()
+
+
+def test_conditional_law_rejects_a_uniform_spread():
+    # negative control: enumeration weights 1/3 each in place of alpha fail
+    # the check on exactly the walks whose flow reads a mark
+    uniform = RayParams(3, PARAMS.alpha)
+    vars(uniform)["alpha_numerators"] = (3, (1, 1, 1))
+    rejected = 0
+    for bits in itertools.product((1, -1), repeat=6):
+        walk = WalkWindow(0, np.array(bits))
+        for x in (junction(3), point(2, 2, 3)):
+            reads = _reads_a_mark(walk, 0, 6, x)
+            assert kernel_is_conditional_law(walk, uniform, 0, 6, x) is not reads
+            rejected += reads
+    assert rejected > 50
+
+
+def _last_argmin_moved(offset):
+    """_flow_radius with the read moved from the last argmin J of the path:
+    to its first argmin (offset None), or to J + offset."""
+    flow_radius = flows._flow_radius
+
+    def moved(path, radius):
+        hit, r, j = flow_radius(path, radius)
+        if hit and r:
+            j = path.index(min(path)) if offset is None else j + offset
+        return hit, r, j
+    return moved
+
+
+def test_conditional_law_rejects_a_read_off_the_departures(monkeypatch):
+    # negative control: one step after the last argmin the flow is away from
+    # the junction, so a read there is no departure and the check fails
+    monkeypatch.setattr(flows, "_flow_radius", _last_argmin_moved(1))
+    for bits in itertools.product((1, -1), repeat=6):
+        walk = WalkWindow(0, np.array(bits))
+        for x in (junction(3), point(2, 2, 3)):
+            assert kernel_is_conditional_law(walk, PARAMS, 0, 6, x) is \
+                not _reads_a_mark(walk, 0, 6, x)
+
+
+def test_conditional_law_cannot_see_which_departure_is_read(monkeypatch):
+    # given S every mark has law alpha, so a read moved to the first argmin,
+    # itself a departure candidate, keeps the law and passes the check; the
+    # pathwise comparison with the composition is what catches it
+    monkeypatch.setattr(flows, "_flow_radius", _last_argmin_moved(None))
+    eta = np.array([2, 1, 3, 1, 3, 2], dtype=np.int64)
+    caught = 0
+    for bits in itertools.product((1, -1), repeat=6):
+        walk = WalkWindow(0, np.array(bits))
+        fr = FlowRealization(walk, eta, PARAMS)
+        for x in (junction(3), point(2, 2, 3)):
+            assert kernel_is_conditional_law(walk, PARAMS, 0, 6, x)
+            caught += psi_closed_form(fr, 0, 6, x) != psi_compose(fr, 0, 6, x)
+    assert caught > 0
+
+
+def test_flow_realization_keeps_read_only_marks():
+    # the realization copies eta; its array and the marks that mark() reads
+    # cannot be written, so they stay the same marks
+    eta = np.array([2, 1, 3], dtype=np.int32)
+    fr = FlowRealization(WalkWindow(-1, np.array([1, -1, 1])), eta, PARAMS)
+    eta[0] = 3
+    assert fr.eta.dtype == np.int64 and fr.eta.tolist() == [2, 1, 3]
+    assert [fr.mark(p) for p in (-1, 0, 1)] == [2, 1, 3]
+    assert all(type(fr.mark(p)) is int for p in (-1, 0, 1))
+    with pytest.raises(ValueError):
+        fr.eta[0] = 1
+    for p in (-2, 2):
+        with pytest.raises(OutOfWindowError):
+            fr.mark(p)
 
 
 def test_conditional_law_window_cap():

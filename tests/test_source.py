@@ -215,3 +215,36 @@ def test_no_module_level_scipy_import(path):
     # and an oracle that does imports it when it is called
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "scipy" not in _module_level_packages(tree)
+
+
+def _package_modules_imported(tree: ast.AST) -> set[str]:
+    """The modules of the package that a module imports, by their names
+    inside it: ``from .m import x``, ``from . import m``, ``import
+    starflow.m`` and ``from starflow import m`` all give ``m``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "starflow":
+                continue
+            inside = [p for p in (parts if node.level else parts[1:]) if p]
+            found |= {inside[0]} if inside else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("starflow.")}
+    return found
+
+
+def test_package_modules_imported_are_found():
+    tree = ast.parse("from .oracles import a\nfrom . import oracles, walk\n"
+                     "import starflow.beta\nfrom starflow import cli\nfrom starflow.cv import b\n"
+                     "import numpy.linalg\nfrom numpy import oracles as o\n")
+    assert _package_modules_imported(tree) == {"oracles", "walk", "beta", "cli", "cv"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "oracles.py"],
+                         ids=[p.name for p in SOURCES if p.name != "oracles.py"])
+def test_no_module_imports_the_oracles(path):
+    # the grid oracles are for tests: no module of the package imports them
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "oracles" not in _package_modules_imported(tree)
