@@ -239,6 +239,19 @@ def beta_grid_oracle(P: DiscreteMeasure, Q: DiscreteMeasure) -> float:
     return float(np.abs(vals).max(initial=0.0))
 
 
+def _combinations(m: int, r: int) -> np.ndarray:
+    """The r-subsets of range(m), r >= 1, as the rows of an int8 array in
+    the order of ``itertools.combinations``: each row of r - 1 values is
+    followed by every value above its last."""
+    combos = np.arange(m, dtype=np.int8)[:, None]
+    for _ in range(r - 1):
+        last = combos[:, -1].astype(np.int64)
+        counts = m - 1 - last
+        after = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        combos = np.hstack([np.repeat(combos, counts, axis=0), after.astype(np.int8)[:, None]])
+    return combos
+
+
 @functools.lru_cache(maxsize=None)
 def _vertex_subsets(m: int, n: int) -> np.ndarray:
     """Read-only int8 table of the n-subsets of m rows that the vertex oracle
@@ -248,8 +261,7 @@ def _vertex_subsets(m: int, n: int) -> np.ndarray:
     subset and its mirror under 2i <-> 2i + 1; self-mirrors hold no lone row
     and are dropped.  So is every subset whose rows leave a column of A at
     zero on every support of n - 2 points: its determinant is exactly 0."""
-    combos = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(m - 1), n - 1)), dtype=np.int8).reshape(-1, n - 1)
+    combos = _combinations(m - 1, n - 1)
     pair = combos >> 1  # rows are sorted, so the two rows of a pair sit side by side
     edge = np.ones((len(combos), 1), dtype=bool)
     lone = (np.hstack([edge, pair[:, 1:] != pair[:, :-1]])
@@ -262,7 +274,8 @@ def _vertex_subsets(m: int, n: int) -> np.ndarray:
     touched = _constraint_rows([GraphPoint(1, r) for r in range(1, n - 1)])[0] != 0
     if touched.shape != (m, n):
         raise ValueError(f"no support has {m} constraint rows and {n} unknowns")
-    table = table[touched[table].any(axis=1).all(axis=1)]
+    columns = touched @ (1 << np.arange(n))  # the columns each row touches, as bits
+    table = table[np.bitwise_or.reduce(columns[table], axis=1) == (1 << n) - 1]
     table.flags.writeable = False
     return table
 

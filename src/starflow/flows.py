@@ -25,14 +25,12 @@ import numpy as np
 
 from .chain import draw_ray_marks
 from .errors import OutOfWindowError, WindowTooLargeError
-from .graph import CACHE_MAX, DiscreteMeasure, GraphPoint, Radius, RayParams, junction, point
+from .graph import (DiscreteMeasure, GraphPoint, Radius, RayParams, interned_weight, junction,
+                    point)
 from .walk import WalkWindow
 
 # the longest window kernel_is_conditional_law enumerates mark assignments on
 _LAW_MAX_STEPS = 16
-
-# kernel_compose's weights by (numerator, denominator), each normalised once
-_WEIGHTS: dict[tuple[int, int], Fraction] = {}
 
 
 @dataclass(frozen=True)
@@ -188,18 +186,8 @@ def kernel_compose(walk: WalkWindow, params: RayParams, p: int, n: int,
         atoms = moved
     if any(w <= 0 for w in atoms.values()) or sum(atoms.values()) != denominator:
         raise ValueError(f"kernel weights {atoms} over {denominator} are not a probability")
-    return DiscreteMeasure({point(ray, radius, N): _weight(w, denominator)
+    return DiscreteMeasure({point(ray, radius, N): interned_weight(w, denominator)
                             for (ray, radius), w in atoms.items()}, trusted=True)
-
-
-def _weight(numerator: int, denominator: int) -> Fraction:
-    """numerator / denominator, from the table of weights while it has room."""
-    w = _WEIGHTS.get((numerator, denominator))
-    if w is None:
-        w = Fraction(numerator, denominator)
-        if len(_WEIGHTS) < CACHE_MAX:
-            _WEIGHTS[numerator, denominator] = w
-    return w
 
 
 def kernel_closed_form(walk: WalkWindow, params: RayParams, p: int, n: int,

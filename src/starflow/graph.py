@@ -26,11 +26,25 @@ Weight = Fraction
 Radius = Union[int, float, Fraction]
 
 # the most entries of each table of immutable lattice values: the interned
-# points, the alpha spreads of one RayParams and the kernel weights of flows;
-# past that, further ones are built on every call
+# points, the alpha spreads of one RayParams and the interned weights; past
+# that, further ones are built on every call
 CACHE_MAX = 1024
 _LATTICE_POINTS: dict[tuple[int, int, int], "GraphPoint"] = {}
 _ONE = Fraction(1)
+_WEIGHTS: dict[tuple[int, int], Fraction] = {(1, 1): _ONE}
+
+
+def interned_weight(numerator: int, denominator: int) -> Fraction:
+    """numerator / denominator, one object per value while the table has
+    room, so that measure equality meets equal weights by identity.  The
+    table is keyed by the pair as given and by its lowest terms."""
+    w = _WEIGHTS.get((numerator, denominator))
+    if w is None:
+        w = Fraction(numerator, denominator)
+        w = _WEIGHTS.get((w.numerator, w.denominator), w)
+        if len(_WEIGHTS) < CACHE_MAX - 1:
+            _WEIGHTS[w.numerator, w.denominator] = _WEIGHTS[numerator, denominator] = w
+    return w
 
 
 @dataclass(frozen=True)
@@ -50,7 +64,8 @@ class RayParams:
             raise ValueError("every alpha_i must be > 0")
         if sum(alpha) != 1:
             raise ValueError("alpha must sum to exactly 1")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha",
+                           tuple(interned_weight(a.numerator, a.denominator) for a in alpha))
 
     @classmethod
     def uniform(cls, N: int) -> "RayParams":

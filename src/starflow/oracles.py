@@ -15,11 +15,9 @@ This module is for tests only: nothing on the import path of
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .graph import DiscreteMeasure, RayParams, point
+from .graph import DiscreteMeasure, RayParams, interned_weight, point
 
 
 def _grid(increments, p, radius) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,6 +132,6 @@ def grid_measures(numerators: np.ndarray,
     for row in rows[first].tolist():
         weights, denominator = row[:-1], row[-1]
         measures.append(DiscreteMeasure(
-            (point(cell // reach + 1, cell % reach, N), Fraction(w, denominator))
+            (point(cell // reach + 1, cell % reach, N), interned_weight(w, denominator))
             for cell, w in enumerate(weights) if w))
     return measures, index.reshape(denominators.shape)

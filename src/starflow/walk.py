@@ -75,13 +75,17 @@ class WalkWindow:
 
     def path(self, p: int, n: int) -> list[int]:
         """S_p, ..., S_n (anchored at S_{p_min} = 0) as Python ints."""
-        i, j = self._idx(p), self._idx(n)
-        return self._lists()[0][i : j + 1]
+        lo, hi = self.p_min, self.p_max
+        if not (lo <= p <= hi and lo <= n <= hi):
+            self._idx(p), self._idx(n)  # raises for the index outside
+        return self._lists()[0][p - lo : n - lo + 1]
 
     def steps(self, p: int, n: int) -> list[int]:
         """Increments S_{k+1} - S_k for k in [p, n), as Python ints."""
-        i, j = self._idx(p), self._idx(n)
-        return self._lists()[1][i:j]
+        lo, hi = self.p_min, self.p_max
+        if not (lo <= p <= hi and lo <= n <= hi):
+            self._idx(p), self._idx(n)  # raises for the index outside
+        return self._lists()[1][p - lo : n - lo]
 
 
 def row_blocks(n_rows: int, length: int) -> Iterator[slice]:
