@@ -245,9 +245,10 @@ def _combinations(m: int, r: int) -> np.ndarray:
     followed by every value above its last."""
     combos = np.arange(m, dtype=np.int8)[:, None]
     for _ in range(r - 1):
-        last = combos[:, -1].astype(np.int64)
+        last = combos[:, -1].astype(np.int32)
         counts = m - 1 - last
-        after = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        after = np.arange(counts.sum(), dtype=np.int32)
+        after -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts - last - 1, counts)
         combos = np.hstack([np.repeat(combos, counts, axis=0), after.astype(np.int8)[:, None]])
     return combos
 
@@ -274,7 +275,7 @@ def _vertex_subsets(m: int, n: int) -> np.ndarray:
     touched = _constraint_rows([GraphPoint(1, r) for r in range(1, n - 1)])[0] != 0
     if touched.shape != (m, n):
         raise ValueError(f"no support has {m} constraint rows and {n} unknowns")
-    columns = touched @ (1 << np.arange(n))  # the columns each row touches, as bits
+    columns = (touched @ (1 << np.arange(n))).astype(np.uint8)  # each row's columns as bits
     table = table[np.bitwise_or.reduce(columns[table], axis=1) == (1 << n) - 1]
     table.flags.writeable = False
     return table
