@@ -38,7 +38,7 @@ from .graph import DiscreteMeasure, GraphPoint, graph_distance
 _FEAS_TOL = 1e-9
 _FLOAT_GAP = 1e-14  # cutting-plane stop for float input: a few roundings
 _GRID_STEP = 1e-3  # spacing of beta_grid_oracle's g-values
-_VERTEX_CHUNK = 4096  # subsets beta_vertex_oracle solves at once
+_VERTEX_CHUNK = 2048  # subsets beta_vertex_oracle solves at once
 # HiGHS's default 1e-7 feasibility tolerance lets the LP overshoot beta by up
 # to about 1e-7 when radii are below about 1e-6
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,

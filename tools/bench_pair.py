@@ -10,8 +10,10 @@ the change first on odd ones.  A run's value of a metric is run.py's median
 over its iterations.  Per metric the record keeps every pair's two values,
 each side's median and quartiles (``statistics.quantiles``, inclusive) and
 the number of pairs the change won, that is, where it reads lower.
-``--trace-seed`` adds one ``--trace 1`` run per side, whose per-layer
-metrics are those of its first traced iteration.
+``--trace-seed`` adds ``--trace-runs`` pairs of ``--trace 1`` runs on
+seeds from it on, alternating in the same way.  A traced run's per-layer
+metrics are those of its first traced iteration; the record keeps each run's
+and, per side, their median.
 
 Workloads already in the output file and not run again are kept, so the
 workloads of one record can be run one at a time.
@@ -66,14 +68,21 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def measure(trees: dict, workload: str, seeds: list[int], seconds: float) -> tuple[dict, dict]:
-    """(record of the paired runs of one workload, environment of a run)."""
+def paired_runs(trees: dict, workload: str, seeds: list[int], seconds: float,
+                trace: int) -> dict[str, list[dict]]:
+    """Each side's runs on the seeds, the base first on even pairs."""
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            runs[side].append(run_bench(trees[side], workload, seed, seconds, 0))
-            print(f"{workload} pair {i + 1}/{len(seeds)} {side}: "
+            runs[side].append(run_bench(trees[side], workload, seed, seconds, trace))
+            print(f"{workload} trace {trace} pair {i + 1}/{len(seeds)} {side}: "
                   f"{runs[side][-1]['metrics']}", file=sys.stderr)
+    return runs
+
+
+def measure(trees: dict, workload: str, seeds: list[int], seconds: float) -> tuple[dict, dict]:
+    """(record of the paired runs of one workload, environment of a run)."""
+    runs = paired_runs(trees, workload, seeds, seconds, 0)
     metrics = {}
     for name in runs["base"][0]["metrics"]:
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
@@ -96,7 +105,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--trace-seed", type=int, help="add one --trace 1 run per side")
+    parser.add_argument("--trace-seed", type=int, help="add --trace 1 runs from this seed on")
+    parser.add_argument("--trace-runs", type=int, default=1, help="traced runs per side")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the root")
     parser.add_argument("--work-dir", type=Path, help="where the checkouts go for the runs "
                         "(default: the system's temporary directory)")
@@ -116,9 +126,14 @@ def main(argv=None) -> int:
         for workload in args.workload:
             entry, env = measure(trees, workload, seeds, args.seconds)
             if args.trace_seed is not None:
-                entry["trace"] = {"seed": args.trace_seed, "seconds": args.seconds, **{
-                    side: run_bench(trees[side], workload, args.trace_seed,
-                                    args.seconds, 1)["metrics"] for side in SIDES}}
+                trace_seeds = list(range(args.trace_seed, args.trace_seed + args.trace_runs))
+                traced = paired_runs(trees, workload, trace_seeds, args.seconds, 1)
+                entry["trace"] = {"seeds": trace_seeds, "seconds": args.seconds}
+                for side in SIDES:
+                    layers = [r["metrics"] for r in traced[side]]
+                    entry["trace"][side] = {
+                        "median": {m: statistics.median(r[m] for r in layers) for m in layers[0]},
+                        "runs": layers}
             record.setdefault("workloads", {})[workload] = entry
             record["environment"] = {"nproc": env["nproc"], "blas_threads": env["blas_threads"],
                                      "versions": env["versions"]}
@@ -130,6 +145,10 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {m['base']['median']:.6g} "
                   f"[{m['base']['q1']:.6g}, {m['base']['q3']:.6g}] -> "
                   f"{m['change']['median']:.6g}, change won {m['change_wins']}/{entry['pairs']}")
+        if "trace" in entry:
+            base, change = (entry["trace"][side]["median"] for side in SIDES)
+            for name in base:
+                print(f"{workload} traced median {name}: {base[name]:.6g} -> {change[name]:.6g}")
     return 0
 
 
