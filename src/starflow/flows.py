@@ -215,7 +215,9 @@ def kernel_is_conditional_law(walk: WalkWindow, params: RayParams, p: int, n: in
                               x: GraphPoint) -> bool:
     """Check K_{p,n}(x) = E[delta_{Psi_{p,n}(x)} | sigma(S)] by enumerating
     every mark assignment on the window with its product alpha weight; the
-    window may have at most 16 steps.  See ``_mark_law``."""
+    window may have at most 16 steps.  One scan of S_p..S_n fixes the one
+    mark the flow reads, and each assignment is valued by its ray there
+    (``_mark_law``)."""
     return _mark_law(walk, params, p, n, x) == kernel_closed_form(walk, params, p, n, x)
 
 

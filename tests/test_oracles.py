@@ -24,6 +24,7 @@ def test_grid_oracles_equal_one_row_compose(length):
     starts = [(p, 1 + radius % 3, radius) for p in range(length + 1) for radius in range(4)]
     p, ray, radius = (np.array(a) for a in zip(*starts))
     rays, radii = psi_compose_grid(walks, eta, 3, p, ray, radius)
+    assert np.all(rays[radii == 0] == 3)  # the junction carries ray N
     points = grid_points(rays, radii, 3)
     numerators, denominators = kernel_compose_grid(walks, PARAMS, p, ray, radius)
     measures, index = grid_measures(numerators, denominators)
