@@ -101,6 +101,16 @@ def test_trusted_kernels_equal_validated_rebuilds_exhaustive():
             psi_compose(FlowRealization(walk, eta, PARAMS), 0, 7, junction(3))
 
 
+def test_kernel_weights_meet_by_identity():
+    # both kernel flows take their weights from the interned table, so the
+    # spread that kernel_compose builds holds the objects of PARAMS.alpha
+    walk = WalkWindow(0, np.array([1, 1, -1, 1]))
+    composed = kernel_compose(walk, PARAMS, 0, 4, junction(3))
+    assert composed == kernel_closed_form(walk, PARAMS, 0, 4, junction(3))
+    assert [composed.atoms[point(i, 2, 3)] for i in (1, 2, 3)] == list(PARAMS.alpha)
+    assert all(composed.atoms[point(i, 2, 3)] is a for i, a in enumerate(PARAMS.alpha, 1))
+
+
 def test_compose_oracles_off_lattice_radius():
     # a whole radius of float type steps like its int, through the compose
     # oracles as through the one-step chain and the closed forms; a radius

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from starflow import graph
-from starflow.graph import DiscreteMeasure, GraphPoint, RayParams, graph_distance, junction, point
+from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, graph_distance,
+                            interned_weight, junction, point)
 from starflow.errors import NegativeRadiusError
 from starflow.rng import make_rng
 
@@ -134,3 +135,15 @@ def test_ray_spread_atoms_are_not_shared():
     del first.atoms[point(2, 3, 3)]
     assert DiscreteMeasure.ray_spread(PARAMS, 3).atoms == {
         point(i, 3, 3): a for i, a in enumerate(PARAMS.alpha, 1)}
+
+
+def test_interned_weights_are_one_object_per_value(monkeypatch):
+    # equal weights are one object, in alpha and in Diracs alike, while the
+    # table has room; past its bound they are built as plain Fractions
+    assert interned_weight(3, 6) is interned_weight(1, 2) is RayParams.uniform(2).alpha[0]
+    assert interned_weight(4, 4) is DiscreteMeasure.dirac(junction(3)).atoms[junction(3)]
+    monkeypatch.setattr(graph, "CACHE_MAX", 8)
+    monkeypatch.setattr(graph, "_WEIGHTS", {})
+    for d in range(2, 30):
+        assert interned_weight(2, 2 * d) == Fraction(1, d)
+    assert len(graph._WEIGHTS) == 8
