@@ -17,10 +17,14 @@ are classified by case (no excursion / one excursion, two sub-cases /
 two excursions) from the tau positions and the excursion table.  The flip
 reads S, S-bar, Y-bar and the taus from one ``cv.transform`` pass over a
 (replicas, steps) batch, and the bound and the proof facts are masks over
-the batch.  ``flip_batches`` draws replicas in batches of bounded size: each
-batch draws its walks and both mark arrays from one re-keyed Philox per array
-(``rng.stream_rows``) and maps each mark array to rays with one exit-ray
-lookup.
+the batch.  Past a row's stop, the end of its last completed block, its ray
+is 0, no transition is live and no excursion is kept, so the ray, the bound
+and the transition counts read only the columns up to the batch's last stop.
+``flip_batches`` draws replicas in batches of bounded size: each batch takes
+the words of its walks and of both mark arrays from one re-keyed Philox per
+array (``rng.stream_rows``), turns them into the steps and uniforms that
+``Generator.integers(0, 2)`` and ``Generator.random`` would give, and maps
+each mark array to rays with one exit-ray lookup.
 
 The chain eta . Y-bar of ``flipped_product_chain`` is the discrete flow of
 mappings started at the junction and driven by -S-bar, with every departure
@@ -61,20 +65,27 @@ def _exit_ray(params: RayParams, u):
     return ray
 
 
-def draw_ray_marks(params: RayParams, count: int, seed: int, stream_id: int) -> np.ndarray:
-    """i.i.d. ray indices (1..N) with law alpha from a dedicated stream.
-
-    Marks are consumed in ordinal order, so the same (seed, stream_id)
-    reproduces the same mark sequence regardless of how many are needed.
-    """
-    return _exit_ray(params, make_rng(seed, stream_id).random(count))
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms ``Generator.random`` returns for 64-bit words: the top 53
+    bits of each, (word >> 11) * 2**-53."""
+    return (words >> 11) * 2.0 ** -53
 
 
 def ray_mark_rows(params: RayParams, count: int, seed: int,
                   stream_ids: Sequence[int]) -> np.ndarray:
-    """Row r is ``draw_ray_marks(params, count, seed, stream_ids[r])``; the
-    uniforms come from ``rng.stream_rows`` and take one lookup together."""
-    return _exit_ray(params, stream_rows(seed, stream_ids, lambda rng: rng.random(count)))
+    """Row r holds count i.i.d. ray indices (1..N) with law alpha, one from
+    the uniform of each of the first count words of stream stream_ids[r]
+    (``rng.stream_rows``), looked up together.
+
+    Marks are consumed in ordinal order, so a stream gives the same mark
+    sequence regardless of how many are needed.
+    """
+    return _exit_ray(params, _uniforms(stream_rows(seed, stream_ids, count)))
+
+
+def draw_ray_marks(params: RayParams, count: int, seed: int, stream_id: int) -> np.ndarray:
+    """The count ray marks of the one stream stream_id (``ray_mark_rows``)."""
+    return ray_mark_rows(params, count, seed, [stream_id])[0]
 
 
 def step_chain(params: RayParams, x: GraphPoint, u: float, lazy: bool = False) -> GraphPoint:
@@ -146,15 +157,24 @@ def _last_tau(is_tau: np.ndarray) -> np.ndarray:
     return is_tau.shape[1] - 1 - np.argmax(is_tau[:, ::-1], axis=1)
 
 
+def _stop_width(n_end: np.ndarray) -> int:
+    """The columns 0..max(n_end) of a batch whose row r stops at n_end[r]:
+    past them no row has a nonzero ray, a live transition or a kept
+    excursion."""
+    return int(n_end.max(initial=0)) + 1
+
+
 def _carry(shape: tuple[int, int], row, pos, marks) -> np.ndarray:
     """A (rows, width) int64 array whose row r holds at each column the mark
     of row r's last change point (row[i], pos[i]) at or before it, and 0
-    before the first.  Every pos is below width; of change points at one
-    place, the one listed last wins."""
+    before the first.  Change points at or past width are dropped; of change
+    points at one place, the one listed last wins."""
     n_rows, width = shape
-    key = np.asarray(row) * width + pos
+    row, pos, marks = np.asarray(row), np.asarray(pos), np.asarray(marks)
+    inside = pos < width
+    key = row[inside] * width + pos[inside]
     order = np.argsort(key, kind="stable")
-    key, marks = key[order], np.asarray(marks)[order]
+    key, marks = key[order], marks[inside][order]
     last = np.ones(len(key), dtype=bool)
     last[:-1] = key[1:] != key[:-1]
     key, marks = key[last], marks[last]
@@ -177,7 +197,10 @@ class FlipBatch:
     after ``n_end[r]``, the end of the last completed block, where the chain
     stops.  ``exc`` is the excursion table of ``ybar`` and ``marks`` the ray
     mark of each entry.  ``block_row`` and ``cases`` give each completed
-    block's row and case (an index into CASES), in row-major order.
+    block's row and case (an index into CASES), in row-major order.  Every
+    field covers all L columns; ``flip_batch`` computes the ray, and
+    ``bound_deviation`` and ``transition_counts`` read the chain, only up to
+    the last stop max(n_end), since past it every ray is 0.
     """
 
     t: Transform
@@ -193,15 +216,18 @@ class FlipBatch:
     def bound_deviation(self) -> np.ndarray:
         """Per row, max over excursions i and times n in them of
         d(M_n, eta_i * Y-bar_n); excursions dropped with the truncated tail
-        are left out."""
+        are left out.  It reads only the columns up to the last stop."""
+        width = _stop_width(self.n_end)
+        rays, radii, ybar = (a[:, :width] for a in (self.rays, self.radii, self.ybar))
         kept = self.exc.end <= self.n_end[self.exc.row]
         start, end = self.exc.start[kept], self.exc.end[kept]
-        # eta_i on [start, end] of each kept excursion i, 0 elsewhere
-        mark = _carry(self.rays.shape, np.repeat(self.exc.row[kept], 2),
+        # eta_i on [start, end] of each kept excursion i, 0 elsewhere; the
+        # reset after an excursion that ends at the last column is dropped
+        mark = _carry(rays.shape, np.repeat(self.exc.row[kept], 2),
                       np.column_stack([start, end + 1]).ravel(),
                       np.column_stack([self.marks[kept], np.zeros_like(start)]).ravel())
-        same_ray = (self.rays == 0) | (self.rays == mark) | (self.ybar == 0)
-        dev = np.where(same_ray, np.abs(self.radii - self.ybar), self.radii + self.ybar)
+        same_ray = (rays == 0) | (rays == mark) | (ybar == 0)
+        dev = np.where(same_ray, np.abs(radii - ybar), radii + ybar)
         return np.where(mark > 0, dev, 0).max(axis=1, initial=0)
 
     def proof_fact_violations(self) -> np.ndarray:
@@ -282,10 +308,13 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray) -> FlipBatch
     if np.any(count > 2):
         raise AssertionError("a block holds at most two excursions")
     cases = np.select([count == 0, early, late], [0, 1, 2], 3)
-    rays = _carry((n_rows, length), np.append(t_row, exc.row),
-                  np.append(t_pos, exc.start + 1), np.append(beta_aux[t_row, t_ord], marks))
+    width = _stop_width(n_end)
     radii = np.abs(t.s[:, :length])
-    rays[(radii == 0) | (np.arange(length) > n_end[:, None])] = 0
+    rays = _carry((n_rows, width), np.append(t_row, exc.row),
+                  np.append(t_pos, exc.start + 1), np.append(beta_aux[t_row, t_ord], marks))
+    rays[(radii[:, :width] == 0) | (np.arange(width) > n_end[:, None])] = 0
+    if width < length:
+        rays = np.pad(rays, ((0, 0), (0, length - width)))
     return FlipBatch(t, ybar, rays, radii, n_end, exc, marks, b_row, cases)
 
 
@@ -297,8 +326,10 @@ def flip_batches(params: RayParams, length: int, seed: int,
 
     For stream id k, the walk of `length` steps comes from stream k
     (``generate_walk``), the excursion marks eta from stream k + 1 and the
-    block marks from stream k + 2 (``draw_ray_marks``).  The generator keeps
-    no array of a batch once it is yielded.
+    block marks from stream k + 2 (``draw_ray_marks``).  A batch takes the
+    first words of each of its streams at once (``rng.stream_rows``) and
+    builds its rays on the columns up to its last stop (``flip_batch``).
+    The generator keeps no array of a batch once it is yielded.
     """
     for rows in row_blocks(len(stream_ids), length):
         yield _flip_streams(params, length, seed, stream_ids[rows])
@@ -347,9 +378,13 @@ def transition_counts(params: RayParams, rays: np.ndarray, radii: np.ndarray,
 
     Away from the junction a chain moves its radius by +-1, so one count of
     2 R + (up) over the live transitions gives every cell: 0 a hold, 1 an
-    exit, 2 r + 1 and 2 r a move up and down from radius r >= 1.
+    exit, 2 r + 1 and 2 r a move up and down from radius r >= 1.  Only the
+    columns up to the last stop are read, so the counts run to the largest
+    radius there.
     """
-    live = np.arange(1, radii.shape[1]) <= n_end[:, None]
+    width = _stop_width(n_end)
+    rays, radii = rays[:, :width], radii[:, :width]
+    live = np.arange(1, width) <= n_end[:, None]
     before, after = radii[:, :-1], radii[:, 1:]
     up = after > before
     moves = np.bincount((2 * before + up)[live], minlength=2 * int(radii.max(initial=0)) + 2)

@@ -32,8 +32,7 @@ from .flows import (FlowRealization, departure_candidates, kernel_closed_form,
 from .graph import junction, point
 from .limit import convergence_profiles
 from .rng import make_rng
-from .stats import (chi_square, chi_square_pvalue, updown_chi_square,
-                    walsh_marginal_check)
+from .stats import chi_square_pvalue, ray_chi_square, updown_chi_square, walsh_marginal_check
 from .svg import line_plot
 from .walk import WalkWindow, generate_walk, increment_blocks
 
@@ -203,8 +202,7 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     checks.work = [{"population": "short replicas", **short_work},
                    {"population": "long paths", **long_work}]
     checks.add("flip_bound_max_deviation", worst, 2, worst <= 2)
-    stat, dof = chi_square(short["exits"], params.alpha)
-    p_exit = chi_square_pvalue(stat, dof)
+    _, _, p_exit = ray_chi_square(short["exits"], params.alpha)
     checks.add("flip_exit_chi2", p_exit, "> 0.005", p_exit > 0.005)
     stat2, dof2 = updown_chi_square(long["up_by_r"], long["down_by_r"])
     p_ud = chi_square_pvalue(stat2, dof2)

@@ -7,10 +7,15 @@ statistically independent streams that can be generated in parallel.  Each
 half of the key is one 64-bit word, so seeds and stream ids lie in
 [0, 2^64).
 
-``stream_rows`` draws one row from each of many streams.  It re-keys one
-Philox per stream instead of building a generator each: a new generator
-also builds (and discards) a seed sequence from OS entropy, which costs more
-than the short draws of a replica.
+A stream is a fixed sequence of 64-bit words, and numpy's draws are fixed
+functions of them (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC 2011, for the counter-based design).  ``stream_rows`` hands out the
+first words of many streams at once: it re-keys one Philox per stream
+instead of building a generator each, since a new generator also builds (and
+discards) a seed sequence from OS entropy, which costs more than the short
+draws of a replica.  ``walk`` and ``chain`` turn the words into steps and
+uniforms exactly as ``Generator.integers(0, 2)`` and ``Generator.random``
+would.
 
 numpy.random is imported with this module, which numpy would otherwise do
 on the first draw, inside a run.
@@ -19,40 +24,48 @@ on the first draw, inside a run.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 
-def _key(seed: int, stream_id: int) -> np.ndarray:
-    """The Philox key of the (seed, stream_id) stream, as a uint64 pair."""
-    words = operator.index(seed), operator.index(stream_id)
-    for name, word in zip(("seed", "stream_id"), words):
-        if not 0 <= word < 2**64:
-            raise ValueError(f"{name}: need 0 <= {name} < 2**64, got {word}")
-    return np.array(words, dtype=np.uint64)
+def _keys(seed: int, stream_ids: Iterable[int]) -> np.ndarray:
+    """The Philox keys of the (seed, stream_id) streams, one uint64 pair per
+    row; ValueError unless every word lies in [0, 2**64)."""
+    ids = np.asarray(stream_ids)
+    if ids.dtype.kind not in "iu":  # ints past int64 arrive as floats or objects
+        ids = np.array([operator.index(i) for i in stream_ids], dtype=object)
+    for name, words in (("seed", np.array([operator.index(seed)], dtype=object)),
+                        ("stream_id", ids)):
+        bad = np.flatnonzero((words < 0) | (words >= 2**64))
+        if len(bad):
+            raise ValueError(f"{name}: need 0 <= {name} < 2**64, got {words[bad[0]]}")
+    keys = np.empty((len(ids), 2), dtype=np.uint64)
+    keys[:, 0] = seed
+    keys[:, 1] = ids
+    return keys
 
 
 def make_rng(seed: int, stream_id: int = 0) -> Generator:
     """Return a Generator for the (seed, stream_id) stream."""
-    return Generator(Philox(key=_key(seed, stream_id)))
+    return Generator(Philox(key=_keys(seed, [stream_id])[0]))
 
 
-def stream_rows(seed: int, stream_ids: Iterable[int],
-                draw: Callable[[Generator], np.ndarray]) -> np.ndarray:
-    """Row r is ``draw(make_rng(seed, stream_ids[r]))``, stacked.
+def stream_rows(seed: int, stream_ids: Iterable[int], n_words: int) -> np.ndarray:
+    """A (len(stream_ids), n_words) uint64 array whose row r holds the first
+    n_words 64-bit outputs of the (seed, stream_ids[r]) stream.
 
-    One Philox serves every stream.  Before each draw its state is reset to
-    that of a new (seed, stream_id) generator: the key, a zero counter, an
-    empty output buffer and no buffered 32-bit half.
+    One Philox serves every stream.  Before each row its state is reset to
+    that of a new generator of the stream: the key, a zero counter and an
+    empty output buffer.
     """
-    bit_generator = Philox(key=_key(seed, 0))
-    rng = Generator(bit_generator)
+    keys = _keys(seed, stream_ids)
+    bit_generator = make_rng(seed).bit_generator
     fresh = bit_generator.state
-    rows = []
-    for stream_id in stream_ids:
-        fresh["state"]["key"] = _key(seed, stream_id)
+    out = np.empty((len(keys), n_words), dtype=np.uint64)
+    for r, key in enumerate(keys):
+        fresh["state"]["key"] = key
         bit_generator.state = fresh
-        rows.append(draw(rng))
-    return np.stack(rows)
+        out[r] = bit_generator.random_raw(n_words)
+    return out

@@ -91,6 +91,18 @@ def chi_square(observed: np.ndarray, expected_probs: np.ndarray) -> tuple[float,
     return stat, len(obs) - 1
 
 
+def ray_chi_square(counts: np.ndarray, alpha) -> tuple[float, int, float]:
+    """(statistic, dof, p-value) of ray counts against the ray law alpha.
+
+    With one ray every count falls in one category, so there is nothing to
+    test: it passes with statistic 0, dof 0 and p = 1.
+    """
+    if len(alpha) == 1:
+        return 0.0, 0, 1.0
+    stat, dof = chi_square(counts, alpha)
+    return stat, dof, chi_square_pvalue(stat, dof)
+
+
 def chi_square_pvalue(stat: float, dof: int) -> float:
     """P(chi-square with dof degrees of freedom > stat), for integer dof >= 1.
 
@@ -166,8 +178,7 @@ def walsh_marginal_check(rays: np.ndarray, radii: np.ndarray, n: int,
     ks_crit = ks_critical(m, adj)
     positive = radii > 0
     counts = np.bincount(rays[positive], minlength=params.N + 1)[1:]
-    stat, dof = chi_square(counts, params.alpha)
-    p_chi = chi_square_pvalue(stat, dof)
+    stat, dof, p_chi = ray_chi_square(counts, params.alpha)
     report = {
         "replicas": m,
         "ks_statistic": ks,

@@ -100,18 +100,28 @@ def increment_blocks(replicas: int, length: int, seed: int,
     """The rows of ``random_increments((replicas, length), ...)`` as int8
     blocks over ``row_blocks``.
 
-    Each block is drawn as int64 from the one (seed, stream_id) generator.
-    The generator hands out its bits in order, so the blocks reproduce one
-    draw of the whole array bit for bit; an int8 draw would not.
+    Each block takes the next words of the one (seed, stream_id) stream.  A
+    block of an odd number of steps leaves the high half of its last word to
+    the next block, as a generator's buffered 32-bit half would, so the
+    blocks reproduce one ``Generator.integers`` draw of the whole array bit
+    for bit.
     """
-    rng = make_rng(seed, stream_id)
+    bit_generator = make_rng(seed, stream_id).bit_generator
+    held = np.empty(0, dtype=np.int8)  # the step of a half the last block left
     for rows in row_blocks(replicas, length):
-        yield _fair_steps(rng, (rows.stop - rows.start, length))
+        size = (rows.stop - rows.start) * length
+        words = bit_generator.random_raw((size - len(held) + 1) // 2)
+        steps = np.concatenate([held, _fair_steps(words, 2 * len(words))])
+        held = steps[size:]
+        yield steps[:size].reshape(-1, length)
 
 
-def _fair_steps(rng: np.random.Generator, shape) -> np.ndarray:
-    """Fair +-1 steps (int8) of the given shape, the next ones of rng."""
-    steps = rng.integers(0, 2, size=shape, dtype=np.int64).astype(np.int8)
+def _fair_steps(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count fair +-1 steps (int8) that ``Generator.integers(0, 2,
+    dtype=np.int64)`` draws from the 64-bit words along the last axis: each
+    step is the top bit of one 32-bit half of a word, the low half first."""
+    halves = words.astype("<u8", copy=False).view("<u4")[..., :count]
+    steps = (halves >> 31).astype(np.int8)
     steps *= 2
     steps -= 1
     return steps
@@ -119,8 +129,8 @@ def _fair_steps(rng: np.random.Generator, shape) -> np.ndarray:
 
 def increment_rows(length: int, seed: int, stream_ids: Sequence[int]) -> np.ndarray:
     """Row r is ``random_increments(length, seed, stream_ids[r])``: one walk
-    per stream, drawn through ``rng.stream_rows``."""
-    return stream_rows(seed, stream_ids, lambda rng: _fair_steps(rng, length))
+    per stream, from the first words of each (``rng.stream_rows``)."""
+    return _fair_steps(stream_rows(seed, stream_ids, (length + 1) // 2), length)
 
 
 def random_increments(shape, seed: int, stream_id: int = 0) -> np.ndarray:

@@ -165,6 +165,21 @@ def test_flow_check_short_walks(length, tmp_path):
     assert (out / "flow_check.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand, ray_check", [("chain-donsker", "chain_q_chi2"),
+                                                    ("chain-donsker", "chain_lazy_chi2"),
+                                                    ("flip-check", "flip_exit_chi2")])
+def test_one_ray_passes_its_ray_check(subcommand, ray_check, tmp_path):
+    # with N = 1 every exit takes the one ray: the ray chi-square has one
+    # category, and passes with p = 1 instead of failing on dof 0
+    path = tmp_path / "config.txt"
+    path.write_text("N = 1\nalpha = 1\nseed = 42\nreplicas = 300\nlength = 200\n")
+    out = tmp_path / "artifacts"
+    assert main([subcommand, "--config", str(path), "--output-dir", str(out)]) == 0
+    rows = json.loads((out / f"{subcommand}_manifest.json").read_text())["checks"]
+    assert all(row["status"] == "pass" for row in rows)
+    assert [row["value"] for row in rows if row["name"] == ray_check] == [1.0]
+
+
 def test_flip_check_keeps_one_batch_alive(tmp_path, monkeypatch):
     # each batch is reduced before the next one is built: 10 short replicas
     # and 5 long paths of 70,000 steps, one row per batch

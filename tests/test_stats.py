@@ -13,7 +13,7 @@ from starflow.graph import RayParams
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, half_normal_cdf,
                             ks_critical, ks_statistic, ks_statistic_lattice,
-                            updown_chi_square, walsh_marginal_check)
+                            ray_chi_square, updown_chi_square, walsh_marginal_check)
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
@@ -108,6 +108,14 @@ def test_chi_square_pvalue_edges():
 def test_chi_square_pvalue_rejects_dof_below_one(dof):
     with pytest.raises(ValueError, match="dof"):
         chi_square_pvalue(1.0, dof)
+
+
+def test_ray_chi_square_one_ray_passes_without_a_test():
+    assert ray_chi_square(np.array([7]), (Fraction(1),)) == (0.0, 0, 1.0)
+    assert ray_chi_square(np.array([0]), (Fraction(1),)) == (0.0, 0, 1.0)
+    counts = np.array([40, 35, 25])
+    stat, dof = chi_square(counts, PARAMS.alpha)
+    assert ray_chi_square(counts, PARAMS.alpha) == (stat, dof, chi_square_pvalue(stat, dof))
 
 
 @pytest.mark.parametrize("dof", [2.0, 2.5, "3"])

@@ -8,10 +8,13 @@ import pytest
 
 from starflow.errors import EmptyWindowError, NegativeValueError, OutOfWindowError
 from starflow.flows import _flow_radius
+from starflow import walk
 from starflow.rng import make_rng
 from starflow.walk import (NOT_HIT, ROW_BLOCK_STEPS, Excursion, WalkWindow, excursion_table,
-                           excursions_brute, generate_walk, increment_blocks,
+                           excursions_brute, generate_walk, increment_blocks, increment_rows,
                            random_increments)
+
+KEYS = (0, 2**63, 2**64 - 1)
 
 GOLDEN = Path(__file__).parent / "golden" / "walk_seed1_win0_8.csv"
 
@@ -51,6 +54,34 @@ def test_block_draws_match_one_shot_draw(shape):
         blocks = list(increment_blocks(*shape, 5, 3))
         assert len(blocks) == -(-shape[0] // (ROW_BLOCK_STEPS // shape[1])) > 1
         assert np.array_equal(np.concatenate(blocks), one_shot)
+
+
+def _generator_steps(seed, stream_id, shape):
+    return make_rng(seed, stream_id).integers(0, 2, size=shape, dtype=np.int64) * 2 - 1
+
+
+@pytest.mark.parametrize("length", [*range(1, 10), 999, 1000, 1001])
+@pytest.mark.parametrize("seed", KEYS)
+def test_word_steps_are_generator_integers(seed, length):
+    rows = increment_rows(length, seed, [*KEYS, 5])
+    assert rows.dtype == np.int8 and rows.shape == (4, length)
+    for row, stream_id in zip(rows, [*KEYS, 5]):
+        want = _generator_steps(seed, stream_id, length)
+        assert np.array_equal(row, want)
+        assert np.array_equal(random_increments(length, seed, stream_id), want)
+
+
+@pytest.mark.parametrize("block_steps, shape", [(3, (7, 3)), (16, (7, 5)), (5, (9, 1)),
+                                                (1, (3, 1)), (81, (5, 27))])
+def test_blocks_carry_the_odd_half_across_blocks(monkeypatch, block_steps, shape):
+    # blocks of an odd number of steps leave half a word to the next block
+    monkeypatch.setattr(walk, "ROW_BLOCK_STEPS", block_steps)
+    assert shape[0] * shape[1] % 2 == 1
+    blocks = list(increment_blocks(*shape, 2**63, 2**64 - 1))
+    assert len(blocks) > 1 and {len(b) * shape[1] % 2 for b in blocks[:-1]} == {1}
+    want = _generator_steps(2**63, 2**64 - 1, shape)
+    assert np.array_equal(np.concatenate(blocks), want)
+    assert np.array_equal(random_increments(shape, 2**63, 2**64 - 1), want)
 
 
 def test_generate_walk_empty_window():

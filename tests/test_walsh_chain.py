@@ -1,5 +1,6 @@
 """Chains on the lattice: step laws, excursion flipping, product chain."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -7,15 +8,17 @@ import numpy as np
 import pytest
 
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
-                            CASE_TWO, CASES, _chain_states, _exit_ray, _step, draw_ray_marks,
-                            flip_batch, flip_batches, flipped_product_chain, ray_mark_rows,
-                            simulate_chain_batch, step_chain, transition_counts)
+                            CASE_TWO, CASES, FlipBatch, _carry, _chain_states, _exit_ray,
+                            _step, draw_ray_marks, flip_batch, flip_batches,
+                            flipped_product_chain, ray_mark_rows, simulate_chain_batch,
+                            step_chain, transition_counts)
 from starflow.cv import reflected_path, tau_sequence, transform
 from starflow.flows import FlowRealization, closed_forms_from
 from starflow.graph import RayParams, junction, point
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square)
-from starflow.walk import Excursion, WalkWindow, excursion_table, excursions_brute, generate_walk
+from starflow.walk import (Excursion, ExcursionTable, WalkWindow, excursion_table,
+                           excursions_brute, generate_walk)
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
@@ -599,12 +602,135 @@ def test_flip_batches_rows_are_flip_realizations():
 
 
 def test_ray_mark_rows_match_draw_ray_marks():
+    # and both match the exit rays of the generator's uniforms
     ids = [2, 2**63, 2**64 - 1, 2]
     rows = ray_mark_rows(PARAMS, 50, 47, ids)
     assert np.array_equal(rows, np.stack([draw_ray_marks(PARAMS, 50, 47, k) for k in ids]))
+    assert np.array_equal(rows, np.stack([_exit_ray(PARAMS, make_rng(47, k).random(50))
+                                          for k in ids]))
 
 
 def test_draw_ray_marks_reproducible_prefix():
     a = draw_ray_marks(PARAMS, 10, 44, 5)
     b = draw_ray_marks(PARAMS, 25, 44, 5)
     assert np.array_equal(a, b[:10])
+
+
+# The flip batch, its bound and its counts work on the columns up to the last
+# stop, max(n_end); each is checked against the same formula on every column.
+
+def _full_width(batch, beta_aux):
+    """(rays, flip bound, transition counts) of a flip batch, computed on all
+    L columns of the batch."""
+    t, exc, n_end = batch.t, batch.exc, batch.n_end
+    n_rows, length = t.sbar.shape
+    t_row, t_pos = np.nonzero(t.is_tau)
+    t_ord = np.arange(len(t_row)) - np.searchsorted(t_row, t_row)
+    rays = _carry((n_rows, length), np.append(t_row, exc.row), np.append(t_pos, exc.start + 1),
+                  np.append(beta_aux[t_row, t_ord], batch.marks))
+    radii = np.abs(t.s[:, :length])
+    rays[(radii == 0) | (np.arange(length) > n_end[:, None])] = 0
+    return rays, _full_width_bound(batch), _full_width_counts(rays, radii, n_end)
+
+
+def _full_width_bound(batch):
+    kept = batch.exc.end <= batch.n_end[batch.exc.row]
+    start, end = batch.exc.start[kept], batch.exc.end[kept]
+    assert np.all(end + 1 < batch.rays.shape[1])  # every reset is a column
+    mark = _carry(batch.rays.shape, np.repeat(batch.exc.row[kept], 2),
+                  np.column_stack([start, end + 1]).ravel(),
+                  np.column_stack([batch.marks[kept], np.zeros_like(start)]).ravel())
+    rays, radii, ybar = batch.rays, batch.radii, batch.ybar
+    same_ray = (rays == 0) | (rays == mark) | (ybar == 0)
+    dev = np.where(same_ray, np.abs(radii - ybar), radii + ybar)
+    return np.where(mark > 0, dev, 0).max(axis=1, initial=0)
+
+
+def _full_width_counts(rays, radii, n_end):
+    live = np.arange(1, radii.shape[1]) <= n_end[:, None]
+    before, after = radii[:, :-1], radii[:, 1:]
+    up = after > before
+    moves = np.bincount((2 * before + up)[live], minlength=2 * int(radii.max()) + 2)
+    up_by_r, down_by_r = moves[1::2].copy(), moves[::2].copy()
+    up_by_r[0] = down_by_r[0] = 0
+    return {"hold": int(moves[0]),
+            "exits": np.bincount(rays[:, 1:][live & up & (before == 0)],
+                                 minlength=PARAMS.N + 1)[1:],
+            "up_by_r": up_by_r, "down_by_r": down_by_r}
+
+
+def _assert_same_counts(got, want):
+    """Equal counts; the radius arrays of the full width may run on in zeros
+    past the largest radius up to the last stop."""
+    assert got["hold"] == want["hold"]
+    assert np.array_equal(got["exits"], want["exits"])
+    for key in ("up_by_r", "down_by_r"):
+        n = len(got[key])
+        assert n == len(got["up_by_r"]) and n <= len(want[key])
+        assert np.array_equal(got[key], want[key][:n]) and not want[key][n:].any()
+
+
+def _assert_cut_matches_full_width(incs, eta, beta_aux):
+    t = transform(incs)
+    batch = flip_batch(t, eta, beta_aux)
+    rays, bound, counts = _full_width(batch, beta_aux)
+    ybar = t.runmax - t.sbar
+    exc = excursion_table(ybar)
+    want = {"t": t, "ybar": ybar, "rays": rays, "radii": np.abs(t.s[:, :-1]),
+            "n_end": t.is_tau.shape[1] - 1 - np.argmax(t.is_tau[:, ::-1], axis=1),
+            "exc": exc, "marks": eta[exc.row, exc.ordinal - 1]}
+    for name, value in want.items():
+        got = getattr(batch, name)
+        for a, b in zip(got, value) if isinstance(value, tuple) else [(got, value)]:
+            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b), name
+    assert batch.rays.shape == incs.shape
+    assert np.array_equal(batch.bound_deviation(), bound)
+    _assert_same_counts(transition_counts(PARAMS, batch.rays, batch.radii, batch.n_end), counts)
+    return batch
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 7, 40, 301])
+def test_flip_batch_cut_at_last_stop_matches_full_width(length):
+    rng = make_rng(52, length)
+    incs = rng.integers(0, 2, size=(200, length)) * 2 - 1
+    incs[0] = 1  # S never returns to 0: no completed block
+    eta, beta_aux = (rng.integers(1, 4, size=incs.shape) for _ in range(2))
+    batch = _assert_cut_matches_full_width(incs, eta, beta_aux)
+    assert batch.n_end[0] == 0
+    # every row stops at 0: the cut keeps one column
+    stopped = np.where(np.arange(length) % 3 == 2, -1, 1)
+    incs = np.stack([stopped, -stopped, np.ones(length, dtype=np.int64)])
+    assert not _assert_cut_matches_full_width(incs, eta[:3], beta_aux[:3]).n_end.any()
+
+
+def test_flip_batches_cut_on_long_paths_matches_full_width():
+    # one row per batch, as flip-check's long paths are drawn
+    for k in range(0, 30, 10):
+        incs = generate_walk(0, 60_000, 53, k).increments[None]
+        eta, beta_aux = (draw_ray_marks(PARAMS, 60_000, 53, k + j)[None] for j in (1, 2))
+        batch = _assert_cut_matches_full_width(incs, eta, beta_aux)
+        assert batch.n_end[0] < 60_000 - 1
+
+
+def test_bound_keeps_an_excursion_ending_at_the_last_stop():
+    # a transformed walk's kept excursions end before n_end, so this batch is
+    # built by hand: row 1's last kept excursion ends at its n_end, the last
+    # stop of the batch, and its reset point falls on the cut
+    radii = np.array([[0, 2, 0, 1, 0, 0, 0], [0, 1, 2, 3, 4, 5, 0]])
+    ybar = np.array([[0, 1, 0, 1, 0, 0, 0], [0, 1, 1, 1, 1, 1, 0]])
+    rays = np.array([[0, 2, 0, 3, 0, 0, 0], [0, 1, 1, 1, 1, 1, 0]])
+    n_end = np.array([2, 5])
+    exc = ExcursionTable(np.array([0, 1]), np.array([0, 0]), np.array([2, 5]),
+                         np.array([1, 1]))
+    batch = FlipBatch(None, ybar, rays, radii, n_end, exc, np.array([2, 1]),
+                      np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert batch.bound_deviation().tolist() == _full_width_bound(batch).tolist() == [1, 4]
+
+
+def test_carry_drops_change_points_at_or_past_the_width():
+    # clamping the point at 3 to the last column would end row 0's mark there
+    rows, pos, marks = [0, 0, 1, 1, 1], [0, 3, 1, 2, 9], [5, 0, 7, 4, 6]
+    assert _carry((2, 3), rows, pos, marks).tolist() == [[5, 5, 5], [0, 7, 4]]
+    assert np.array_equal(_carry((2, 3), rows[:1] + rows[2:4], pos[:1] + pos[2:4],
+                                 marks[:1] + marks[2:4]),
+                          _carry((2, 10), rows, pos, marks)[:, :3])
