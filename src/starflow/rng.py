@@ -33,14 +33,16 @@ from numpy.random import Generator, Philox
 def _keys(seed: int, stream_ids: Iterable[int]) -> np.ndarray:
     """The Philox keys of the (seed, stream_id) streams, one uint64 pair per
     row; ValueError unless every word lies in [0, 2**64)."""
+    seed = operator.index(seed)
     ids = np.asarray(stream_ids)
     if ids.dtype.kind not in "iu":  # ints past int64 arrive as floats or objects
         ids = np.array([operator.index(i) for i in stream_ids], dtype=object)
-    for name, words in (("seed", np.array([operator.index(seed)], dtype=object)),
-                        ("stream_id", ids)):
-        bad = np.flatnonzero((words < 0) | (words >= 2**64))
-        if len(bad):
-            raise ValueError(f"{name}: need 0 <= {name} < 2**64, got {words[bad[0]]}")
+    words = ids.tolist()
+    for name, low, high in (("seed", seed, seed),
+                            ("stream_id", min(words, default=0), max(words, default=0))):
+        if low < 0 or high >= 2**64:
+            raise ValueError(f"{name}: need 0 <= {name} < 2**64, "
+                             f"got {low if low < 0 else high}")
     keys = np.empty((len(ids), 2), dtype=np.uint64)
     keys[:, 0] = seed
     keys[:, 1] = ids
@@ -61,9 +63,11 @@ def stream_rows(seed: int, stream_ids: Iterable[int], n_words: int) -> np.ndarra
     empty output buffer.
     """
     keys = _keys(seed, stream_ids)
-    bit_generator = make_rng(seed).bit_generator
-    fresh = bit_generator.state
     out = np.empty((len(keys), n_words), dtype=np.uint64)
+    if not len(keys):
+        return out
+    bit_generator = Philox(key=keys[0])
+    fresh = bit_generator.state
     for r, key in enumerate(keys):
         fresh["state"]["key"] = key
         bit_generator.state = fresh
