@@ -18,13 +18,14 @@ two excursions) from the tau positions and the excursion table.  The flip
 reads S, S-bar, Y-bar and the taus from one ``cv.transform`` pass over a
 (replicas, steps) batch, and the bound and the proof facts are masks over
 the batch.  Past a row's stop, the end of its last completed block, its ray
-is 0, no transition is live and no excursion is kept, so the ray, the bound
-and the transition counts read only the columns up to the batch's last stop.
-``flip_batches`` draws replicas in batches of bounded size: each batch takes
-the words of its walks and of both mark arrays from one re-keyed Philox per
-array (``rng.stream_rows``), turns them into the steps and uniforms that
-``Generator.integers(0, 2)`` and ``Generator.random`` would give, and maps
-each mark array to rays with one exit-ray lookup.
+is 0, no transition is live and no excursion is kept, so ``flip_batches``
+builds T, Y-bar and the excursions only up to the batch's last stop
+(``transform(..., cut=True)``).  Each batch takes the words of its walks and
+of both mark arrays from one re-keyed Philox per array (``rng.stream_rows``),
+turns them into the steps and uniforms that ``Generator.integers(0, 2)`` and
+``Generator.random`` would give, and maps each mark array to rays with one
+exit-ray lookup.  Rays and marks are int8 (int16 past 127 rays), and walk
+values int16 on rows of fewer than 2**14 steps.
 
 The chain eta . Y-bar of ``flipped_product_chain`` is the discrete flow of
 mappings started at the junction and driven by -S-bar, with every departure
@@ -40,10 +41,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cv import Transform, reflected_path, transform
+from .cv import Transform, last_boundaries, reflected_path, transform
 from .graph import GraphPoint, RayParams, point
 from .rng import make_rng, stream_rows
 from .walk import ExcursionTable, WalkWindow, excursion_table, increment_rows, row_blocks
@@ -55,11 +57,10 @@ def _exit_ray(params: RayParams, u):
     ``searchsorted(side="right")`` gives.  The last edge is skipped, so the
     ray clamps to N: the float sum can end just below 1.
 
-    The first edge turns an array u into an int64 array of rays, and the
-    later edges add in place; a float u gives an int.  With N = 1 there is
-    no edge, so the rays start as an array of u's shape.
+    An array u gives an array of rays in ``params.ray_dtype``, each edge
+    added in place; a float u gives an int.
     """
-    ray = 1 if params.N > 1 else np.ones(np.shape(u), dtype=np.int64)
+    ray = np.ones(u.shape, dtype=params.ray_dtype) if isinstance(u, np.ndarray) else 1
     for edge in params.alpha_cumulative[:-1].tolist():
         ray += u >= edge
     return ray
@@ -152,23 +153,12 @@ CASE_TWO = "iii"
 CASES = (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE, CASE_TWO)
 
 
-def _last_tau(is_tau: np.ndarray) -> np.ndarray:
-    """Per row, the last block boundary: where the flipped chain stops."""
-    return is_tau.shape[1] - 1 - np.argmax(is_tau[:, ::-1], axis=1)
-
-
-def _stop_width(n_end: np.ndarray) -> int:
-    """The columns 0..max(n_end) of a batch whose row r stops at n_end[r]:
-    past them no row has a nonzero ray, a live transition or a kept
-    excursion."""
-    return int(n_end.max(initial=0)) + 1
-
-
 def _carry(shape: tuple[int, int], row, pos, marks) -> np.ndarray:
-    """A (rows, width) int64 array whose row r holds at each column the mark
-    of row r's last change point (row[i], pos[i]) at or before it, and 0
-    before the first.  Change points at or past width are dropped; of change
-    points at one place, the one listed last wins."""
+    """A (rows, width) array, in the dtype of marks, whose row r holds at
+    each column the mark of row r's last change point (row[i], pos[i]) at or
+    before it, and 0 before the first.  Change points at or past width are
+    dropped; of change points at one place, the one listed last wins.  The
+    dtype must hold the differences of the marks."""
     n_rows, width = shape
     row, pos, marks = np.asarray(row), np.asarray(pos), np.asarray(marks)
     inside = pos < width
@@ -179,56 +169,75 @@ def _carry(shape: tuple[int, int], row, pos, marks) -> np.ndarray:
     last[:-1] = key[1:] != key[:-1]
     key, marks = key[last], marks[last]
     # each change point adds its mark less the one it replaces in its row
-    step = marks.astype(np.int64)
+    step = marks.copy()
     step[1:] -= np.where(key[1:] // width == key[:-1] // width, marks[:-1], 0)
-    carried = np.zeros((n_rows, width), dtype=np.int64)
+    carried = np.zeros((n_rows, width), dtype=step.dtype)
     np.put(carried, key, step)
-    return np.cumsum(carried, axis=1, out=carried)
+    return np.cumsum(carried, axis=1, dtype=carried.dtype, out=carried)
 
 
 @dataclass
 class FlipBatch:
-    """Flipped chains of R walks of L steps, as (R, L) arrays.
+    """Flipped chains of R walks, as (R, W) arrays over the W columns of the
+    transform pass ``t``.
 
-    ``t`` is the transform pass of the walks: row r holds S_0..S_L in
-    ``t.s``, S-bar_0..S-bar_{L-1} in ``t.sbar`` and the block boundaries in
-    ``t.is_tau``; ``ybar`` is the reflected path.  ``rays`` and ``radii``
-    are the flipped chain M on [0, L - 1]; its ray is 0 at the junction and
-    after ``n_end[r]``, the end of the last completed block, where the chain
-    stops.  ``exc`` is the excursion table of ``ybar`` and ``marks`` the ray
-    mark of each entry.  ``block_row`` and ``cases`` give each completed
-    block's row and case (an index into CASES), in row-major order.  Every
-    field covers all L columns; ``flip_batch`` computes the ray, and
-    ``bound_deviation`` and ``transition_counts`` read the chain, only up to
-    the last stop max(n_end), since past it every ray is 0.
+    Row r holds S_0..S_W in ``t.s``, S-bar_0..S-bar_{W-1} in ``t.sbar`` and
+    the block boundaries in ``t.is_tau``; ``ybar`` is the reflected path.
+    ``rays`` and ``radii`` are the flipped chain M on [0, W - 1]; its ray is
+    0 at the junction and after ``n_end[r]``, the end of the last completed
+    block, where the chain stops.  ``exc`` is the excursion table of
+    ``ybar`` and ``marks`` the ray mark of each entry.  ``block_row`` and
+    ``cases`` give each completed block's row and case (an index into
+    CASES), in row-major order.  ``ray_changes`` holds the (row, column,
+    mark) change points of the ray, which is built from them on first read.
+
+    On a full-width transform W is the walk length L; ``flip_batches`` cuts
+    the pass at the batch's last stop, W = min(L, max(n_end) + 2), and every
+    column it keeps, every completed block and every kept excursion (one
+    that ends by its row's stop) are as on the full width.
     """
 
     t: Transform
     ybar: np.ndarray
-    rays: np.ndarray
     radii: np.ndarray
     n_end: np.ndarray
     exc: ExcursionTable
     marks: np.ndarray
     block_row: np.ndarray
     cases: np.ndarray
+    ray_changes: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @cached_property
+    def rays(self) -> np.ndarray:
+        """M's ray: the mark of the row's last change point, 0 at the
+        junction and after n_end."""
+        rays = _carry(self.radii.shape, *self.ray_changes)
+        rays[(self.radii == 0) | (np.arange(rays.shape[1]) > self.n_end[:, None])] = 0
+        return rays
 
     def bound_deviation(self) -> np.ndarray:
         """Per row, max over excursions i and times n in them of
         d(M_n, eta_i * Y-bar_n); excursions dropped with the truncated tail
-        are left out.  It reads only the columns up to the last stop."""
-        width = _stop_width(self.n_end)
-        rays, radii, ybar = (a[:, :width] for a in (self.rays, self.radii, self.ybar))
+        are left out."""
         kept = self.exc.end <= self.n_end[self.exc.row]
-        start, end = self.exc.start[kept], self.exc.end[kept]
+        start, end, marks = self.exc.start[kept], self.exc.end[kept], self.marks[kept]
         # eta_i on [start, end] of each kept excursion i, 0 elsewhere; the
         # reset after an excursion that ends at the last column is dropped
-        mark = _carry(rays.shape, np.repeat(self.exc.row[kept], 2),
+        mark = _carry(self.radii.shape, np.repeat(self.exc.row[kept], 2),
                       np.column_stack([start, end + 1]).ravel(),
-                      np.column_stack([self.marks[kept], np.zeros_like(start)]).ravel())
+                      np.column_stack([marks, np.zeros_like(marks)]).ravel())
+        rays, radii, ybar = self.rays, self.radii, self.ybar
         same_ray = (rays == 0) | (rays == mark) | (ybar == 0)
         dev = np.where(same_ray, np.abs(radii - ybar), radii + ybar)
         return np.where(mark > 0, dev, 0).max(axis=1, initial=0)
+
+    def exit_counts(self, params: RayParams) -> np.ndarray:
+        """``transition_counts``'s junction exits per ray 1..N."""
+        return _exits(params, self.rays, self.radii, self.n_end)
+
+    def move_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """``transition_counts``'s (up_by_r, down_by_r); the ray is not read."""
+        return _moves(self.radii, self.n_end)[1:]
 
     def proof_fact_violations(self) -> np.ndarray:
         """Per row, the violations of the pathwise facts used in the flipping
@@ -266,11 +275,11 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray) -> FlipBatch
     Each completed block is classified by how many excursions it holds and
     where the first one ends.
     """
-    n_rows, length = t.sbar.shape
+    width = t.sbar.shape[1]
     ybar = t.runmax - t.sbar
     exc = excursion_table(ybar)
     is_tau = t.is_tau
-    n_end = _last_tau(is_tau)
+    n_end = last_boundaries(is_tau)
     t_row, t_pos = np.nonzero(is_tau)
     t_ord = np.arange(len(t_row)) - np.searchsorted(t_row, t_row)
     # a tau opens a completed block when the next tau is in the same row
@@ -280,7 +289,6 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray) -> FlipBatch
         raise AssertionError("reflected path must vanish at block ends")
     # an excursion lies in the block of the last tau at or before its start;
     # one that starts at or after n_end lies in no completed block
-    width = length + 1
     t_of = np.searchsorted(t_row * width + t_pos, exc.row * width + exc.start,
                            side="right") - 1
     inside = np.flatnonzero(opens[t_of])
@@ -308,14 +316,10 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray) -> FlipBatch
     if np.any(count > 2):
         raise AssertionError("a block holds at most two excursions")
     cases = np.select([count == 0, early, late], [0, 1, 2], 3)
-    width = _stop_width(n_end)
-    radii = np.abs(t.s[:, :length])
-    rays = _carry((n_rows, width), np.append(t_row, exc.row),
-                  np.append(t_pos, exc.start + 1), np.append(beta_aux[t_row, t_ord], marks))
-    rays[(radii[:, :width] == 0) | (np.arange(width) > n_end[:, None])] = 0
-    if width < length:
-        rays = np.pad(rays, ((0, 0), (0, length - width)))
-    return FlipBatch(t, ybar, rays, radii, n_end, exc, marks, b_row, cases)
+    changes = (np.append(t_row, exc.row), np.append(t_pos, exc.start + 1),
+               np.append(beta_aux[t_row, t_ord], marks))
+    return FlipBatch(t, ybar, np.abs(t.s[:, :width]), n_end, exc, marks, b_row, cases,
+                     changes)
 
 
 def flip_batches(params: RayParams, length: int, seed: int,
@@ -328,8 +332,9 @@ def flip_batches(params: RayParams, length: int, seed: int,
     (``generate_walk``), the excursion marks eta from stream k + 1 and the
     block marks from stream k + 2 (``draw_ray_marks``).  A batch takes the
     first words of each of its streams at once (``rng.stream_rows``) and
-    builds its rays on the columns up to its last stop (``flip_batch``).
-    The generator keeps no array of a batch once it is yielded.
+    flips the transform pass cut at its last stop (``transform(...,
+    cut=True)``), so its arrays end at column max(n_end) + 1.  The
+    generator keeps no array of a batch once it is yielded.
     """
     for rows in row_blocks(len(stream_ids), length):
         yield _flip_streams(params, length, seed, stream_ids[rows])
@@ -345,7 +350,7 @@ def _flip_streams(params: RayParams, length: int, seed: int,
     on that count.  A random walk of n steps has on the order of sqrt(n)
     zeros.
     """
-    t = transform(increment_rows(length, seed, ids))
+    t = transform(increment_rows(length, seed, ids), cut=True)
     n_marks = int(np.count_nonzero(t.sbar == t.runmax, axis=1).max())
     return flip_batch(t, ray_mark_rows(params, n_marks, seed, [sid + 1 for sid in ids]),
                       ray_mark_rows(params, n_marks, seed, [sid + 2 for sid in ids]))
@@ -369,28 +374,49 @@ def flipped_product_chain(s_bar: WalkWindow,
     return rays, radii
 
 
+def _stop_width(n_end: np.ndarray) -> int:
+    """The columns 0..max(n_end) of a batch whose row r stops at n_end[r]:
+    past them no row has a live transition."""
+    return int(n_end.max(initial=0)) + 1
+
+
+def _exits(params: RayParams, rays: np.ndarray, radii: np.ndarray,
+           n_end: np.ndarray) -> np.ndarray:
+    """Junction exits per ray 1..N over the live transitions."""
+    width = _stop_width(n_end)
+    live = np.arange(1, width) <= n_end[:, None]
+    exits = live & (radii[:, : width - 1] == 0) & (radii[:, 1:width] > 0)
+    return np.bincount(rays[:, 1:width][exits], minlength=params.N + 1)[1:]
+
+
+def _moves(radii: np.ndarray, n_end: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(junction holds, up_by_r, down_by_r) over the live transitions.
+
+    Away from the junction a chain moves its radius by +-1, so one count of
+    2 R + (up) over the live transitions gives every cell: 0 a hold, 1 an
+    exit, 2 r + 1 and 2 r a move up and down from radius r >= 1.  The
+    counts run to the largest radius up to the last stop.
+    """
+    width = _stop_width(n_end)
+    radii = radii[:, :width]
+    live = np.arange(1, width) <= n_end[:, None]
+    before, after = radii[:, :-1], radii[:, 1:]
+    moves = np.bincount((2 * before + (after > before))[live],
+                        minlength=2 * int(radii.max(initial=0)) + 2)
+    up_by_r, down_by_r = moves[1::2].copy(), moves[::2].copy()
+    up_by_r[0] = down_by_r[0] = 0
+    return int(moves[0]), up_by_r, down_by_r
+
+
 def transition_counts(params: RayParams, rays: np.ndarray, radii: np.ndarray,
                       n_end: np.ndarray) -> dict:
     """Transition counts of R chains given as (R, L) rays and radii, over
     the live transitions k -> k + 1 with k + 1 <= n_end[r]: junction holds,
     junction exits per ray 1..N, and interior up and down moves by the
-    radius they leave (``up_by_r`` and ``down_by_r`` have one length).
-
-    Away from the junction a chain moves its radius by +-1, so one count of
-    2 R + (up) over the live transitions gives every cell: 0 a hold, 1 an
-    exit, 2 r + 1 and 2 r a move up and down from radius r >= 1.  Only the
-    columns up to the last stop are read, so the counts run to the largest
-    radius there.
+    radius they leave (``up_by_r`` and ``down_by_r`` have one length, up to
+    the largest radius by the last stop).  Only the columns up to the last
+    stop are read.
     """
-    width = _stop_width(n_end)
-    rays, radii = rays[:, :width], radii[:, :width]
-    live = np.arange(1, width) <= n_end[:, None]
-    before, after = radii[:, :-1], radii[:, 1:]
-    up = after > before
-    moves = np.bincount((2 * before + up)[live], minlength=2 * int(radii.max(initial=0)) + 2)
-    up_by_r, down_by_r = moves[1::2].copy(), moves[::2].copy()
-    up_by_r[0] = down_by_r[0] = 0
-    return {"hold": int(moves[0]),
-            "exits": np.bincount(rays[:, 1:][live & up & (before == 0)],
-                                 minlength=params.N + 1)[1:],
+    hold, up_by_r, down_by_r = _moves(radii, n_end)
+    return {"hold": hold, "exits": _exits(params, rays, radii, n_end),
             "up_by_r": up_by_r, "down_by_r": down_by_r}

@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import CASES, flip_batches, simulate_chain_batch, transition_counts
+from .chain import CASES, flip_batches, simulate_chain_batch
 from .config import RunConfig, load_config
 from .cv import cv_check_blocks
-from .errors import ConfigError, StarflowError
+from .errors import ConfigError, SparseCellsError, StarflowError
 from .flows import (FlowRealization, departure_candidates, kernel_closed_form,
                     kernel_compose, kernel_is_conditional_law, psi_closed_form, psi_compose)
 from .graph import junction, point
@@ -153,24 +153,30 @@ def _keep_freed_heap() -> None:
 
 
 def _flip_totals(params, seed: int, length: int, stream_ids,
-                 bound: bool) -> tuple[int, dict, dict]:
+                 short: bool) -> tuple[int, dict, dict]:
     """(worst bound deviation, transition counts, work counts) summed over
-    the flip realizations of the streams; the bound is left at 0 unless
-    asked for.  Each batch is reduced to these before the next one is built.
-    The work counts are the replicas, the walk steps drawn, the live
-    transitions counted (the sum of n_end) and the completed blocks by case.
+    the flip realizations of the streams: the bound and the junction exits
+    of the short replicas, or the up and down moves of the long paths, with
+    the bound left at 0.  Each batch is reduced to these before the next one
+    is built.  The work counts are the replicas, the walk steps drawn, the
+    live transitions counted (the sum of n_end) and the completed blocks by
+    case.
     """
     def reduce(batch):
-        worst = int(batch.bound_deviation().max()) if bound else 0
-        return (worst, transition_counts(params, batch.rays, batch.radii, batch.n_end),
-                int(batch.n_end.sum()), np.bincount(batch.cases, minlength=len(CASES)))
+        if short:
+            worst = int(batch.bound_deviation().max())
+            counts = {"exits": batch.exit_counts(params)}
+        else:
+            worst, counts = 0, dict(zip(("up_by_r", "down_by_r"), batch.move_counts()))
+        return (worst, counts, int(batch.n_end.sum()),
+                np.bincount(batch.cases, minlength=len(CASES)))
 
-    worst, live, blocks = 0, 0, np.zeros(len(CASES), dtype=np.int64)
-    totals = dict.fromkeys(("exits", "up_by_r", "down_by_r"), np.zeros(0, dtype=np.int64))
+    worst, live, blocks, totals = 0, 0, np.zeros(len(CASES), dtype=np.int64), {}
     for dev, counts, n_end, cases in map(reduce, flip_batches(params, length, seed,
                                                                stream_ids)):
         worst = max(worst, dev)
-        totals = {key: _pad_add(total, counts[key]) for key, total in totals.items()}
+        totals = {key: _pad_add(totals.get(key, np.zeros(0, dtype=np.int64)), part)
+                  for key, part in counts.items()}
         live += n_end
         blocks += cases
     work = {"replicas": len(stream_ids), "length": length, "steps": len(stream_ids) * length,
@@ -187,7 +193,7 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     # truncation at the last completed block cannot bias them
     worst, short, short_work = _flip_totals(
         params, cfg.seed, cfg.length,
-        range(STREAM_FLIP * 1000, STREAM_FLIP * 1000 + 10 * replicas, 10), bound=True)
+        range(STREAM_FLIP * 1000, STREAM_FLIP * 1000 + 10 * replicas, 10), short=True)
     # interior up/down frequencies do get biased by that truncation (it is a
     # look-ahead boundary), and the bias does not average out over short
     # replicas, so those are counted on long paths.  The cut is not small
@@ -198,11 +204,17 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     long_len = max(cfg.length, 20 * cfg.replicas)
     _, long, long_work = _flip_totals(
         params, cfg.seed, long_len, range(STREAM_FLIP * 7919, STREAM_FLIP * 7919 + 50, 10),
-        bound=False)
+        short=False)
     checks.work = [{"population": "short replicas", **short_work},
                    {"population": "long paths", **long_work}]
     checks.add("flip_bound_max_deviation", worst, 2, worst <= 2)
-    _, _, p_exit = ray_chi_square(short["exits"], params.alpha)
+    try:
+        _, _, p_exit = ray_chi_square(short["exits"], params.alpha)
+    except SparseCellsError as exc:
+        raise SparseCellsError(
+            f"replicas, length: the short-replica exit test counted "
+            f"{int(short['exits'].sum())} junction exits over {replicas} replicas of "
+            f"{cfg.length} steps ({exc}); raise replicas or length") from exc
     checks.add("flip_exit_chi2", p_exit, "> 0.005", p_exit > 0.005)
     stat2, dof2 = updown_chi_square(long["up_by_r"], long["down_by_r"])
     p_ud = chi_square_pvalue(stat2, dof2)

@@ -11,8 +11,10 @@ the single extra bit S_1.
 increments, S-bar and its running maximum of a step block, and
 ``cv_check_blocks`` and the excursion flip in ``chain`` both read it.  They
 take row blocks of at most ``walk.ROW_BLOCK_STEPS`` steps, on int8 steps and
-int32 values, and ``cv_inverse_increments`` runs over the same row blocks.
-``tau_sequence`` keeps the literal int64 product and is their reference.
+int16 values (int32 from 2**14 steps on), and ``cv_inverse_increments`` runs
+over the same row blocks.  The flip asks ``transform`` to stop at the last
+block boundary of its block.  ``tau_sequence`` keeps the literal int64
+product and is their reference.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ def taus_from_first_hits(bar_values: np.ndarray) -> np.ndarray:
 
 
 def _values(x: np.ndarray) -> np.ndarray:
-    """Values 0, S_1, ..., S_n of each row of a (R, n) step block, in int32
-    (int64 for rows too long for int32)."""
-    dtype = np.int32 if x.shape[1] < 2**31 else np.int64
+    """Values 0, S_1, ..., S_n of each row of a (R, n) step block: int16 for
+    n < 2**14, int32 for n < 2**30, else int64, so that the sums of two
+    values the flip forms, up to 2n + 1, fit too."""
+    n = x.shape[1]
+    dtype = np.int16 if n < 2**14 else np.int32 if n < 2**30 else np.int64
     s = np.zeros((x.shape[0], x.shape[1] + 1), dtype=dtype)
     np.cumsum(x, axis=1, dtype=dtype, out=s[:, 1:])
     return s
@@ -111,14 +115,29 @@ class Transform(NamedTuple):
     is_tau: np.ndarray  # (R, n) block boundaries: tau_0 = 0 and S_i = 0, X_i = X_{i+1}
 
 
-def transform(x: np.ndarray) -> Transform:
+def last_boundaries(is_tau: np.ndarray) -> np.ndarray:
+    """Per row of a (R, n) boundary mask, its last block boundary."""
+    return is_tau.shape[1] - 1 - np.argmax(is_tau[:, ::-1], axis=1)
+
+
+def transform(x: np.ndarray, cut: bool = False) -> Transform:
     """S, its boundaries, T's increments, S-bar and its running maximum for a
-    (R, n) block of +-1 steps, in one pass; TooShortError below n = 2."""
+    (R, n) block of +-1 steps, in one pass; TooShortError below n = 2.
+
+    With cut, S and the boundaries are built on all n steps and the rest on
+    the first m = min(n, b + 2) only, b the last boundary of any row: the
+    result is ``transform(x[:, :m])``, since T is causal.  A flipped chain
+    stops at its row's last boundary, and Y-bar needs its columns up to
+    b + 1 to close the excursions that end by b.
+    """
     x = np.asarray(x).astype(np.int8, copy=False)
     if x.shape[1] < 2:
         raise TooShortError("transform needs walk length >= 2")
     s = _values(x)
     is_tau = _boundaries(x, s)
+    if cut:
+        m = min(x.shape[1], int(last_boundaries(is_tau).max()) + 2)
+        x, s, is_tau = x[:, :m], s[:, : m + 1], is_tau[:, :m]
     xbar = _forward(x, is_tau)
     sbar = _values(xbar)
     return Transform(s, xbar, sbar, np.maximum.accumulate(sbar, axis=1), is_tau)

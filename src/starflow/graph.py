@@ -84,6 +84,12 @@ class RayParams:
         return np.cumsum([float(a) for a in self.alpha])
 
     @cached_property
+    def ray_dtype(self) -> np.dtype:
+        """The narrowest signed integer dtype that holds -N..N, the rays and
+        their differences: int8 up to N = 127, int16 up to N = 32767."""
+        return np.min_scalar_type(-self.N - 1)
+
+    @cached_property
     def _spreads(self) -> dict[int, dict]:
         """spread_atoms' table: the atoms at each int radius, as first built."""
         return {}

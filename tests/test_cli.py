@@ -221,6 +221,19 @@ def test_flip_check_manifest_work_counts(small_config, tmp_path):
         assert 0 < 2 * sum(w["blocks"].values()) <= w["live_transitions"]
 
 
+@pytest.mark.parametrize("length", [2, 20])
+def test_flip_check_sparse_exits_name_the_test_and_keys(length, tmp_path, capsys):
+    # 100 replicas leave 10 short flip replicas, whose few junction exits
+    # cannot fill the exit test's cells
+    path = tmp_path / "config.txt"
+    path.write_text(f"{SMALL}replicas = 100\nlength = {length}\nseed = 7\n")
+    code = main(["flip-check", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flip-check: error: replicas, length: the short-replica exit test ")
+    assert f"over 10 replicas of {length} steps" in err and "expected cell counts" in err
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "config.txt"
     path.write_text("alpha = broken\n")

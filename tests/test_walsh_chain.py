@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from starflow import chain
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
                             CASE_TWO, CASES, FlipBatch, _carry, _chain_states, _exit_ray,
                             _step, draw_ray_marks, flip_batch, flip_batches,
@@ -188,7 +189,7 @@ def test_exit_ray_matches_searchsorted(params):
                         np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
     u = u[u < 1.0]
     rays = _exit_ray(params, u)
-    assert rays.dtype == np.int64
+    assert rays.dtype == params.ray_dtype == np.int8
     assert rays.tolist() == _searchsorted_exit_ray(params, u).tolist()
     # step_chain passes one Python float
     assert [int(_exit_ray(params, v)) for v in u.tolist()] == rays.tolist()
@@ -576,12 +577,16 @@ def test_flip_rays_follow_excursion_marks_on_batches(params, length, rows):
 
 
 def _row_arrays(batch, r):
-    """Every array of row r of a flip batch, its excursions and blocks
-    included."""
-    own, blocks = batch.exc.row == r, batch.block_row == r
-    return [*(a[r] for a in batch.t), batch.ybar[r], batch.rays[r], batch.radii[r],
-            batch.n_end[r : r + 1], batch.exc.start[own], batch.exc.end[own],
-            batch.exc.ordinal[own], batch.marks[own], batch.cases[blocks]]
+    """Every array of row r of a flip batch on its live columns 0..n_end
+    (S to n_end + 1), its blocks and its kept excursions included."""
+    n = int(batch.n_end[r])
+    kept = (batch.exc.row == r) & (batch.exc.end <= n)
+    t = batch.t
+    return [t.s[r, : n + 2], t.xbar[r, :n], t.sbar[r, : n + 1], t.runmax[r, : n + 1],
+            t.is_tau[r, : n + 1], batch.ybar[r, : n + 1], batch.rays[r, : n + 1],
+            batch.radii[r, : n + 1], batch.n_end[r : r + 1], batch.exc.start[kept],
+            batch.exc.end[kept], batch.exc.ordinal[kept], batch.marks[kept],
+            batch.cases[batch.block_row == r]]
 
 
 def test_flip_batches_rows_are_flip_realizations():
@@ -598,7 +603,9 @@ def test_flip_batches_rows_are_flip_realizations():
         got, want = _row_arrays(batch, r), _row_arrays(one, 0)
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(a, b)
+        assert batch.rays.dtype == batch.marks.dtype == np.int8
+        assert batch.t.s.dtype == np.int32  # 40,000 steps
 
 
 def test_ray_mark_rows_match_draw_ray_marks():
@@ -616,22 +623,9 @@ def test_draw_ray_marks_reproducible_prefix():
     assert np.array_equal(a, b[:10])
 
 
-# The flip batch, its bound and its counts work on the columns up to the last
-# stop, max(n_end); each is checked against the same formula on every column.
-
-def _full_width(batch, beta_aux):
-    """(rays, flip bound, transition counts) of a flip batch, computed on all
-    L columns of the batch."""
-    t, exc, n_end = batch.t, batch.exc, batch.n_end
-    n_rows, length = t.sbar.shape
-    t_row, t_pos = np.nonzero(t.is_tau)
-    t_ord = np.arange(len(t_row)) - np.searchsorted(t_row, t_row)
-    rays = _carry((n_rows, length), np.append(t_row, exc.row), np.append(t_pos, exc.start + 1),
-                  np.append(beta_aux[t_row, t_ord], batch.marks))
-    radii = np.abs(t.s[:, :length])
-    rays[(radii == 0) | (np.arange(length) > n_end[:, None])] = 0
-    return rays, _full_width_bound(batch), _full_width_counts(rays, radii, n_end)
-
+# flip_batches flips the transform pass cut at the batch's last stop,
+# max(n_end); each cut batch is checked against flip_batch on the full-width
+# pass, and its bound and counts against the same formulas on every column.
 
 def _full_width_bound(batch):
     kept = batch.exc.end <= batch.n_end[batch.exc.row]
@@ -640,13 +634,14 @@ def _full_width_bound(batch):
     mark = _carry(batch.rays.shape, np.repeat(batch.exc.row[kept], 2),
                   np.column_stack([start, end + 1]).ravel(),
                   np.column_stack([batch.marks[kept], np.zeros_like(start)]).ravel())
-    rays, radii, ybar = batch.rays, batch.radii, batch.ybar
+    rays, radii, ybar = batch.rays, batch.radii.astype(np.int64), batch.ybar
     same_ray = (rays == 0) | (rays == mark) | (ybar == 0)
     dev = np.where(same_ray, np.abs(radii - ybar), radii + ybar)
     return np.where(mark > 0, dev, 0).max(axis=1, initial=0)
 
 
 def _full_width_counts(rays, radii, n_end):
+    radii = radii.astype(np.int64)
     live = np.arange(1, radii.shape[1]) <= n_end[:, None]
     before, after = radii[:, :-1], radii[:, 1:]
     up = after > before
@@ -670,22 +665,36 @@ def _assert_same_counts(got, want):
         assert np.array_equal(got[key], want[key][:n]) and not want[key][n:].any()
 
 
+def _kept_excursions(batch):
+    kept = batch.exc.end <= batch.n_end[batch.exc.row]
+    return [a[kept] for a in (*batch.exc, batch.marks)]
+
+
 def _assert_cut_matches_full_width(incs, eta, beta_aux):
-    t = transform(incs)
-    batch = flip_batch(t, eta, beta_aux)
-    rays, bound, counts = _full_width(batch, beta_aux)
-    ybar = t.runmax - t.sbar
-    exc = excursion_table(ybar)
-    want = {"t": t, "ybar": ybar, "rays": rays, "radii": np.abs(t.s[:, :-1]),
-            "n_end": t.is_tau.shape[1] - 1 - np.argmax(t.is_tau[:, ::-1], axis=1),
-            "exc": exc, "marks": eta[exc.row, exc.ordinal - 1]}
-    for name, value in want.items():
-        got = getattr(batch, name)
-        for a, b in zip(got, value) if isinstance(value, tuple) else [(got, value)]:
-            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b), name
-    assert batch.rays.shape == incs.shape
-    assert np.array_equal(batch.bound_deviation(), bound)
-    _assert_same_counts(transition_counts(PARAMS, batch.rays, batch.radii, batch.n_end), counts)
+    """flip_batch on the cut pass against flip_batch on the full one: every
+    kept column, block, kept excursion, bound, proof fact and count."""
+    full = flip_batch(transform(incs), eta, beta_aux)
+    batch = flip_batch(transform(incs, cut=True), eta, beta_aux)
+    width = min(incs.shape[1], int(full.n_end.max()) + 2)
+    assert batch.radii.shape == (len(incs), width)
+    for got, want in zip([*batch.t, batch.ybar, batch.rays, batch.radii],
+                         [*full.t, full.ybar, full.rays, full.radii]):
+        assert np.array_equal(got, want[:, : got.shape[1]])
+    assert all(a.shape[1] == width for a in (batch.t.sbar, batch.t.runmax, batch.t.is_tau))
+    assert batch.t.s.shape[1] == width + 1 and batch.t.xbar.shape[1] == width - 1
+    for got, want in [(batch.n_end, full.n_end), (batch.block_row, full.block_row),
+                      (batch.cases, full.cases),
+                      *zip(_kept_excursions(batch), _kept_excursions(full))]:
+        assert np.array_equal(got, want)
+    bound = batch.bound_deviation()
+    assert np.array_equal(bound, full.bound_deviation())
+    assert np.array_equal(bound, _full_width_bound(full))
+    assert np.array_equal(batch.proof_fact_violations(), full.proof_fact_violations())
+    counts = transition_counts(PARAMS, batch.rays, batch.radii, batch.n_end)
+    _assert_same_counts(counts, _full_width_counts(full.rays, full.radii, full.n_end))
+    assert np.array_equal(batch.exit_counts(PARAMS), counts["exits"])
+    up, down = batch.move_counts()
+    assert np.array_equal(up, counts["up_by_r"]) and np.array_equal(down, counts["down_by_r"])
     return batch
 
 
@@ -697,10 +706,53 @@ def test_flip_batch_cut_at_last_stop_matches_full_width(length):
     eta, beta_aux = (rng.integers(1, 4, size=incs.shape) for _ in range(2))
     batch = _assert_cut_matches_full_width(incs, eta, beta_aux)
     assert batch.n_end[0] == 0
-    # every row stops at 0: the cut keeps one column
+    # every row stops at 0: the cut keeps two columns
     stopped = np.where(np.arange(length) % 3 == 2, -1, 1)
     incs = np.stack([stopped, -stopped, np.ones(length, dtype=np.int64)])
     assert not _assert_cut_matches_full_width(incs, eta[:3], beta_aux[:3]).n_end.any()
+
+
+def _stopping_at(stop, length, sign=1):
+    """A walk of length steps whose last block boundary is at the even
+    column stop: it alternates back to 0 at stop, steps on the same way and
+    never returns."""
+    back = np.tile([sign, -sign], stop // 2)
+    return np.concatenate([back, np.full(length - stop, -sign if stop else sign)])
+
+
+@pytest.mark.parametrize("stop, length", [(0, 9), (2, 9), (2, 3), (8, 10), (8, 9),
+                                          (298, 300), (298, 299)],
+                         ids=["0", "2", "2_of_3", "L-2", "L-1", "L-2_300", "L-1_299"])
+def test_cut_at_a_last_stop_of_each_place_matches_full_width(stop, length):
+    # the first two rows stop at stop and the others earlier; a stop is at
+    # an even column (test_no_walk_stops_at_an_odd_column), so column 2
+    # stands in for 1, and L - 2 and L - 1 take lengths of both parities
+    rows = [_stopping_at(stop, length), _stopping_at(stop, length, -1)]
+    rows += [_stopping_at(s, length, (-1) ** s) for s in range(0, stop, 2)]
+    rng = make_rng(54, length)
+    rows += [r for r in rng.integers(0, 2, size=(40, length)) * 2 - 1
+             if _stop_of(r) < stop]
+    incs = np.stack(rows).astype(np.int8)
+    eta, beta_aux = (rng.integers(1, 4, size=incs.shape) for _ in range(2))
+    batch = _assert_cut_matches_full_width(incs, eta, beta_aux)
+    assert batch.n_end.max() == batch.n_end[0] == stop
+    assert batch.radii.shape[1] == min(length, stop + 2)
+
+
+def _stop_of(incs):
+    """The last block boundary of one walk, from the literal product test."""
+    taus = tau_sequence(np.append(0, np.cumsum(incs)))
+    return int(taus[-1]) if taus.size else 0
+
+
+def test_no_walk_stops_at_an_odd_column():
+    # a stop is a block boundary, where S = 0, and the last even column is
+    # the stop of some walk
+    for length in range(2, 11):
+        incs = np.array(list(itertools.product((1, -1), repeat=length)), dtype=np.int8)
+        n_end = flip_batch(transform(incs), incs, incs).n_end
+        assert not (n_end % 2).any()
+        assert n_end.max() == length - 1 - (length - 1) % 2
 
 
 def test_flip_batches_cut_on_long_paths_matches_full_width():
@@ -715,16 +767,21 @@ def test_flip_batches_cut_on_long_paths_matches_full_width():
 def test_bound_keeps_an_excursion_ending_at_the_last_stop():
     # a transformed walk's kept excursions end before n_end, so this batch is
     # built by hand: row 1's last kept excursion ends at its n_end, the last
-    # stop of the batch, and its reset point falls on the cut
+    # stop of the batch, and its reset point falls on the last column
     radii = np.array([[0, 2, 0, 1, 0, 0, 0], [0, 1, 2, 3, 4, 5, 0]])
     ybar = np.array([[0, 1, 0, 1, 0, 0, 0], [0, 1, 1, 1, 1, 1, 0]])
-    rays = np.array([[0, 2, 0, 3, 0, 0, 0], [0, 1, 1, 1, 1, 1, 0]])
     n_end = np.array([2, 5])
     exc = ExcursionTable(np.array([0, 1]), np.array([0, 0]), np.array([2, 5]),
                          np.array([1, 1]))
-    batch = FlipBatch(None, ybar, rays, radii, n_end, exc, np.array([2, 1]),
-                      np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    changes = (np.array([0, 1]), np.array([1, 1]), np.array([2, 1]))
+    batch = FlipBatch(None, ybar, radii, n_end, exc, np.array([2, 1]),
+                      np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), changes)
+    assert batch.rays.tolist() == [[0, 2, 0, 0, 0, 0, 0], [0, 1, 1, 1, 1, 1, 0]]
     assert batch.bound_deviation().tolist() == _full_width_bound(batch).tolist() == [1, 4]
+    # cut one column short, the reset falls past the last column and is dropped
+    short = FlipBatch(None, ybar[:, :6], radii[:, :6], n_end, exc, np.array([2, 1]),
+                      batch.block_row, batch.cases, changes)
+    assert short.bound_deviation().tolist() == [1, 4]
 
 
 def test_carry_drops_change_points_at_or_past_the_width():
@@ -734,3 +791,85 @@ def test_carry_drops_change_points_at_or_past_the_width():
     assert np.array_equal(_carry((2, 3), rows[:1] + rows[2:4], pos[:1] + pos[2:4],
                                  marks[:1] + marks[2:4]),
                           _carry((2, 10), rows, pos, marks)[:, :3])
+
+
+# Rays, marks and the ray carry are int8 up to 127 rays and int16 past it;
+# walk values are int16 below 2**14 steps and int32 from there.  Each is
+# checked against the same computation in int64 at the boundary.
+
+@pytest.mark.parametrize("n_rays", [127, 128])
+def test_ray_dtype_holds_every_ray_and_difference(n_rays):
+    params = RayParams.uniform(n_rays)
+    assert params.ray_dtype == (np.int8 if n_rays == 127 else np.int16)
+    rows = ray_mark_rows(params, 4_000, 55, [3, 2**64 - 1])
+    assert rows.dtype == params.ray_dtype and rows.max() == n_rays and rows.min() == 1
+    uniforms = np.stack([make_rng(55, k).random(4_000) for k in (3, 2**64 - 1)])
+    assert np.array_equal(rows, _searchsorted_exit_ray(params, uniforms))
+    cum = params.alpha_cumulative
+    edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum[cum < 1],
+                            np.nextafter(cum, 0.0)])
+    rays = _exit_ray(params, edges)
+    assert rays.dtype == params.ray_dtype
+    assert np.array_equal(rays, _searchsorted_exit_ray(params, edges))
+    # change points from 1 to N and back, N to 0: differences of +-(N - 1), -N
+    marks = np.array([1, n_rays, 1, n_rays, 0, n_rays], dtype=params.ray_dtype)
+    row, pos = np.array([0, 0, 0, 1, 1, 1]), np.array([0, 2, 3, 1, 4, 5])
+    got = _carry((2, 7), row, pos, marks)
+    want = _carry((2, 7), row, pos, marks.astype(np.int64))
+    assert got.dtype == params.ray_dtype and np.array_equal(got, want)
+    assert want.tolist() == [[1, 1, n_rays, 1, 1, 1, 1], [0, n_rays, n_rays, n_rays, 0,
+                                                          n_rays, n_rays]]
+
+
+def _widened(t):
+    """The transform pass t with its values in int64."""
+    return t._replace(s=t.s.astype(np.int64), sbar=t.sbar.astype(np.int64),
+                      runmax=t.runmax.astype(np.int64))
+
+
+@pytest.mark.parametrize("length", [2**14 - 1, 2**14, 2**14 + 1])
+def test_value_dtype_holds_the_widest_values(length, monkeypatch):
+    # monotone walks, and walks that climb half their length and come back
+    # to stop there: their block holds the widest values a stop allows
+    half = (length - 2) // 2
+    climb = np.concatenate([np.ones(half), -np.ones(length - half)])
+    incs = np.stack([np.ones(length), -np.ones(length), climb, -climb]).astype(np.int8)
+    # S has length steps, S-bar one fewer
+    dtype = np.int16 if length < 2**14 else np.int32
+    t = transform(incs)
+    assert t.s.dtype == dtype
+    assert t.sbar.dtype == t.runmax.dtype == (np.int16 if length <= 2**14 else np.int32)
+    s = np.hstack([np.zeros((4, 1), dtype=np.int64), np.cumsum(incs, axis=1, dtype=np.int64)])
+    sbar = np.hstack([np.zeros((4, 1), dtype=np.int64),
+                      np.cumsum(t.xbar, axis=1, dtype=np.int64)])
+    assert np.array_equal(t.s, s) and np.array_equal(t.sbar, sbar)
+    assert np.array_equal(t.runmax, np.maximum.accumulate(sbar, axis=1))
+    assert abs(int(t.s[0, -1])) == abs(int(t.sbar[0, -1])) + 1 == length
+    rng = make_rng(56, length)
+    eta, beta_aux = (rng.integers(1, 4, size=incs.shape) for _ in range(2))
+    full = flip_batch(t, eta, beta_aux)
+    wide = flip_batch(_widened(t), eta, beta_aux)
+    assert full.n_end.tolist() == [0, 0, 2 * half, 2 * half]
+    # the sums the flip forms reach twice the length
+    for a, b in [(full.radii + full.ybar, wide.radii + wide.ybar),
+                 (2 * full.radii + 1, 2 * wide.radii + 1)]:
+        assert np.array_equal(a, b) and a.max() >= 2 * length - 3
+    # through flip_batches, its walks replaced by these
+    monkeypatch.setattr(chain, "increment_rows", lambda n, seed, ids: incs[: len(ids)])
+    (batch,) = flip_batches(PARAMS, length, 57, range(0, 40, 10))
+    assert batch.t.s.dtype == dtype and batch.rays.dtype == np.int8
+    eta, beta_aux = (ray_mark_rows(PARAMS, length, 57, range(j, 40 + j, 10)) for j in (1, 2))
+    wide = flip_batch(_widened(transform(incs)), eta, beta_aux)
+    for got, want in [(batch.bound_deviation(), wide.bound_deviation()),
+                      (batch.proof_fact_violations(), wide.proof_fact_violations())]:
+        assert np.array_equal(got, want)
+    assert batch.bound_deviation().max() <= 2 and batch.n_end.max() == 2 * half
+    counts = transition_counts(PARAMS, batch.rays, batch.radii, batch.n_end)
+    want = transition_counts(PARAMS, wide.rays, wide.radii.astype(np.int64), wide.n_end)
+    for key in ("hold", "exits", "up_by_r", "down_by_r"):
+        assert np.array_equal(counts[key], want[key]), key
+    # the monotone rows reach radius 2 half by the last stop, but only the
+    # climbing ones are live: up and back once each
+    assert len(counts["up_by_r"]) == 2 * half + 1
+    assert counts["up_by_r"][1:half].tolist() == counts["down_by_r"][2 : half + 1].tolist() \
+        == [2] * (half - 1)

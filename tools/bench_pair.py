@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     record = json.loads(out.read_text()) if out.exists() else {}
     if record and record.get("commits") != commits:
         raise SystemExit(f"{out} records other commits: {record.get('commits')}")
-    record.update(description=__doc__.split("\n\n")[1].replace("\n", " "), commits=commits)
+    record.update(description=__doc__.split("\n\n")[2].replace("\n", " "), commits=commits)
     scratch = Path(tempfile.mkdtemp(prefix="bench-pair-", dir=args.work_dir))
     try:
         trees = {side: scratch / side for side in SIDES}
