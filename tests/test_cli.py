@@ -198,6 +198,17 @@ def test_flip_check_keeps_one_batch_alive(tmp_path, monkeypatch):
     assert len(built) == 15
 
 
+def test_flip_check_builds_rays_only_for_the_short_replicas(tmp_path, monkeypatch):
+    # the long paths count only up and down moves, which never read the ray;
+    # 30 short replicas make one batch and 5 long paths of 6,000 steps another
+    batches = []
+    flip_batch = chain.flip_batch
+    monkeypatch.setattr(chain, "flip_batch",
+                        lambda *args: batches.append(flip_batch(*args)) or batches[-1])
+    run_flip_check(parse_config(SMALL), tmp_path)
+    assert [(len(b.n_end), "rays" in vars(b)) for b in batches] == [(30, True), (5, False)]
+
+
 def test_flip_check_manifest_work_counts(small_config, tmp_path):
     out = tmp_path / "out"
     assert main(["flip-check", "--config", str(small_config), "--output-dir", str(out)]) == 0
