@@ -24,8 +24,7 @@ builds T, Y-bar and the excursions only up to the batch's last stop
 of both mark arrays from one re-keyed Philox per array (``rng.stream_rows``),
 turns them into the steps and uniforms that ``Generator.integers(0, 2)`` and
 ``Generator.random`` would give, and maps each mark array to rays with one
-exit-ray lookup.  Rays and marks are int8 (int16 past 127 rays), and walk
-values int16 on rows of fewer than 2**14 steps.
+exit-ray lookup.
 
 The chain eta . Y-bar of ``flipped_product_chain`` is the discrete flow of
 mappings started at the junction and driven by -S-bar, with every departure
@@ -179,7 +178,8 @@ def _carry(shape: tuple[int, int], row, pos, marks) -> np.ndarray:
 @dataclass
 class FlipBatch:
     """Flipped chains of R walks, as (R, W) arrays over the W columns of the
-    transform pass ``t``.
+    transform pass ``t``: W is the walk length L, or min(L, max(n_end) + 2)
+    on the pass ``flip_batches`` cuts at the batch's last stop.
 
     Row r holds S_0..S_W in ``t.s``, S-bar_0..S-bar_{W-1} in ``t.sbar`` and
     the block boundaries in ``t.is_tau``; ``ybar`` is the reflected path.
@@ -188,13 +188,8 @@ class FlipBatch:
     block, where the chain stops.  ``exc`` is the excursion table of
     ``ybar`` and ``marks`` the ray mark of each entry.  ``block_row`` and
     ``cases`` give each completed block's row and case (an index into
-    CASES), in row-major order.  ``ray_changes`` holds the (row, column,
-    mark) change points of the ray, which is built from them on first read.
-
-    On a full-width transform W is the walk length L; ``flip_batches`` cuts
-    the pass at the batch's last stop, W = min(L, max(n_end) + 2), and every
-    column it keeps, every completed block and every kept excursion (one
-    that ends by its row's stop) are as on the full width.
+    CASES), in row-major order.  The ray is built on first read from
+    ``ray_changes``, its (row, column, mark) change points.
     """
 
     t: Transform
@@ -333,8 +328,8 @@ def flip_batches(params: RayParams, length: int, seed: int,
     block marks from stream k + 2 (``draw_ray_marks``).  A batch takes the
     first words of each of its streams at once (``rng.stream_rows``) and
     flips the transform pass cut at its last stop (``transform(...,
-    cut=True)``), so its arrays end at column max(n_end) + 1.  The
-    generator keeps no array of a batch once it is yielded.
+    cut=True)``).  The generator keeps no array of a batch once it is
+    yielded.
     """
     for rows in row_blocks(len(stream_ids), length):
         yield _flip_streams(params, length, seed, stream_ids[rows])
