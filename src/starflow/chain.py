@@ -5,7 +5,11 @@ and -1 otherwise.  The immediate-exit chain moves R <- |R + d|, because the
 junction always exits; the lazy chain moves R <- max(R + d, 0), because a
 down draw holds at the junction.  A junction exit takes ray i with
 probability alpha_i (lazy: alpha_i / 2, from 2u - 1) by one clamped lookup
-on ``RayParams.alpha_cumulative``.
+on ``RayParams.alpha_cumulative``.  ``simulate_chain_batch`` steps on the
+stream's raw 64-bit words, from which u is (word >> 11) 2**-53, so d is the
+word's top bit.  A step is a few in-place calls on the radii; a chain that
+leaves the junction keeps its word, and the rays are looked up once, at the
+end, from each chain's last exit word.
 
 ``flip_batch`` realizes the coupling that builds an immediate-exit chain M
 from a walk S and its transform S-bar = T(S) by assigning an independent ray
@@ -100,45 +104,72 @@ def step_chain(params: RayParams, x: GraphPoint, u: float, lazy: bool = False) -
     return point(x.ray, x.radius + delta, params.N)
 
 
-def _step(params: RayParams, rays: np.ndarray, radii: np.ndarray, u: np.ndarray,
-          lazy: bool) -> None:
-    """Move chains at (rays, radii) one step in place, one uniform each:
-    R <- |R + d| (immediate exit) or max(R + d, 0) (lazy), and a chain that
-    leaves the junction takes its ray from u (lazy: from 2u - 1)."""
-    up = u >= 0.5
-    leave = radii == 0
-    if lazy:
-        leave &= up
-    leave = np.flatnonzero(leave)
-    rays[leave] = _exit_ray(params, (u[leave] - 0.5) * 2.0 if lazy else u[leave])
-    radii += 2 * up - 1
-    if lazy:
-        np.maximum(radii, 0, out=radii)
-    else:
+def _step(radii: np.ndarray, last: np.ndarray, words: np.ndarray, d: np.ndarray,
+          floor: np.ndarray | None) -> None:
+    """Move chains at radii one step in place, one word each, with d = +-1
+    the word's top bit; a chain that leaves the junction keeps its word in
+    last.  With floor None this is the immediate-exit chain, R <- |R + d|;
+    with floor an array of zeros, the lazy chain, R <- max(R + d, 0), which
+    leaves only on an up draw, that is, where R < d."""
+    leave = np.equal(radii, 0) if floor is None else np.less(radii, d)
+    np.copyto(last, words, where=leave)
+    radii += d
+    if floor is None:
         np.abs(radii, out=radii)
+    else:
+        np.maximum(radii, floor, out=radii)
 
 
-def _chain_states(params: RayParams, n_steps: int, n_replicas: int, seed: int,
-                  stream_id: int, lazy: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(rays, radii) of chains from the junction at time 0 and after each
-    step, updated in place.  Step k takes the k-th ``rng.random(n_replicas)``
-    of the stream, drawn in blocks of at most ROW_BLOCK_STEPS uniforms."""
-    rng = make_rng(seed, stream_id)
-    rays = np.zeros(n_replicas, dtype=np.int64)
-    radii = np.zeros(n_replicas, dtype=np.int64)
-    yield rays, radii
+def _exit_rays(params: RayParams, last: np.ndarray, n_steps: int, lazy: bool) -> np.ndarray:
+    """The rays of chains whose last junction exits took the words last: the
+    exit ray of each word's uniform (lazy: of 2u - 1), and 0 for a chain
+    that never left.  A lazy chain that never left keeps a word below 2**63;
+    an immediate-exit chain leaves at its first step, so only with no step
+    does it never leave."""
+    u = _uniforms(last)
+    if lazy:
+        u = (u - 0.5) * 2.0
+    rays = _exit_ray(params, u)
+    rays[u < 0 if lazy else n_steps == 0] = 0
+    return rays
+
+
+def _chain_states(n_steps: int, n_replicas: int, seed: int, stream_id: int,
+                  lazy: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(last, radii) of chains from the junction at time 0 and after each
+    step, updated in place; last holds each chain's last exit word, and
+    ``_exit_rays`` gives its ray.  Step k takes the k-th n_replicas words of
+    the stream, the words from which ``rng.random((n_steps, n_replicas))``
+    makes its uniforms, drawn raw in blocks of at most ROW_BLOCK_STEPS; d is
+    +1 when a word's top bit is set, that is, when u >= 1/2.  The radii are
+    in the smallest signed dtype that holds n_steps."""
+    bit_generator = make_rng(seed, stream_id).bit_generator
+    dtype = np.min_scalar_type(-n_steps - 1)
+    radii = np.zeros(n_replicas, dtype=dtype)
+    last = np.zeros(n_replicas, dtype=np.uint64)
+    floor = np.zeros_like(radii) if lazy else None
+    yield last, radii
     for steps in row_blocks(n_steps, n_replicas):
-        for u in rng.random((steps.stop - steps.start, n_replicas)):
-            _step(params, rays, radii, u, lazy)
-            yield rays, radii
+        words = bit_generator.random_raw((steps.stop - steps.start, n_replicas))
+        d = (words.view(np.int64) < 0).astype(dtype)
+        d += d
+        d -= 1
+        for k in range(len(words)):
+            _step(radii, last, words[k], d[k], floor)
+            yield last, radii
 
 
 def simulate_chain_batch(params: RayParams, n_steps: int, n_replicas: int, seed: int,
                          stream_id: int, lazy: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Final (rays, radii) of many independent chains, vectorized across replicas."""
-    for rays, radii in _chain_states(params, n_steps, n_replicas, seed, stream_id, lazy):
+    """Final (rays, radii) of many independent chains, vectorized across
+    replicas, as int64 arrays.  The chains step on raw stream words
+    (``_chain_states``), and the rays are looked up once, at the end, from
+    each chain's last exit word; a chain at the junction keeps the ray of its
+    last exit."""
+    for last, radii in _chain_states(n_steps, n_replicas, seed, stream_id, lazy):
         pass
-    return rays, radii
+    return (_exit_rays(params, last, n_steps, lazy).astype(np.int64),
+            radii.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ int16 values (int32 from 2**14 steps on), and ``cv_inverse_increments`` runs
 over the same row blocks.  The flip asks ``transform`` to stop at the last
 block boundary of its block.  ``tau_sequence`` keeps the literal int64
 product and is their reference.
+
+Neither direction scans for the block parity.  Each tau_l, l >= 1, is a
+crossing of 0 by S, so the forward sign at step j is the side of S there,
+the sign of S_{j-1} + S_j; and tau_l is the first hit of 2l by S-bar, so the
+inverse sign at step k is the parity of floor(max_{i<k} S-bar_i / 2).  Both
+negate their +-1 int8 steps by XOR with -2.
 """
 
 from __future__ import annotations
@@ -81,27 +87,39 @@ def _boundaries(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return is_tau
 
 
-def _forward(x: np.ndarray, is_tau: np.ndarray) -> np.ndarray:
-    """T's int8 increments for a (R, n) int8 step block x with boundaries
-    is_tau; a boundary at n - 1 moves no increment."""
+def _forward(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """T's int8 increments for a (R, n) int8 step block x with values s.
+
+    Increment j = 1..n-1 is (-1)^(l+1) X_1 X_{j+1}, l + 1 the number of taus
+    <= j - 1 (tau_0 too).  Each tau_l, l >= 1, is a crossing of 0 by S, so
+    the sign is -1 exactly when S is still on the side of X_1 at time j, the
+    side of the odd sum S_{j-1} + S_j.  So no scan is needed: the increment
+    is -X_{j+1} on the positive side and X_{j+1} on the negative one, and XOR
+    with -2 negates a +-1 step.
+    """
     n = x.shape[1]
-    xbar = x[:, 1:] * x[:, :1]
-    # sign (-1)^(l+1) for j = 1..n-1, l + 1 = number of taus <= j - 1 (tau_0 too)
-    odd = np.logical_xor.accumulate(is_tau[:, : n - 1], axis=1)
-    return np.negative(xbar, out=xbar, where=odd)
+    flip = np.greater(s[:, : n - 1] + s[:, 1:n], 0).view(np.int8)
+    flip *= -2
+    flip ^= x[:, 1:]
+    return flip
 
 
-def _inverse(xbar: np.ndarray, sbar: np.ndarray, runmax: np.ndarray,
-             eps: np.ndarray) -> np.ndarray:
+def _inverse(xbar: np.ndarray, runmax: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """T^{-1}'s int8 increments with first steps eps (R, 1) for a (R, m)
-    int8 block xbar, given its values sbar and their running maximum."""
+    int8 block xbar, given the running maximum of its values.
+
+    Increment k = 1..m has sign (-1)^(l+1), l the number of taus in
+    [1, k - 1].  tau_l is the first hit of 2l by S-bar, so l is
+    floor(runmax_{k-1} / 2), and no scan is needed: XOR with -2 negates a +-1
+    step where l is even.
+    """
     m = xbar.shape[1]
-    # sign (-1)^(l+1) for k = 1..m, l = number of taus in [1, k - 1]
-    odd = np.logical_xor.accumulate(_first_hits(sbar, runmax)[:, :m], axis=1)
+    flip = runmax[:, :m] & 2
+    flip -= 2
     x = np.empty((xbar.shape[0], m + 1), dtype=np.int8)
     x[:, :1] = eps
     np.multiply(xbar, eps, out=x[:, 1:])
-    np.negative(x[:, 1:], out=x[:, 1:], where=~odd)
+    np.bitwise_xor(x[:, 1:], flip, out=x[:, 1:])
     return x
 
 
@@ -138,7 +156,7 @@ def transform(x: np.ndarray, cut: bool = False) -> Transform:
     if cut:
         m = min(x.shape[1], int(last_boundaries(is_tau).max()) + 2)
         x, s, is_tau = x[:, :m], s[:, : m + 1], is_tau[:, :m]
-    xbar = _forward(x, is_tau)
+    xbar = _forward(x, s)
     sbar = _values(xbar)
     return Transform(s, xbar, sbar, np.maximum.accumulate(sbar, axis=1), is_tau)
 
@@ -150,7 +168,7 @@ def _deviation(t: Transform) -> np.ndarray:
 
 def cv_inverse_increments(Xbar: np.ndarray, epsilon) -> np.ndarray:
     """Inverse transform (int8); epsilon in {-1, +1} is the recovered first
-    step, one per row."""
+    step, one for every row or one per row (ValueError otherwise)."""
     Xbar = np.asarray(Xbar)
     single = Xbar.ndim == 1
     if single:
@@ -161,12 +179,14 @@ def cv_inverse_increments(Xbar: np.ndarray, epsilon) -> np.ndarray:
     if not np.all(np.abs(eps) == 1):
         raise ValueError("epsilon must be +-1")
     R, m = Xbar.shape
+    if len(eps) not in (1, R):
+        raise ValueError(f"epsilon: need one sign or one per row, got {len(eps)} signs "
+                         f"for {R} rows")
     eps = np.broadcast_to(eps.astype(np.int8), (R, 1))
     out = np.empty((R, m + 1), dtype=np.int8)
     for rows in row_blocks(R, m):
         xbar = Xbar[rows].astype(np.int8, copy=False)
-        sbar = _values(xbar)
-        out[rows] = _inverse(xbar, sbar, np.maximum.accumulate(sbar, axis=1), eps[rows])
+        out[rows] = _inverse(xbar, np.maximum.accumulate(_values(xbar), axis=1), eps[rows])
     return out[0] if single else out
 
 
@@ -187,13 +207,13 @@ class CvCheck(NamedTuple):
 def cv_check_blocks(blocks: Iterable[np.ndarray]) -> CvCheck:
     """Bound, evenness and round trip of T on int8 step blocks (R, n), one
     ``transform`` per block shared by the three checks; the evenness check
-    finds the boundaries of -S itself, from -x and -s."""
+    transforms -S itself, from -x and -s."""
     devs, even_gap, roundtrip_gap = [], 0, 0
     for x in blocks:
         t = transform(x)
         devs.append(_deviation(t))
-        neg = _forward(-x, _boundaries(-x, -t.s))
+        neg = _forward(-x, -t.s)
         even_gap = max(even_gap, int(np.abs(t.xbar - neg).max()))
-        back = _inverse(t.xbar, t.sbar, t.runmax, x[:, :1])
+        back = _inverse(t.xbar, t.runmax, x[:, :1])
         roundtrip_gap = max(roundtrip_gap, int(np.abs(back - x).max()))
     return CvCheck(np.concatenate(devs), even_gap, roundtrip_gap)

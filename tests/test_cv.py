@@ -1,5 +1,7 @@
 """Csaki-Vincze transform: worked example, exact invariants, distribution checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,44 @@ def test_cv_inverse_minimal_window():
     x = cv_inverse_increments(np.array([1]), 1)
     assert len(x) == 2
     assert transform(x[None]).xbar[0].tolist() == [1]
+
+
+def test_cv_inverse_names_a_wrong_number_of_signs():
+    bars = np.ones((3, 4), dtype=np.int8)
+    with pytest.raises(ValueError, match=r"epsilon: need one sign or one per row, "
+                                         r"got 2 signs for 3 rows"):
+        cv_inverse_increments(bars, [1, -1])
+    with pytest.raises(ValueError, match="got 0 signs for 3 rows"):
+        cv_inverse_increments(bars, [])
+    with pytest.raises(ValueError, match="got 2 signs for 1 rows"):
+        cv_inverse_increments(bars[0], [1, 1])
+    # one sign for all rows, or one per row
+    assert np.array_equal(cv_inverse_increments(bars, [-1]), cv_inverse_increments(bars, -1))
+    assert cv_inverse_increments(bars, [1, -1, 1]).shape == (3, 5)
+
+
+def _every_walk(length: int) -> np.ndarray:
+    """Every +-1 walk of the given length, one per row."""
+    return np.array(list(itertools.product((-1, 1), repeat=length)), dtype=np.int8)
+
+
+@pytest.mark.parametrize("length", range(2, 15))
+def test_transform_and_inverse_on_every_short_walk(length):
+    # the forward signs read off the side of S, the inverse signs off
+    # floor(runmax / 2) and the XOR flips, on every path: each walk with
+    # either first step, and every S-bar path with either epsilon
+    X = _every_walk(length)
+    t = transform(X)
+    bars, _, back, is_tau = _cv_reference(X, X[:, 0])
+    assert np.array_equal(t.xbar, bars) and np.array_equal(t.is_tau, is_tau)
+    assert np.array_equal(cv_inverse_increments(t.xbar, X[:, 0]), X)
+    assert np.array_equal(back, X)
+    sbar_steps = _every_walk(length - 1)
+    for eps in (-1, 1):
+        x = cv_inverse_increments(sbar_steps, eps)
+        assert np.array_equal(x[:, 0], np.full(len(x), eps))
+        assert np.array_equal(transform(x).xbar, sbar_steps)
+        assert np.array_equal(_cv_reference(x, x[:, 0])[0], sbar_steps)
 
 
 def _cv_reference(X: np.ndarray, eps: np.ndarray):

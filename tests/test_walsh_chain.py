@@ -10,7 +10,7 @@ import pytest
 from starflow import chain
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
                             CASE_TWO, CASES, FlipBatch, _carry, _chain_states, _exit_ray,
-                            _step, draw_ray_marks, flip_batch, flip_batches,
+                            _exit_rays, _step, _uniforms, draw_ray_marks, flip_batch, flip_batches,
                             flipped_product_chain, ray_mark_rows, simulate_chain_batch,
                             step_chain, transition_counts)
 from starflow.cv import reflected_path, tau_sequence, transform
@@ -19,7 +19,7 @@ from starflow.graph import RayParams, junction, point
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square)
 from starflow.walk import (Excursion, ExcursionTable, WalkWindow, excursion_table,
-                           excursions_brute, generate_walk)
+                           excursions_brute, generate_walk, row_blocks)
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
@@ -76,7 +76,7 @@ def test_step_lazy_exit_rays():
 def _radius_paths(n_steps, n_replicas, seed, stream, lazy):
     """The (steps + 1, R) radii of ``_chain_states``, one chain per column."""
     return np.array([radii.copy() for _, radii in
-                     _chain_states(PARAMS, n_steps, n_replicas, seed, stream, lazy)])
+                     _chain_states(n_steps, n_replicas, seed, stream, lazy)])
 
 
 def test_simulate_chain_lattice_moves():
@@ -143,20 +143,60 @@ def _skorokhod_chains(params, u, lazy):
     return np.where(exits.any(axis=0), rays, 0), radii[-1]
 
 
+def _assert_matches_skorokhod_oracle(n_steps, n_replicas, seed, stream, lazy):
+    u = make_rng(seed, stream).random((n_steps, n_replicas))
+    rays, radii = _skorokhod_chains(PARAMS, u, lazy)
+    got_rays, got_radii = simulate_chain_batch(PARAMS, n_steps, n_replicas, seed, stream,
+                                               lazy=lazy)
+    assert np.array_equal(got_radii, radii)
+    assert np.array_equal(got_rays, rays)
+
+
 @pytest.mark.parametrize("lazy", [False, True])
 def test_simulate_chain_batch_matches_skorokhod_oracle(lazy):
     # exact equality, junction rays included, across the row blocks in
-    # which the stream's uniforms are drawn
+    # which the stream's words are drawn
     seed = 36
     for n_steps in (1, 2, 7, 200):
         for n_replicas in (1, 5, 40, 10_000):
             for stream in range(3):
-                u = make_rng(seed, stream).random((n_steps, n_replicas))
-                rays, radii = _skorokhod_chains(PARAMS, u, lazy)
-                got_rays, got_radii = simulate_chain_batch(PARAMS, n_steps, n_replicas, seed,
-                                                           stream, lazy=lazy)
-                assert np.array_equal(got_radii, radii)
-                assert np.array_equal(got_rays, rays)
+                _assert_matches_skorokhod_oracle(n_steps, n_replicas, seed, stream, lazy)
+    # 3,000 replicas take blocks of 43, 43 and 14 steps; the radii are int8
+    # up to 127 steps, int16 from 128 and int32 from 2**15
+    assert [s.stop - s.start for s in row_blocks(100, 3_000)] == [43, 43, 14]
+    for n_steps, n_replicas in ((100, 3_000), (127, 2), (128, 2), (2**15 - 1, 2), (2**15, 2)):
+        for stream in range(3):
+            _assert_matches_skorokhod_oracle(n_steps, n_replicas, seed, stream, lazy)
+    # no step: every chain is at the junction and has never left it
+    rays, radii = simulate_chain_batch(PARAMS, 0, 5, seed, 0, lazy=lazy)
+    assert rays.tolist() == radii.tolist() == [0] * 5
+
+
+class _ConstantWords:
+    """A stand-in generator whose bit generator draws one word throughout."""
+
+    def __init__(self, word):
+        self.bit_generator = self
+        self.word = word
+
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n_steps", [127, 128, 2**15 - 1, 2**15])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_chain_radius_dtype_holds_every_radius(n_steps, lazy, monkeypatch):
+    # every draw up: the radius reaches n_steps, the largest value of the
+    # dtype at 127 and 2**15 - 1 steps, from one exit at step 1
+    monkeypatch.setattr(chain, "make_rng", lambda seed, stream_id: _ConstantWords(2**64 - 1))
+    rays, radii = simulate_chain_batch(PARAMS, n_steps, 2, 1, 0, lazy=lazy)
+    assert radii.tolist() == [n_steps] * 2 and rays.tolist() == [PARAMS.N] * 2
+    # every draw down: the lazy chain never leaves; the other one swings
+    # between 1 and 0, and u < 1/2 at its exits gives ray 1
+    monkeypatch.setattr(chain, "make_rng", lambda seed, stream_id: _ConstantWords(2**63 - 1))
+    rays, radii = simulate_chain_batch(PARAMS, n_steps, 2, 1, 0, lazy=lazy)
+    assert radii.tolist() == [0 if lazy else n_steps % 2] * 2
+    assert rays.tolist() == [0 if lazy else 1] * 2
 
 
 @pytest.mark.parametrize("params", [PARAMS, RayParams.uniform(10)], ids=["default", "tenths"])
@@ -198,21 +238,38 @@ def test_exit_ray_matches_searchsorted(params):
     assert np.array_equal(_exit_ray(params, grid), _searchsorted_exit_ray(params, grid))
 
 
+def _edge_words(edges):
+    """Words whose uniforms lie on either side of each edge: the smallest
+    multiple k 2**-53 at or above it and the one below, each word once with
+    its low 11 bits clear and once with them set."""
+    k = np.ceil(np.asarray(edges) * 2.0 ** 53).astype(np.uint64)
+    k = np.unique(np.concatenate([k, k - np.uint64(1)]))
+    words = k << np.uint64(11)
+    return np.concatenate([words, words | np.uint64(2**11 - 1)])
+
+
 @pytest.mark.parametrize("params", [PARAMS, RayParams.uniform(10)], ids=["default", "tenths"])
 @pytest.mark.parametrize("lazy", [False, True])
 def test_array_step_matches_step_chain_at_edges(params, lazy):
     cum = params.alpha_cumulative
-    edges = np.concatenate([cum, np.nextafter(cum, 0.0), (1.0 + cum) / 2,
-                            np.nextafter((1.0 + cum) / 2, 0.0)])
-    us = np.concatenate([[0.0, 0.5 - 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0)],
-                         edges[edges < 1.0]])
-    radius, u = (a.ravel() for a in np.meshgrid(np.arange(4), us))
-    ray = np.full(len(u), 2)
+    words = _edge_words(np.concatenate([[0.0, 0.5, 1.0], cum[cum < 1], (1.0 + cum) / 2]))
+    words = words[words > 0]  # 0 has no word below it
+    radius, w = (a.ravel() for a in np.meshgrid(np.arange(4, dtype=np.int16), words))
+    u = _uniforms(w)
+    assert np.all(u < 1.0) and np.array_equal(u >= 0.5, w >= 2**63)
     expected = [step_chain(params, point(2, int(r), params.N), v, lazy=lazy)
                 for r, v in zip(radius.tolist(), u.tolist())]
-    _step(params, ray, radius, u, lazy)
+    start = radius.copy()
+    last = np.zeros(len(w), dtype=np.uint64)
+    d = np.where(w >= 2**63, 1, -1).astype(radius.dtype)
+    _step(radius, last, w, d, np.zeros_like(radius) if lazy else None)
     assert radius.tolist() == [x.radius for x in expected]
-    assert all(x.ray == r for x, r in zip(expected, ray.tolist()) if x.radius > 0)
+    # every word is nonzero, so a kept word tells an exit
+    left = (last == w).tolist()
+    assert left == [r == 0 and x.radius == 1 for r, x in zip(start.tolist(), expected)]
+    assert not np.any(last[~(last == w)])
+    rays = _exit_rays(params, last, 1, lazy)
+    assert all(x.ray == r for x, r, gone in zip(expected, rays.tolist(), left) if gone)
 
 
 def _marks(seed, length, streams):
