@@ -121,11 +121,9 @@ def _step(radii: np.ndarray, last: np.ndarray, words: np.ndarray, d: np.ndarray,
 
 
 def _exit_rays(params: RayParams, last: np.ndarray, n_steps: int, lazy: bool) -> np.ndarray:
-    """The rays of chains whose last junction exits took the words last: the
-    exit ray of each word's uniform (lazy: of 2u - 1), and 0 for a chain
-    that never left.  A lazy chain that never left keeps a word below 2**63;
-    an immediate-exit chain leaves at its first step, so only with no step
-    does it never leave."""
+    """The exit rays of the last exit words' uniforms (lazy: of 2u - 1), and
+    0 for a chain that never left: a lazy one keeps a word below 2**63, and
+    an immediate-exit one leaves at its first step."""
     u = _uniforms(last)
     if lazy:
         u = (u - 0.5) * 2.0
@@ -136,13 +134,11 @@ def _exit_rays(params: RayParams, last: np.ndarray, n_steps: int, lazy: bool) ->
 
 def _chain_states(n_steps: int, n_replicas: int, seed: int, stream_id: int,
                   lazy: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(last, radii) of chains from the junction at time 0 and after each
-    step, updated in place; last holds each chain's last exit word, and
-    ``_exit_rays`` gives its ray.  Step k takes the k-th n_replicas words of
-    the stream, the words from which ``rng.random((n_steps, n_replicas))``
-    makes its uniforms, drawn raw in blocks of at most ROW_BLOCK_STEPS; d is
-    +1 when a word's top bit is set, that is, when u >= 1/2.  The radii are
-    in the smallest signed dtype that holds n_steps."""
+    """(last exit words, radii) of chains from the junction at time 0 and
+    after each step, updated in place.  Step k takes the k-th n_replicas
+    words of the stream, those of the k-th ``rng.random(n_replicas)``, drawn
+    raw in blocks of at most ROW_BLOCK_STEPS; d = +1 where a word's top bit
+    is set (u >= 1/2).  The radii take the least signed dtype holding n_steps."""
     bit_generator = make_rng(seed, stream_id).bit_generator
     dtype = np.min_scalar_type(-n_steps - 1)
     radii = np.zeros(n_replicas, dtype=dtype)
@@ -162,10 +158,8 @@ def _chain_states(n_steps: int, n_replicas: int, seed: int, stream_id: int,
 def simulate_chain_batch(params: RayParams, n_steps: int, n_replicas: int, seed: int,
                          stream_id: int, lazy: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Final (rays, radii) of many independent chains, vectorized across
-    replicas, as int64 arrays.  The chains step on raw stream words
-    (``_chain_states``), and the rays are looked up once, at the end, from
-    each chain's last exit word; a chain at the junction keeps the ray of its
-    last exit."""
+    replicas, as int64 arrays.  The rays are looked up once, from each
+    chain's last exit word; a chain at the junction keeps its last exit's."""
     for last, radii in _chain_states(n_steps, n_replicas, seed, stream_id, lazy):
         pass
     return (_exit_rays(params, last, n_steps, lazy).astype(np.int64),

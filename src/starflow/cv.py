@@ -16,11 +16,8 @@ over the same row blocks.  The flip asks ``transform`` to stop at the last
 block boundary of its block.  ``tau_sequence`` keeps the literal int64
 product and is their reference.
 
-Neither direction scans for the block parity.  Each tau_l, l >= 1, is a
-crossing of 0 by S, so the forward sign at step j is the side of S there,
-the sign of S_{j-1} + S_j; and tau_l is the first hit of 2l by S-bar, so the
-inverse sign at step k is the parity of floor(max_{i<k} S-bar_i / 2).  Both
-negate their +-1 int8 steps by XOR with -2.
+Neither direction scans for the block parity: the forward sign is read off
+the side of S, the inverse sign off floor(running max of S-bar / 2).
 """
 
 from __future__ import annotations
@@ -47,20 +44,13 @@ def tau_sequence(values: np.ndarray) -> np.ndarray:
     return np.nonzero(prod < 0)[0] + 1
 
 
-def _first_hits(sbar: np.ndarray, runmax: np.ndarray) -> np.ndarray:
-    """Mask of the tau_l, l >= 1, read off S-bar (values along the last axis,
-    S-bar_0 = 0) and its running maximum: tau_l is the first hit of 2l by
-    S-bar, a new running maximum at an even level (a new maximum is >= 1, so
-    even means >= 2)."""
-    hits = np.zeros(sbar.shape, dtype=bool)
-    hits[..., 1:] = (runmax[..., 1:] > runmax[..., :-1]) & ((sbar[..., 1:] & 1) == 0)
-    return hits
-
-
 def taus_from_first_hits(bar_values: np.ndarray) -> np.ndarray:
-    """tau_l recovered from the transformed walk: first hit of 2l by S-bar."""
+    """tau_l recovered from the transformed walk: first hit of 2l by S-bar,
+    a new running maximum at an even level (a new maximum is >= 1, so even
+    means >= 2)."""
     s = np.asarray(bar_values, dtype=np.int64)
-    return np.nonzero(_first_hits(s, np.maximum.accumulate(s)))[0]
+    runmax = np.maximum.accumulate(s)
+    return np.flatnonzero((runmax[1:] > runmax[:-1]) & ((s[1:] & 1) == 0)) + 1
 
 
 def _values(x: np.ndarray) -> np.ndarray:

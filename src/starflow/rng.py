@@ -15,11 +15,9 @@ instead of building a generator each, since a new generator also builds (and
 discards) a seed sequence from OS entropy, which costs more than the short
 draws of a replica.  ``walk`` and ``chain`` turn the words into steps and
 uniforms exactly as ``Generator.integers(0, 2)`` and ``Generator.random``
-would.  The long draws of one stream, a walk batch's steps
-(``walk.increment_blocks``) and a chain batch's steps
-(``chain.simulate_chain_batch``), read raw words too, from the bit generator
-of ``make_rng``, block by block; the chains read d off each word's top bit
-and only the last exit word of each chain becomes a uniform.
+would.  The long draws of one stream, ``walk.increment_blocks`` and
+``chain.simulate_chain_batch``, read raw words block by block from the bit
+generator of ``make_rng``.
 
 numpy.random is imported with this module, which numpy would otherwise do
 on the first draw, inside a run.

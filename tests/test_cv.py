@@ -162,10 +162,9 @@ def test_transform_and_inverse_on_every_short_walk(length):
     # either first step, and every S-bar path with either epsilon
     X = _every_walk(length)
     t = transform(X)
-    bars, _, back, is_tau = _cv_reference(X, X[:, 0])
+    bars, _, _, is_tau = _cv_reference(X, X[:, 0])
     assert np.array_equal(t.xbar, bars) and np.array_equal(t.is_tau, is_tau)
     assert np.array_equal(cv_inverse_increments(t.xbar, X[:, 0]), X)
-    assert np.array_equal(back, X)
     sbar_steps = _every_walk(length - 1)
     for eps in (-1, 1):
         x = cv_inverse_increments(sbar_steps, eps)

@@ -1,13 +1,13 @@
-"""Median per-call wall time of the batched layers of one checkout.
+"""Median per-call wall time of the batched layers of this checkout.
 
-    python3 tools/layer_times.py [--tree PATH] [--repeats 7] [--seed 1] [--json]
+    python3 tools/layer_times.py [--repeats 7]
 
-starflow is imported from ``src`` of the checkout given by ``--tree``, by
-default the one this script sits in, so the same command times a parent
-commit's tree (a ``git archive`` copy, say) for a before/after pair.  Only
-public functions are called.  Each layer runs once to warm up and then
-``--repeats`` times in this process; the table gives the median and the
-quartiles (``statistics.quantiles``, inclusive) of those calls.
+starflow is imported from ``src`` of the checkout this script sits in, so a
+copy of it in a ``git archive`` checkout of another commit times that
+commit.  Only public functions are called, at seed 1.  Each layer runs once
+to warm up and then ``--repeats`` times in this process; the table gives the
+median and the quartiles (``statistics.quantiles``, inclusive) of those
+calls.
 
 The sizes are those of the benchmark's workloads: ``batch-array`` runs
 ``cv-check`` and ``chain-donsker`` at 10^4 replicas of 10^3 steps, and
@@ -19,56 +19,56 @@ which flips 2,000 short replicas of 1,000 steps and five long paths of
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from starflow.chain import flip_batches, simulate_chain_batch  # noqa: E402
+from starflow.cli import STREAM_CHAIN, STREAM_FLIP, STREAM_WALK  # noqa: E402
+from starflow.cv import cv_check_blocks, transform  # noqa: E402
+from starflow.graph import RayParams  # noqa: E402
+from starflow.walk import increment_blocks  # noqa: E402
+
+SEED = 1
 REPLICAS, LENGTH = 10_000, 1_000
 FLIP_SHORT, FLIP_LONG = (2_000, 1_000), (5, 400_000)
+PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
 
-def layers(seed: int) -> list[tuple[str, str, object]]:
-    """(layer, size, zero-argument call) of every timed layer."""
-    from starflow.chain import flip_batches, simulate_chain_batch
-    from starflow.cli import STREAM_CHAIN, STREAM_FLIP, STREAM_WALK
-    from starflow.cv import cv_check_blocks, transform
-    from starflow.graph import RayParams
-    from starflow.walk import increment_blocks
-
-    params = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
-
-    def walk_transform():
-        for x in increment_blocks(REPLICAS, LENGTH, seed, STREAM_WALK):
-            transform(x)
-
-    def flips(count: int, length: int, first: int):
-        ids = range(first, first + 10 * count, 10)
-        for _ in flip_batches(params, length, seed, ids):
-            pass
-
-    size = f"{REPLICAS} x {LENGTH}"
-    return [
-        ("increment_blocks + transform", size, walk_transform),
-        ("cv_check_blocks (walks included)", size,
-         lambda: cv_check_blocks(increment_blocks(REPLICAS, LENGTH, seed, STREAM_WALK))),
-        ("simulate_chain_batch, immediate exit", size,
-         lambda: simulate_chain_batch(params, LENGTH, REPLICAS, seed, STREAM_CHAIN)),
-        ("simulate_chain_batch, lazy", size,
-         lambda: simulate_chain_batch(params, LENGTH, REPLICAS, seed, STREAM_CHAIN + 1,
-                                      lazy=True)),
-        ("flip_batches, short replicas", "%d x %d" % FLIP_SHORT,
-         lambda: flips(*FLIP_SHORT, STREAM_FLIP * 1000)),
-        ("flip_batches, long paths", "%d x %d" % FLIP_LONG,
-         lambda: flips(*FLIP_LONG, STREAM_FLIP * 7919)),
-    ]
+def walk_transform() -> None:
+    for x in increment_blocks(REPLICAS, LENGTH, SEED, STREAM_WALK):
+        transform(x)
 
 
-def time_calls(call, repeats: int) -> dict:
-    """Median and quartiles, in seconds, of repeats calls after one warm-up."""
+def flips(count: int, length: int, first: int) -> None:
+    for _ in flip_batches(PARAMS, length, SEED, range(first, first + 10 * count, 10)):
+        pass
+
+
+SIZE = f"{REPLICAS} x {LENGTH}"
+LAYERS = [
+    ("increment_blocks + transform", SIZE, walk_transform),
+    ("cv_check_blocks (walks included)", SIZE,
+     lambda: cv_check_blocks(increment_blocks(REPLICAS, LENGTH, SEED, STREAM_WALK))),
+    ("simulate_chain_batch, immediate exit", SIZE,
+     lambda: simulate_chain_batch(PARAMS, LENGTH, REPLICAS, SEED, STREAM_CHAIN)),
+    ("simulate_chain_batch, lazy", SIZE,
+     lambda: simulate_chain_batch(PARAMS, LENGTH, REPLICAS, SEED, STREAM_CHAIN + 1,
+                                  lazy=True)),
+    ("flip_batches, short replicas", "%d x %d" % FLIP_SHORT,
+     lambda: flips(*FLIP_SHORT, STREAM_FLIP * 1000)),
+    ("flip_batches, long paths", "%d x %d" % FLIP_LONG,
+     lambda: flips(*FLIP_LONG, STREAM_FLIP * 7919)),
+]
+
+
+def time_calls(call, repeats: int) -> tuple[float, float, float]:
+    """(median, first quartile, third quartile) in seconds of repeats calls,
+    after one warm-up call."""
     call()
     times = []
     for _ in range(repeats):
@@ -76,31 +76,19 @@ def time_calls(call, repeats: int) -> dict:
         call()
         times.append(time.perf_counter() - start)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"median_s": median, "q1_s": q1, "q3_s": q3}
+    return median, q1, q3
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", type=Path, default=ROOT,
-                        help="checkout whose src/ is timed (default: this one)")
     parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args()
     if args.repeats < 2:
         parser.error("--repeats: need at least 2")
-    sys.path.insert(0, str(args.tree.resolve() / "src"))
-
-    rows = [{"layer": name, "size": size, **time_calls(call, args.repeats)}
-            for name, size, call in layers(args.seed)]
-    if args.json:
-        print(json.dumps({"tree": str(args.tree.resolve()), "repeats": args.repeats,
-                          "seed": args.seed, "layers": rows}))
-        return 0
     print(f"{'layer':<38} {'size':<14} {'median_s':>9} {'q1_s':>9} {'q3_s':>9}")
-    for row in rows:
-        print(f"{row['layer']:<38} {row['size']:<14} {row['median_s']:9.4f} "
-              f"{row['q1_s']:9.4f} {row['q3_s']:9.4f}")
+    for name, size, call in LAYERS:
+        median, q1, q3 = time_calls(call, args.repeats)
+        print(f"{name:<38} {size:<14} {median:9.4f} {q1:9.4f} {q3:9.4f}", flush=True)
     return 0
 
 
