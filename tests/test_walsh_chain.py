@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -240,11 +241,11 @@ def test_exit_ray_matches_searchsorted(params):
 
 def _edge_words(edges):
     """Words whose uniforms lie on either side of each edge: the smallest
-    multiple k 2**-53 at or above it and the one below, each word once with
-    its low 11 bits clear and once with them set."""
-    k = np.ceil(np.asarray(edges) * 2.0 ** 53).astype(np.uint64)
-    k = np.unique(np.concatenate([k, k - np.uint64(1)]))
-    words = k << np.uint64(11)
+    multiple k 2**-53 at or above it and the one below, for k in [0, 2**53),
+    each word once with its low 11 bits clear and once with them set."""
+    ks = {k for e in edges for k in (math.ceil(e * 2**53) - 1, math.ceil(e * 2**53))
+          if 0 <= k < 2**53}
+    words = np.array(sorted(ks), dtype=np.uint64) << np.uint64(11)
     return np.concatenate([words, words | np.uint64(2**11 - 1)])
 
 
@@ -252,11 +253,11 @@ def _edge_words(edges):
 @pytest.mark.parametrize("lazy", [False, True])
 def test_array_step_matches_step_chain_at_edges(params, lazy):
     cum = params.alpha_cumulative
-    words = _edge_words(np.concatenate([[0.0, 0.5, 1.0], cum[cum < 1], (1.0 + cum) / 2]))
-    words = words[words > 0]  # 0 has no word below it
+    words = _edge_words(np.concatenate([[0.0, 0.5, 1.0], cum, (1.0 + cum) / 2]).tolist())
+    words = words[words > 0]  # so that a kept word tells an exit from the initial 0
     radius, w = (a.ravel() for a in np.meshgrid(np.arange(4, dtype=np.int16), words))
     u = _uniforms(w)
-    assert np.all(u < 1.0) and np.array_equal(u >= 0.5, w >= 2**63)
+    assert np.array_equal(u >= 0.5, w >= 2**63)
     expected = [step_chain(params, point(2, int(r), params.N), v, lazy=lazy)
                 for r, v in zip(radius.tolist(), u.tolist())]
     start = radius.copy()
@@ -264,12 +265,11 @@ def test_array_step_matches_step_chain_at_edges(params, lazy):
     d = np.where(w >= 2**63, 1, -1).astype(radius.dtype)
     _step(radius, last, w, d, np.zeros_like(radius) if lazy else None)
     assert radius.tolist() == [x.radius for x in expected]
-    # every word is nonzero, so a kept word tells an exit
-    left = (last == w).tolist()
-    assert left == [r == 0 and x.radius == 1 for r, x in zip(start.tolist(), expected)]
-    assert not np.any(last[~(last == w)])
+    kept = last == w
+    assert kept.tolist() == [r == 0 and x.radius == 1 for r, x in zip(start.tolist(), expected)]
+    assert not last[~kept].any()
     rays = _exit_rays(params, last, 1, lazy)
-    assert all(x.ray == r for x, r, gone in zip(expected, rays.tolist(), left) if gone)
+    assert all(x.ray == r for x, r, k in zip(expected, rays.tolist(), kept.tolist()) if k)
 
 
 def _marks(seed, length, streams):
