@@ -184,16 +184,24 @@ def _flip_totals(params, seed: int, length: int, stream_ids,
     return worst, totals, work
 
 
+def flip_stream_ids(replicas: int, length: int) -> tuple[range, range, int]:
+    """flip-check's stream ids of its short replicas, one per 10 replicas and
+    at least 10, and of its five long paths, and the long paths' length."""
+    short = STREAM_FLIP * 1000
+    return (range(short, short + 10 * max(replicas // 10, 10), 10),
+            range(STREAM_FLIP * 7919, STREAM_FLIP * 7919 + 50, 10),
+            max(length, 20 * replicas))
+
+
 def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     _keep_freed_heap()
     checks = CheckList()
     params = cfg.ray_params()
-    replicas = max(cfg.replicas // 10, 10)
+    short_ids, long_ids, long_len = flip_stream_ids(cfg.replicas, cfg.length)
     # junction exits follow the marks, which are independent of the walk, so
     # truncation at the last completed block cannot bias them
-    worst, short, short_work = _flip_totals(
-        params, cfg.seed, cfg.length,
-        range(STREAM_FLIP * 1000, STREAM_FLIP * 1000 + 10 * replicas, 10), short=True)
+    worst, short, short_work = _flip_totals(params, cfg.seed, cfg.length, short_ids,
+                                            short=True)
     # interior up/down frequencies do get biased by that truncation (it is a
     # look-ahead boundary), and the bias does not average out over short
     # replicas, so those are counted on long paths.  The cut is not small
@@ -201,10 +209,7 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     # paths of 400,000 steps end their last block at 202,490, 379,826,
     # 390,772, 101,750 and 1,068.  The manifest's work list records the live
     # transitions each population counted.
-    long_len = max(cfg.length, 20 * cfg.replicas)
-    _, long, long_work = _flip_totals(
-        params, cfg.seed, long_len, range(STREAM_FLIP * 7919, STREAM_FLIP * 7919 + 50, 10),
-        short=False)
+    _, long, long_work = _flip_totals(params, cfg.seed, long_len, long_ids, short=False)
     checks.work = [{"population": "short replicas", **short_work},
                    {"population": "long paths", **long_work}]
     checks.add("flip_bound_max_deviation", worst, 2, worst <= 2)
@@ -213,7 +218,7 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     except SparseCellsError as exc:
         raise SparseCellsError(
             f"replicas, length: the short-replica exit test counted "
-            f"{int(short['exits'].sum())} junction exits over {replicas} replicas of "
+            f"{int(short['exits'].sum())} junction exits over {len(short_ids)} replicas of "
             f"{cfg.length} steps ({exc}); raise replicas or length") from exc
     checks.add("flip_exit_chi2", p_exit, "> 0.005", p_exit > 0.005)
     stat2, dof2 = updown_chi_square(long["up_by_r"], long["down_by_r"])

@@ -16,7 +16,7 @@ import pytest
 
 import starflow
 from starflow import chain
-from starflow.cli import STREAM_FLIP, STREAM_WALK, main, run_flip_check
+from starflow.cli import STREAM_FLIP, STREAM_WALK, flip_stream_ids, main, run_flip_check
 from starflow.config import ConfigError, RunConfig, parse_config
 from starflow.cv import tau_sequence
 from starflow.walk import generate_walk
@@ -217,6 +217,7 @@ def test_flip_check_manifest_work_counts(small_config, tmp_path):
     short, long = STREAM_FLIP * 1000, STREAM_FLIP * 7919
     streams = {"short replicas": range(short, short + 300, 10),
                "long paths": range(long, long + 50, 10)}
+    assert flip_stream_ids(300, 200) == (*streams.values(), 6000)
     assert [(w["population"], w["replicas"], w["length"]) for w in work] == [
         ("short replicas", 30, 200), ("long paths", 5, 6000)]
     for w in work:

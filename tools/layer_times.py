@@ -1,11 +1,11 @@
 """Median per-call wall time of the batched layers of this checkout.
 
-    python3 tools/layer_times.py [--repeats 7]
+    python3 tools/layer_times.py
 
 starflow is imported from ``src`` of the checkout this script sits in, so a
 copy of it in a ``git archive`` checkout of another commit times that
 commit.  Only public functions are called, at seed 1.  Each layer runs once
-to warm up and then ``--repeats`` times in this process; the table gives the
+to warm up and then ``REPEATS`` times in this process; the table gives the
 median and the quartiles (``statistics.quantiles``, inclusive) of those
 calls.
 
@@ -13,12 +13,11 @@ The sizes are those of the benchmark's workloads: ``batch-array`` runs
 ``cv-check`` and ``chain-donsker`` at 10^4 replicas of 10^3 steps, and
 ``flip-loop`` runs ``flip-check`` at replicas = 20,000 and length = 1,000,
 which flips 2,000 short replicas of 1,000 steps and five long paths of
-400,000 steps on the streams that ``cli.run_flip_check`` uses.
+400,000 steps on the streams that ``cli.flip_stream_ids`` names.
 """
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 import time
@@ -28,14 +27,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from starflow.chain import flip_batches, simulate_chain_batch  # noqa: E402
-from starflow.cli import STREAM_CHAIN, STREAM_FLIP, STREAM_WALK  # noqa: E402
+from starflow.cli import STREAM_CHAIN, STREAM_WALK, flip_stream_ids  # noqa: E402
 from starflow.cv import cv_check_blocks, transform  # noqa: E402
 from starflow.graph import RayParams  # noqa: E402
 from starflow.walk import increment_blocks  # noqa: E402
 
 SEED = 1
+REPEATS = 7
 REPLICAS, LENGTH = 10_000, 1_000
-FLIP_SHORT, FLIP_LONG = (2_000, 1_000), (5, 400_000)
+FLIP_SHORT, FLIP_LONG, FLIP_LONG_LENGTH = flip_stream_ids(20_000, LENGTH)
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
 
@@ -44,8 +44,8 @@ def walk_transform() -> None:
         transform(x)
 
 
-def flips(count: int, length: int, first: int) -> None:
-    for _ in flip_batches(PARAMS, length, SEED, range(first, first + 10 * count, 10)):
+def flips(length: int, stream_ids: range) -> None:
+    for _ in flip_batches(PARAMS, length, SEED, stream_ids):
         pass
 
 
@@ -59,19 +59,19 @@ LAYERS = [
     ("simulate_chain_batch, lazy", SIZE,
      lambda: simulate_chain_batch(PARAMS, LENGTH, REPLICAS, SEED, STREAM_CHAIN + 1,
                                   lazy=True)),
-    ("flip_batches, short replicas", "%d x %d" % FLIP_SHORT,
-     lambda: flips(*FLIP_SHORT, STREAM_FLIP * 1000)),
-    ("flip_batches, long paths", "%d x %d" % FLIP_LONG,
-     lambda: flips(*FLIP_LONG, STREAM_FLIP * 7919)),
+    ("flip_batches, short replicas", f"{len(FLIP_SHORT)} x {LENGTH}",
+     lambda: flips(LENGTH, FLIP_SHORT)),
+    ("flip_batches, long paths", f"{len(FLIP_LONG)} x {FLIP_LONG_LENGTH}",
+     lambda: flips(FLIP_LONG_LENGTH, FLIP_LONG)),
 ]
 
 
-def time_calls(call, repeats: int) -> tuple[float, float, float]:
-    """(median, first quartile, third quartile) in seconds of repeats calls,
+def time_calls(call) -> tuple[float, float, float]:
+    """(median, first quartile, third quartile) in seconds of REPEATS calls,
     after one warm-up call."""
     call()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
@@ -80,14 +80,9 @@ def time_calls(call, repeats: int) -> tuple[float, float, float]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args()
-    if args.repeats < 2:
-        parser.error("--repeats: need at least 2")
     print(f"{'layer':<38} {'size':<14} {'median_s':>9} {'q1_s':>9} {'q3_s':>9}")
     for name, size, call in LAYERS:
-        median, q1, q3 = time_calls(call, args.repeats)
+        median, q1, q3 = time_calls(call)
         print(f"{name:<38} {size:<14} {median:9.4f} {q1:9.4f} {q3:9.4f}", flush=True)
     return 0
 
