@@ -20,24 +20,25 @@ excursion's mark eta_i, carried forward and 0 at the junction.  The blocks
 are classified by case (no excursion / one excursion, two sub-cases /
 two excursions) from the tau positions and the excursion table.  The flip
 reads S, S-bar, Y-bar and the taus from one ``cv.transform`` pass over a
-(replicas, steps) batch, and the bound and the proof facts are masks over
-the batch.  Past a row's stop, the end of its last completed block, its ray
-is 0, no transition is live and no excursion is kept, so ``flip_batches``
-builds T, Y-bar and the excursions only up to the batch's last stop
+(replicas, steps) batch, and the bound is a mask over the batch.  Past a
+row's stop, the end of its last completed block, its ray is 0, no
+transition is live and no excursion is kept, so ``flip_batches`` builds T,
+Y-bar and the excursions only up to the batch's last stop
 (``transform(..., cut=True)``).  Each batch takes the words of its walks and
 of both mark arrays from one re-keyed Philox per array (``rng.stream_rows``),
 turns them into the steps and uniforms that ``Generator.integers(0, 2)`` and
 ``Generator.random`` would give, and maps each mark array to rays with one
 exit-ray lookup.
 
-The chain eta . Y-bar of ``flipped_product_chain`` is the discrete flow of
-mappings started at the junction and driven by -S-bar, with every departure
-inside excursion i given eta_i.  So the flip bound d(M_n, eta_i Y-bar_n) <= 2
-is the link from the chain stage to the flow stage: the flipped chain stays
-within 2 of that flow.  One change-point helper builds the ray of M, the
-marked path of the bound and the product chain.  ``FlipBatch`` is the only
-flip result, and ``transition_counts`` counts the live transitions of a batch
-of chains, the flipped ones and the product chain alike.
+The product chain eta . Y-bar (``oracles.flipped_product_chain``) is the
+discrete flow of mappings started at the junction and driven by -S-bar, with
+every departure inside excursion i given eta_i.  So the flip bound
+d(M_n, eta_i Y-bar_n) <= 2 is the link from the chain stage to the flow
+stage: the flipped chain stays within 2 of that flow.  One change-point
+helper builds the ray of M and the marked path of the bound.  ``FlipBatch``
+is the only flip result, and ``transition_counts`` counts the live
+transitions of a batch of chains, the flipped ones and the product chain
+alike.
 """
 
 from __future__ import annotations
@@ -48,22 +49,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .cv import Transform, last_boundaries, reflected_path, transform
-from .graph import GraphPoint, RayParams, point
+from .cv import Transform, last_boundaries, transform
+from .graph import RayParams
 from .rng import make_rng, stream_rows
-from .walk import ExcursionTable, WalkWindow, excursion_table, increment_rows, row_blocks
+from .walk import ExcursionTable, excursion_table, increment_rows, row_blocks
 
 
 def _exit_ray(params: RayParams, u):
     """Ray 1..N of a junction exit for uniform(s) u: 1 + #{j < N : u >= c_j}
     over the cumulative edges c_j of alpha, the count that
     ``searchsorted(side="right")`` gives.  The last edge is skipped, so the
-    ray clamps to N: the float sum can end just below 1.
-
-    An array u gives an array of rays in ``params.ray_dtype``, each edge
-    added in place; a float u gives an int.
+    ray clamps to N: the float sum can end just below 1.  The rays are in
+    ``params.ray_dtype``, each edge added in place.
     """
-    ray = np.ones(u.shape, dtype=params.ray_dtype) if isinstance(u, np.ndarray) else 1
+    ray = np.ones(np.shape(u), dtype=params.ray_dtype)
     for edge in params.alpha_cumulative[:-1].tolist():
         ray += u >= edge
     return ray
@@ -90,18 +89,6 @@ def ray_mark_rows(params: RayParams, count: int, seed: int,
 def draw_ray_marks(params: RayParams, count: int, seed: int, stream_id: int) -> np.ndarray:
     """The count ray marks of the one stream stream_id (``ray_mark_rows``)."""
     return ray_mark_rows(params, count, seed, [stream_id])[0]
-
-
-def step_chain(params: RayParams, x: GraphPoint, u: float, lazy: bool = False) -> GraphPoint:
-    """One transition from x given a uniform draw u in [0, 1)."""
-    if x.radius == 0:
-        if lazy:
-            if u < 0.5:
-                return x
-            u = (u - 0.5) * 2.0
-        return point(int(_exit_ray(params, u)), 1, params.N)
-    delta = 1 if u >= 0.5 else -1
-    return point(x.ray, x.radius + delta, params.N)
 
 
 def _step(radii: np.ndarray, last: np.ndarray, words: np.ndarray, d: np.ndarray,
@@ -259,29 +246,6 @@ class FlipBatch:
         """``transition_counts``'s (up_by_r, down_by_r); the ray is not read."""
         return _moves(self.radii, self.n_end)[1:]
 
-    def proof_fact_violations(self) -> np.ndarray:
-        """Per row, the violations of the pathwise facts used in the flipping
-        proof, over the completed blocks [tau_l, tau_{l+1}]:
-
-        (a) for k in [tau_l + 2, tau_{l+1}]: S-bar_{k-1} = 2l + 1  iff  S_k = 0;
-        (b) for k in [tau_l, tau_{l+1}]: Y-bar_k = 0 implies |S_{k+1}| <= 1, and
-            S_{k+1} = 0 implies Y-bar_k = 0.
-        """
-        sbar, ybar, is_tau = self.t.sbar, self.ybar, self.t.is_tau
-        cols = np.arange(sbar.shape[1])
-        last = self.n_end[:, None]
-        after = self.t.s[:, 1:]  # S_{k+1} in column k
-        # (a) at k = j + 1 for every j strictly inside block l = #(taus <= j) - 1
-        l = np.cumsum(is_tau, axis=1) - 1
-        bad_a = ~is_tau & (cols < last) & ((sbar == 2 * l + 1) != (after == 0))
-        # (b) at every k of every block [tau_l, tau_{l+1}]: a tau between two
-        # blocks is checked once for each
-        bad_b = ((ybar == 0) & (np.abs(after) > 1)).astype(np.int64) + \
-            ((after == 0) & (ybar != 0))
-        checks = ((cols <= last) & (last > 0)) + (is_tau & (cols > 0) & (cols < last))
-        return bad_a.sum(axis=1) + (bad_b * checks).sum(axis=1)
-
-
 def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray) -> FlipBatch:
     """Flip every row of the transform pass t of a batch of walks at once.
 
@@ -374,24 +338,6 @@ def _flip_streams(params: RayParams, length: int, seed: int,
     n_marks = int(np.count_nonzero(t.sbar == t.runmax, axis=1).max())
     return flip_batch(t, ray_mark_rows(params, n_marks, seed, [sid + 1 for sid in ids]),
                       ray_mark_rows(params, n_marks, seed, [sid + 2 for sid in ids]))
-
-
-def flipped_product_chain(s_bar: WalkWindow,
-                          eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rays, radii) of the chain eta . Y-bar: ray mark eta_i inside the
-    i-th excursion, junction (ray 0) wherever the reflected path is zero.
-    Its transition law is the lazy matrix.  An excursion still open at the
-    end is dropped: the chain stops at the last k with
-    Y-bar_{k-1} = Y-bar_k = 0."""
-    ybar = reflected_path(s_bar.values)
-    exc = excursion_table(ybar[None])
-    zero = ybar == 0
-    covered_to = int(np.flatnonzero(zero & np.append(True, zero[:-1]))[-1]) + 1
-    radii = ybar[:covered_to]
-    # Y-bar is zero between excursions, so each mark needs no end
-    rays = _carry((1, covered_to), exc.row, exc.start, np.asarray(eta)[exc.ordinal - 1])[0]
-    rays[radii == 0] = 0
-    return rays, radii
 
 
 def _stop_width(n_end: np.ndarray) -> int:

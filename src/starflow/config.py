@@ -15,6 +15,8 @@ from pathlib import Path
 from .errors import ConfigError
 from .graph import RayParams
 
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass
 class RunConfig:
@@ -120,6 +122,19 @@ def _check_ranges(cfg: RunConfig) -> None:
     if not math.isfinite(horizon):
         raise ConfigError(f"n_list, s, T: max(n_list) * (s + T) is not finite, got "
                           f"n = {max(cfg.n_list)}, s = {cfg.s}, T = {cfg.T}")
+    # the int64 walk window and start radius of the convergence pass at the largest n
+    n = max(cfg.n_list)
+    p_min = min(math.floor(n * cfg.s), 0) if math.isfinite(n * cfg.s) else -math.inf
+    steps = math.ceil(horizon) + 1 - p_min
+    if p_min < -_INT64_MAX or steps > _INT64_MAX:
+        raise ConfigError(f"n_list, s, T: the walk window of length {float(steps):.4g} from "
+                          f"{float(p_min):.4g} at n = {n} does not fit int64, got "
+                          f"s = {cfg.s}, T = {cfg.T}")
+    radius = math.sqrt(n) * cfg.x_radius
+    if not math.isfinite(radius) or round(radius) + steps > _INT64_MAX:
+        raise ConfigError(f"x_radius: round(sqrt(n) x_radius) = {radius:.4g} plus the window "
+                          f"length {steps} at n = {n} does not fit int64, got "
+                          f"x_radius = {cfg.x_radius}")
 
 
 def load_config(path: str | Path | None) -> RunConfig:

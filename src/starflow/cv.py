@@ -13,8 +13,8 @@ increments, S-bar and its running maximum of a step block, and
 take row blocks of at most ``walk.ROW_BLOCK_STEPS`` steps, on int8 steps and
 int16 values (int32 from 2**14 steps on), and ``cv_inverse_increments`` runs
 over the same row blocks.  The flip asks ``transform`` to stop at the last
-block boundary of its block.  ``tau_sequence`` keeps the literal int64
-product and is their reference.
+block boundary of its block.  Their references, the literal int64 product
+S_{i-1} S_{i+1} and the first hits of S-bar, are in ``oracles``.
 
 Neither direction scans for the block parity: the forward sign is read off
 the side of S, the inverse sign off floor(running max of S-bar / 2).
@@ -29,28 +29,6 @@ import numpy as np
 
 from .errors import TooShortError
 from .walk import row_blocks
-
-
-def tau_sequence(values: np.ndarray) -> np.ndarray:
-    """Block boundaries of the transform: all i >= 1 with S_{i-1} S_{i+1} < 0.
-
-    ``values`` is S_0..S_n; the result lists the tau_l for l >= 1 in order
-    (tau_0 = 0 is implicit).
-    """
-    s = np.asarray(values, dtype=np.int64)
-    if len(s) < 3:
-        return np.array([], dtype=np.int64)
-    prod = s[:-2] * s[2:]  # index i-1 holds S_{i-1} S_{i+1}
-    return np.nonzero(prod < 0)[0] + 1
-
-
-def taus_from_first_hits(bar_values: np.ndarray) -> np.ndarray:
-    """tau_l recovered from the transformed walk: first hit of 2l by S-bar,
-    a new running maximum at an even level (a new maximum is >= 1, so even
-    means >= 2)."""
-    s = np.asarray(bar_values, dtype=np.int64)
-    runmax = np.maximum.accumulate(s)
-    return np.flatnonzero((runmax[1:] > runmax[:-1]) & ((s[1:] & 1) == 0)) + 1
 
 
 def _values(x: np.ndarray) -> np.ndarray:
@@ -178,12 +156,6 @@ def cv_inverse_increments(Xbar: np.ndarray, epsilon) -> np.ndarray:
         xbar = Xbar[rows].astype(np.int8, copy=False)
         out[rows] = _inverse(xbar, np.maximum.accumulate(_values(xbar), axis=1), eps[rows])
     return out[0] if single else out
-
-
-def reflected_path(bar_values: np.ndarray) -> np.ndarray:
-    """Y-bar_n = max_{k<=n} S-bar_k - S-bar_n."""
-    s = np.asarray(bar_values)
-    return np.maximum.accumulate(s, axis=-1) - s
 
 
 class CvCheck(NamedTuple):

@@ -221,6 +221,3 @@ class DiscreteMeasure:
         inner = ", ".join(f"({p.ray},{p.radius}):{w}" for p, w in sorted(
             self.atoms.items(), key=lambda kv: (kv[0].ray, kv[0].radius)))
         return f"DiscreteMeasure({inner})"
-
-    def total_mass(self) -> Fraction:
-        return sum(self.atoms.values(), Fraction(0))

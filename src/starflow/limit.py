@@ -1,4 +1,4 @@
-"""Desk-scale limit objects: rescaled paths, the Wiener kernel, and the
+"""Desk-scale limit objects: rescaled paths, hitting times, and the
 convergence pass.
 
 The almost-sure coupled limit is not constructible here, so the pass
@@ -119,20 +119,6 @@ def tau_hit(w: ContinuousPath, s: float, x: GraphPoint | float):
     prev_t, prev_v = (float(t_k[j - 1]), float(v_k[j - 1])) if j else (s, w.value(s))
     frac = (prev_v - target) / (prev_v - float(v_k[j]))
     return prev_t + frac * (float(t_k[j]) - prev_t)
-
-
-def wiener_kernel(w: ContinuousPath, params: RayParams, s: float, t: float,
-                  x: GraphPoint) -> DiscreteMeasure:
-    """K^W_{s,t}(x): Dirac at the radial translate, radius |x| + W_t - W_s,
-    up to tau_{s,x}; alpha spread at radius W+_{s,t} after.  Radii here are
-    floats, so atoms carry float radii in a DiscreteMeasure with exact
-    weights."""
-    tau = tau_hit(w, s, x)
-    if t < s:
-        raise OutOfDomainError(f"need s <= t, got {s} > {t}")
-    if t <= tau:
-        return _measure(params, False, x.ray, float(x.radius) + w.value(t) - w.value(s))
-    return _measure(params, True, x.ray, w.value(t) - w.running_min(s, t))
 
 
 def _measure(params: RayParams, spread: bool, ray: int, radius) -> DiscreteMeasure:

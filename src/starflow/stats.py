@@ -41,21 +41,6 @@ _MIN_VISITS = 20
 _MARGINAL_LEVEL = 0.01
 
 
-def ks_statistic(samples: np.ndarray, cdf) -> float:
-    """Two-sided sup distance between the empirical CDF and cdf.
-
-    samples need not be pre-sorted.
-    """
-    x = np.sort(np.asarray(samples, dtype=float))
-    m = len(x)
-    if m < 100:
-        raise TooFewSamplesError(f"need >= 100 samples, got {m}")
-    f = cdf(x)
-    upper = np.max(np.arange(1, m + 1) / m - f)
-    lower = np.max(f - np.arange(0, m) / m)
-    return float(max(upper, lower))
-
-
 def ks_statistic_lattice(samples: np.ndarray, cdf, spacing: float) -> float:
     """KS distance for lattice-valued samples against a continuous target.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -152,16 +151,6 @@ def generate_walk(p_min: int, p_max: int, seed: int, stream_id: int = 0) -> Walk
     return WalkWindow(p_min, random_increments(p_max - p_min, seed, stream_id))
 
 
-@dataclass(frozen=True)
-class Excursion:
-    """An excursion interval [start, end] of a nonnegative path, with its
-    global ordinal (1-based, in start order)."""
-
-    start: int
-    end: int
-    ordinal: int
-
-
 class ExcursionTable(NamedTuple):
     """The excursions of a (R, L) batch of nonnegative paths, one entry per
     excursion in row-major start order: its row, its interval [start, end]
@@ -193,29 +182,3 @@ def excursion_table(paths: np.ndarray) -> ExcursionTable:
     row = rows[:-1][keep]
     ordinal = np.arange(1, len(row) + 1) - np.searchsorted(row, row)
     return ExcursionTable(row, cols[:-1][keep], cols[1:][keep] - 1, ordinal)
-
-
-def excursions_brute(path_y: np.ndarray, a: int = 0) -> list[Excursion]:
-    """Definition-checking oracle: test every (p, q) pair directly."""
-    y = np.asarray(path_y)
-    if np.any(y < 0):
-        raise NegativeValueError("excursion decomposition needs a nonnegative path")
-    n = len(y)
-
-    def yv(j):
-        if j == -1:
-            return 0
-        if 0 <= j < n:
-            return int(y[j])
-        return None  # outside the window: condition unverifiable
-
-    found = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            vals = (yv(p), yv(p - 1), yv(q), yv(q + 1))
-            if any(v is None or v != 0 for v in vals):
-                continue
-            if all(not (y[j] == 0 and y[j + 1] != 1) for j in range(p, q)):
-                found.append((p, q))
-    found.sort()
-    return [Excursion(a + p, a + q, i + 1) for i, (p, q) in enumerate(found)]

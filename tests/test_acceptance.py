@@ -14,13 +14,14 @@ import pytest
 
 from starflow.beta import beta_distance, beta_vertex_oracle
 from starflow.chain import flip_batches, simulate_chain_batch, transition_counts
-from starflow.cv import (cv_check_blocks, cv_inverse_increments, tau_sequence,
-                         taus_from_first_hits, transform)
+from starflow.cv import cv_check_blocks, cv_inverse_increments, transform
 from starflow.flows import (FlowRealization, kernel_closed_form, kernel_compose,
                             kernel_is_conditional_law, psi_closed_form, psi_compose)
 from starflow.graph import (DiscreteMeasure, GraphPoint, RayParams, junction, point)
-from starflow.limit import convergence_profiles, rescale_path, wiener_kernel
-from starflow.oracles import grid_measures, grid_points, kernel_compose_grid, psi_compose_grid
+from starflow.limit import convergence_profiles, rescale_path
+from starflow.oracles import (grid_measures, grid_points, kernel_compose_grid,
+                              proof_fact_violations, psi_compose_grid, tau_sequence,
+                              taus_from_first_hits, wiener_kernel)
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square,
                             walsh_marginal_check)
@@ -87,7 +88,7 @@ def test_criterion_3_flip():
     fact_violations = 0
     for batch in flip_batches(PARAMS, 200, SEED, range(30_000, 130_000, 10)):
         worst = max(worst, int(batch.bound_deviation().max()))
-        fact_violations += int(batch.proof_fact_violations().sum())
+        fact_violations += int(proof_fact_violations(batch).sum())
     assert worst <= 2
     assert fact_violations == 0
     # transition frequencies on one 10^5-step realization, Bonferroni 1%

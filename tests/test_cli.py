@@ -18,7 +18,7 @@ import starflow
 from starflow import chain
 from starflow.cli import STREAM_FLIP, STREAM_WALK, flip_stream_ids, main, run_flip_check
 from starflow.config import ConfigError, RunConfig, parse_config
-from starflow.cv import tau_sequence
+from starflow.oracles import tau_sequence
 from starflow.walk import generate_walk
 
 SMALL = """
@@ -307,6 +307,27 @@ def test_non_finite_value_exit_code(key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, keys", [
+    # round(sqrt(10^4) x_radius) and the window's steps overflow int64
+    ("x_radius", "1e17", "x_radius"),
+    ("x_radius", "1e300", "x_radius"),
+    # n (s + T) is finite, but the window [p_min, p_max] is not int64
+    ("s", "1e300", "n_list, s, T"),
+    ("T", "1e300", "n_list, s, T"),
+    ("s", "-1e300", "n_list, s, T"),
+])
+def test_oversized_window_exit_code(key, value, keys, tmp_path, capsys):
+    path = tmp_path / "config.txt"
+    path.write_text(f"{SMALL}n_list = 100, 10000\n{key} = {value}\n")
+    code = main(["convergence", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {keys}: ") and "does not fit int64" in err
+    assert f"{key} = {float(value)}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("route", ["flag", "key"])
 def test_output_dir_on_a_file_exit_code(route, tmp_path, capsys):
     taken = tmp_path / "taken"
@@ -432,7 +453,7 @@ def test_cli_import_leaves_out_scipy():
 
 
 def test_cli_import_leaves_out_the_oracles():
-    # the grid oracles are for tests; the CLI never loads them
+    # the oracles are for tests; the CLI never loads them
     assert _run_python("import sys, starflow.cli; "
                        "print('starflow.oracles' in sys.modules)") == "False"
 

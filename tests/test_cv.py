@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from starflow.cv import (cv_check_blocks, cv_inverse_increments, reflected_path,
-                         tau_sequence, taus_from_first_hits, transform)
+from starflow.cv import cv_check_blocks, cv_inverse_increments, transform
 from starflow.errors import TooShortError
+from starflow.oracles import reflected_path, tau_sequence, taus_from_first_hits
 from starflow.rng import make_rng
 from starflow.stats import chi_square, chi_square_pvalue
 from starflow.walk import ROW_BLOCK_STEPS, generate_walk, random_increments, row_blocks

@@ -14,7 +14,8 @@ from starflow.flows import FlowRealization, kernel_closed_form, psi_closed_form
 from starflow.graph import GraphPoint, RayParams, graph_distance, junction, point
 from starflow.limit import (NOT_HIT, ContinuousPath, _beta_bound, _beta_slopes, _measure,
                             _screened_sup, convergence_profiles, floor_time,
-                            grid_and_midpoints, rescale_path, tau_hit, wiener_kernel)
+                            grid_and_midpoints, rescale_path, tau_hit)
+from starflow.oracles import wiener_kernel
 from starflow.rng import make_rng
 from starflow.walk import generate_walk
 

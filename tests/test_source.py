@@ -245,6 +245,26 @@ def test_package_modules_imported_are_found():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "oracles.py"],
                          ids=[p.name for p in SOURCES if p.name != "oracles.py"])
 def test_no_module_imports_the_oracles(path):
-    # the grid oracles are for tests: no module of the package imports them
+    # the oracles are for tests: no module of the package imports them
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "oracles" not in _package_modules_imported(tree)
+
+
+def _defined_names(tree: ast.AST) -> set[str]:
+    """Every function and class a module defines, methods and nested ones
+    included."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_oracle_names_are_defined_only_in_the_oracles():
+    # a reference lives in one place: no production module defines a name
+    # of the oracles module, and the package exports none of them
+    oracles = next(p for p in SOURCES if p.name == "oracles.py")
+    names = _defined_names(ast.parse(oracles.read_text(), filename=str(oracles)))
+    assert {"excursions_brute", "step_chain", "wiener_kernel"} <= names
+    assert sorted(names & set(starflow.__all__)) == []
+    for path in SOURCES:
+        if path != oracles:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert sorted(names & _defined_names(tree)) == [], path.name

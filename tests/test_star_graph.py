@@ -84,7 +84,7 @@ def test_measure_atom_merge_on_equal_points():
     m = DiscreteMeasure([(GraphPoint(1, 0), Fraction(1, 2)),
                          (GraphPoint(2, 0), Fraction(1, 2))])
     assert len(m.atoms) == 1
-    assert m.total_mass() == 1
+    assert sum(m.atoms.values()) == 1
 
 
 def test_int_lattice_points_are_interned():

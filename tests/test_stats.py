@@ -10,10 +10,11 @@ from scipy.stats import binom, norm
 from starflow.chain import simulate_chain_batch
 from starflow.errors import SparseCellsError, TooFewSamplesError
 from starflow.graph import RayParams
+from starflow.oracles import ks_statistic
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, half_normal_cdf,
-                            ks_critical, ks_statistic, ks_statistic_lattice,
-                            ray_chi_square, updown_chi_square, walsh_marginal_check)
+                            ks_critical, ks_statistic_lattice, ray_chi_square,
+                            updown_chi_square, walsh_marginal_check)
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 

@@ -9,10 +9,10 @@ import pytest
 from starflow.errors import EmptyWindowError, NegativeValueError, OutOfWindowError
 from starflow.flows import _flow_radius
 from starflow import walk
+from starflow.oracles import Excursion, excursions_brute
 from starflow.rng import make_rng
-from starflow.walk import (NOT_HIT, ROW_BLOCK_STEPS, Excursion, WalkWindow, excursion_table,
-                           excursions_brute, generate_walk, increment_blocks, increment_rows,
-                           random_increments)
+from starflow.walk import (NOT_HIT, ROW_BLOCK_STEPS, WalkWindow, excursion_table,
+                           generate_walk, increment_blocks, increment_rows, random_increments)
 
 KEYS = (0, 2**63, 2**64 - 1)
 
@@ -292,8 +292,7 @@ def test_excursions_disjoint_ordered_interior():
                     assert y[j + 1] == 1
 
 
-def test_excursion_window_offset():
+def test_excursions_two_intervals():
     y = np.array([0, 1, 0, 0, 1, 2, 1, 0, 0])
     assert [(e.start, e.end) for e in _one_row(y)] == [(0, 2), (3, 7)]
-    got = excursions_brute(y, a=5)
-    assert [(e.start, e.end) for e in got] == [(5, 7), (8, 12)]
+    assert _one_row(y) == excursions_brute(y)

@@ -12,15 +12,16 @@ from starflow import chain
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
                             CASE_TWO, CASES, FlipBatch, _carry, _chain_states, _exit_ray,
                             _exit_rays, _step, _uniforms, draw_ray_marks, flip_batch, flip_batches,
-                            flipped_product_chain, ray_mark_rows, simulate_chain_batch,
-                            step_chain, transition_counts)
-from starflow.cv import reflected_path, tau_sequence, transform
+                            ray_mark_rows, simulate_chain_batch, transition_counts)
+from starflow.cv import transform
 from starflow.flows import FlowRealization, closed_forms_from
 from starflow.graph import RayParams, junction, point
+from starflow.oracles import (Excursion, excursions_brute, flipped_product_chain,
+                              proof_fact_violations, reflected_path, step_chain,
+                              tau_sequence)
 from starflow.rng import make_rng
 from starflow.stats import (chi_square, chi_square_pvalue, updown_chi_square)
-from starflow.walk import (Excursion, ExcursionTable, WalkWindow, excursion_table,
-                           excursions_brute, generate_walk, row_blocks)
+from starflow.walk import ExcursionTable, WalkWindow, excursion_table, generate_walk, row_blocks
 
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
@@ -232,7 +233,7 @@ def test_exit_ray_matches_searchsorted(params):
     rays = _exit_ray(params, u)
     assert rays.dtype == params.ray_dtype == np.int8
     assert rays.tolist() == _searchsorted_exit_ray(params, u).tolist()
-    # step_chain passes one Python float
+    # one Python float at a time
     assert [int(_exit_ray(params, v)) for v in u.tolist()] == rays.tolist()
     # a batch of rows, as the flip batches look up their marks
     grid = np.stack([u, u[::-1]])
@@ -336,7 +337,7 @@ def test_flip_bound_many_replicas():
 
 
 def test_proof_facts_pathwise():
-    assert not _flip_rows(40, 150, range(300)).proof_fact_violations().any()
+    assert not proof_fact_violations(_flip_rows(40, 150, range(300))).any()
 
 
 def _flip_reference(s_bar, s, eta, beta_aux):
@@ -461,7 +462,7 @@ def test_flip_batch_matches_per_block_reference_exhaustive(length):
     assert np.all(np.bincount(batch.exc.row, minlength=len(incs)) <= zeros)
     assert np.all(np.bincount(batch.block_row, minlength=len(incs)) <= zeros)
     bounds = batch.bound_deviation()
-    facts = batch.proof_fact_violations()
+    facts = proof_fact_violations(batch)
     hold, exits, up, down = 0, {}, {}, {}
     for r in range(len(incs)):
         s, s_bar = WalkWindow(0, incs[r]), WalkWindow(0, t.xbar[r])
@@ -746,7 +747,7 @@ def _assert_cut_matches_full_width(incs, eta, beta_aux):
     bound = batch.bound_deviation()
     assert np.array_equal(bound, full.bound_deviation())
     assert np.array_equal(bound, _full_width_bound(full))
-    assert np.array_equal(batch.proof_fact_violations(), full.proof_fact_violations())
+    assert np.array_equal(proof_fact_violations(batch), proof_fact_violations(full))
     counts = transition_counts(PARAMS, batch.rays, batch.radii, batch.n_end)
     _assert_same_counts(counts, _full_width_counts(full.rays, full.radii, full.n_end))
     assert np.array_equal(batch.exit_counts(PARAMS), counts["exits"])
@@ -918,7 +919,7 @@ def test_value_dtype_holds_the_widest_values(length, monkeypatch):
     eta, beta_aux = (ray_mark_rows(PARAMS, length, 57, range(j, 40 + j, 10)) for j in (1, 2))
     wide = flip_batch(_widened(transform(incs)), eta, beta_aux)
     for got, want in [(batch.bound_deviation(), wide.bound_deviation()),
-                      (batch.proof_fact_violations(), wide.proof_fact_violations())]:
+                      (proof_fact_violations(batch), proof_fact_violations(wide))]:
         assert np.array_equal(got, want)
     assert batch.bound_deviation().max() <= 2 and batch.n_end.max() == 2 * half
     counts = transition_counts(PARAMS, batch.rays, batch.radii, batch.n_end)

@@ -14,15 +14,20 @@ The sizes are those of the benchmark's workloads: ``batch-array`` runs
 ``flip-loop`` runs ``flip-check`` at replicas = 20,000 and length = 1,000,
 which flips 2,000 short replicas of 1,000 steps and five long paths of
 400,000 steps on the streams that ``cli.flip_stream_ids`` names.
+``excursion_table`` alone decomposes the reflected paths Y-bar of
+``cv-check``'s 10^4 walks in one call; they are built on its warm-up call.
 """
 
 from __future__ import annotations
 
+import functools
 import statistics
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -30,7 +35,7 @@ from starflow.chain import flip_batches, simulate_chain_batch  # noqa: E402
 from starflow.cli import STREAM_CHAIN, STREAM_WALK, flip_stream_ids  # noqa: E402
 from starflow.cv import cv_check_blocks, transform  # noqa: E402
 from starflow.graph import RayParams  # noqa: E402
-from starflow.walk import increment_blocks  # noqa: E402
+from starflow.walk import excursion_table, increment_blocks  # noqa: E402
 
 SEED = 1
 REPEATS = 7
@@ -44,6 +49,15 @@ def walk_transform() -> None:
         transform(x)
 
 
+@functools.cache
+def reflected_paths() -> np.ndarray:
+    """Y-bar of cv-check's walks, (REPLICAS, LENGTH), built once, on the
+    warm-up call of ``excursion_table``."""
+    parts = [t.runmax - t.sbar
+             for t in map(transform, increment_blocks(REPLICAS, LENGTH, SEED, STREAM_WALK))]
+    return np.concatenate(parts)
+
+
 def flips(length: int, stream_ids: range) -> None:
     for _ in flip_batches(PARAMS, length, SEED, stream_ids):
         pass
@@ -52,6 +66,7 @@ def flips(length: int, stream_ids: range) -> None:
 SIZE = f"{REPLICAS} x {LENGTH}"
 LAYERS = [
     ("increment_blocks + transform", SIZE, walk_transform),
+    ("excursion_table", SIZE, lambda: excursion_table(reflected_paths())),
     ("cv_check_blocks (walks included)", SIZE,
      lambda: cv_check_blocks(increment_blocks(REPLICAS, LENGTH, SEED, STREAM_WALK))),
     ("simulate_chain_batch, immediate exit", SIZE,
