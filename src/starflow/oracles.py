@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import FlipBatch
 from .errors import NegativeValueError, OutOfDomainError, TooFewSamplesError
 from .graph import (DiscreteMeasure, GraphPoint, RayParams, interned_weight, junction,
                     point)
@@ -145,8 +146,8 @@ def flipped_product_chain(s_bar: WalkWindow,
     return rays, radii
 
 
-def proof_fact_violations(batch) -> np.ndarray:
-    """Per row of a ``chain.FlipBatch``, the violations of the pathwise facts
+def proof_fact_violations(batch: FlipBatch) -> np.ndarray:
+    """Per row of a flip batch, the violations of the pathwise facts
     used in the flipping proof, over the completed blocks [tau_l, tau_{l+1}]:
 
     (a) for k in [tau_l + 2, tau_{l+1}]: S-bar_{k-1} = 2l + 1  iff  S_k = 0;
