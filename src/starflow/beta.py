@@ -12,10 +12,13 @@ F is concave and piecewise linear with F(0) = F(1) = 0.
 
 ``beta_distance`` is the production solver: a dynamic program per ray gives
 V_r and its slope at one L, and a cutting plane maximises F.  It is exact (a
-``Fraction``) when every radius is rational.  Three oracles check it, sharing
-none of its code.  Each solves the finite LP over g on supp(P) u supp(Q) u {0}
-with every pair constraint, which is exact because any feasible assignment
-there extends to the whole graph (Lipschitz extension with truncation):
+``Fraction``) when every radius is rational.  The cutting plane,
+``beta_from_rays``, reads a table of (gaps, masses) per ray, so a caller that
+knows the atoms of its measures can solve without building them.  Three
+oracles check the solver, sharing none of its code.  Each solves the finite
+LP over g on supp(P) u supp(Q) u {0} with every pair constraint, which is
+exact because any feasible assignment there extends to the whole graph
+(Lipschitz extension with truncation):
 
 * ``beta_lp_oracle``     - HiGHS;
 * ``beta_grid_oracle``   - brute-force grid search (<= 2 free values);
@@ -116,14 +119,19 @@ def _ray_value(gaps: list, masses: list, L):
 
 
 def beta_distance(P: DiscreteMeasure, Q: DiscreteMeasure) -> Fraction | float:
-    """Exact bounded-Lipschitz distance, a Fraction if every radius is rational.
+    """Exact bounded-Lipschitz distance, a Fraction if every radius is rational."""
+    return beta_from_rays(*_rays(P, Q))
+
+
+def beta_from_rays(rays: list, exact: bool) -> Fraction | float:
+    """beta of the ray table of ``_rays``: per ray, (gaps, masses) of P - Q
+    from the outermost point in; exact for Fractions, else floats.
 
     Cutting plane on F: the first supporting lines have slope F'(0+), the cost
     of moving c to the junction (edge lengths times the mass beyond them), and
     F'(1-) = -||c||_1.  Each round evaluates F and its right derivative where
     the two current lines cross, and stops when F meets them there.
     """
-    rays, exact = _rays(P, Q)
     zero = Fraction(0) if exact else 0.0
     if not rays:
         return zero

@@ -286,8 +286,9 @@ def run_convergence(cfg: RunConfig, out: Path) -> CheckList:
     replicas = 50 if cfg.replicas >= 1000 else max(cfg.replicas // 20, 5)
     x = point(cfg.x_ray, cfg.x_radius, params.N)
     beta_rows, dist_rows = [], []
-    checks.work = [{"n": n, "times": 0, "beta_pairs": 0, "beta_evaluations": 0}
-                   for n in n_list]
+    counts = ("times", "beta_pairs", "beta_evaluations", "beta_solves")
+    checks.work = [{"n": n, **dict.fromkeys(counts, 0)} for n in n_list]
+    betas = {}  # beta by pair of measures, shared by the replicas
     for rep in range(replicas):
         def fr_for_n(n, rep=rep):
             horizon = int(math.ceil(n * (cfg.s + cfg.T))) + 1
@@ -295,11 +296,11 @@ def run_convergence(cfg: RunConfig, out: Path) -> CheckList:
                                  10_000 + rep)
             return FlowRealization.generate(walk, params, cfg.seed, 20_000 + rep)
 
-        for row, work in zip(convergence_profiles(fr_for_n, params, cfg.s, cfg.T, x, n_list),
-                             checks.work):
+        rows = convergence_profiles(fr_for_n, params, cfg.s, cfg.T, x, n_list, betas=betas)
+        for row, work in zip(rows, checks.work):
             beta_rows.append([row["n"], rep, row["sup_beta"]])
             dist_rows.append([row["n"], rep, row["sup_distance"]])
-            for count in ("times", "beta_pairs", "beta_evaluations"):
+            for count in counts:
                 work[count] += row[count]
     _write_csv(out / "convergence_beta.csv", ["n", "replica", "sup_beta"], beta_rows)
     _write_csv(out / "convergence_distance.csv", ["n", "replica", "sup_distance"],

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beta import beta_distance
+from .beta import beta_from_rays
 from .errors import OutOfDomainError
 from .flows import closed_forms_from
-from .graph import DiscreteMeasure, GraphPoint, RayParams, junction, point
+from .graph import GraphPoint, RayParams, point
 from .walk import NOT_HIT, WalkWindow
 
 
@@ -121,69 +121,99 @@ def tau_hit(w: ContinuousPath, s: float, x: GraphPoint | float):
     return prev_t + frac * (float(t_k[j]) - prev_t)
 
 
-def _measure(params: RayParams, spread: bool, ray: int, radius) -> DiscreteMeasure:
-    """The alpha spread at a radius, or the Dirac at (ray, radius); the
-    junction Dirac if the radius is not positive."""
-    if radius <= 0:
-        return DiscreteMeasure.dirac(junction(params.N))
-    if spread:
-        return DiscreteMeasure.ray_spread(params, radius)
-    return DiscreteMeasure.dirac(GraphPoint(ray, radius))
-
-
-def _measure_keys(spread, ray, radius) -> tuple[list, list, list]:
-    """Lists (spread, ray, radius) that name the measures of ``_measure`` one
-    to one: the ray is 0 for a spread, and the junction is (False, 0, 0.0)."""
+def _measure_keys(spread, ray, radius) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Key columns (spread, ray, radius) that name measures one to one: the
+    alpha spread at a radius, the Dirac at (ray, radius), or the junction
+    Dirac if the radius is not positive.  The ray is 0 for a spread, and the
+    junction is (False, 0, 0.0)."""
     on = radius > 0
-    return ((spread & on).tolist(), np.where(spread | ~on, 0, ray).tolist(),
-            np.where(on, radius, 0.0).tolist())
+    return spread & on, np.where(spread | ~on, 0, ray), np.where(on, radius, 0.0)
 
 
-def _beta_slopes(weights, p_spread, p_ray, p_radius, q_spread, q_ray, q_radius):
-    """(W1, TV): ``beta_distance``'s end slopes F'(0+) and -F'(1-) for
-    P = _measure(p_spread, p_ray, p_radius) and Q likewise with alpha =
-    weights, ray by ray without building the measures.
+def _distinct(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """The distinct rows of equal-length columns, compared by exact equality:
+    one lexsort and a mask of the rows that differ from the row before
+    (np.unique imports numpy.ma on first use)."""
+    order = np.lexsort(columns)
+    columns = [c[order] for c in columns]
+    first = np.ones(len(order), dtype=bool)
+    if len(order):
+        first[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
+    return [c[first] for c in columns]
+
+
+def _beta_bounds(weights, p_spread, p_ray, p_radius, q_spread, q_ray, q_radius) -> np.ndarray:
+    """For arrays of keys (spread, ray, radius) of P and Q, with alpha =
+    weights: an upper bound on beta(P, Q) from its end slopes W1 = F'(0+)
+    and TV = -F'(1-).  F is concave with F(0) = F(1) = 0, so F(L) <=
+    min(L W1, (1 - L) TV), whose max is W1 TV / (W1 + TV); it is 0 only for
+    equal measures.
 
     On ray i, P puts mass m at radius a and Q mass n at radius b (a = 0 where
     m = 0).  With c = P - Q off the junction, TV = ||c||_1 and W1 is the cost
-    of moving c to the junction: (a - b) m + b |m - n| when a > b.
+    of moving c to the junction: (a - b) m + b |m - n| when a > b.  The sums
+    run ray by ray, so each bound is the same float as the scalar sum.
     """
-    w1 = tv = 0
+    w1 = tv = 0.0
     for i, alpha in enumerate(weights, 1):
-        a = p_radius if p_radius > 0 and (p_spread or i == p_ray) else 0
-        b = q_radius if q_radius > 0 and (q_spread or i == q_ray) else 0
-        m = (alpha if p_spread else 1) if a else 0
-        n = (alpha if q_spread else 1) if b else 0
-        if a == b:
-            w1 += a * abs(m - n)
-            tv += abs(m - n)
-        else:
-            w1 += (a - b) * m + b * abs(m - n) if a > b else (b - a) * n + a * abs(m - n)
-            tv += m + n
-    return w1, tv
+        a = np.where((p_radius > 0) & (p_spread | (p_ray == i)), p_radius, 0.0)
+        b = np.where((q_radius > 0) & (q_spread | (q_ray == i)), q_radius, 0.0)
+        m = np.where(a > 0, np.where(p_spread, alpha, 1.0), 0.0)
+        n = np.where(b > 0, np.where(q_spread, alpha, 1.0), 0.0)
+        above, below, d = a > b, a < b, np.abs(m - n)
+        w1 = w1 + np.where(above, (a - b) * m + b * d,
+                           np.where(below, (b - a) * n + a * d, a * d))
+        tv = tv + np.where(above | below, m + n, d)
+    return np.divide(w1 * tv, w1 + tv, out=np.zeros(np.shape(tv)), where=tv > 0)
 
 
-def _beta_bound(weights, *pair) -> float:
-    """An upper bound on beta for the pair of ``_beta_slopes``: F is concave
-    with F(0) = F(1) = 0, so F(L) <= min(L W1, (1 - L) TV), whose max is
-    W1 TV / (W1 + TV).  It is 0 only for equal measures."""
-    w1, tv = _beta_slopes(weights, *pair)
-    return w1 * tv / (w1 + tv) if tv else 0.0
+def _key_beta(weights, key: tuple) -> float:
+    """beta(P, Q) for a key (spread, ray, radius) of P, then of Q: the ray
+    table that ``beta_from_rays`` reads, built from the key in floats.  The
+    values and their order are those ``beta_distance`` derives from the
+    measures (rays from N down, each from its outermost point in), so beta is
+    the same float."""
+    p_spread, p_ray, p_radius, q_spread, q_ray, q_radius = key
+    rays = []
+    for i in range(len(weights), 0, -1):
+        a = p_radius if p_radius > 0 and (p_spread or i == p_ray) else 0.0
+        b = q_radius if q_radius > 0 and (q_spread or i == q_ray) else 0.0
+        m = (weights[i - 1] if p_spread else 1.0) if a else 0.0
+        n = (weights[i - 1] if q_spread else 1.0) if b else 0.0
+        atoms = [(a, m - n)] if a == b else [(a, m), (b, -n)] if a > b else [(b, -n), (a, m)]
+        atoms = [(radius, c) for radius, c in atoms if radius and c]
+        if len(atoms) == 2:
+            (outer, c_outer), (inner, c_inner) = atoms
+            rays.append(([outer - inner, inner], [c_outer, c_inner]))
+        elif atoms:
+            rays.append(([atoms[0][0]], [atoms[0][1]]))
+    return beta_from_rays(rays, False)
 
 
-def _screened_sup(bounded, solve) -> tuple[float, int]:
-    """(max of 0 and solve(key) over every key, solves run) for (bound, key)
-    pairs whose bound is at least solve(key) up to rounding, and 0 only where
-    solve(key) is.  Keys are solved by decreasing bound until no bound can
-    raise the max; the margin is far above beta_distance's rounding (< 1e-15)
-    and keeps a key whose value rounds above its bound."""
-    sup, solved = 0.0, 0
-    for bound, key in sorted(bounded, key=lambda bound_key: bound_key[0], reverse=True):
+def _memo_beta(weights, betas: dict, key: tuple) -> float:
+    """beta for a key, solved on its first call and read from betas after."""
+    beta = betas.get(key)
+    if beta is None:
+        beta = betas[key] = _key_beta(weights, key)
+    return beta
+
+
+def _screened_sup(bounds: np.ndarray, keys: list[np.ndarray], solve) -> tuple[float, int]:
+    """(max of 0 and solve(key) over every key, keys evaluated) for the rows
+    of the key columns, given bounds at least solve(key) up to rounding, and
+    0 only where solve(key) is.  Keys are evaluated by decreasing bound until
+    no bound can raise the max; ties keep the key order, and either order
+    evaluates every key of a tie, since its value cannot exceed the bound
+    that let its first key through.  The margin is far above beta_distance's
+    rounding (< 1e-15) and keeps a key whose value rounds above its bound."""
+    order = np.argsort(-bounds, kind="stable")
+    sup, evaluated = 0.0, 0
+    for bound, key in zip(bounds[order].tolist(), zip(*(c[order].tolist() for c in keys))):
         if not bound or bound * (1 + 1e-9) + 1e-12 < sup:
             break
         sup = max(sup, solve(key))
-        solved += 1
-    return sup, solved
+        evaluated += 1
+    return sup, evaluated
 
 
 def grid_and_midpoints(n: int, s: float, t_end: float) -> np.ndarray:
@@ -200,7 +230,8 @@ def grid_and_midpoints(n: int, s: float, t_end: float) -> np.ndarray:
 
 
 def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
-                         x: GraphPoint, n_list: list[int], times=None) -> list[dict]:
+                         x: GraphPoint, n_list: list[int], times=None,
+                         betas: dict | None = None) -> list[dict]:
     """Profiles of both limits over n, on one realization per n.
 
     fr_for_n(n) -> FlowRealization whose walk covers [floor(ns), floor(n(s+T))].
@@ -208,11 +239,16 @@ def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
     walk units.  sup_beta is sup_t beta(rescaled discrete kernel, Wiener
     kernel) and sup_distance is sup_t d(rescaled Psi, structural value with
     the realized rays), both on the same rescaled walk.  times: evaluation
-    times for the sups; defaults to the full n-grid with midpoints.  Each row
-    also counts its mesh times, its distinct pairs of measures and the beta
-    evaluations the sup took.
+    times for the sups; defaults to the full n-grid with midpoints.  betas:
+    beta by key of the pair of measures, filled as pairs are solved; calls
+    that share one dict solve each distinct pair once between them.  Each
+    row also counts its mesh times, its distinct pairs of measures, the beta
+    evaluations the sup took and the solves among them that betas did not
+    hold.
     """
     weights = [float(a) for a in params.alpha]
+    betas = {} if betas is None else betas
+    solve = functools.partial(_memo_beta, weights, betas)
     rows = []
     for n in n_list:
         fr = fr_for_n(n)
@@ -233,20 +269,19 @@ def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
         after = ts > tau
         wt = w.value(ts)
         radius = np.where(after, wt - w.running_min(s, ts), float(x.radius) + wt - w.value(s))
-        # beta is a function of its two measures, which repeat along the mesh:
-        # distinct pairs, compared by exact float equality
-        keys = set(zip(*_measure_keys(after_n, ray_n, radius_n),
-                       *_measure_keys(after, x.ray, radius)))
-        measure = functools.cache(functools.partial(_measure, params))
-        sup_beta, solved = _screened_sup(
-            ((_beta_bound(weights, *key), key) for key in keys),
-            lambda key: float(beta_distance(measure(*key[:3]), measure(*key[3:]))))
+        # beta is a function of its two measures, which repeat along the mesh
+        # and across realizations: distinct pairs by key, each solved once
+        keys = _distinct([*_measure_keys(after_n, ray_n, radius_n),
+                          *_measure_keys(after, x.ray, radius)])
+        held = len(betas)
+        sup_beta, evaluated = _screened_sup(_beta_bounds(weights, *keys), keys, solve)
         # after the hit the structural value sits on the realized ray
         phi_ray = np.where(radius > 0, np.where(after, ray_n, x.ray), params.N)
         phi = np.where(radius > 0, radius, 0.0)
         d = np.where(ray_n == phi_ray, np.abs(radius_n - phi), radius_n + phi)
         sup_d = float(d.max(initial=0.0))
         rows.append({"n": n, "sup_beta": sup_beta, "sup_distance": sup_d,
-                     "times": len(ts), "beta_pairs": len(keys),
-                     "beta_evaluations": solved})
+                     "times": len(ts), "beta_pairs": len(keys[0]),
+                     "beta_evaluations": evaluated,
+                     "beta_solves": len(betas) - held})
     return rows

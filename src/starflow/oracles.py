@@ -18,6 +18,11 @@ brute-force reading of its definition.
   ``stats.ks_statistic_lattice`` is checked.
 - ``wiener_kernel`` is K^W_{s,t}(x) at one time; it checks the Wiener side
   of ``limit.convergence_profiles``.
+- ``key_measure`` builds the measure that a key (spread, ray, radius) of the
+  convergence pass names, and ``beta_slopes`` and ``beta_bound`` are beta's
+  end slopes and the bound W1 TV / (W1 + TV) of a pair of keys, one pair at a
+  time in scalar arithmetic; they check the pass's array bounds and its beta
+  solves built from keys.
 - ``psi_compose_grid`` and ``kernel_compose_grid`` apply the one-step flow
   rules of ``flows.psi_compose`` and ``flows.kernel_compose``, over numpy
   arrays, to every (walk, start time, start ray, start radius) of a grid and
@@ -199,6 +204,48 @@ def wiener_kernel(w: ContinuousPath, params: RayParams, s: float, t: float,
     if radius <= 0:
         return DiscreteMeasure.dirac(junction(params.N))
     return DiscreteMeasure.dirac(GraphPoint(x.ray, radius))
+
+
+def key_measure(params: RayParams, spread: bool, ray: int, radius) -> DiscreteMeasure:
+    """The alpha spread at a radius, or the Dirac at (ray, radius); the
+    junction Dirac if the radius is not positive."""
+    if radius <= 0:
+        return DiscreteMeasure.dirac(junction(params.N))
+    if spread:
+        return DiscreteMeasure.ray_spread(params, radius)
+    return DiscreteMeasure.dirac(GraphPoint(ray, radius))
+
+
+def beta_slopes(weights, p_spread, p_ray, p_radius, q_spread, q_ray, q_radius):
+    """(W1, TV): ``beta_distance``'s end slopes F'(0+) and -F'(1-) for
+    P = key_measure(p_spread, p_ray, p_radius) and Q likewise with alpha =
+    weights, ray by ray without building the measures.
+
+    On ray i, P puts mass m at radius a and Q mass n at radius b (a = 0 where
+    m = 0).  With c = P - Q off the junction, TV = ||c||_1 and W1 is the cost
+    of moving c to the junction: (a - b) m + b |m - n| when a > b.
+    """
+    w1 = tv = 0
+    for i, alpha in enumerate(weights, 1):
+        a = p_radius if p_radius > 0 and (p_spread or i == p_ray) else 0
+        b = q_radius if q_radius > 0 and (q_spread or i == q_ray) else 0
+        m = (alpha if p_spread else 1) if a else 0
+        n = (alpha if q_spread else 1) if b else 0
+        if a == b:
+            w1 += a * abs(m - n)
+            tv += abs(m - n)
+        else:
+            w1 += (a - b) * m + b * abs(m - n) if a > b else (b - a) * n + a * abs(m - n)
+            tv += m + n
+    return w1, tv
+
+
+def beta_bound(weights, *pair) -> float:
+    """An upper bound on beta for the pair of ``beta_slopes``: F is concave
+    with F(0) = F(1) = 0, so F(L) <= min(L W1, (1 - L) TV), whose max is
+    W1 TV / (W1 + TV).  It is 0 only for equal measures."""
+    w1, tv = beta_slopes(weights, *pair)
+    return w1 * tv / (w1 + tv) if tv else 0.0
 
 
 def _grid(increments, p, radius) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -378,6 +378,8 @@ def test_convergence_manifest_work_counts(small_config, tmp_path):
     # 15 replicas over the default mesh of 2n + 1 times
     assert [w["times"] for w in work] == [15 * 201, 15 * 801]
     assert all(0 < w["beta_evaluations"] <= w["beta_pairs"] < w["times"] for w in work)
+    # the replicas share their solves: each distinct pair is solved once
+    assert all(0 < w["beta_solves"] < w["beta_evaluations"] for w in work)
 
 
 def test_convergence_negative_fractional_start(tmp_path):

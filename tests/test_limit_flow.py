@@ -12,10 +12,10 @@ from starflow.beta import _rays, beta_distance, beta_lp_oracle
 from starflow.errors import OutOfDomainError
 from starflow.flows import FlowRealization, kernel_closed_form, psi_closed_form
 from starflow.graph import GraphPoint, RayParams, graph_distance, junction, point
-from starflow.limit import (NOT_HIT, ContinuousPath, _beta_bound, _beta_slopes, _measure,
-                            _screened_sup, convergence_profiles, floor_time,
+from starflow.limit import (NOT_HIT, ContinuousPath, _beta_bounds, _distinct, _key_beta,
+                            _memo_beta, _screened_sup, convergence_profiles, floor_time,
                             grid_and_midpoints, rescale_path, tau_hit)
-from starflow.oracles import wiener_kernel
+from starflow.oracles import beta_bound, beta_slopes, key_measure, wiener_kernel
 from starflow.rng import make_rng
 from starflow.walk import generate_walk
 
@@ -241,14 +241,16 @@ def _check_pointwise(s, big_t, x, n_list, start, times, rescale_measure):
     assert branches == {False, True}
 
 
+def _recording(calls, solve):
+    def recorded(weights, key):
+        calls.append((key, solve(weights, key)))
+        return calls[-1][1]
+    return recorded
+
+
 def test_convergence_profiles_one_beta_per_distinct_pair(monkeypatch, rescale_measure):
     calls = []
-
-    def counting_beta(p, q):
-        calls.append((p, q))
-        return beta_distance(p, q)
-
-    monkeypatch.setattr(starflow.limit, "beta_distance", counting_beta)
+    monkeypatch.setattr(starflow.limit, "_key_beta", _recording(calls, _key_beta))
     # the walk hits -|x| inside [0, 1], and sqrt(n) |x| = 4.8 is off the
     # lattice, so the discrete and Wiener hitting times differ
     n, x = 256, point(2, 0.3, 3)
@@ -256,7 +258,8 @@ def test_convergence_profiles_one_beta_per_distinct_pair(monkeypatch, rescale_me
     row, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, [n])
     mesh = grid_and_midpoints(n, 0.0, 1.0)
     assert row["times"] == len(mesh)
-    assert 0 < len(calls) == row["beta_evaluations"] < row["beta_pairs"] < len(mesh)
+    assert 0 < len(calls) == row["beta_solves"] == row["beta_evaluations"] < row["beta_pairs"]
+    assert row["beta_pairs"] < len(mesh)
     # the distinct pairs of measures along the mesh, from the definitions
     fr = fr_for_n(n)
     w = rescale_path(fr.walk, n)
@@ -267,8 +270,13 @@ def test_convergence_profiles_one_beta_per_distinct_pair(monkeypatch, rescale_me
         q = wiener_kernel(w, PARAMS, 0.0, t, x)
         pairs[frozenset(p.atoms.items()), frozenset(q.atoms.items())] = p, q
     assert len(pairs) == row["beta_pairs"]
-    # no pair is solved twice, and no pair left out can raise the sup
-    solved = [(frozenset(p.atoms.items()), frozenset(q.atoms.items())) for p, q in calls]
+    # no pair is solved twice, each solve is beta of its pair, and no pair
+    # left out can raise the sup
+    solved = []
+    for key, beta in calls:
+        p, q = key_measure(PARAMS, *key[:3]), key_measure(PARAMS, *key[3:])
+        solved.append((frozenset(p.atoms.items()), frozenset(q.atoms.items())))
+        assert beta == float(beta_distance(p, q))
     assert len(set(solved)) == len(solved) and set(solved) <= set(pairs)
     for key in set(pairs) - set(solved):
         assert beta_distance(*pairs[key]) <= row["sup_beta"]
@@ -280,17 +288,14 @@ def test_convergence_profiles_screened_sup_equals_full_sup(monkeypatch, n, walk_
     # up to the last bits at n = 1000
     fr_for_n = _fr_from(0.0, walk_seed)
     row, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, junction(3), [n])
-    betas = []
-
-    def recording_beta(p, q):
-        betas.append(beta_distance(p, q))
-        return betas[-1]
-
-    monkeypatch.setattr(starflow.limit, "beta_distance", recording_beta)
-    monkeypatch.setattr(starflow.limit, "_beta_bound", lambda *pair: math.inf)
+    calls = []
+    monkeypatch.setattr(starflow.limit, "_key_beta", _recording(calls, _key_beta))
+    monkeypatch.setattr(starflow.limit, "_beta_bounds",
+                        lambda weights, *keys: np.full(len(keys[0]), math.inf))
     full, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, junction(3), [n])
-    assert full["beta_evaluations"] == full["beta_pairs"] == row["beta_pairs"] == len(betas)
-    assert row["beta_evaluations"] < row["beta_pairs"]
+    betas = [beta for _, beta in calls]
+    assert full["beta_evaluations"] == full["beta_solves"] == full["beta_pairs"] == len(betas)
+    assert full["beta_pairs"] == row["beta_pairs"] > row["beta_evaluations"]
     assert sum(full["sup_beta"] - b < 1e-12 for b in betas) > 1
     assert row["sup_beta"] == full["sup_beta"] == max(betas)
 
@@ -299,14 +304,23 @@ def test_screened_sup_keeps_values_that_round_above_their_bound():
     # B's value rounds 2e-16 above its bound (beta_distance's float excess
     # over the bound reaches about 4e-16) and above A's value, which is
     # solved first: the margin must keep B
-    values = {"A": 0.25 - 1e-16, "B": 0.25, "C": 0.1, "equal": 0.0}
-    bounded = [(0.25, "A"), (0.25 - 2e-16, "B"), (0.2, "C"), (0.0, "equal")]
-    assert _screened_sup(bounded, values.get) == (0.25, 2)
-    assert _screened_sup([(0.0, "equal")], values.get) == (0.0, 0)
+    values = {("A",): 0.25 - 1e-16, ("B",): 0.25, ("C",): 0.1, ("equal",): 0.0}
+    keys = [np.array(["C", "equal", "B", "A"])]
+    bounds = np.array([0.2, 0.0, 0.25 - 2e-16, 0.25])
+    assert _screened_sup(bounds, keys, values.get) == (0.25, 2)
+    assert _screened_sup(np.zeros(1), [np.array(["equal"])], values.get) == (0.0, 0)
+
+
+def test_screened_sup_evaluates_every_key_of_a_tie():
+    # the tie at 0.5 is evaluated whole, in either key order
+    values = {("A",): 0.5, ("B",): 0.4, ("C",): 0.1}
+    bounds = np.array([0.5, 0.5, 0.2])
+    for keys in (["A", "B", "C"], ["B", "A", "C"]):
+        assert _screened_sup(bounds, [np.array(keys)], values.get) == (0.5, 2)
 
 
 def _sides(radius):
-    """(spread, ray, radius) keys of _measure at one radius: the junction
+    """(spread, ray, radius) keys of key_measure at one radius: the junction
     (reached two ways), the Dirac on each ray and the spread."""
     return [(False, 2, 0.0), (True, 1, 0.0), (True, 1, radius),
             *((False, ray, radius) for ray in (1, 2, 3))]
@@ -327,8 +341,8 @@ def test_beta_bound_is_an_upper_bound():
     rng = make_rng(67, 0)
     for a, b in _radius_pairs(rng, 60):
         for p, q in itertools.product(_sides(a), _sides(b)):
-            p_measure, q_measure = _measure(PARAMS, *p), _measure(PARAMS, *q)
-            bound = _beta_bound(weights, *p, *q)
+            p_measure, q_measure = key_measure(PARAMS, *p), key_measure(PARAMS, *q)
+            bound = beta_bound(weights, *p, *q)
             assert bound >= beta_distance(p_measure, q_measure) - 1e-15, (p, q)
             # the screen drops bound-0 pairs unsolved
             assert (bound == 0) == (p_measure == q_measure), (p, q)
@@ -339,10 +353,74 @@ def test_beta_slopes_are_beta_distance_end_slopes():
     for _ in range(40):
         a, b = (Fraction(int(k), 7) for k in rng.integers(1, 15, size=2))
         for p, q in itertools.product(_sides(a), _sides(b)):
-            rays, exact = _rays(_measure(PARAMS, *p), _measure(PARAMS, *q))
+            rays, exact = _rays(key_measure(PARAMS, *p), key_measure(PARAMS, *q))
             assert exact
             # F'(0+) and F'(1-) as beta_distance derives them
             slope_lo = sum(d * abs(tail) for gaps, masses in rays
                            for d, tail in zip(gaps, itertools.accumulate(masses)))
             slope_hi = -sum(abs(c) for _, masses in rays for c in masses)
-            assert _beta_slopes(PARAMS.alpha, *p, *q) == (slope_lo, -slope_hi), (p, q)
+            assert beta_slopes(PARAMS.alpha, *p, *q) == (slope_lo, -slope_hi), (p, q)
+
+
+def _check_keys(weights, keys, betas):
+    """Each key's beta through betas, and the array bounds, against the
+    scalar references of oracles, by ==."""
+    rows = list(zip(*(np.asarray(c).tolist() for c in keys)))
+    bounds = _beta_bounds(weights, *(np.asarray(c) for c in keys))
+    assert bounds.tolist() == [beta_bound(weights, *key) for key in rows]
+    for key in rows:
+        p, q = key_measure(PARAMS, *key[:3]), key_measure(PARAMS, *key[3:])
+        assert _memo_beta(weights, betas, key) == float(beta_distance(p, q)), key
+
+
+def test_key_betas_and_bounds_match_the_references_on_edge_keys():
+    # one dict for every key: the junction reached two ways, and a spread
+    # and a Dirac keyed with the same ray and radius, must not share a beta
+    weights = [float(a) for a in PARAMS.alpha]
+    rng = make_rng(69, 0)
+    betas = {}
+    for a, b in _radius_pairs(rng, 15):
+        pairs = [(*p, *q) for p, q in itertools.product(_sides(a), _sides(b))]
+        _check_keys(weights, list(zip(*pairs)), betas)
+
+
+@pytest.mark.parametrize("x", [junction(3), point(2, 0.5, 3)], ids=["junction", "x_radius"])
+def test_key_betas_and_bounds_match_the_references_on_replica_keys(monkeypatch, x):
+    # every distinct key of two replicas at n = 10^2, 10^3 and 10^4
+    weights = [float(a) for a in PARAMS.alpha]
+    seen = []
+
+    def recording_sup(bounds, keys, solve):
+        seen.append(keys)
+        return _screened_sup(bounds, keys, solve)
+
+    monkeypatch.setattr(starflow.limit, "_screened_sup", recording_sup)
+    for walk_seed in (71, 72):
+        convergence_profiles(_fr_from(0.0, walk_seed), PARAMS, 0.0, 1.0, x,
+                             [100, 1000, 10_000])
+    assert len(seen) == 6
+    betas = {}
+    for keys in seen:
+        _check_keys(weights, keys, betas)
+
+
+def test_distinct_rows_by_exact_equality():
+    a = np.array([0.5, 0.25, 0.5, math.nextafter(0.5, 1.0), 0.5])
+    flags = np.array([True, False, True, True, False])
+    rows = list(zip(*(c.tolist() for c in _distinct([flags, a]))))
+    assert sorted(rows) == sorted(set(zip(flags.tolist(), a.tolist())))
+    assert [len(c) for c in _distinct([np.empty(0), np.empty(0)])] == [0, 0]
+
+
+def test_shared_betas_give_the_rows_of_fresh_ones():
+    x, n_list = point(1, 0.5, 3), [100, 1000]
+    betas = {}
+    shared, fresh = [], []
+    for walk_seed in (73, 74, 75):
+        fr_for_n = _fr_from(0.0, walk_seed)
+        shared += convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, n_list, betas=betas)
+        fresh += convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, n_list)
+    solves = [row.pop("beta_solves") for row in shared], [row.pop("beta_solves") for row in fresh]
+    assert shared == fresh
+    # each distinct pair is solved once across the replicas, and some recur
+    assert sum(solves[0]) == len(betas) < sum(solves[1])

@@ -16,6 +16,15 @@ which flips 2,000 short replicas of 1,000 steps and five long paths of
 400,000 steps on the streams that ``cli.flip_stream_ids`` names.
 ``excursion_table`` alone decomposes the reflected paths Y-bar of
 ``cv-check``'s 10^4 walks in one call; they are built on its warm-up call.
+
+The convergence rows run at the README config: from the junction over
+[0, 1], one ``convergence_profiles`` replica at n = 10^3 and at n = 10^4,
+and the whole pass of ``starflow convergence``, 50 replicas at n = 10^2,
+10^3 and 10^4 that share one dict of solved pairs.  Every call, warm-up
+included, starts from an empty dict.  ``beta_distance`` is timed per call:
+one call of the row solves a fixed mix of pairs, Diracs and alpha spreads
+against Diracs and spreads, on one ray and across rays, and its time is
+divided by their number.
 """
 
 from __future__ import annotations
@@ -31,11 +40,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from starflow.beta import beta_distance  # noqa: E402
 from starflow.chain import flip_batches, simulate_chain_batch  # noqa: E402
 from starflow.cli import STREAM_CHAIN, STREAM_WALK, flip_stream_ids  # noqa: E402
 from starflow.cv import cv_check_blocks, transform  # noqa: E402
-from starflow.graph import RayParams  # noqa: E402
-from starflow.walk import excursion_table, increment_blocks  # noqa: E402
+from starflow.flows import FlowRealization  # noqa: E402
+from starflow.graph import DiscreteMeasure, GraphPoint, RayParams, junction  # noqa: E402
+from starflow.limit import convergence_profiles  # noqa: E402
+from starflow.walk import excursion_table, generate_walk, increment_blocks  # noqa: E402
 
 SEED = 1
 REPEATS = 7
@@ -63,6 +75,40 @@ def flips(length: int, stream_ids: range) -> None:
         pass
 
 
+def realization(n: int, rep: int = 0) -> FlowRealization:
+    """The flow realization of replica rep at scale n, on the walk and mark
+    streams of ``starflow convergence``."""
+    walk = generate_walk(0, n + 1, SEED, 10_000 + rep)
+    return FlowRealization.generate(walk, PARAMS, SEED, 20_000 + rep)
+
+
+def convergence_pass(n_list: list[int], replicas: int) -> None:
+    betas = {}
+    for rep in range(replicas):
+        convergence_profiles(functools.partial(realization, rep=rep), PARAMS, 0.0, 1.0,
+                             junction(PARAMS.N), n_list, betas=betas)
+
+
+def measure_pairs() -> list[tuple[DiscreteMeasure, DiscreteMeasure]]:
+    """The fixed mix of pairs that beta_distance is timed on."""
+    def side(kind: int, radius: float) -> DiscreteMeasure:
+        if kind == 0:
+            return DiscreteMeasure.ray_spread(PARAMS, radius)
+        return DiscreteMeasure.dirac(GraphPoint(kind, radius))
+
+    radii = [0.1 * k + 0.013 for k in range(1, 11)]
+    return [(side(p, a), side(q, b)) for p in range(PARAMS.N + 1)
+            for q in range(PARAMS.N + 1) for a, b in zip(radii, radii[3:] + radii[:3])]
+
+
+PAIRS = measure_pairs()
+
+
+def solve_pairs() -> None:
+    for p, q in PAIRS:
+        beta_distance(p, q)
+
+
 SIZE = f"{REPLICAS} x {LENGTH}"
 LAYERS = [
     ("increment_blocks + transform", SIZE, walk_transform),
@@ -78,26 +124,34 @@ LAYERS = [
      lambda: flips(LENGTH, FLIP_SHORT)),
     ("flip_batches, long paths", f"{len(FLIP_LONG)} x {FLIP_LONG_LENGTH}",
      lambda: flips(FLIP_LONG_LENGTH, FLIP_LONG)),
+    ("beta_distance, per call", f"{len(PAIRS)} pairs", solve_pairs, len(PAIRS)),
+    ("convergence_profiles, 1 replica", "n = 10^3",
+     lambda: convergence_pass([1_000], 1)),
+    ("convergence_profiles, 1 replica", "n = 10^4",
+     lambda: convergence_pass([10_000], 1)),
+    ("convergence pass, README config", "50 x 3 n",
+     lambda: convergence_pass([100, 1_000, 10_000], 50)),
 ]
 
 
-def time_calls(call) -> tuple[float, float, float]:
+def time_calls(call, per: int = 1) -> tuple[float, float, float]:
     """(median, first quartile, third quartile) in seconds of REPEATS calls,
-    after one warm-up call."""
+    after one warm-up call, each divided by per, the calls of the layer that
+    one call makes."""
     call()
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         call()
-        times.append(time.perf_counter() - start)
+        times.append((time.perf_counter() - start) / per)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return median, q1, q3
 
 
 def main() -> int:
     print(f"{'layer':<38} {'size':<14} {'median_s':>9} {'q1_s':>9} {'q3_s':>9}")
-    for name, size, call in LAYERS:
-        median, q1, q3 = time_calls(call)
+    for name, size, call, *per in LAYERS:
+        median, q1, q3 = time_calls(call, *per)
         print(f"{name:<38} {size:<14} {median:9.4f} {q1:9.4f} {q3:9.4f}", flush=True)
     return 0
 
