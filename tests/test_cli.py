@@ -17,7 +17,7 @@ import pytest
 import starflow
 from starflow import chain
 from starflow.cli import STREAM_FLIP, STREAM_WALK, flip_stream_ids, main, run_flip_check
-from starflow.config import ConfigError, RunConfig, parse_config
+from starflow.config import WALK_BYTES_MAX, ConfigError, RunConfig, parse_config
 from starflow.oracles import tau_sequence
 from starflow.walk import generate_walk
 
@@ -326,6 +326,27 @@ def test_oversized_window_exit_code(key, value, keys, tmp_path, capsys):
     assert err.startswith(f"config error: {keys}: ") and "does not fit int64" in err
     assert f"{key} = {float(value)}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_window_past_the_walk_memory_budget_exit_code(tmp_path, capsys):
+    # 2 10^17 steps fit int64, but not in memory: refused before any walk
+    path = tmp_path / "config.txt"
+    path.write_text(f"{SMALL}n_list = 1, 2\ns = 1e17\n")
+    code = main(["convergence", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n_list, s, T: ") and "WALK_BYTES_MAX" in err
+    assert "s = 1e+17" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_walk_memory_budget_edge():
+    # at n = 1 from s = 0 the window has ceil(T) + 1 steps of 17 bytes each
+    steps = WALK_BYTES_MAX // 17
+    parse_config(f"{SMALL}n_list = 1\nT = {steps - 1}\n")
+    with pytest.raises(ConfigError, match="WALK_BYTES_MAX"):
+        parse_config(f"{SMALL}n_list = 1\nT = {steps}\n")
 
 
 @pytest.mark.parametrize("route", ["flag", "key"])
