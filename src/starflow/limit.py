@@ -10,15 +10,23 @@ medians should shrink.  The output labels these as substitutions.
 ``convergence_profiles`` checks both limits on one realization per n: the
 flow of kernels against the Wiener kernel (distance beta) and the flow of
 mappings against its structural value (graph distance).  It works on arrays
-over the whole time mesh.  The discrete side is one ``closed_forms_from``
-pass from the fixed start time.  The Wiener side is the rescaled path at
-every mesh time, one prefix minimum and one hitting time.  The pair of
-measures repeats along the mesh, so the sup of beta is taken over the distinct
-pairs.  Each pair gets the upper bound W1 TV / (W1 + TV) from beta's two end
-slopes, computed from the pair's key without building measures; the exact
-``beta_distance`` runs on the pairs in order of decreasing bound and stops
-once no bound can raise the sup, so the sup is the same float as over every
-pair.  The graph distance is one array expression.
+over the whole time mesh, the breakpoints and midpoints j/(2n); the discrete
+side reads the step of each mesh time from its integer j (``step_at``), so
+both sides read one breakpoint.  The discrete side is one
+``closed_forms_from`` pass from the fixed start time.  The Wiener side is the
+rescaled path at every mesh time, one prefix minimum and one hitting time.
+
+The pair of measures repeats along the mesh and across realizations, so the
+sup of beta is taken over the distinct pairs.  A key (spread, ray, radius)
+per side names each pair; the keys of the mesh are columns made distinct by
+one lexsort.  The upper bound W1 TV / (W1 + TV) from beta's two end slopes is
+computed for every key at once.  The exact cutting plane of ``beta_distance``
+runs on the keys in order of decreasing bound, on a ray table built from the
+key without building measures, and stops once no bound can raise the sup, so
+the sup is the same float as over every pair.  Solved pairs go into a dict
+that the caller may share between calls (``starflow convergence`` shares one
+across its replicas), so each distinct pair is solved once per run.  The
+graph distance is one array expression.
 """
 
 from __future__ import annotations
@@ -40,6 +48,21 @@ def floor_time(u):
     """Floor with the symmetric convention floor(u) = -floor(-u) for u <= 0;
     elementwise on an array."""
     k = np.where(np.asarray(u) <= 0, np.ceil(u), np.floor(u)).astype(np.int64)
+    return int(k) if k.ndim == 0 else k
+
+
+def step_at(n: int, t):
+    """The walk step k that the discrete side reads at time t, elementwise on
+    an array: floor_time(n t) in exact arithmetic, except that a time that is
+    the float of j/(2n) reads floor_time(j / 2).  The float of k/n can fall
+    below k/n, and the float n t can round up to a step, so the step comes
+    from the integer j with j/(2n) <= t < (j + 1)/(2n) in floats, which the
+    rounding of j/(2n) keeps in order."""
+    t = np.asarray(t, dtype=float)
+    j = np.floor(2 * n * t)
+    j -= j / (2 * n) > t
+    j += (j + 1) / (2 * n) <= t
+    k = np.where((j / (2 * n) == t) | (t > 0), floor_time(j / 2), floor_time((j + 1) / 2))
     return int(k) if k.ndim == 0 else k
 
 
@@ -219,13 +242,13 @@ def _screened_sup(bounds: np.ndarray, keys: list[np.ndarray], solve) -> tuple[fl
 def grid_and_midpoints(n: int, s: float, t_end: float) -> np.ndarray:
     """Breakpoints k/n in [s, t_end] plus segment midpoints (where the sup of
     a piecewise-linear expression in t can sit), plus the endpoints, sorted
-    and without repeats."""
+    and without repeats.  Breakpoints and midpoints are the floats j/(2n) of
+    integers j, from which ``step_at`` reads their step."""
     k_lo = int(math.ceil(s * n - 1e-9))
     k_hi = int(math.floor(t_end * n + 1e-9))
-    ks = np.arange(k_lo, k_hi + 1) / n
-    mids = (ks[:-1] + ks[1:]) / 2 if len(ks) > 1 else np.empty(0)
+    halves = np.arange(2 * k_lo, 2 * k_hi + 1) / (2 * n)
     # sort and drop neighbours by hand: np.unique imports numpy.ma on first use
-    grid = np.sort(np.concatenate([[s, t_end], ks, mids]))
+    grid = np.sort(np.concatenate([[s, t_end], halves]))
     return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
@@ -256,12 +279,12 @@ def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
         w = rescale_path(walk, n)
         root = math.sqrt(n)
         x_n = point(x.ray, round(root * x.radius), params.N)
-        p = floor_time(n * s)
+        p = step_at(n, s)
         ts = np.asarray(grid_and_midpoints(n, s, s + big_t) if times is None else times,
                         dtype=float)
         if np.any(ts < s):
             raise OutOfDomainError(f"need s <= t, got {s} > {ts.min()}")
-        k_t = np.clip(floor_time(n * ts), walk.p_min, walk.p_max)
+        k_t = np.clip(step_at(n, ts), walk.p_min, walk.p_max)
         after_n, ray_n, radius_n = (a[k_t - p] for a in closed_forms_from(fr, p, x_n))
         radius_n = radius_n / root
         # the Wiener side: radial translate up to the hitting time, W+ after it

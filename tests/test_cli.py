@@ -428,12 +428,12 @@ def test_unknown_subcommand_rejected(small_config):
 # numpy versions and the output directory.
 GOLDEN_DIGESTS = {
     "chain_donsker.csv": "ac122f1af2ac7d0c185d185a142ae51fa1b09ba2b44b2491febf616922c3d173",
-    "convergence_beta.csv": "33d5a7a368cd00d0ecd42b0397682cff6dc1360fd9d201dab7b9d03adafb5940",
-    "convergence_distance.csv": "f62ba8f4760c5560d54adec36f3522428a8b9ee1bbde2120a9e9d8bc932f30a8",
+    "convergence_beta.csv": "e294013f10d4056aada53be078c56de81fed390c61792b61ec506f8bf2b81eff",
+    "convergence_distance.csv": "44117692b8fb5d7c83f2cc7cd8698d1060913a6cbc383ec80182544434b596bc",
     "cv_check.csv": "85ecbf7ad265b79843a04b7329e6df4e348eaf3259cbf39236b9ddcfdd2ac1ab",
     "flip_check.csv": "26420d78d9e9753527ed0b6f5677bab2b57a2ef5bd1bdb0e5622b26817782456",
     "flow_check.csv": "cf43f04203ef4091f673708a7025b68445e5058ca9670c05b176dec8c38a3511",
-    "convergence.svg": "473e2a2656fbc5dde04ef57dca69457bb759a3b78ed722a6ca1f6ea0c23ead17",
+    "convergence.svg": "847ef0223c61a86e2cae071d6746d6242cb03de99557f7f642c5de28ad86ac16",
 }
 
 

@@ -14,7 +14,7 @@ from starflow.flows import FlowRealization, kernel_closed_form, psi_closed_form
 from starflow.graph import GraphPoint, RayParams, graph_distance, junction, point
 from starflow.limit import (NOT_HIT, ContinuousPath, _beta_bounds, _distinct, _key_beta,
                             _memo_beta, _screened_sup, convergence_profiles, floor_time,
-                            grid_and_midpoints, rescale_path, tau_hit)
+                            grid_and_midpoints, rescale_path, step_at, tau_hit)
 from starflow.oracles import beta_bound, beta_slopes, key_measure, wiener_kernel
 from starflow.rng import make_rng
 from starflow.walk import generate_walk
@@ -27,6 +27,35 @@ def test_floor_time_symmetric():
     assert floor_time(3.0) == 3
     assert floor_time(-0.2) == 0
     assert floor_time(-1.0) == -1
+
+
+def _reference_step(n, t):
+    """The step read at time t, in exact rationals: floor(j / 2) where the
+    float t is that of j/(2n), else floor(n t), with the symmetric floor."""
+    j = round(Fraction(t) * 2 * n)
+    u = Fraction(j, 2) if float(Fraction(j, 2 * n)) == t else Fraction(t) * n
+    return math.floor(u) if u > 0 else -math.floor(-u)
+
+
+def test_every_mesh_time_reads_its_own_breakpoint():
+    # the float k/n can fall below k/n (at n = 100, 400 and 10^4, 3, 18 and
+    # 573 times on [0, 1]); every mesh time j/(2n) must still read k = j // 2
+    for n in range(1, 10_001):
+        ts = grid_and_midpoints(n, 0.0, 1.0)
+        j = np.arange(2 * n + 1)
+        assert np.array_equal(ts, j / (2 * n)), n
+        assert np.array_equal(step_at(n, ts), j // 2), n
+
+
+@pytest.mark.parametrize("n", [1, 7, 10, 100, 400, 10_000])
+def test_step_at_matches_exact_rationals(n):
+    rng = make_rng(70, n)
+    grid = np.arange(-2 * n, 2 * n + 1) / (2 * n)
+    off = rng.uniform(-1.0, 1.0, size=200)
+    near = np.nextafter(grid, np.where(rng.random(len(grid)) < 0.5, -np.inf, np.inf))
+    for ts in (grid, off, near, np.array([0.29, -0.25, 0.3, 0.57, 0.58])):
+        assert step_at(n, ts).tolist() == [_reference_step(n, t) for t in ts.tolist()]
+    assert step_at(n, 0.58) == _reference_step(n, 0.58)
 
 
 def test_rescale_endpoints():
@@ -140,9 +169,11 @@ def test_grid_and_midpoints():
 @pytest.mark.parametrize("n", [1, 3, 4, 7, 100, 1000, 10_000])
 @pytest.mark.parametrize("s, t_end", [(0.0, 1.0), (0.25, 1.0), (-0.37, 0.63), (0.1, 0.1)])
 def test_grid_and_midpoints_is_the_sorted_unique_mesh(n, s, t_end):
+    # breakpoints k/n and midpoints (2k + 1)/(2n), each the float of its
+    # rational
     k_lo, k_hi = math.ceil(s * n - 1e-9), math.floor(t_end * n + 1e-9)
     ks = np.arange(k_lo, k_hi + 1) / n
-    mids = (ks[:-1] + ks[1:]) / 2 if len(ks) > 1 else np.empty(0)
+    mids = np.arange(2 * k_lo + 1, 2 * k_hi, 2) / (2 * n)
     expected = np.unique(np.concatenate([[s, t_end], ks, mids]))
     ts = grid_and_midpoints(n, s, t_end)
     assert ts.dtype == expected.dtype and np.array_equal(ts, expected)
@@ -199,6 +230,10 @@ POINTWISE_CASES = [
     (-0.25, 1.0, point(1, 0.5, 3), [10, 50], -0.25, None),
     (0.3, 0.7, point(2, 0.5, 3), [16, 64], 0.0, np.linspace(0.3, 1.0, 37)),
     (0.0, 1.0, junction(3), [16, 64], 0.0, None),
+    # at n = 100 the floats 100 t of t = 0.29, 0.57 and 0.58 fall below the
+    # step, and s = 0.29 is one of them
+    (0.0, 1.0, junction(3), [100], 0.0, None),
+    (0.29, 0.71, point(2, 0.2, 3), [100], 0.0, None),
 ]
 
 
@@ -218,11 +253,11 @@ def _check_pointwise(s, big_t, x, n_list, start, times, rescale_measure):
         fr = fr_for_n(n)
         w = rescale_path(fr.walk, n)
         x_n = point(x.ray, round(x.radius * np.sqrt(n)), 3)
-        p = floor_time(n * s)
+        p = _reference_step(n, s)
         tau = tau_hit(w, s, x)
         sup_beta = sup_d = 0.0
         for t in (grid_and_midpoints(n, s, s + big_t) if times is None else times):
-            k = floor_time(n * t)
+            k = _reference_step(n, t)
             discrete = rescale_measure(kernel_closed_form(fr.walk, PARAMS, p, k, x_n), n)
             limit = wiener_kernel(w, PARAMS, s, t, x)
             sup_beta = max(sup_beta, beta_distance(discrete, limit))
@@ -265,7 +300,7 @@ def test_convergence_profiles_one_beta_per_distinct_pair(monkeypatch, rescale_me
     w = rescale_path(fr.walk, n)
     pairs = {}
     for t in mesh:
-        p = rescale_measure(kernel_closed_form(fr.walk, PARAMS, 0, floor_time(n * t),
+        p = rescale_measure(kernel_closed_form(fr.walk, PARAMS, 0, _reference_step(n, t),
                                                point(2, 5, 3)), n)
         q = wiener_kernel(w, PARAMS, 0.0, t, x)
         pairs[frozenset(p.atoms.items()), frozenset(q.atoms.items())] = p, q
