@@ -17,10 +17,11 @@ which flips 2,000 short replicas of 1,000 steps and five long paths of
 ``excursion_table`` alone decomposes the reflected paths Y-bar of
 ``cv-check``'s 10^4 walks in one call; they are built on its warm-up call.
 
-The convergence rows run at the README config: from the junction over
-[0, 1], one ``convergence_profiles`` replica at n = 10^3 and at n = 10^4,
-and the whole pass of ``starflow convergence``, 50 replicas at n = 10^2,
-10^3 and 10^4 that share one dict of solved pairs.  Every call, warm-up
+The convergence rows run at the README config's scale, from the junction
+over [0, 1] on the walk and mark streams of ``starflow convergence``: one
+``convergence_profiles`` replica at n = 10^3 and at n = 10^4, and the whole
+pass, 50 replicas at n = 10^2, 10^3 and 10^4 that share one dict of solved
+pairs.  Every call, warm-up
 included, starts from an empty dict.  ``beta_distance`` is timed per call:
 one call of the row solves a fixed mix of pairs, Diracs and alpha spreads
 against Diracs and spreads, on one ray and across rays, and its time is
@@ -152,7 +153,7 @@ def main() -> int:
     print(f"{'layer':<38} {'size':<14} {'median_s':>9} {'q1_s':>9} {'q3_s':>9}")
     for name, size, call, *per in LAYERS:
         median, q1, q3 = time_calls(call, *per)
-        print(f"{name:<38} {size:<14} {median:9.4f} {q1:9.4f} {q3:9.4f}", flush=True)
+        print(f"{name:<38} {size:<14} {median:9.4g} {q1:9.4g} {q3:9.4g}", flush=True)
     return 0
 
 
