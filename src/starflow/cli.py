@@ -18,6 +18,7 @@ import platform
 import statistics
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .limit import convergence_profiles
 from .rng import make_rng
 from .stats import chi_square_pvalue, ray_chi_square, updown_chi_square, walsh_marginal_check
 from .svg import line_plot
-from .walk import WalkWindow, generate_walk, increment_blocks
+from .walk import WalkWindow, increment_blocks, row_blocks
 
 # fixed stream ids per purpose.  They do not keep subcommands apart:
 # flow-check's walk is the first 64 steps of cv-check's replica 0 (both read
@@ -234,8 +235,8 @@ def run_flow_check(cfg: RunConfig, out: Path) -> CheckList:
     params = cfg.ray_params()
     rng = make_rng(cfg.seed, STREAM_SPOT)
     length = min(cfg.length, 64)
-    walk = generate_walk(0, length, cfg.seed, STREAM_WALK)
-    fr = FlowRealization.generate(walk, params, cfg.seed, STREAM_ETA)
+    fr = FlowRealization.generate(params, 0, length, cfg.seed, STREAM_WALK, STREAM_ETA)
+    walk = fr.walk
     bad_cocycle = bad_closed = 0
     trials = 200
     for _ in range(trials):
@@ -279,29 +280,47 @@ def run_flow_check(cfg: RunConfig, out: Path) -> CheckList:
     return checks
 
 
+def convergence_chunks(params, seed: int, s: float, big_t: float, n: int,
+                       replicas: int) -> Iterator[tuple[range, FlowRealization]]:
+    """(replicas, realization) of each chunk of ``starflow convergence``'s
+    replicas at scale n: replica r draws its walk from stream 10_000 + r and
+    its marks from stream 20_000 + r on the window [min(floor(ns), 0),
+    ceil(n(s + T)) + 1].
+
+    A chunk holds the rows of one ``walk.row_blocks`` block, at 16 of its
+    one-byte steps per window step.  The pass holds up to
+    ``config.PASS_BYTES_PER_STEP`` bytes a window step, so a chunk's pass
+    stays near 2.6 MB, what one replica's takes at n = 10^4: chunks raise no
+    peak above that of one replica at a time there.
+    """
+    p_min, p_max = min(math.floor(n * s), 0), math.ceil(n * (s + big_t)) + 1
+    for rows in row_blocks(replicas, 16 * (p_max - p_min)):
+        reps = range(rows.start, rows.stop)
+        yield reps, FlowRealization.generate(params, p_min, p_max, seed,
+                                             [10_000 + r for r in reps],
+                                             [20_000 + r for r in reps])
+
+
 def run_convergence(cfg: RunConfig, out: Path) -> CheckList:
     checks = CheckList()
     params = cfg.ray_params()
     n_list = list(cfg.n_list)
     replicas = 50 if cfg.replicas >= 1000 else max(cfg.replicas // 20, 5)
     x = point(cfg.x_ray, cfg.x_radius, params.N)
-    beta_rows, dist_rows = [], []
     counts = ("times", "beta_pairs", "beta_evaluations", "beta_solves")
-    checks.work = [{"n": n, **dict.fromkeys(counts, 0)} for n in n_list]
-    betas = {}  # beta by pair of measures, shared by the replicas
-    for rep in range(replicas):
-        def fr_for_n(n, rep=rep):
-            horizon = int(math.ceil(n * (cfg.s + cfg.T))) + 1
-            walk = generate_walk(min(math.floor(n * cfg.s), 0), horizon, cfg.seed,
-                                 10_000 + rep)
-            return FlowRealization.generate(walk, params, cfg.seed, 20_000 + rep)
-
-        rows = convergence_profiles(fr_for_n, params, cfg.s, cfg.T, x, n_list, betas=betas)
-        for row, work in zip(rows, checks.work):
-            beta_rows.append([row["n"], rep, row["sup_beta"]])
-            dist_rows.append([row["n"], rep, row["sup_distance"]])
-            for count in counts:
-                work[count] += row[count]
+    checks.work = [{"n": n, "replicas": replicas, **dict.fromkeys(counts, 0)} for n in n_list]
+    sups = {}  # (replica, n) -> (sup_beta, sup_distance)
+    betas = {}  # beta by pair of measures, shared by every n and replica
+    for n, work in zip(n_list, checks.work):
+        for reps, fr in convergence_chunks(params, cfg.seed, cfg.s, cfg.T, n, replicas):
+            rows = convergence_profiles(fr, params, cfg.s, cfg.T, x, n, betas=betas)
+            for rep, row in zip(reps, rows):
+                sups[rep, n] = row["sup_beta"], row["sup_distance"]
+                for count in counts:
+                    work[count] += row[count]
+    # the rows in replica order, as one pass per replica would give them
+    beta_rows = [[n, rep, sups[rep, n][0]] for rep in range(replicas) for n in n_list]
+    dist_rows = [[n, rep, sups[rep, n][1]] for rep in range(replicas) for n in n_list]
     _write_csv(out / "convergence_beta.csv", ["n", "replica", "sup_beta"], beta_rows)
     _write_csv(out / "convergence_distance.csv", ["n", "replica", "sup_distance"],
                dist_rows)

@@ -16,10 +16,12 @@ from .errors import ConfigError
 from .graph import RayParams
 
 _INT64_MAX = 2**63 - 1
-# the most memory the walk arrays of one convergence window may take: its
-# int8 draws and its int64 increments and values, 17 bytes a step
+# the most memory the convergence pass may take on one replica's walk
+# window, and the most it holds a window step: tracemalloc peaks of a
+# one-replica chunk, its draws included, read 316-331 bytes a step at s = 0,
+# where each step carries two mesh times
 WALK_BYTES_MAX = 2**30
-_WALK_BYTES_PER_STEP = 17
+PASS_BYTES_PER_STEP = 384
 
 
 @dataclass
@@ -134,10 +136,11 @@ def _check_ranges(cfg: RunConfig) -> None:
         raise ConfigError(f"n_list, s, T: the walk window of length {float(steps):.4g} from "
                           f"{float(p_min):.4g} at n = {n} does not fit int64, got "
                           f"s = {cfg.s}, T = {cfg.T}")
-    if steps * _WALK_BYTES_PER_STEP > WALK_BYTES_MAX:
-        raise ConfigError(f"n_list, s, T: the walk window of length {steps} at n = {n} needs "
-                          f"{steps * _WALK_BYTES_PER_STEP:.4g} bytes of walk arrays, more than "
-                          f"WALK_BYTES_MAX = {WALK_BYTES_MAX}, got s = {cfg.s}, T = {cfg.T}")
+    if steps * PASS_BYTES_PER_STEP > WALK_BYTES_MAX:
+        raise ConfigError(f"n_list, s, T: the convergence pass over the walk window of length "
+                          f"{steps} at n = {n} needs up to {steps * PASS_BYTES_PER_STEP:.4g} "
+                          f"bytes, more than WALK_BYTES_MAX = {WALK_BYTES_MAX}, got s = {cfg.s}, "
+                          f"T = {cfg.T}")
     radius = math.sqrt(n) * cfg.x_radius
     if not math.isfinite(radius) or round(radius) + steps > _INT64_MAX:
         raise ConfigError(f"x_radius: round(sqrt(n) x_radius) = {radius:.4g} plus the window "

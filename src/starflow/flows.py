@@ -16,6 +16,7 @@ other.  Kernel weights are exact rationals; equality of measures is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,11 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import draw_ray_marks
-from .errors import OutOfWindowError, WindowTooLargeError
+from .chain import ray_mark_rows
+from .errors import EmptyWindowError, OutOfWindowError, WindowTooLargeError
 from .graph import (DiscreteMeasure, GraphPoint, Radius, RayParams, interned_weight, junction,
                     point)
-from .walk import WalkWindow
+from .walk import WalkWindow, increment_rows
 
 # the longest window kernel_is_conditional_law enumerates mark assignments on
 _LAW_MAX_STEPS = 16
@@ -36,29 +37,50 @@ _LAW_MAX_STEPS = 16
 @dataclass(frozen=True)
 class FlowRealization:
     """A walk window plus one ray mark per time index (the junction-departure
-    choices), independent of the walk.
+    choices), independent of the walk.  A walk with a leading replica axis
+    takes one row of marks per walk (``eta[..., i]``); ``mark`` reads a
+    one-row realization.
 
     The realization keeps its own read-only int64 copy of ``eta`` for the
-    array readers, and the same marks as a tuple of ints that ``mark`` reads.
-    Neither can be written, so the two cannot differ.
+    array readers, and ``mark`` reads the same marks as a tuple of ints,
+    built from that copy on the first read.  Neither can be written, so the
+    two cannot differ.
     """
 
     walk: WalkWindow
-    eta: np.ndarray  # eta[p - p_min] is the mark used by step p -> p+1
+    eta: np.ndarray  # eta[..., p - p_min] is the mark used by step p -> p+1
     params: RayParams
 
     def __post_init__(self):
         eta = np.array(self.eta, dtype=np.int64)
         eta.flags.writeable = False
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "_marks", tuple(eta.tolist()))
 
     @classmethod
-    def generate(cls, walk: WalkWindow, params: RayParams, seed: int,
-                 eta_stream_id: int) -> "FlowRealization":
-        n_marks = len(walk.increments)
-        eta = draw_ray_marks(params, n_marks, seed, eta_stream_id)
-        return cls(walk, eta, params)
+    def generate(cls, params: RayParams, p_min: int, p_max: int, seed: int,
+                 walk_streams, eta_streams) -> "FlowRealization":
+        """The realization on [p_min, p_max] of the walk of stream walk_streams
+        (``generate_walk``) and the marks of stream eta_streams
+        (``chain.draw_ray_marks``).  With sequences of stream ids it holds one
+        realization per pair, along a leading replica axis, drawn by one
+        ``walk.increment_rows`` and one ``chain.ray_mark_rows`` call; row r is
+        the realization of the r-th pair bit for bit."""
+        if p_min >= p_max:
+            raise EmptyWindowError(f"window [{p_min}, {p_max}] has no steps")
+        one = np.ndim(walk_streams) == 0
+        walk_ids, eta_ids = ([walk_streams], [eta_streams]) if one else \
+            (walk_streams, eta_streams)
+        increments = increment_rows(p_max - p_min, seed, walk_ids)
+        eta = ray_mark_rows(params, p_max - p_min, seed, eta_ids)
+        if one:
+            increments, eta = increments[0], eta[0]
+        return cls(WalkWindow(p_min, increments), eta, params)
+
+    @functools.cached_property
+    def _marks(self) -> tuple[int, ...]:
+        if self.eta.ndim != 1:
+            raise ValueError("mark reads need a one-row realization")
+        return tuple(self.eta.tolist())
 
     def mark(self, p: int) -> int:
         i = p - self.walk.p_min
@@ -266,7 +288,8 @@ def _mark_law(walk: WalkWindow, params: RayParams, p: int, n: int,
 def closed_forms_from(fr: FlowRealization, p: int,
                       x: GraphPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(after, ray, radius) of Psi_{p,n}(x) for every n in [p, p_max], as
-    arrays indexed by n - p.
+    arrays indexed by n - p along the last axis, one row per realization of
+    fr (``values[..., k]``).
 
     after[n] is n > the hitting time of -|x| by S_{p,.}, which for +-1 steps
     is min_{[p, n-1]} S_{p,.} <= -|x|.  Before the hit the radius is
@@ -281,13 +304,13 @@ def closed_forms_from(fr: FlowRealization, p: int,
     if not walk.p_min <= p <= walk.p_max:
         raise OutOfWindowError(f"index {p} outside [{walk.p_min}, {walk.p_max}]")
     i = p - walk.p_min
-    s = walk.values[i:] - walk.values[i]
-    low = np.minimum.accumulate(s)
-    departure = np.maximum.accumulate(np.where(s == low, np.arange(len(s)), 0))
-    after = np.zeros(len(s), dtype=bool)
-    after[1:] = low[:-1] <= -x.radius
+    s = walk.values[..., i:] - walk.values[..., i : i + 1]
+    low = np.minimum.accumulate(s, axis=-1)
+    departure = np.maximum.accumulate(np.where(s == low, np.arange(s.shape[-1]), 0), axis=-1)
+    after = np.zeros(s.shape, dtype=bool)
+    after[..., 1:] = low[..., :-1] <= -x.radius
     radius = np.where(after, s - low, x.radius + s)
     # a positive radius after the hit puts the departure before p_max
-    mark = fr.eta[np.minimum(i + departure, len(fr.eta) - 1)]
+    mark = np.take_along_axis(fr.eta, np.minimum(i + departure, fr.eta.shape[-1] - 1), axis=-1)
     ray = np.where(radius == 0, fr.params.N, np.where(after, mark, x.ray))
     return after, ray, radius

@@ -7,26 +7,32 @@ kernel and the Wiener-kernel formula evaluated on the same rescaled walk
 agree exactly — and (b) Monte Carlo profiles over increasing scale n whose
 medians should shrink.  The output labels these as substitutions.
 
-``convergence_profiles`` checks both limits on one realization per n: the
-flow of kernels against the Wiener kernel (distance beta) and the flow of
-mappings against its structural value (graph distance).  It works on arrays
-over the whole time mesh, the breakpoints and midpoints j/(2n); the discrete
-side reads the step of each mesh time from its integer j (``step_at``), so
-both sides read one breakpoint.  The discrete side is one
-``closed_forms_from`` pass from the fixed start time.  The Wiener side is the
-rescaled path at every mesh time, one prefix minimum and one hitting time.
+``convergence_profiles`` checks both limits at one scale n on a chunk of
+realizations that share one window: the flow of kernels against the Wiener
+kernel (distance beta) and the flow of mappings against its structural value
+(graph distance).  It works on (replicas, times) arrays over the whole time
+mesh, the breakpoints and midpoints j/(2n); the discrete side reads the step
+of each mesh time from its integer j (``step_at``), so both sides read one
+breakpoint.  The discrete side is one ``closed_forms_from`` pass from the
+fixed start time.  The Wiener side is the rescaled paths at every mesh time,
+one prefix minimum and one hitting time per replica.  ``closed_forms_from``,
+``ContinuousPath`` and ``tau_hit`` read each realization from the last axis
+(``values[..., k]``), so one realization is the one-row case.
 
 The pair of measures repeats along the mesh and across realizations, so the
 sup of beta is taken over the distinct pairs.  A key (spread, ray, radius)
-per side names each pair; the keys of the mesh are columns made distinct by
-one lexsort.  The upper bound W1 TV / (W1 + TV) from beta's two end slopes is
-computed for every key at once.  The exact cutting plane of ``beta_distance``
-runs on the keys in order of decreasing bound, on a ray table built from the
-key without building measures, and stops once no bound can raise the sup, so
-the sup is the same float as over every pair.  Solved pairs go into a dict
-that the caller may share between calls (``starflow convergence`` shares one
-across its replicas), so each distinct pair is solved once per run.  The
-graph distance is one array expression.
+per side names each pair; the keys of a chunk, with the replica as the
+primary column, are made distinct by one lexsort, so each replica's distinct
+keys are one run in the order its keys alone would take.  The upper bound
+W1 TV / (W1 + TV) from beta's two end slopes is computed for every key of
+the chunk at once.  Per replica, the exact cutting plane of
+``beta_distance`` runs on its keys in order of decreasing bound, on a ray
+table built from the key without building measures, and stops once no bound
+can raise the sup, so the sup is the same float as over every pair.  Solved
+pairs go into a dict that the replicas of a call share and the caller may
+share between calls (``starflow convergence`` shares one across its n and
+chunks), so each distinct pair is solved once per run.  The graph distance
+is one array expression.
 """
 
 from __future__ import annotations
@@ -66,12 +72,19 @@ def step_at(n: int, t):
     return int(k) if k.ndim == 0 else k
 
 
+def _scalar(a: np.ndarray):
+    """A 0-d array as a float, any other array as it is."""
+    return float(a) if a.ndim == 0 else a
+
+
 @dataclass(frozen=True)
 class ContinuousPath:
     """A piecewise-linear path with uniform breakpoints k/n.
 
     k0 is the walk index of the first breakpoint, so the domain is
     [k0/n, (k0+len-1)/n] and value(k/n) = walk value at k divided by sqrt(n).
+    Values with leading axes hold one path per row (``values[..., k]``), and
+    each reader returns one value per row and time.
     """
 
     n: int
@@ -84,12 +97,13 @@ class ContinuousPath:
 
     @property
     def t_max(self) -> float:
-        return (self.k0 + len(self.values) - 1) / self.n
+        return (self.k0 + self.values.shape[-1] - 1) / self.n
 
     def value(self, t):
-        """The path at a time, or elementwise at an array of times."""
+        """The path at a time, or elementwise at an array of times; shape
+        (rows..., times...)."""
         u = np.asarray(t, dtype=float) * self.n - self.k0
-        last = len(self.values) - 1
+        last = self.values.shape[-1] - 1
         outside = (u < -1e-9) | (u > last + 1e-9)
         if np.any(outside):
             bad = np.asarray(t)[outside] if u.ndim else t
@@ -98,19 +112,24 @@ class ContinuousPath:
         # on the last breakpoint k = last - 1 and frac = 1 give its value
         k = np.minimum(np.floor(u).astype(np.int64), last - 1)
         frac = u - k
-        v = self.values[k] * (1 - frac) + self.values[k + 1] * frac
-        return float(v) if v.ndim == 0 else v
+        # np.take along the last axis reads rows faster than values[..., k]
+        return _scalar(np.take(self.values, k, axis=-1) * (1 - frac)
+                       + np.take(self.values, k + 1, axis=-1) * frac)
 
     def running_min(self, s: float, t):
         """inf over [s, t], elementwise for an array of t; exact since
         extrema sit at breakpoints or endpoints."""
         a = max(int(math.ceil(s * self.n - self.k0 - 1e-9)), 0)
         b = np.floor(np.asarray(t, dtype=float) * self.n - self.k0 + 1e-9).astype(np.int64)
-        # prefix[j] is the minimum of values[a : a + j], with prefix[0] = inf
-        prefix = np.minimum.accumulate(np.concatenate([[np.inf], self.values[a:]]))
-        m = np.minimum(np.minimum(self.value(s), self.value(t)),
-                       prefix[np.clip(b + 1 - a, 0, len(prefix) - 1)])
-        return float(m) if m.ndim == 0 else m
+        # prefix[..., j] is the minimum of values[..., a : a + j], with
+        # prefix[..., 0] = inf
+        rest = self.values[..., a:]
+        prefix = np.minimum.accumulate(
+            np.concatenate([np.full((*rest.shape[:-1], 1), np.inf), rest], axis=-1), axis=-1)
+        at_s = np.reshape(self.value(s), (*self.values.shape[:-1], *(1,) * b.ndim))
+        m = np.minimum(np.minimum(at_s, self.value(t)),
+                       np.take(prefix, np.clip(b + 1 - a, 0, prefix.shape[-1] - 1), axis=-1))
+        return _scalar(m)
 
 
 def rescale_path(walk: WalkWindow, n: int) -> ContinuousPath:
@@ -120,28 +139,36 @@ def rescale_path(walk: WalkWindow, n: int) -> ContinuousPath:
 
 def tau_hit(w: ContinuousPath, s: float, x: GraphPoint | float):
     """First r >= s with W_r - W_s = -|x|, solved exactly on the linear
-    segments; NOT_HIT if the level is never reached in the domain."""
+    segments, one per row of w; NOT_HIT if the level is never reached in the
+    domain."""
     level = x if isinstance(x, (int, float)) else float(x.radius)
     if level < 0:
         raise OutOfDomainError("radius must be nonnegative")
     if s < w.t_min - 1e-9 or s > w.t_max + 1e-9:
         raise OutOfDomainError(f"time {s} outside path domain")
+    at_s = np.asarray(w.value(s))
     if level == 0:
-        return s
-    target = w.value(s) - level
+        return _scalar(np.full(at_s.shape, s))
+    target = at_s - level
     # the first breakpoint at or after s at or below the target, then the
     # crossing on the segment that ends there
-    ks = np.arange(max(int(math.ceil(s * w.n - w.k0 - 1e-9)), 0), len(w.values))
+    ks = np.arange(max(int(math.ceil(s * w.n - w.k0 - 1e-9)), 0), w.values.shape[-1])
     t_k = (w.k0 + ks) / w.n
     on = t_k >= s
-    t_k, v_k = t_k[on], w.values[ks[on]]
-    hits = np.flatnonzero(v_k <= target)
-    if len(hits) == 0:
-        return NOT_HIT
-    j = int(hits[0])
-    prev_t, prev_v = (float(t_k[j - 1]), float(v_k[j - 1])) if j else (s, w.value(s))
-    frac = (prev_v - target) / (prev_v - float(v_k[j]))
-    return prev_t + frac * (float(t_k[j]) - prev_t)
+    t_k, v_k = t_k[on], np.take(w.values, ks[on], axis=-1)
+    if not len(t_k):  # s within the tolerance past the last breakpoint
+        tau = np.full(at_s.shape, NOT_HIT)
+    else:
+        # j is the first breakpoint at or below the target, 0 where none is
+        j = np.argmax(v_k <= target[..., None], axis=-1)
+        cross_v = np.take_along_axis(v_k, j[..., None], -1)[..., 0]
+        hit = cross_v <= target
+        prev_t = np.where(j > 0, t_k[j - 1], s)
+        prev_v = np.where(j > 0, np.take_along_axis(v_k, j[..., None] - 1, -1)[..., 0], at_s)
+        frac = np.divide(prev_v - target, prev_v - cross_v, out=np.zeros(at_s.shape), where=hit)
+        tau = np.where(hit, prev_t + frac * (t_k[j] - prev_t), NOT_HIT)
+    # on one path NOT_HIT itself, which callers may test by identity
+    return tau if tau.ndim else NOT_HIT if tau == NOT_HIT else float(tau)
 
 
 def _measure_keys(spread, ray, radius) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,59 +279,69 @@ def grid_and_midpoints(n: int, s: float, t_end: float) -> np.ndarray:
     return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
-def convergence_profiles(fr_for_n, params: RayParams, s: float, big_t: float,
-                         x: GraphPoint, n_list: list[int], times=None,
-                         betas: dict | None = None) -> list[dict]:
-    """Profiles of both limits over n, on one realization per n.
+def convergence_profiles(fr, params: RayParams, s: float, big_t: float, x: GraphPoint,
+                         n: int, times=None, betas: dict | None = None) -> list[dict]:
+    """Profiles of both limits at scale n, one row per realization of fr: per
+    row of a realization with a leading replica axis, in row order.
 
-    fr_for_n(n) -> FlowRealization whose walk covers [floor(ns), floor(n(s+T))].
-    For each n the discrete start is x_n = (x.ray, round(sqrt(n) |x|)) in
-    walk units.  sup_beta is sup_t beta(rescaled discrete kernel, Wiener
-    kernel) and sup_distance is sup_t d(rescaled Psi, structural value with
-    the realized rays), both on the same rescaled walk.  times: evaluation
-    times for the sups; defaults to the full n-grid with midpoints.  betas:
-    beta by key of the pair of measures, filled as pairs are solved; calls
-    that share one dict solve each distinct pair once between them.  Each
-    row also counts its mesh times, its distinct pairs of measures, the beta
+    fr's walk covers [floor(ns), floor(n(s+T))].  The discrete start is
+    x_n = (x.ray, round(sqrt(n) |x|)) in walk units.  sup_beta is
+    sup_t beta(rescaled discrete kernel, Wiener kernel) and sup_distance is
+    sup_t d(rescaled Psi, structural value with the realized rays), both on
+    the same rescaled walk.  times: evaluation times for the sups; defaults
+    to the full n-grid with midpoints.  betas: beta by key of the pair of
+    measures, filled as pairs are solved; calls that share one dict, and the
+    rows of one call, solve each distinct pair once between them.  Each row
+    also counts its mesh times, its distinct pairs of measures, the beta
     evaluations the sup took and the solves among them that betas did not
-    hold.
+    hold before its row.
     """
     weights = [float(a) for a in params.alpha]
     betas = {} if betas is None else betas
     solve = functools.partial(_memo_beta, weights, betas)
+    walk = fr.walk
+    w = rescale_path(walk, n)
+    root = math.sqrt(n)
+    x_n = point(x.ray, round(root * x.radius), params.N)
+    p = step_at(n, s)
+    ts = np.asarray(grid_and_midpoints(n, s, s + big_t) if times is None else times,
+                    dtype=float)
+    if np.any(ts < s):
+        raise OutOfDomainError(f"need s <= t, got {s} > {ts.min()}")
+    # every array below is (replicas, times); a 1-D realization is one replica
+    replicas = math.prod(walk.values.shape[:-1])
+    shape = (replicas, len(ts))
+    k_t = np.clip(step_at(n, ts), walk.p_min, walk.p_max)
+    after_n, ray_n, radius_n = (np.reshape(np.take(a, k_t - p, axis=-1), shape)
+                                for a in closed_forms_from(fr, p, x_n))
+    radius_n = radius_n / root
+    # the Wiener side: radial translate up to the hitting time, W+ after it
+    after = ts > np.reshape(tau_hit(w, s, x), (-1, 1))
+    wt = np.reshape(w.value(ts), shape)
+    radius = np.where(after, wt - np.reshape(w.running_min(s, ts), shape),
+                      float(x.radius) + wt - np.reshape(w.value(s), (-1, 1)))
+    # beta is a function of its two measures, which repeat along the mesh
+    # and across realizations: distinct pairs by key, each solved once.  The
+    # replica is the primary sort column, so each replica's keys form one
+    # run, in the order of the replica's keys alone.  Its column takes the
+    # smallest integer type, one byte a key up to 256 replicas
+    replica = np.broadcast_to(np.arange(replicas, dtype=np.min_scalar_type(replicas))[:, None],
+                              shape)
+    *keys, key_replica = _distinct([c.ravel() for c in (
+        *_measure_keys(after_n, ray_n, radius_n), *_measure_keys(after, x.ray, radius),
+        replica)])
+    bounds = _beta_bounds(weights, *keys)
+    ends = np.searchsorted(key_replica, np.arange(replicas + 1)).tolist()
+    # after the hit the structural value sits on the realized ray
+    phi_ray = np.where(radius > 0, np.where(after, ray_n, x.ray), params.N)
+    phi = np.where(radius > 0, radius, 0.0)
+    d = np.where(ray_n == phi_ray, np.abs(radius_n - phi), radius_n + phi)
     rows = []
-    for n in n_list:
-        fr = fr_for_n(n)
-        walk = fr.walk
-        w = rescale_path(walk, n)
-        root = math.sqrt(n)
-        x_n = point(x.ray, round(root * x.radius), params.N)
-        p = step_at(n, s)
-        ts = np.asarray(grid_and_midpoints(n, s, s + big_t) if times is None else times,
-                        dtype=float)
-        if np.any(ts < s):
-            raise OutOfDomainError(f"need s <= t, got {s} > {ts.min()}")
-        k_t = np.clip(step_at(n, ts), walk.p_min, walk.p_max)
-        after_n, ray_n, radius_n = (a[k_t - p] for a in closed_forms_from(fr, p, x_n))
-        radius_n = radius_n / root
-        # the Wiener side: radial translate up to the hitting time, W+ after it
-        tau = tau_hit(w, s, x)
-        after = ts > tau
-        wt = w.value(ts)
-        radius = np.where(after, wt - w.running_min(s, ts), float(x.radius) + wt - w.value(s))
-        # beta is a function of its two measures, which repeat along the mesh
-        # and across realizations: distinct pairs by key, each solved once
-        keys = _distinct([*_measure_keys(after_n, ray_n, radius_n),
-                          *_measure_keys(after, x.ray, radius)])
+    for lo, hi, sup_d in zip(ends, ends[1:], d.max(axis=1, initial=0.0).tolist()):
         held = len(betas)
-        sup_beta, evaluated = _screened_sup(_beta_bounds(weights, *keys), keys, solve)
-        # after the hit the structural value sits on the realized ray
-        phi_ray = np.where(radius > 0, np.where(after, ray_n, x.ray), params.N)
-        phi = np.where(radius > 0, radius, 0.0)
-        d = np.where(ray_n == phi_ray, np.abs(radius_n - phi), radius_n + phi)
-        sup_d = float(d.max(initial=0.0))
+        sup_beta, evaluated = _screened_sup(bounds[lo:hi], [c[lo:hi] for c in keys], solve)
         rows.append({"n": n, "sup_beta": sup_beta, "sup_distance": sup_d,
-                     "times": len(ts), "beta_pairs": len(keys[0]),
+                     "times": len(ts), "beta_pairs": hi - lo,
                      "beta_evaluations": evaluated,
                      "beta_solves": len(betas) - held})
     return rows

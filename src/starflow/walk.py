@@ -28,8 +28,10 @@ ROW_BLOCK_STEPS = 2 ** 17
 class WalkWindow:
     """A +-1 increment path on [p_min, p_max], values anchored to S_{p_min} = 0.
 
-    ``values[i] = S_{p_min + i} - S_{p_min}``; per-query callers scan it as
-    the Python list slices of ``path`` and ``steps``.
+    ``values[..., i] = S_{p_min + i} - S_{p_min}``: increments with leading
+    axes hold one walk per row on the one window, for the array readers.
+    The per-query methods read a one-row window; callers scan it as the
+    Python list slices of ``path`` and ``steps``.
     """
 
     __slots__ = ("p_min", "p_max", "increments", "values", "_value_list", "_step_list")
@@ -41,9 +43,10 @@ class WalkWindow:
         if not np.all(np.abs(increments) == 1):
             raise ValueError("increments must be +-1")
         self.p_min = int(p_min)
-        self.p_max = int(p_min) + len(increments)
+        self.p_max = int(p_min) + increments.shape[-1]
         self.increments = increments
-        self.values = np.concatenate([[0], np.cumsum(increments)])
+        self.values = np.concatenate([np.zeros((*increments.shape[:-1], 1), dtype=np.int64),
+                                      np.cumsum(increments, axis=-1)], axis=-1)
         self._value_list = None
         self._step_list = None
 
@@ -67,6 +70,8 @@ class WalkWindow:
     def _lists(self) -> tuple[list[int], list[int]]:
         """values and increments as Python lists, built on first use: the
         per-query methods read list entries, not numpy scalars."""
+        if self.values.ndim != 1:
+            raise ValueError("per-query reads need a one-row window")
         if self._value_list is None:
             self._value_list = self.values.tolist()
             self._step_list = self.increments.tolist()

@@ -139,8 +139,7 @@ def test_criterion_4_flow_exactness():
             fr = FlowRealization(WalkWindow(0, bits), eta, PARAMS)
             assert [psi_closed_form(fr, p, n, x) for _, p, n, x in cells] == row, bits
     # mapping: 10^4 random spot checks at length 10^3
-    walk = generate_walk(0, 1_000, SEED, 40)
-    fr = FlowRealization.generate(walk, PARAMS, SEED, 41)
+    fr = FlowRealization.generate(PARAMS, 0, 1_000, SEED, 40, 41)
     rng = make_rng(SEED, 42)
     for _ in range(10_000):
         p = int(rng.integers(0, 1_000))
@@ -257,15 +256,16 @@ def test_criterion_7_convergence(rescale_measure):
     mesh = np.linspace(1 / 64, 1.0, 40)
     beta_sups = {n: [] for n in n_list}
     dist_sups = {n: [] for n in n_list}
-    for rep in range(200):
-        def fr_for_n(n, rep=rep):
-            return FlowRealization.generate(generate_walk(0, n, SEED, 70_000 + rep),
-                                            PARAMS, SEED, 80_000 + rep)
-
-        for row in convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, junction(3), n_list,
-                                        times=mesh):
-            beta_sups[row["n"]].append(row["sup_beta"])
-            dist_sups[row["n"]].append(row["sup_distance"])
+    # replica r on walk stream 70_000 + r and mark stream 80_000 + r, drawn
+    # in chunks of replicas
+    for n in n_list:
+        for rows in row_blocks(200, n):
+            fr = FlowRealization.generate(PARAMS, 0, n, SEED,
+                                          range(70_000 + rows.start, 70_000 + rows.stop),
+                                          range(80_000 + rows.start, 80_000 + rows.stop))
+            for row in convergence_profiles(fr, PARAMS, 0.0, 1.0, junction(3), n, times=mesh):
+                beta_sups[n].append(row["sup_beta"])
+                dist_sups[n].append(row["sup_distance"])
     med_beta = [float(np.median(beta_sups[n])) for n in n_list]
     med_dist = [float(np.median(dist_sups[n])) for n in n_list]
     assert all(a > b for a, b in zip(med_beta, med_beta[1:])), med_beta

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -16,8 +17,13 @@ import pytest
 
 import starflow
 from starflow import chain
-from starflow.cli import STREAM_FLIP, STREAM_WALK, flip_stream_ids, main, run_flip_check
-from starflow.config import WALK_BYTES_MAX, ConfigError, RunConfig, parse_config
+from starflow.cli import (STREAM_FLIP, STREAM_WALK, convergence_chunks, flip_stream_ids, main,
+                          run_flip_check)
+from starflow.config import (PASS_BYTES_PER_STEP, WALK_BYTES_MAX, ConfigError, RunConfig,
+                             parse_config)
+from starflow.flows import FlowRealization
+from starflow.graph import junction, point
+from starflow.limit import convergence_profiles
 from starflow.oracles import tau_sequence
 from starflow.walk import generate_walk
 
@@ -342,11 +348,31 @@ def test_window_past_the_walk_memory_budget_exit_code(tmp_path, capsys):
 
 
 def test_walk_memory_budget_edge():
-    # at n = 1 from s = 0 the window has ceil(T) + 1 steps of 17 bytes each
-    steps = WALK_BYTES_MAX // 17
+    # at n = 1 from s = 0 the window has ceil(T) + 1 steps, each held by up
+    # to PASS_BYTES_PER_STEP bytes of the pass
+    steps = WALK_BYTES_MAX // PASS_BYTES_PER_STEP
     parse_config(f"{SMALL}n_list = 1\nT = {steps - 1}\n")
     with pytest.raises(ConfigError, match="WALK_BYTES_MAX"):
         parse_config(f"{SMALL}n_list = 1\nT = {steps}\n")
+
+
+@pytest.mark.parametrize("s, x", [(0.0, junction(3)), (0.0, point(1, 0.5, 3)),
+                                  (-0.25, point(2, 0.3, 3))])
+def test_pass_peak_stays_under_the_per_step_bound(s, x):
+    # the traced peak of each chunk's draws and pass, per window step of its
+    # replicas: one replica a chunk at n = 20,000, several at n = 1,000
+    params = RunConfig().ray_params()
+    for n, replicas in ((20_000, 1), (1_000, 12)):
+        tracemalloc.start()
+        try:
+            for reps, fr in convergence_chunks(params, 42, s, 1.0, n, replicas):
+                convergence_profiles(fr, params, s, 1.0, x, n)
+                steps = len(reps) * (fr.walk.p_max - fr.walk.p_min)
+                assert tracemalloc.get_traced_memory()[1] <= steps * PASS_BYTES_PER_STEP
+                del fr
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("route", ["flag", "key"])
@@ -396,11 +422,50 @@ def test_convergence_manifest_work_counts(small_config, tmp_path):
     manifest = json.loads((out / "convergence_manifest.json").read_text())
     work = manifest["work"]
     assert [w["n"] for w in work] == [100, 400]
+    assert [w["replicas"] for w in work] == [15, 15]
     # 15 replicas over the default mesh of 2n + 1 times
     assert [w["times"] for w in work] == [15 * 201, 15 * 801]
     assert all(0 < w["beta_evaluations"] <= w["beta_pairs"] < w["times"] for w in work)
     # the replicas share their solves: each distinct pair is solved once
     assert all(0 < w["beta_solves"] < w["beta_evaluations"] for w in work)
+
+
+def test_convergence_chunk_boundaries_keep_the_rows(small_config, tmp_path, monkeypatch):
+    # 15 replicas at n = 100 in chunks of 11 and 4: every row field equals
+    # that of one-realization calls that share one dict in replica order,
+    # and every field but beta_solves that of calls with a fresh dict each
+    params = RunConfig().ray_params()
+    x = point(2, 0.5, 3)
+    monkeypatch.setattr(starflow.walk, "ROW_BLOCK_STEPS", 16 * 402 * 3)
+    betas = {}
+    chunks = [(reps, convergence_profiles(fr, params, 0.0, 1.0, x, 100, betas=betas))
+              for reps, fr in convergence_chunks(params, 42, 0.0, 1.0, 100, 15)]
+    assert [len(reps) for reps, _ in chunks] == [11, 4]
+    rows = [row for _, part in chunks for row in part]
+    ones = [FlowRealization.generate(params, 0, 102, 42, 10_000 + r, 20_000 + r)
+            for r in range(15)]
+    betas = {}
+    assert rows == [convergence_profiles(fr, params, 0.0, 1.0, x, 100, betas=betas)[0]
+                    for fr in ones]
+    fresh = [convergence_profiles(fr, params, 0.0, 1.0, x, 100)[0] for fr in ones]
+    for row in rows + fresh:
+        row.pop("beta_solves")
+    assert rows == fresh
+    # the CLI: chunks of 3 at n = 400 and of 11 at n = 100, and of one
+    # replica each, write the files and work counts of the default chunks
+    outputs = []
+    for block in (None, 16 * 402 * 3, 1):
+        if block:
+            monkeypatch.setattr(starflow.walk, "ROW_BLOCK_STEPS", block)
+        else:
+            monkeypatch.undo()
+        out = tmp_path / f"out_{block}"
+        assert main(["convergence", "--config", str(small_config), "--output-dir", str(out)]) == 0
+        work = json.loads((out / "convergence_manifest.json").read_text())["work"]
+        outputs.append([work, *((out / name).read_bytes() for name in
+                                ("convergence_beta.csv", "convergence_distance.csv",
+                                 "convergence.svg"))])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_convergence_negative_fractional_start(tmp_path):

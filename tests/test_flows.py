@@ -163,8 +163,8 @@ def test_closed_forms_lattice_radius_agrees_with_hitting_time_path():
 
 def test_closed_form_after_hit_equals_zero_start():
     rng = make_rng(51, 0)
-    walk = generate_walk(0, 400, 51, 1)
-    fr = FlowRealization.generate(walk, PARAMS, 51, 2)
+    fr = FlowRealization.generate(PARAMS, 0, 400, 51, 1, 2)
+    walk = fr.walk
     for _ in range(2_000):
         p = int(rng.integers(0, 400))
         n = int(rng.integers(p, 401))
@@ -178,8 +178,7 @@ def test_closed_form_after_hit_equals_zero_start():
 
 
 def test_cocycle_random_triples():
-    walk = generate_walk(0, 1_000, 52, 0)
-    fr = FlowRealization.generate(walk, PARAMS, 52, 1)
+    fr = FlowRealization.generate(PARAMS, 0, 1_000, 52, 0, 1)
     rng = make_rng(52, 2)
     for _ in range(10_000):
         p = int(rng.integers(0, 1_000))
@@ -191,8 +190,8 @@ def test_cocycle_random_triples():
 
 
 def test_ray_merge_property():
-    walk = generate_walk(0, 500, 53, 0)
-    fr = FlowRealization.generate(walk, PARAMS, 53, 1)
+    fr = FlowRealization.generate(PARAMS, 0, 500, 53, 0, 1)
+    walk = fr.walk
     rng = make_rng(53, 2)
     checked = 0
     for _ in range(10_000):

@@ -10,7 +10,8 @@ import pytest
 import starflow.limit
 from starflow.beta import _rays, beta_distance, beta_lp_oracle
 from starflow.errors import OutOfDomainError
-from starflow.flows import FlowRealization, kernel_closed_form, psi_closed_form
+from starflow.flows import (FlowRealization, closed_forms_from, kernel_closed_form,
+                            psi_closed_form)
 from starflow.graph import GraphPoint, RayParams, graph_distance, junction, point
 from starflow.limit import (NOT_HIT, ContinuousPath, _beta_bounds, _distinct, _key_beta,
                             _memo_beta, _screened_sup, convergence_profiles, floor_time,
@@ -189,16 +190,20 @@ def test_kernel_beta_zero_and_positive():
     assert d == pytest.approx(beta_lp_oracle(a, b), abs=1e-12)
 
 
-def _fr_for_n(walk_seed, eta_seed, eta_offset):
+def _fr_for_n(seed, eta_offset):
     def fr_for_n(n):
-        return FlowRealization.generate(generate_walk(0, n, walk_seed, n), PARAMS,
-                                        eta_seed, eta_offset + n)
+        return FlowRealization.generate(PARAMS, 0, n, seed, n, eta_offset + n)
     return fr_for_n
 
 
+def _profiles(fr_for_n, s, big_t, x, n_list, **kwargs):
+    """The rows of convergence_profiles at each n of n_list, in order."""
+    return [row for n in n_list
+            for row in convergence_profiles(fr_for_n(n), PARAMS, s, big_t, x, n, **kwargs)]
+
+
 def test_convergence_beta_grid_self_consistency():
-    rows = convergence_profiles(_fr_for_n(63, 63, 0), PARAMS, 0.0, 1.0, junction(3),
-                                [64, 256])
+    rows = _profiles(_fr_for_n(63, 0), 0.0, 1.0, junction(3), [64, 256])
     assert [r["n"] for r in rows] == [64, 256]
     for r in rows:
         assert r["sup_beta"] >= 0.0
@@ -208,17 +213,22 @@ def test_convergence_beta_grid_self_consistency():
 
 
 def test_mapping_convergence_decreasing():
-    rows = convergence_profiles(_fr_for_n(64, 64, 10_000), PARAMS, 0.0, 1.0,
-                                junction(3), [64, 1024])
+    rows = _profiles(_fr_for_n(64, 10_000), 0.0, 1.0, junction(3), [64, 1024])
     assert rows[1]["sup_distance"] < rows[0]["sup_distance"]
 
 
-def _fr_from(start, walk_seed):
-    # the window [floor(n s), n + 1] that the CLI draws when s + T = 1
+def _fr_from(start, walk_seed, replicas=None):
+    """fr_for_n on the window [floor(n s), n + 1] that the CLI draws when
+    s + T = 1, from walk and mark stream n; with replicas, one row per
+    replica r from stream ``_stream(n, r)``."""
     def fr_for_n(n):
-        walk = generate_walk(math.floor(n * start), n + 1, walk_seed, n)
-        return FlowRealization.generate(walk, PARAMS, walk_seed, n)
+        ids = n if replicas is None else [_stream(n, r) for r in range(replicas)]
+        return FlowRealization.generate(PARAMS, math.floor(n * start), n + 1, walk_seed, ids, ids)
     return fr_for_n
+
+
+def _stream(n, r):
+    return n + 1_000_000 * r
 
 
 # (s, T, x, n_list, window start / n, times): p = 0, p > 0, a window that
@@ -244,13 +254,16 @@ def test_convergence_profiles_match_pointwise_definitions(rescale_measure):
 
 def _check_pointwise(s, big_t, x, n_list, start, times, rescale_measure):
     # off the junction both hitting-time branches occur; recompute each sup
-    # time by time from the public kernel and hitting-time functions
-    fr_for_n = _fr_from(start, 65)
-    rows = convergence_profiles(fr_for_n, PARAMS, s, big_t, x, n_list, times=times)
+    # time by time from the public kernel and hitting-time functions, for
+    # each row of a chunk of two realizations
+    rows = _profiles(_fr_from(start, 65, replicas=2), s, big_t, x, n_list, times=times)
+    assert len(rows) == 2 * len(n_list)
     branches = set()
-    for row in rows:
+    for i, row in enumerate(rows):
         n = row["n"]
-        fr = fr_for_n(n)
+        assert n == n_list[i // 2]
+        stream = _stream(n, i % 2)
+        fr = FlowRealization.generate(PARAMS, math.floor(n * start), n + 1, 65, stream, stream)
         w = rescale_path(fr.walk, n)
         x_n = point(x.ray, round(x.radius * np.sqrt(n)), 3)
         p = _reference_step(n, s)
@@ -276,6 +289,71 @@ def _check_pointwise(s, big_t, x, n_list, start, times, rescale_measure):
     assert branches == {False, True}
 
 
+# (s, T, x, n, times) of a chunk of realizations: from the junction; off it,
+# where some replicas hit -|x| and some do not; an explicit mesh; and a start
+# below a negative, non-integer n s
+CHUNK_CASES = [
+    (0.0, 1.0, junction(3), 100, None),
+    (0.0, 1.0, point(2, 0.5, 3), 100, None),
+    (0.3, 0.7, point(2, 0.5, 3), 64, np.linspace(0.3, 1.0, 37)),
+    (-0.25, 1.0, point(1, 0.5, 3), 50, None),
+]
+
+
+@pytest.mark.parametrize("s, big_t, x, n, times", CHUNK_CASES,
+                         ids=["junction", "x_radius", "times", "negative_s"])
+def test_chunk_rows_equal_one_realization_rows(s, big_t, x, n, times):
+    # the window the CLI draws, for 8 replicas at once and for each alone
+    p_min, p_max = min(math.floor(n * s), 0), math.ceil(n * (s + big_t)) + 1
+    chunk = FlowRealization.generate(PARAMS, p_min, p_max, 76, range(8), range(100, 108))
+    ones = [FlowRealization.generate(PARAMS, p_min, p_max, 76, r, 100 + r) for r in range(8)]
+    rows = convergence_profiles(chunk, PARAMS, s, big_t, x, n, times=times)
+    betas = {}
+    shared = [convergence_profiles(fr, PARAMS, s, big_t, x, n, times=times, betas=betas)[0]
+              for fr in ones]
+    fresh = [convergence_profiles(fr, PARAMS, s, big_t, x, n, times=times)[0] for fr in ones]
+    # a chunk's replicas share its solves, as one-realization calls in
+    # replica order that share one dict do
+    assert rows == shared
+    assert sum(row["beta_solves"] for row in rows) == len(betas)
+    solves = [row.pop("beta_solves") for row in rows], [row.pop("beta_solves") for row in fresh]
+    assert rows == fresh and solves[0] != solves[1]
+    # the array readers: each row of the chunk is the one-realization call
+    ts = grid_and_midpoints(n, s, s + big_t) if times is None else times
+    p, x_n = step_at(n, s), point(x.ray, round(math.sqrt(n) * x.radius), 3)
+    w = rescale_path(chunk.walk, n)
+    chunk_forms = closed_forms_from(chunk, p, x_n)
+    tau, at_s, at_ts, low = (tau_hit(w, s, x), w.value(s), w.value(ts), w.running_min(s, ts))
+    assert all(a.shape[0] == 8 for a in (*chunk_forms, tau, at_s, at_ts, low))
+    hits = set()
+    for r, fr in enumerate(ones):
+        assert all(np.array_equal(a[r], b) for a, b in
+                   zip(chunk_forms, closed_forms_from(fr, p, x_n)))
+        w_r = rescale_path(fr.walk, n)
+        one_tau = tau_hit(w_r, s, x)
+        assert tau[r] == one_tau and at_s[r] == w_r.value(s)
+        assert np.array_equal(at_ts[r], w_r.value(ts))
+        assert np.array_equal(low[r], w_r.running_min(s, ts))
+        hits.add(one_tau is not NOT_HIT)
+    assert hits == ({True} if x.radius == 0 else {True, False})
+
+
+def test_path_readers_take_a_replica_axis():
+    # scalar and array times on a (2, L) path, each row against its 1-D path
+    rows = np.array([[0.0, -1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0, 2.0]])
+    w = ContinuousPath(2, -1, rows)
+    ts = np.array([-0.5, -0.25, 0.1, 0.75, 1.5])
+    for r, values in enumerate(rows):
+        one = ContinuousPath(2, -1, values)
+        assert w.value(0.3)[r] == one.value(0.3)
+        assert np.array_equal(w.value(ts)[r], one.value(ts))
+        assert w.running_min(-0.25, 1.0)[r] == one.running_min(-0.25, 1.0)
+        assert np.array_equal(w.running_min(-0.25, ts[1:])[r], one.running_min(-0.25, ts[1:]))
+        for level in (0.0, 0.5, 1.0):
+            assert tau_hit(w, -0.25, level)[r] == tau_hit(one, -0.25, level)
+    assert tau_hit(w, -0.25, 0.5).tolist() == [0.0, math.inf]
+
+
 def _recording(calls, solve):
     def recorded(weights, key):
         calls.append((key, solve(weights, key)))
@@ -290,7 +368,7 @@ def test_convergence_profiles_one_beta_per_distinct_pair(monkeypatch, rescale_me
     # lattice, so the discrete and Wiener hitting times differ
     n, x = 256, point(2, 0.3, 3)
     fr_for_n = _fr_from(0.0, 66)
-    row, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, [n])
+    row, = convergence_profiles(fr_for_n(n), PARAMS, 0.0, 1.0, x, n)
     mesh = grid_and_midpoints(n, 0.0, 1.0)
     assert row["times"] == len(mesh)
     assert 0 < len(calls) == row["beta_solves"] == row["beta_evaluations"] < row["beta_pairs"]
@@ -321,13 +399,13 @@ def test_convergence_profiles_one_beta_per_distinct_pair(monkeypatch, rescale_me
 def test_convergence_profiles_screened_sup_equals_full_sup(monkeypatch, n, walk_seed):
     # from the junction many pairs tie at the sup: bit for bit at n = 256,
     # up to the last bits at n = 1000
-    fr_for_n = _fr_from(0.0, walk_seed)
-    row, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, junction(3), [n])
+    fr = _fr_from(0.0, walk_seed)(n)
+    row, = convergence_profiles(fr, PARAMS, 0.0, 1.0, junction(3), n)
     calls = []
     monkeypatch.setattr(starflow.limit, "_key_beta", _recording(calls, _key_beta))
     monkeypatch.setattr(starflow.limit, "_beta_bounds",
                         lambda weights, *keys: np.full(len(keys[0]), math.inf))
-    full, = convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, junction(3), [n])
+    full, = convergence_profiles(fr, PARAMS, 0.0, 1.0, junction(3), n)
     betas = [beta for _, beta in calls]
     assert full["beta_evaluations"] == full["beta_solves"] == full["beta_pairs"] == len(betas)
     assert full["beta_pairs"] == row["beta_pairs"] > row["beta_evaluations"]
@@ -431,8 +509,7 @@ def test_key_betas_and_bounds_match_the_references_on_replica_keys(monkeypatch, 
 
     monkeypatch.setattr(starflow.limit, "_screened_sup", recording_sup)
     for walk_seed in (71, 72):
-        convergence_profiles(_fr_from(0.0, walk_seed), PARAMS, 0.0, 1.0, x,
-                             [100, 1000, 10_000])
+        _profiles(_fr_from(0.0, walk_seed), 0.0, 1.0, x, [100, 1000, 10_000])
     assert len(seen) == 6
     betas = {}
     for keys in seen:
@@ -453,8 +530,8 @@ def test_shared_betas_give_the_rows_of_fresh_ones():
     shared, fresh = [], []
     for walk_seed in (73, 74, 75):
         fr_for_n = _fr_from(0.0, walk_seed)
-        shared += convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, n_list, betas=betas)
-        fresh += convergence_profiles(fr_for_n, PARAMS, 0.0, 1.0, x, n_list)
+        shared += _profiles(fr_for_n, 0.0, 1.0, x, n_list, betas=betas)
+        fresh += _profiles(fr_for_n, 0.0, 1.0, x, n_list)
     solves = [row.pop("beta_solves") for row in shared], [row.pop("beta_solves") for row in fresh]
     assert shared == fresh
     # each distinct pair is solved once across the replicas, and some recur

@@ -17,12 +17,14 @@ which flips 2,000 short replicas of 1,000 steps and five long paths of
 ``excursion_table`` alone decomposes the reflected paths Y-bar of
 ``cv-check``'s 10^4 walks in one call; they are built on its warm-up call.
 
-The convergence rows run at the README config's scale, from the junction
-over [0, 1] on the walk and mark streams of ``starflow convergence``: one
-``convergence_profiles`` replica at n = 10^3 and at n = 10^4, and the whole
-pass, 50 replicas at n = 10^2, 10^3 and 10^4 that share one dict of solved
-pairs.  Every call, warm-up
-included, starts from an empty dict.  ``beta_distance`` is timed per call:
+The convergence rows run from the junction over [0, 1] on the window and
+the walk and mark streams of ``starflow convergence``.  One
+``convergence_profiles`` call runs on one replica and on one chunk of 5
+replicas (the ``convergence`` workload's count) at n = 10^3 and at
+n = 10^4.  The README config's whole pass runs 50 replicas at n = 10^2,
+10^3 and 10^4, n by n over the chunks of ``cli.convergence_chunks``, which
+share one dict of solved pairs.  The draws are timed with the calls.  Every
+call, warm-up included, starts from an empty dict.  ``beta_distance`` is timed per call:
 one call of the row solves a fixed mix of pairs, Diracs and alpha spreads
 against Diracs and spreads, on one ray and across rays, and its time is
 divided by their number.
@@ -43,12 +45,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from starflow.beta import beta_distance  # noqa: E402
 from starflow.chain import flip_batches, simulate_chain_batch  # noqa: E402
-from starflow.cli import STREAM_CHAIN, STREAM_WALK, flip_stream_ids  # noqa: E402
+from starflow.cli import (STREAM_CHAIN, STREAM_WALK, convergence_chunks,  # noqa: E402
+                          flip_stream_ids)
 from starflow.cv import cv_check_blocks, transform  # noqa: E402
 from starflow.flows import FlowRealization  # noqa: E402
 from starflow.graph import DiscreteMeasure, GraphPoint, RayParams, junction  # noqa: E402
 from starflow.limit import convergence_profiles  # noqa: E402
-from starflow.walk import excursion_table, generate_walk, increment_blocks  # noqa: E402
+from starflow.walk import excursion_table, increment_blocks  # noqa: E402
 
 SEED = 1
 REPEATS = 7
@@ -76,18 +79,19 @@ def flips(length: int, stream_ids: range) -> None:
         pass
 
 
-def realization(n: int, rep: int = 0) -> FlowRealization:
-    """The flow realization of replica rep at scale n, on the walk and mark
-    streams of ``starflow convergence``."""
-    walk = generate_walk(0, n + 1, SEED, 10_000 + rep)
-    return FlowRealization.generate(walk, PARAMS, SEED, 20_000 + rep)
+def convergence_chunk(n: int, replicas: int) -> None:
+    """One call on replicas 0, 1, ... of ``starflow convergence`` at scale n,
+    drawn in one chunk."""
+    fr = FlowRealization.generate(PARAMS, 0, n + 1, SEED, range(10_000, 10_000 + replicas),
+                                  range(20_000, 20_000 + replicas))
+    convergence_profiles(fr, PARAMS, 0.0, 1.0, junction(PARAMS.N), n)
 
 
 def convergence_pass(n_list: list[int], replicas: int) -> None:
     betas = {}
-    for rep in range(replicas):
-        convergence_profiles(functools.partial(realization, rep=rep), PARAMS, 0.0, 1.0,
-                             junction(PARAMS.N), n_list, betas=betas)
+    for n in n_list:
+        for _, fr in convergence_chunks(PARAMS, SEED, 0.0, 1.0, n, replicas):
+            convergence_profiles(fr, PARAMS, 0.0, 1.0, junction(PARAMS.N), n, betas=betas)
 
 
 def measure_pairs() -> list[tuple[DiscreteMeasure, DiscreteMeasure]]:
@@ -126,10 +130,11 @@ LAYERS = [
     ("flip_batches, long paths", f"{len(FLIP_LONG)} x {FLIP_LONG_LENGTH}",
      lambda: flips(FLIP_LONG_LENGTH, FLIP_LONG)),
     ("beta_distance, per call", f"{len(PAIRS)} pairs", solve_pairs, len(PAIRS)),
-    ("convergence_profiles, 1 replica", "n = 10^3",
-     lambda: convergence_pass([1_000], 1)),
-    ("convergence_profiles, 1 replica", "n = 10^4",
-     lambda: convergence_pass([10_000], 1)),
+    ("convergence_profiles, 1 replica", "n = 10^3", lambda: convergence_chunk(1_000, 1)),
+    ("convergence_profiles, 1 replica", "n = 10^4", lambda: convergence_chunk(10_000, 1)),
+    ("convergence_profiles, 5-replica chunk", "n = 10^3", lambda: convergence_chunk(1_000, 5)),
+    ("convergence_profiles, 5-replica chunk", "n = 10^4",
+     lambda: convergence_chunk(10_000, 5)),
     ("convergence pass, README config", "50 x 3 n",
      lambda: convergence_pass([100, 1_000, 10_000], 50)),
 ]
