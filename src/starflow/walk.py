@@ -70,9 +70,9 @@ class WalkWindow:
     def _lists(self) -> tuple[list[int], list[int]]:
         """values and increments as Python lists, built on first use: the
         per-query methods read list entries, not numpy scalars."""
-        if self.values.ndim != 1:
-            raise ValueError("per-query reads need a one-row window")
         if self._value_list is None:
+            if self.values.ndim != 1:
+                raise ValueError("per-query reads need a one-row window")
             self._value_list = self.values.tolist()
             self._step_list = self.increments.tolist()
         return self._value_list, self._step_list
