@@ -436,14 +436,18 @@ def test_convergence_chunk_boundaries_keep_the_rows(small_config, tmp_path, monk
     # and every field but beta_solves that of calls with a fresh dict each
     params = RunConfig().ray_params()
     x = point(2, 0.5, 3)
-    monkeypatch.setattr(starflow.walk, "ROW_BLOCK_STEPS", 16 * 402 * 3)
+    monkeypatch.setattr(starflow.walk, "ROW_BLOCK_STEPS", 16 * 401 * 3)
+    ones = [FlowRealization.generate(params, 0, 101, 42, 10_000 + r, 20_000 + r)
+            for r in range(15)]
     betas = {}
-    chunks = [(reps, convergence_profiles(fr, params, 0.0, 1.0, x, 100, betas=betas))
-              for reps, fr in convergence_chunks(params, 42, 0.0, 1.0, 100, 15)]
+    chunks = []
+    for reps, fr in convergence_chunks(params, 42, 0.0, 1.0, 100, 15):
+        # each chunk row is its replica's realization
+        assert np.array_equal(fr.walk.increments, [ones[r].walk.increments for r in reps])
+        assert np.array_equal(fr.eta, [ones[r].eta for r in reps])
+        chunks.append((reps, convergence_profiles(fr, params, 0.0, 1.0, x, 100, betas=betas)))
     assert [len(reps) for reps, _ in chunks] == [11, 4]
     rows = [row for _, part in chunks for row in part]
-    ones = [FlowRealization.generate(params, 0, 102, 42, 10_000 + r, 20_000 + r)
-            for r in range(15)]
     betas = {}
     assert rows == [convergence_profiles(fr, params, 0.0, 1.0, x, 100, betas=betas)[0]
                     for fr in ones]
@@ -454,7 +458,7 @@ def test_convergence_chunk_boundaries_keep_the_rows(small_config, tmp_path, monk
     # the CLI: chunks of 3 at n = 400 and of 11 at n = 100, and of one
     # replica each, write the files and work counts of the default chunks
     outputs = []
-    for block in (None, 16 * 402 * 3, 1):
+    for block in (None, 16 * 401 * 3, 1):
         if block:
             monkeypatch.setattr(starflow.walk, "ROW_BLOCK_STEPS", block)
         else:

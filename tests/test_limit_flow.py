@@ -349,8 +349,10 @@ def test_path_readers_take_a_replica_axis():
         assert np.array_equal(w.value(ts)[r], one.value(ts))
         assert w.running_min(-0.25, 1.0)[r] == one.running_min(-0.25, 1.0)
         assert np.array_equal(w.running_min(-0.25, ts[1:])[r], one.running_min(-0.25, ts[1:]))
-        for level in (0.0, 0.5, 1.0):
+        for level in (0.0, 0.25, 0.5, 1.0):
             assert tau_hit(w, -0.25, level)[r] == tau_hit(one, -0.25, level)
+    # a hit on the segment that starts at s, and one at a breakpoint
+    assert tau_hit(w, -0.25, 0.25).tolist() == [-0.125, math.inf]
     assert tau_hit(w, -0.25, 0.5).tolist() == [0.0, math.inf]
 
 
