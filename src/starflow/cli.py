@@ -288,10 +288,10 @@ def convergence_chunks(params, seed: int, s: float, big_t: float, n: int,
     ceil(n(s + T)) + 1].
 
     A chunk holds the rows of one ``walk.row_blocks`` block, at 16 of its
-    one-byte steps per window step.  The pass holds up to
-    ``config.PASS_BYTES_PER_STEP`` bytes a window step, so a chunk's pass
-    stays near 2.6 MB, what one replica's takes at n = 10^4: chunks raise no
-    peak above that of one replica at a time there.
+    one-byte steps per window step, so up to 8,192 window steps.  The pass
+    holds up to ``config.PASS_BYTES_PER_STEP`` bytes a window step; traced, a
+    full chunk takes 1.5 MB, less than one replica's 2.4 MB at n = 10^4,
+    where a chunk is one replica.
     """
     p_min, p_max = min(math.floor(n * s), 0), math.ceil(n * (s + big_t)) + 1
     for rows in row_blocks(replicas, 16 * (p_max - p_min)):

@@ -18,8 +18,8 @@ from .graph import RayParams
 _INT64_MAX = 2**63 - 1
 # the most memory the convergence pass may take on one replica's walk
 # window, and the most it holds a window step: tracemalloc peaks of a
-# one-replica chunk, its draws included, read 316-331 bytes a step at s = 0,
-# where each step carries two mesh times
+# one-replica chunk, its draws included, read 238-253 bytes a step at
+# n = 10^3 to 10^5, where each step carries two mesh times
 WALK_BYTES_MAX = 2**30
 PASS_BYTES_PER_STEP = 384
 

@@ -16,7 +16,6 @@ other.  Kernel weights are exact rationals; equality of measures is exact.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,9 +41,9 @@ class FlowRealization:
     one-row realization.
 
     The realization keeps its own read-only int64 copy of ``eta`` for the
-    array readers, and ``mark`` reads the same marks as a tuple of ints,
-    built from that copy on the first read.  Neither can be written, so the
-    two cannot differ.
+    array readers, and a one-row realization the same marks as a tuple of
+    ints that ``mark`` reads.  Neither can be written, so the two cannot
+    differ.
     """
 
     walk: WalkWindow
@@ -55,6 +54,7 @@ class FlowRealization:
         eta = np.array(self.eta, dtype=np.int64)
         eta.flags.writeable = False
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "_marks", tuple(eta.tolist()) if eta.ndim == 1 else None)
 
     @classmethod
     def generate(cls, params: RayParams, p_min: int, p_max: int, seed: int,
@@ -76,14 +76,10 @@ class FlowRealization:
             increments, eta = increments[0], eta[0]
         return cls(WalkWindow(p_min, increments), eta, params)
 
-    @functools.cached_property
-    def _marks(self) -> tuple[int, ...]:
-        if self.eta.ndim != 1:
-            raise ValueError("mark reads need a one-row realization")
-        return tuple(self.eta.tolist())
-
     def mark(self, p: int) -> int:
         i = p - self.walk.p_min
+        if self._marks is None:
+            raise ValueError("mark reads need a one-row realization")
         if not 0 <= i < len(self._marks):
             raise OutOfWindowError(f"no mark at time {p}")
         return self._marks[i]

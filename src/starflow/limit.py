@@ -183,9 +183,11 @@ def _measure_keys(spread, ray, radius) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _distinct(columns: list[np.ndarray]) -> list[np.ndarray]:
     """The distinct rows of equal-length columns, compared by exact equality:
     one lexsort and a mask of the rows that differ from the row before
-    (np.unique imports numpy.ma on first use)."""
+    (np.unique imports numpy.ma on first use).  The list of columns is
+    sorted in place, so each unsorted column is freed once its copy is made."""
     order = np.lexsort(columns)
-    columns = [c[order] for c in columns]
+    for i, c in enumerate(columns):
+        columns[i] = c[order]
     first = np.ones(len(order), dtype=bool)
     if len(order):
         first[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
@@ -320,6 +322,12 @@ def convergence_profiles(fr, params: RayParams, s: float, big_t: float, x: Graph
     wt = np.reshape(w.value(ts), shape)
     radius = np.where(after, wt - np.reshape(w.running_min(s, ts), shape),
                       float(x.radius) + wt - np.reshape(w.value(s), (-1, 1)))
+    # after the hit the structural value sits on the realized ray
+    phi_ray = np.where(radius > 0, np.where(after, ray_n, x.ray), params.N)
+    phi = np.where(radius > 0, radius, 0.0)
+    dist_sups = np.where(ray_n == phi_ray, np.abs(radius_n - phi), radius_n + phi).max(
+        axis=1, initial=0.0).tolist()
+    del wt, phi_ray, phi
     # beta is a function of its two measures, which repeat along the mesh
     # and across realizations: distinct pairs by key, each solved once.  The
     # replica is the primary sort column, so each replica's keys form one
@@ -327,17 +335,16 @@ def convergence_profiles(fr, params: RayParams, s: float, big_t: float, x: Graph
     # smallest integer type, one byte a key up to 256 replicas
     replica = np.broadcast_to(np.arange(replicas, dtype=np.min_scalar_type(replicas))[:, None],
                               shape)
-    *keys, key_replica = _distinct([c.ravel() for c in (
-        *_measure_keys(after_n, ray_n, radius_n), *_measure_keys(after, x.ray, radius),
-        replica)])
+    columns = [c.ravel() for c in (*_measure_keys(after_n, ray_n, radius_n),
+                                   *_measure_keys(after, x.ray, radius), replica)]
+    # the mesh arrays are not read again: free them before the sort
+    del after_n, ray_n, radius_n, after, radius
+    *keys, key_replica = _distinct(columns)
+    del columns
     bounds = _beta_bounds(weights, *keys)
     ends = np.searchsorted(key_replica, np.arange(replicas + 1)).tolist()
-    # after the hit the structural value sits on the realized ray
-    phi_ray = np.where(radius > 0, np.where(after, ray_n, x.ray), params.N)
-    phi = np.where(radius > 0, radius, 0.0)
-    d = np.where(ray_n == phi_ray, np.abs(radius_n - phi), radius_n + phi)
     rows = []
-    for lo, hi, sup_d in zip(ends, ends[1:], d.max(axis=1, initial=0.0).tolist()):
+    for lo, hi, sup_d in zip(ends, ends[1:], dist_sups):
         held = len(betas)
         sup_beta, evaluated = _screened_sup(bounds[lo:hi], [c[lo:hi] for c in keys], solve)
         rows.append({"n": n, "sup_beta": sup_beta, "sup_distance": sup_d,

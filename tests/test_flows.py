@@ -368,6 +368,13 @@ def test_flow_realization_keeps_read_only_marks():
     for p in (-2, 2):
         with pytest.raises(OutOfWindowError):
             fr.mark(p)
+    # a realization of two rows holds its marks as an array only
+    rows = FlowRealization.generate(PARAMS, -1, 2, 59, [0, 1], [2, 3])
+    assert rows.eta.shape == rows.walk.values.shape[:1] + (3,) == (2, 3)
+    with pytest.raises(ValueError, match="one-row"):
+        rows.mark(0)
+    with pytest.raises(ValueError, match="one-row"):
+        rows.walk.path(-1, 1)
 
 
 def test_conditional_law_window_cap():
