@@ -22,13 +22,14 @@ two excursions) from the tau positions and the excursion table.  The flip
 reads S, S-bar, Y-bar and the taus from one ``cv.transform`` pass over a
 (replicas, steps) batch, and the bound is a mask over the batch.  Past a
 row's stop, the end of its last completed block, its ray is 0, no
-transition is live and no excursion is kept, so ``flip_batches`` builds T,
-Y-bar and the excursions only up to the batch's last stop
-(``transform(..., cut=True)``).  Each batch takes the words of its walks and
-of both mark arrays from one re-keyed Philox per array (``rng.stream_rows``),
-turns them into the steps and uniforms that ``Generator.integers(0, 2)`` and
-``Generator.random`` would give, and maps each mark array to rays with one
-exit-ray lookup.
+transition is live and no excursion is kept.  So ``flip_batches`` reads
+each row's stop off its walk (``cv.stops``), sorts a window of rows by
+stop and flips them in batches of rows with near stops, each transformed
+only up to its largest stop + 2.  The walks and both mark arrays come from
+one re-keyed Philox per array (``rng.stream_rows``), as the words that
+``Generator.integers(0, 2)`` and ``Generator.random`` turn into their steps
+and uniforms, and each mark array is mapped to rays with one exit-ray
+lookup.
 
 The product chain eta . Y-bar (``oracles.flipped_product_chain``) is the
 discrete flow of mappings started at the junction and driven by -S-bar, with
@@ -49,7 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cv import Transform, last_boundaries, transform
+from . import walk
+from .cv import Transform, last_boundaries, stops, transform
 from .graph import RayParams
 from .rng import make_rng, stream_rows
 from .walk import ExcursionTable, excursion_table, increment_rows, row_blocks
@@ -84,11 +86,6 @@ def ray_mark_rows(params: RayParams, count: int, seed: int,
     sequence regardless of how many are needed.
     """
     return _exit_ray(params, _uniforms(stream_rows(seed, stream_ids, count)))
-
-
-def draw_ray_marks(params: RayParams, count: int, seed: int, stream_id: int) -> np.ndarray:
-    """The count ray marks of the one stream stream_id (``ray_mark_rows``)."""
-    return ray_mark_rows(params, count, seed, [stream_id])[0]
 
 
 def _step(radii: np.ndarray, last: np.ndarray, words: np.ndarray, d: np.ndarray,
@@ -190,8 +187,8 @@ def _carry(shape: tuple[int, int], row, pos, marks) -> np.ndarray:
 @dataclass
 class FlipBatch:
     """Flipped chains of R walks, as (R, W) arrays over the W columns of the
-    transform pass ``t``: W is the walk length L, or min(L, max(n_end) + 2)
-    on the pass ``flip_batches`` cuts at the batch's last stop.
+    transform pass ``t``: the walk length L, or for ``flip_batches``
+    min(L, max(n_end) + 2), the columns up to the batch's last stop + 1.
 
     Row r holds S_0..S_W in ``t.s``, S-bar_0..S-bar_{W-1} in ``t.sbar`` and
     the block boundaries in ``t.is_tau``; ``ybar`` is the reflected path.
@@ -201,7 +198,9 @@ class FlipBatch:
     ``ybar`` and ``marks`` the ray mark of each entry.  ``block_row`` and
     ``cases`` give each completed block's row and case (an index into
     CASES), in row-major order.  The ray is built on first read from
-    ``ray_changes``, its (row, column, mark) change points.
+    ``ray_changes``, its (row, column, mark) change points.  ``streams``
+    holds each row's walk stream id (uint64) where the walks came from
+    streams, as in ``flip_batches``.
     """
 
     t: Transform
@@ -213,6 +212,7 @@ class FlipBatch:
     block_row: np.ndarray
     cases: np.ndarray
     ray_changes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    streams: np.ndarray | None = None
 
     @cached_property
     def rays(self) -> np.ndarray:
@@ -246,7 +246,8 @@ class FlipBatch:
         """``transition_counts``'s (up_by_r, down_by_r); the ray is not read."""
         return _moves(self.radii, self.n_end)[1:]
 
-def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray) -> FlipBatch:
+def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray,
+               streams: np.ndarray | None = None) -> FlipBatch:
     """Flip every row of the transform pass t of a batch of walks at once.
 
     eta[r, i - 1] is the ray mark of the i-th excursion of row r's reflected
@@ -257,7 +258,8 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray) -> FlipBatch
     start + 1, M is off the junction only on the ray eta_i, and the flip
     bound d(M_n, eta_i * Y-bar_n) <= 2 is the CV bound ||S_n| - Y-bar_n| <= 2.
     Each completed block is classified by how many excursions it holds and
-    where the first one ends.
+    where the first one ends.  streams, the rows' stream ids, is kept as
+    ``FlipBatch.streams``.
     """
     width = t.sbar.shape[1]
     ybar = t.runmax - t.sbar
@@ -303,30 +305,69 @@ def flip_batch(t: Transform, eta: np.ndarray, beta_aux: np.ndarray) -> FlipBatch
     changes = (np.append(t_row, exc.row), np.append(t_pos, exc.start + 1),
                np.append(beta_aux[t_row, t_ord], marks))
     return FlipBatch(t, ybar, np.abs(t.s[:, :width]), n_end, exc, marks, b_row, cases,
-                     changes)
+                     changes, streams)
+
+
+# row blocks of walks per window that ``flip_batches`` sorts by stop
+FLIP_WINDOW_BLOCKS = 16
 
 
 def flip_batches(params: RayParams, length: int, seed: int,
                  stream_ids: Sequence[int]) -> Iterator[FlipBatch]:
-    """The flip realizations of the given streams, in the batches of
-    ``row_blocks``: at most ROW_BLOCK_STEPS walk steps (and at least one
-    replica).
+    """The flip realizations of the given streams, in batches of rows with
+    near stops.
 
     For stream id k, the walk of `length` steps comes from stream k
     (``generate_walk``), the excursion marks eta from stream k + 1 and the
-    block marks from stream k + 2 (``draw_ray_marks``).  A batch takes the
-    first words of each of its streams at once (``rng.stream_rows``) and
-    flips the transform pass cut at its last stop (``transform(...,
-    cut=True)``).  The generator keeps no array of a batch once it is
-    yielded.
+    block marks from stream k + 2 (``ray_mark_rows``).  The walks are drawn
+    in windows of up to FLIP_WINDOW_BLOCKS row blocks (``row_blocks``), one
+    ``increment_rows`` call per block, and a window's rows are sorted by
+    stop, stably.  Past its stop a row counts nothing, and Y-bar needs the
+    columns up to a stop + 1 to close the excursions that end by it, so a
+    batch is flipped on the first w = min(length, largest stop + 2) columns
+    of its rows, and it takes rows in stop order while rows x w stays
+    within ROW_BLOCK_STEPS (one row at least).  ``FlipBatch.streams`` names
+    each row's stream.  A block is dropped once its rows are gathered, and
+    the generator keeps no array of a batch once it is yielded.
     """
-    for rows in row_blocks(len(stream_ids), length):
-        yield _flip_streams(params, length, seed, stream_ids[rows])
+    blocks = list(row_blocks(len(stream_ids), length))
+    for i in range(0, len(blocks), FLIP_WINDOW_BLOCKS):
+        window = blocks[i : i + FLIP_WINDOW_BLOCKS]
+        steps = [increment_rows(length, seed, stream_ids[rows]) for rows in window]
+        ids = np.array(stream_ids[window[0].start : window[-1].stop], dtype=np.uint64)
+        per_block, left = len(steps[0]), [len(x) for x in steps]
+        n_end = np.concatenate([stops(x) for x in steps])
+        order = np.argsort(n_end, kind="stable")
+        width = np.minimum(n_end[order] + 2, length)
+        first = 0
+        while first < len(order):
+            # width does not decrease, so the rows that fit are a prefix
+            fit = np.arange(1, len(order) - first + 1) * width[first:] <= walk.ROW_BLOCK_STEPS
+            end = first + max(1, int(np.count_nonzero(fit)))
+            rows = order[first:end]
+            yield _flip_rows(params, seed, _gather(steps, left, *np.divmod(rows, per_block),
+                                                   int(width[end - 1])), ids[rows])
+            first = end
 
 
-def _flip_streams(params: RayParams, length: int, seed: int,
-                  ids: Sequence[int]) -> FlipBatch:
-    """The ``flip_batch`` of the walks of the streams ids.
+def _gather(steps: list, left: list[int], block: np.ndarray, row: np.ndarray,
+            width: int) -> np.ndarray:
+    """The first width steps of the rows row[i] of the row blocks
+    steps[block[i]].  A block is dropped, its entry set to None, once none
+    of its rows is left: left[b] counts block b's rows not yet gathered."""
+    x = np.empty((len(block), width), dtype=np.int8)
+    for b, count in zip(*(a.tolist() for a in np.unique(block, return_counts=True))):
+        here = block == b
+        x[here] = steps[b][row[here], :width]
+        left[b] -= count
+        if not left[b]:
+            steps[b] = None
+    return x
+
+
+def _flip_rows(params: RayParams, seed: int, x: np.ndarray,
+               streams: np.ndarray) -> FlipBatch:
+    """The ``flip_batch`` of the walk steps x of the streams `streams`.
 
     Every excursion of Y-bar starts at a zero of Y-bar, and so does every
     block, at its tau, so each mark stream draws as many marks as the row
@@ -334,10 +375,11 @@ def _flip_streams(params: RayParams, length: int, seed: int,
     on that count.  A random walk of n steps has on the order of sqrt(n)
     zeros.
     """
-    t = transform(increment_rows(length, seed, ids), cut=True)
+    t = transform(x)
     n_marks = int(np.count_nonzero(t.sbar == t.runmax, axis=1).max())
-    return flip_batch(t, ray_mark_rows(params, n_marks, seed, [sid + 1 for sid in ids]),
-                      ray_mark_rows(params, n_marks, seed, [sid + 2 for sid in ids]))
+    eta, beta_aux = (ray_mark_rows(params, n_marks, seed, [k + j for k in streams.tolist()])
+                     for j in (1, 2))
+    return flip_batch(t, eta, beta_aux, streams)
 
 
 def _stop_width(n_end: np.ndarray) -> int:

@@ -160,29 +160,38 @@ def _flip_totals(params, seed: int, length: int, stream_ids,
     of the short replicas, or the up and down moves of the long paths, with
     the bound left at 0.  Each batch is reduced to these before the next one
     is built.  The work counts are the replicas, the walk steps drawn, the
-    live transitions counted (the sum of n_end) and the completed blocks by
-    case.
+    live transitions counted (the sum of n_end), the completed blocks by
+    case, the batches and the columns they flipped (rows x width); the short
+    replicas' also name the least stream id of a row with the worst bound
+    deviation, which replays alone as that stream's one-row batch.
     """
     def reduce(batch):
         if short:
-            worst = int(batch.bound_deviation().max())
+            dev = batch.bound_deviation()
+            worst = int(dev.max())
+            rank = (-worst, int(batch.streams[dev == worst].min()))
             counts = {"exits": batch.exit_counts(params)}
         else:
-            worst, counts = 0, dict(zip(("up_by_r", "down_by_r"), batch.move_counts()))
-        return (worst, counts, int(batch.n_end.sum()),
-                np.bincount(batch.cases, minlength=len(CASES)))
+            rank, counts = (0, 0), dict(zip(("up_by_r", "down_by_r"), batch.move_counts()))
+        return (rank, counts, int(batch.n_end.sum()),
+                np.bincount(batch.cases, minlength=len(CASES)), batch.radii.size)
 
-    worst, live, blocks, totals = 0, 0, np.zeros(len(CASES), dtype=np.int64), {}
-    for dev, counts, n_end, cases in map(reduce, flip_batches(params, length, seed,
-                                                               stream_ids)):
-        worst = max(worst, dev)
+    ranks, live, blocks, columns, totals = [], 0, np.zeros(len(CASES), dtype=np.int64), 0, {}
+    for rank, counts, n_end, cases, cells in map(reduce, flip_batches(params, length, seed,
+                                                                       stream_ids)):
+        ranks.append(rank)
         totals = {key: _pad_add(totals.get(key, np.zeros(0, dtype=np.int64)), part)
                   for key, part in counts.items()}
         live += n_end
         blocks += cases
+        columns += cells
+    worst, stream = min(ranks, default=(0, 0))
     work = {"replicas": len(stream_ids), "length": length, "steps": len(stream_ids) * length,
-            "live_transitions": live, "blocks": dict(zip(CASES, blocks.tolist()))}
-    return worst, totals, work
+            "live_transitions": live, "blocks": dict(zip(CASES, blocks.tolist())),
+            "batches": len(ranks), "flipped_columns": columns}
+    if short:
+        work["worst_stream"] = stream
+    return -worst, totals, work
 
 
 def flip_stream_ids(replicas: int, length: int) -> tuple[range, range, int]:

@@ -12,9 +12,11 @@ increments, S-bar and its running maximum of a step block, and
 ``cv_check_blocks`` and the excursion flip in ``chain`` both read it.  They
 take row blocks of at most ``walk.ROW_BLOCK_STEPS`` steps, on int8 steps and
 int16 values (int32 from 2**14 steps on), and ``cv_inverse_increments`` runs
-over the same row blocks.  The flip asks ``transform`` to stop at the last
-block boundary of its block.  Their references, the literal int64 product
-S_{i-1} S_{i+1} and the first hits of S-bar, are in ``oracles``.
+over the same row blocks.  ``stops`` gives each row's last block boundary
+from the S and boundary pass alone; the flip sorts its rows by it and
+transforms each batch only up to its largest stop + 2.  Their references,
+the literal int64 product S_{i-1} S_{i+1} and the first hits of S-bar, are
+in ``oracles``.
 
 Neither direction scans for the block parity: the forward sign is read off
 the side of S, the inverse sign off floor(running max of S-bar / 2).
@@ -106,24 +108,25 @@ def last_boundaries(is_tau: np.ndarray) -> np.ndarray:
     return is_tau.shape[1] - 1 - np.argmax(is_tau[:, ::-1], axis=1)
 
 
-def transform(x: np.ndarray, cut: bool = False) -> Transform:
+def stops(x: np.ndarray) -> np.ndarray:
+    """Per row of a (R, n) int8 block of +-1 steps, its last block boundary,
+    where a flipped chain stops; from the S and boundary pass of
+    ``transform``."""
+    return last_boundaries(_boundaries(x, _values(x)))
+
+
+def transform(x: np.ndarray) -> Transform:
     """S, its boundaries, T's increments, S-bar and its running maximum for a
     (R, n) block of +-1 steps, in one pass; TooShortError below n = 2.
 
-    With cut, S and the boundaries are built on all n steps and the rest on
-    the first m = min(n, b + 2) only, b the last boundary of any row: the
-    result is ``transform(x[:, :m])``, since T is causal.  A flipped chain
-    stops at its row's last boundary, and Y-bar needs its columns up to
-    b + 1 to close the excursions that end by b.
+    T is causal: each array of the pass of the first m columns of x is the
+    leading columns of the same array of the pass of x.
     """
     x = np.asarray(x).astype(np.int8, copy=False)
     if x.shape[1] < 2:
         raise TooShortError("transform needs walk length >= 2")
     s = _values(x)
     is_tau = _boundaries(x, s)
-    if cut:
-        m = min(x.shape[1], int(last_boundaries(is_tau).max()) + 2)
-        x, s, is_tau = x[:, :m], s[:, : m + 1], is_tau[:, :m]
     xbar = _forward(x, s)
     sbar = _values(xbar)
     return Transform(s, xbar, sbar, np.maximum.accumulate(sbar, axis=1), is_tau)

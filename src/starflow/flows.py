@@ -61,7 +61,7 @@ class FlowRealization:
                  walk_streams, eta_streams) -> "FlowRealization":
         """The realization on [p_min, p_max] of the walk of stream walk_streams
         (``generate_walk``) and the marks of stream eta_streams
-        (``chain.draw_ray_marks``).  With sequences of stream ids it holds one
+        (``chain.ray_mark_rows``).  With sequences of stream ids it holds one
         realization per pair, along a leading replica axis, drawn by one
         ``walk.increment_rows`` and one ``chain.ray_mark_rows`` call; row r is
         the realization of the r-th pair bit for bit."""

@@ -17,12 +17,14 @@ import pytest
 
 import starflow
 from starflow import chain
-from starflow.cli import (STREAM_FLIP, STREAM_WALK, convergence_chunks, flip_stream_ids, main,
-                          run_flip_check)
+from starflow.chain import flip_batch, ray_mark_rows
+from starflow.cli import (STREAM_FLIP, STREAM_WALK, _flip_totals, convergence_chunks,
+                          flip_stream_ids, main, run_flip_check)
 from starflow.config import (PASS_BYTES_PER_STEP, WALK_BYTES_MAX, ConfigError, RunConfig,
                              parse_config)
+from starflow.cv import transform
 from starflow.flows import FlowRealization
-from starflow.graph import junction, point
+from starflow.graph import RayParams, junction, point
 from starflow.limit import convergence_profiles
 from starflow.oracles import tau_sequence
 from starflow.walk import generate_walk
@@ -188,7 +190,8 @@ def test_one_ray_passes_its_ray_check(subcommand, ray_check, tmp_path):
 
 def test_flip_check_keeps_one_batch_alive(tmp_path, monkeypatch):
     # each batch is reduced before the next one is built: 10 short replicas
-    # and 5 long paths of 70,000 steps, one row per batch
+    # and 5 long paths of 70,000 steps, one row per row block; rows that
+    # stop early share a batch
     built = []
     flip_batch = chain.flip_batch
 
@@ -200,8 +203,8 @@ def test_flip_check_keeps_one_batch_alive(tmp_path, monkeypatch):
 
     monkeypatch.setattr(chain, "flip_batch", tracked)
     cfg = parse_config(f"{SMALL}replicas = 100\nlength = 70000\n")
-    run_flip_check(cfg, tmp_path)
-    assert len(built) == 15
+    work = run_flip_check(cfg, tmp_path).work
+    assert len(built) == sum(w["batches"] for w in work) == 7
 
 
 def test_flip_check_builds_rays_only_for_the_short_replicas(tmp_path, monkeypatch):
@@ -237,6 +240,58 @@ def test_flip_check_manifest_work_counts(small_config, tmp_path):
         assert w["live_transitions"] <= w["replicas"] * (w["length"] - 1)
         assert sum(w["blocks"].values()) == sum(len(t) for t in taus)
         assert 0 < 2 * sum(w["blocks"].values()) <= w["live_transitions"]
+        # one window and, below ROW_BLOCK_STEPS, one batch, as wide as the
+        # last stop + 2
+        stops = [int(t[-1]) if len(t) else 0 for t in taus]
+        assert w["batches"] == 1
+        assert w["flipped_columns"] == w["replicas"] * min(w["length"], max(stops) + 2)
+    # the short replicas name the least stream at the worst bound deviation,
+    # found by flipping each stream alone
+    params = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    dev = {k: int(flip_batch(transform(generate_walk(0, 200, 42, k).increments[None]),
+                             *(ray_mark_rows(params, 200, 42, [k + j]) for j in (1, 2)))
+                  .bound_deviation()[0]) for k in streams["short replicas"]}
+    worst = max(dev.values())
+    assert work[0]["worst_stream"] == min(k for k, d in dev.items() if d == worst)
+    assert "worst_stream" not in work[1]
+    checks = json.loads((out / "flip-check_manifest.json").read_text())["checks"]
+    assert checks[0]["name"] == "flip_bound_max_deviation" and checks[0]["value"] == worst
+
+
+def _flip_results(cfg, out):
+    """flip-check's _flip_totals of both populations, with the radius counts
+    cut after their last nonzero cell, its CSV written under out, and the
+    batches of each population."""
+    params = cfg.ray_params()
+    short_ids, long_ids, long_len = flip_stream_ids(cfg.replicas, cfg.length)
+    results, batches = [], []
+    for length, ids, short in ((cfg.length, short_ids, True), (long_len, long_ids, False)):
+        worst, counts, work = _flip_totals(params, cfg.seed, length, ids, short)
+        batches.append(work.pop("batches"))
+        work.pop("flipped_columns")
+        # a batch's radius counts run to the largest radius any of its rows
+        # reaches by the batch's last stop, so only zero cells can differ
+        results.append((worst, {k: np.trim_zeros(v, "b").tolist() for k, v in counts.items()},
+                        work))
+    out.mkdir()
+    run_flip_check(cfg, out)
+    return results, (out / "flip_check.csv").read_bytes(), batches
+
+
+@pytest.mark.parametrize("block_steps, window", [(2_000, 1), (2_000, 3), (650, 2), (10, 16)])
+def test_flip_results_do_not_depend_on_the_batching(block_steps, window, tmp_path,
+                                                   monkeypatch):
+    # 30 short replicas of 200 steps and 5 long paths of 6,000, in windows
+    # of one row block up to all of them; the bound, the counts, the cases,
+    # the live transitions and the worst stream are those of one batch each
+    cfg = parse_config(SMALL)
+    results, csv, batches = _flip_results(cfg, tmp_path / "one")
+    assert batches == [1, 1]
+    monkeypatch.setattr(starflow.walk, "ROW_BLOCK_STEPS", block_steps)
+    monkeypatch.setattr(chain, "FLIP_WINDOW_BLOCKS", window)
+    got = _flip_results(cfg, tmp_path / "many")
+    assert got[:2] == (results, csv)
+    assert min(got[2]) > 1
 
 
 @pytest.mark.parametrize("length", [2, 20])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from starflow.chain import _uniforms
 from starflow.rng import make_rng, stream_rows
@@ -88,3 +89,16 @@ def test_word_uniforms_are_generator_random(seed, stream_id, count):
     # chain's marks take their uniforms from the words of their stream
     words = stream_rows(seed, [stream_id], count)[0]
     assert np.array_equal(_uniforms(words), make_rng(seed, stream_id).random(count))
+
+
+@pytest.mark.parametrize("n_words", [0, 1, 7, 1001])
+@pytest.mark.parametrize("seed", KEYS)
+def test_stream_rows_are_fresh_generator_words(seed, n_words):
+    # each row re-keys one Philox: edge ids, and ids repeated after others,
+    # give the first words of a generator built for the stream alone
+    ids = [2**64 - 1, 0, 2**63, 0, 2**64 - 1, 1]
+    words = stream_rows(seed, ids, n_words)
+    assert words.shape == (len(ids), n_words) and words.dtype == np.uint64
+    for row, stream_id in zip(words, ids):
+        fresh = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+        assert np.array_equal(row, fresh.random_raw(n_words))

@@ -3,17 +3,18 @@
 import dataclasses
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from starflow import chain
+from starflow import chain, walk
 from starflow.chain import (CASE_NO_EXCURSION, CASE_ONE_EARLY, CASE_ONE_LATE,
                             CASE_TWO, CASES, FlipBatch, _carry, _chain_states, _exit_ray,
-                            _exit_rays, _step, _uniforms, draw_ray_marks, flip_batch, flip_batches,
+                            _exit_rays, _step, _uniforms, flip_batch, flip_batches,
                             ray_mark_rows, simulate_chain_batch, transition_counts)
-from starflow.cv import transform
+from starflow.cv import stops, transform
 from starflow.flows import FlowRealization, closed_forms_from
 from starflow.graph import RayParams, junction, point
 from starflow.oracles import (Excursion, excursions_brute, flipped_product_chain,
@@ -277,8 +278,8 @@ def _marks(seed, length, streams):
     """(walks, excursion marks, block marks) of the given streams, one row
     each: the inputs of one flip realization per stream."""
     incs = np.stack([generate_walk(0, length, seed, k).increments for k in streams])
-    eta = np.stack([draw_ray_marks(PARAMS, length, seed, k + 50_000) for k in streams])
-    beta_aux = np.stack([draw_ray_marks(PARAMS, length, seed, k + 90_000) for k in streams])
+    eta = ray_mark_rows(PARAMS, length, seed, [k + 50_000 for k in streams])
+    beta_aux = ray_mark_rows(PARAMS, length, seed, [k + 90_000 for k in streams])
     return incs, eta, beta_aux
 
 
@@ -501,7 +502,7 @@ def test_product_chain_structure():
     s_bar = generate_walk(0, 400, 42, 0)
     y_bar = reflected_path(s_bar.values)
     exc = excursions_brute(y_bar)
-    eta = draw_ray_marks(PARAMS, len(exc), 42, 1)
+    eta = ray_mark_rows(PARAMS, len(exc), 42, [1])[0]
     rays, radii = flipped_product_chain(s_bar, eta)
     n = len(radii)
     assert np.array_equal(radii, y_bar[:n])
@@ -515,7 +516,7 @@ def test_product_chain_structure():
 def test_product_chain_transition_law():
     s_bar = generate_walk(0, 100_000, 43, 0)
     exc = excursion_table(reflected_path(s_bar.values)[None])
-    eta = draw_ray_marks(PARAMS, len(exc.row), 43, 1)
+    eta = ray_mark_rows(PARAMS, len(exc.row), 43, [1])[0]
     rays, radii = flipped_product_chain(s_bar, eta)
     counts = transition_counts(PARAMS, rays[None], radii[None],
                                np.array([len(radii) - 1]))
@@ -550,7 +551,7 @@ def test_product_chain_matches_per_excursion_reference():
     lengths = make_rng(45, 0).integers(5, 1001, size=300)
     for k, length in enumerate(lengths.tolist()):
         s_bar = generate_walk(0, length, 45, k + 1)
-        eta = draw_ray_marks(PARAMS, length, 45, 10_000 + k)
+        eta = ray_mark_rows(PARAMS, length, 45, [10_000 + k])[0]
         rays, radii = flipped_product_chain(s_bar, eta)
         ref_rays, ref_radii = _product_chain_reference(s_bar, eta)
         assert np.array_equal(rays, ref_rays)
@@ -593,7 +594,7 @@ def test_product_chain_is_the_flow_from_the_junction():
                                           rng.integers(1, PARAMS.N + 1, size=length))
     for k, length in enumerate(rng.integers(5, 1001, size=300).tolist()):
         _assert_product_chain_is_flow(generate_walk(0, length, 48, k + 1),
-                                      draw_ray_marks(PARAMS, length, 48, 10_000 + k))
+                                      ray_mark_rows(PARAMS, length, 48, [10_000 + k])[0])
 
 
 def _assert_rays_follow_marks(batch):
@@ -648,42 +649,99 @@ def _row_arrays(batch, r):
 
 
 def test_flip_batches_rows_are_flip_realizations():
-    # row r is the flip of the walk of stream k with marks from k + 1, k + 2
-    length = 40_000  # three rows per batch
+    # the row of stream k is the flip of the walk of stream k with marks
+    # from k + 1, k + 2; three rows per block, in one window
+    length = 40_000
     ids = range(600, 670, 10)
     batches = list(flip_batches(PARAMS, length, 46, ids))
-    assert [len(b.rays) for b in batches] == [3, 3, 1]
-    rows = [(b, r) for b in batches for r in range(len(b.rays))]
-    for (batch, r), k in zip(rows, ids, strict=True):
+    rows = {k: (b, r) for b in batches for r, k in enumerate(b.streams.tolist())}
+    assert sorted(rows) == list(ids) and sum(len(b.streams) for b in batches) == len(ids)
+    for k, (batch, r) in rows.items():
         one = flip_batch(transform(generate_walk(0, length, 46, k).increments[None]),
-                         draw_ray_marks(PARAMS, length, 46, k + 1)[None],
-                         draw_ray_marks(PARAMS, length, 46, k + 2)[None])
+                         ray_mark_rows(PARAMS, length, 46, [k + 1]),
+                         ray_mark_rows(PARAMS, length, 46, [k + 2]))
         got, want = _row_arrays(batch, r), _row_arrays(one, 0)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert batch.rays.dtype == batch.marks.dtype == np.int8
-        assert batch.t.s.dtype == np.int32  # 40,000 steps
+        assert batch.streams.dtype == np.uint64
+        assert batch.t.s.dtype == (np.int16 if batch.radii.shape[1] < 2**14 else np.int32)
 
 
-def test_ray_mark_rows_match_draw_ray_marks():
-    # and both match the exit rays of the generator's uniforms
+@pytest.mark.parametrize("length, block_steps, window",
+                         [(200, 2_000, 3), (200, 2_000, 1), (61, 130, 2), (301, 300, 16),
+                          (300, 2**17, 16), (4, 8, 16)])
+def test_flip_batches_sort_rows_by_stop_and_fill_the_budget(length, block_steps, window,
+                                                            monkeypatch):
+    # windows of `window` row blocks; in each, the rows in stable stop
+    # order, cut greedily into batches of rows x width <= the block budget;
+    # at 4 steps, batches fill the budget of 8 exactly
+    monkeypatch.setattr(walk, "ROW_BLOCK_STEPS", block_steps)
+    monkeypatch.setattr(chain, "FLIP_WINDOW_BLOCKS", window)
+    ids = range(0, 970, 10)
+    stop = {k: _stop_of(generate_walk(0, length, 58, k).increments) for k in ids}
+    window_rows = max(1, block_steps // length) * window
+    windows = {}
+    for batch in flip_batches(PARAMS, length, 58, ids):
+        streams = batch.streams.tolist()
+        stops_ = [stop[k] for k in streams]
+        assert batch.n_end.tolist() == stops_ == sorted(stops_)
+        assert batch.radii.shape == (len(streams), min(length, stops_[-1] + 2))
+        assert len(streams) == 1 or batch.radii.size <= block_steps
+        windows.setdefault(ids.index(streams[0]) // window_rows, []).append(streams)
+    assert len(windows) == -(-len(ids) // window_rows)
+    for w, batches in windows.items():
+        rows = ids[w * window_rows : (w + 1) * window_rows]
+        assert sum(batches, []) == sorted(rows, key=stop.get)
+        # the next row would not have fit
+        for now, after in zip(batches, batches[1:]):
+            assert (len(now) + 1) * min(length, stop[after[0]] + 2) > block_steps
+
+
+def test_flip_batches_drop_each_block_once_its_rows_are_gathered(monkeypatch):
+    # one row per block: when a batch is flipped, no block whose rows are
+    # all in it or in earlier batches is alive
+    monkeypatch.setattr(walk, "ROW_BLOCK_STEPS", 400)
+    blocks, gathered = [], set()
+    increment_rows, flip = chain.increment_rows, chain.flip_batch
+
+    def drawn(length, seed, ids):
+        x = increment_rows(length, seed, ids)
+        blocks.append((set(ids), weakref.ref(x)))
+        return x
+
+    def flipped(t, eta, beta_aux, streams):
+        gathered.update(streams.tolist())
+        assert [ids for ids, x in blocks if x() is not None and ids <= gathered] == []
+        return flip(t, eta, beta_aux, streams)
+
+    monkeypatch.setattr(chain, "increment_rows", drawn)
+    monkeypatch.setattr(chain, "flip_batch", flipped)
+    batches = list(flip_batches(PARAMS, 300, 59, range(0, 200, 10)))
+    assert len(blocks) == 20 and gathered == set(range(0, 200, 10))
+    assert 1 < len(batches) < 20
+
+
+def test_ray_mark_rows_match_generator_uniforms():
+    # row by row, and each row the exit rays of the generator's uniforms
     ids = [2, 2**63, 2**64 - 1, 2]
     rows = ray_mark_rows(PARAMS, 50, 47, ids)
-    assert np.array_equal(rows, np.stack([draw_ray_marks(PARAMS, 50, 47, k) for k in ids]))
+    assert np.array_equal(rows, np.stack([ray_mark_rows(PARAMS, 50, 47, [k])[0] for k in ids]))
     assert np.array_equal(rows, np.stack([_exit_ray(PARAMS, make_rng(47, k).random(50))
                                           for k in ids]))
 
 
-def test_draw_ray_marks_reproducible_prefix():
-    a = draw_ray_marks(PARAMS, 10, 44, 5)
-    b = draw_ray_marks(PARAMS, 25, 44, 5)
+def test_ray_mark_rows_reproducible_prefix():
+    a = ray_mark_rows(PARAMS, 10, 44, [5])[0]
+    b = ray_mark_rows(PARAMS, 25, 44, [5])[0]
     assert np.array_equal(a, b[:10])
 
 
-# flip_batches flips the transform pass cut at the batch's last stop,
-# max(n_end); each cut batch is checked against flip_batch on the full-width
-# pass, and its bound and counts against the same formulas on every column.
+# flip_batches flips the transform pass of the walks' first
+# min(L, max(n_end) + 2) columns; each such batch is checked against
+# flip_batch on the full-width pass, and its bound and counts against the
+# same formulas on every column.
 
 def _full_width_bound(batch):
     kept = batch.exc.end <= batch.n_end[batch.exc.row]
@@ -729,11 +787,13 @@ def _kept_excursions(batch):
 
 
 def _assert_cut_matches_full_width(incs, eta, beta_aux):
-    """flip_batch on the cut pass against flip_batch on the full one: every
-    kept column, block, kept excursion, bound, proof fact and count."""
+    """flip_batch on the pass of the columns up to the last stop + 1 against
+    flip_batch on the full one: every kept column, block, kept excursion,
+    bound, proof fact and count."""
     full = flip_batch(transform(incs), eta, beta_aux)
-    batch = flip_batch(transform(incs, cut=True), eta, beta_aux)
+    assert np.array_equal(stops(np.asarray(incs, dtype=np.int8)), full.n_end)
     width = min(incs.shape[1], int(full.n_end.max()) + 2)
+    batch = flip_batch(transform(incs[:, :width]), eta, beta_aux)
     assert batch.radii.shape == (len(incs), width)
     for got, want in zip([*batch.t, batch.ybar, batch.rays, batch.radii],
                          [*full.t, full.ybar, full.rays, full.radii]):
@@ -817,7 +877,7 @@ def test_flip_batches_cut_on_long_paths_matches_full_width():
     # one row per batch, as flip-check's long paths are drawn
     for k in range(0, 30, 10):
         incs = generate_walk(0, 60_000, 53, k).increments[None]
-        eta, beta_aux = (draw_ray_marks(PARAMS, 60_000, 53, k + j)[None] for j in (1, 2))
+        eta, beta_aux = (ray_mark_rows(PARAMS, 60_000, 53, [k + j]) for j in (1, 2))
         batch = _assert_cut_matches_full_width(incs, eta, beta_aux)
         assert batch.n_end[0] < 60_000 - 1
 

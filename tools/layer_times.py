@@ -13,7 +13,9 @@ The sizes are those of the benchmark's workloads: ``batch-array`` runs
 ``cv-check`` and ``chain-donsker`` at 10^4 replicas of 10^3 steps, and
 ``flip-loop`` runs ``flip-check`` at replicas = 20,000 and length = 1,000,
 which flips 2,000 short replicas of 1,000 steps and five long paths of
-400,000 steps on the streams that ``cli.flip_stream_ids`` names.
+400,000 steps on the streams that ``cli.flip_stream_ids`` names.  A second
+table gives, per flip population, the batches and the columns flipped over
+them (rows x width) against the walk steps drawn.
 ``excursion_table`` alone decomposes the reflected paths Y-bar of
 ``cv-check``'s 10^4 walks in one call; they are built on its warm-up call.
 
@@ -77,6 +79,13 @@ def reflected_paths() -> np.ndarray:
 def flips(length: int, stream_ids: range) -> None:
     for _ in flip_batches(PARAMS, length, SEED, stream_ids):
         pass
+
+
+def flipped_columns(length: int, stream_ids: range) -> tuple[int, int]:
+    """(batches, flipped columns) of ``flip_batches``: the columns are
+    rows x width summed over the batches."""
+    sizes = [batch.radii.size for batch in flip_batches(PARAMS, length, SEED, stream_ids)]
+    return len(sizes), sum(sizes)
 
 
 def convergence_chunk(n: int, replicas: int) -> None:
@@ -159,6 +168,11 @@ def main() -> int:
     for name, size, call, *per in LAYERS:
         median, q1, q3 = time_calls(call, *per)
         print(f"{name:<38} {size:<14} {median:9.4g} {q1:9.4g} {q3:9.4g}", flush=True)
+    print(f"\n{'flip population':<38} {'batches':>9} {'columns':>11} {'steps':>11}")
+    for name, length, ids in (("short replicas", LENGTH, FLIP_SHORT),
+                              ("long paths", FLIP_LONG_LENGTH, FLIP_LONG)):
+        batches, columns = flipped_columns(length, ids)
+        print(f"{name:<38} {batches:>9} {columns:>11} {len(ids) * length:>11}")
     return 0
 
 
