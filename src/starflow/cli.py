@@ -11,14 +11,17 @@ from __future__ import annotations
 import argparse
 import ctypes
 import csv
+import functools
 import hashlib
 import json
 import math
+import os
+import pickle
 import platform
 import statistics
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -96,13 +99,123 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
         writer.writerows(rows)
 
 
+# True while _run_jobs runs jobs, in this process or a forked worker: a
+# nested call runs its own jobs in order, in the process it is called in
+_jobs_running = False
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _processes(jobs: int) -> int:
+    """The processes ``_run_jobs`` runs this many jobs in: one per job up to
+    the CPUs, and one without ``os.fork`` or inside another call's jobs."""
+    if _jobs_running or not hasattr(os, "fork"):
+        return 1
+    return max(1, min(jobs, _cpus()))
+
+
+def _run_jobs(jobs: list[Callable]) -> list:
+    """The results of the jobs, in order.
+
+    Of P = ``_processes(len(jobs))`` processes, process k runs jobs k, k + P,
+    ... in order.  Process 0 is this one; each other is a forked worker that
+    pickles its results, or the exception that stopped it, into a pipe and
+    ends with ``os._exit``.  The pipes are drained before the workers are
+    reaped, and every worker is reaped before this returns or raises.  A
+    worker's exception is raised here again with its own type.  Every draw
+    is a keyed Philox stream, so a job gives the same results in any process.
+    """
+    global _jobs_running
+    procs = _processes(len(jobs))
+    pids, reads, payloads = [], [], []
+    _jobs_running = True
+    try:
+        for k in range(1, procs):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(jobs[k::procs], reads, write)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        mine = [job() for job in jobs[::procs]]
+        for read in reads:
+            chunks = []
+            while chunk := os.read(read, 2**20):
+                chunks.append(chunk)
+            payloads.append(b"".join(chunks))
+    finally:
+        _jobs_running = False
+        for read in reads:
+            os.close(read)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    results = [None] * len(jobs)
+    results[::procs] = mine
+    for k, (payload, status) in enumerate(zip(payloads, statuses), 1):
+        if not payload:
+            raise RuntimeError(f"a worker process exited with code "
+                               f"{os.waitstatus_to_exitcode(status)} and no result")
+        done, value = pickle.loads(payload)
+        if not done:
+            raise value
+        results[k::procs] = value
+    return results
+
+
+def _work(jobs: list[Callable], reads: list[int], write: int):
+    """A forked worker of ``_run_jobs``: it runs the jobs, writes the pickled
+    (True, results) or (False, exception) to the pipe and ends the process,
+    never returning.  It closes its copies of the read ends first, so a
+    write the parent no longer reads fails instead of blocking."""
+    code = 1
+    try:
+        for read in reads:
+            os.close(read)
+        try:
+            payload = pickle.dumps((True, [job() for job in jobs]))
+        except BaseException as exc:  # the parent raises it again
+            payload = pickle.dumps((False, exc))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _timed(job: Callable, *args):
+    """(job(*args), the seconds it took in the process that ran it)."""
+    start = time.perf_counter()
+    result = job(*args)
+    return result, time.perf_counter() - start
+
+
 def run_cv_check(cfg: RunConfig, out: Path) -> CheckList:
     checks = CheckList()
-    report = cv_check_blocks(increment_blocks(cfg.replicas, cfg.length, cfg.seed, STREAM_WALK))
-    dev = report.deviation
+
+    def part(first_row: int, stop: int):
+        return cv_check_blocks(increment_blocks(stop, cfg.length, cfg.seed, STREAM_WALK,
+                                                first_row))
+
+    # one part per process, each cut at a row block's first row, so that
+    # every part draws the blocks of the whole draw
+    blocks = list(row_blocks(cfg.replicas, cfg.length))
+    parts = _processes(len(blocks))
+    cuts = [blocks[len(blocks) * k // parts].start for k in range(parts)] + [cfg.replicas]
+    reports = _run_jobs([functools.partial(part, first_row, stop)
+                         for first_row, stop in zip(cuts, cuts[1:])])
+    dev = np.concatenate([report.deviation for report in reports])
+    even_gap = max(report.even_gap for report in reports)
+    roundtrip_gap = max(report.roundtrip_gap for report in reports)
     checks.add("cv_bound_max_deviation", int(dev.max()), 2, bool(dev.max() <= 2))
-    checks.add("cv_even", report.even_gap, 0, report.even_gap == 0)
-    checks.add("cv_roundtrip", report.roundtrip_gap, 0, report.roundtrip_gap == 0)
+    checks.add("cv_even", even_gap, 0, even_gap == 0)
+    checks.add("cv_roundtrip", roundtrip_gap, 0, roundtrip_gap == 0)
     _write_csv(out / "cv_check.csv", ["replica", "max_deviation"],
                list(enumerate(dev.tolist())))
     return checks
@@ -111,18 +224,24 @@ def run_cv_check(cfg: RunConfig, out: Path) -> CheckList:
 def run_chain_donsker(cfg: RunConfig, out: Path) -> CheckList:
     checks = CheckList()
     params = cfg.ray_params()
+
+    def chain(lazy: bool) -> dict:
+        rays, radii = simulate_chain_batch(params, cfg.length, cfg.replicas, cfg.seed,
+                                           STREAM_CHAIN + (1 if lazy else 0), lazy=lazy)
+        return walsh_marginal_check(rays, radii, cfg.length, params)
+
     rows = []
-    for lazy, label in ((False, "chain_q"), (True, "chain_lazy")):
-        rays, radii = simulate_chain_batch(params, cfg.length, cfg.replicas,
-                                           cfg.seed, STREAM_CHAIN + (1 if lazy else 0),
-                                           lazy=lazy)
-        report = walsh_marginal_check(rays, radii, cfg.length, params)
+    labels = ("chain_q", "chain_lazy")
+    runs = _run_jobs([functools.partial(_timed, chain, lazy) for lazy in (False, True)])
+    for label, (report, elapsed_s) in zip(labels, runs):
         checks.add(f"{label}_ks", report["ks_statistic"], report["ks_critical"],
                    report["ks_pass"])
         checks.add(f"{label}_chi2", report["chi2_pvalue"], f"> {report['adjusted_level']}",
                    report["chi2_pass"])
         rows.append([label, report["ks_statistic"], report["ks_critical"],
                      report["chi2_statistic"], report["chi2_pvalue"]])
+        checks.work.append({"chain": label, "replicas": cfg.replicas,
+                            "steps": cfg.replicas * cfg.length, "elapsed_s": elapsed_s})
     _write_csv(out / "chain_donsker.csv",
                ["chain", "ks_stat", "ks_crit", "chi2_stat", "chi2_p"], rows)
     return checks
@@ -209,19 +328,21 @@ def run_flip_check(cfg: RunConfig, out: Path) -> CheckList:
     params = cfg.ray_params()
     short_ids, long_ids, long_len = flip_stream_ids(cfg.replicas, cfg.length)
     # junction exits follow the marks, which are independent of the walk, so
-    # truncation at the last completed block cannot bias them
-    worst, short, short_work = _flip_totals(params, cfg.seed, cfg.length, short_ids,
-                                            short=True)
-    # interior up/down frequencies do get biased by that truncation (it is a
+    # truncation at the last completed block cannot bias them.  Interior
+    # up/down frequencies do get biased by that truncation (it is a
     # look-ahead boundary), and the bias does not average out over short
     # replicas, so those are counted on long paths.  The cut is not small
     # there either: at 20,000 replicas of 1,000 steps and seed 4242, the five
     # paths of 400,000 steps end their last block at 202,490, 379,826,
     # 390,772, 101,750 and 1,068.  The manifest's work list records the live
-    # transitions each population counted.
-    _, long, long_work = _flip_totals(params, cfg.seed, long_len, long_ids, short=False)
-    checks.work = [{"population": "short replicas", **short_work},
-                   {"population": "long paths", **long_work}]
+    # transitions each population counted.  The populations are two jobs.
+    (short_run, short_s), (long_run, long_s) = _run_jobs([
+        functools.partial(_timed, _flip_totals, params, cfg.seed, length, ids, short)
+        for length, ids, short in ((cfg.length, short_ids, True), (long_len, long_ids, False))])
+    worst, short, short_work = short_run
+    _, long, long_work = long_run
+    checks.work = [{"population": "short replicas", **short_work, "elapsed_s": short_s},
+                   {"population": "long paths", **long_work, "elapsed_s": long_s}]
     checks.add("flip_bound_max_deviation", worst, 2, worst <= 2)
     try:
         _, _, p_exit = ray_chi_square(short["exits"], params.alpha)

@@ -17,7 +17,13 @@ draws of a replica.  ``walk`` and ``chain`` turn the words into steps and
 uniforms exactly as ``Generator.integers(0, 2)`` and ``Generator.random``
 would.  The long draws of one stream, ``walk.increment_blocks`` and
 ``chain.simulate_chain_batch``, read raw words block by block from the bit
-generator of ``make_rng``.
+generator of ``make_rng``; ``walk.increment_blocks`` can start at any row by
+advancing the Philox counter.
+
+Since a stream's words are the same in any process, ``cli`` runs
+``cv-check``'s two halves of its replicas, ``chain-donsker``'s two chains and
+``flip-check``'s two populations in forked processes, and their results do
+not move with the process count.
 
 numpy.random is imported with this module, which numpy would otherwise do
 on the first draw, inside a run.

@@ -99,20 +99,27 @@ def row_blocks(n_rows: int, length: int) -> Iterator[slice]:
     return (slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows))
 
 
-def increment_blocks(replicas: int, length: int, seed: int,
-                     stream_id: int = 0) -> Iterator[np.ndarray]:
-    """The rows of ``random_increments((replicas, length), ...)`` as int8
-    blocks over ``row_blocks``.
+def increment_blocks(replicas: int, length: int, seed: int, stream_id: int = 0,
+                     first_row: int = 0) -> Iterator[np.ndarray]:
+    """Rows first_row, ..., replicas - 1 of ``random_increments((replicas,
+    length), ...)`` as int8 blocks over ``row_blocks`` of those rows.
 
     Each block takes the next words of the one (seed, stream_id) stream.  A
     block of an odd number of steps leaves the high half of its last word to
     the next block, as a generator's buffered 32-bit half would, so the
     blocks reproduce one ``Generator.integers`` draw of the whole array bit
-    for bit.
+    for bit.  A draw from a later first row starts where the whole draw
+    reaches that row: the counter advances past whole Philox outputs of 4
+    words each, the words left over are drawn and dropped, and an odd step
+    offset keeps the high half of the next word.  So disjoint row ranges can
+    be drawn apart, in any process.
     """
     bit_generator = make_rng(seed, stream_id).bit_generator
-    held = np.empty(0, dtype=np.int8)  # the step of a half the last block left
-    for rows in row_blocks(replicas, length):
+    word, odd = divmod(first_row * length, 2)
+    bit_generator.advance(word // 4)
+    bit_generator.random_raw(word % 4)
+    held = _fair_steps(bit_generator.random_raw(odd), 2 * odd)[odd:]
+    for rows in row_blocks(replicas - first_row, length):
         size = (rows.stop - rows.start) * length
         words = bit_generator.random_raw((size - len(held) + 1) // 2)
         steps = np.concatenate([held, _fair_steps(words, 2 * len(words))])

@@ -1,11 +1,14 @@
 """Config parsing and batch subcommands: exit codes, artifacts, determinism."""
 
+import contextlib
 import hashlib
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -16,13 +19,14 @@ import numpy as np
 import pytest
 
 import starflow
-from starflow import chain
+from starflow import chain, cli
 from starflow.chain import flip_batch, ray_mark_rows
 from starflow.cli import (STREAM_FLIP, STREAM_WALK, _flip_totals, convergence_chunks,
                           flip_stream_ids, main, run_flip_check)
 from starflow.config import (PASS_BYTES_PER_STEP, WALK_BYTES_MAX, ConfigError, RunConfig,
                              parse_config)
 from starflow.cv import transform
+from starflow.errors import SparseCellsError
 from starflow.flows import FlowRealization
 from starflow.graph import RayParams, junction, point
 from starflow.limit import convergence_profiles
@@ -202,6 +206,7 @@ def test_flip_check_keeps_one_batch_alive(tmp_path, monkeypatch):
         return batch
 
     monkeypatch.setattr(chain, "flip_batch", tracked)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)  # the calls are recorded here
     cfg = parse_config(f"{SMALL}replicas = 100\nlength = 70000\n")
     work = run_flip_check(cfg, tmp_path).work
     assert len(built) == sum(w["batches"] for w in work) == 7
@@ -214,6 +219,7 @@ def test_flip_check_builds_rays_only_for_the_short_replicas(tmp_path, monkeypatc
     flip_batch = chain.flip_batch
     monkeypatch.setattr(chain, "flip_batch",
                         lambda *args: batches.append(flip_batch(*args)) or batches[-1])
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)  # the calls are recorded here
     run_flip_check(parse_config(SMALL), tmp_path)
     assert [(len(b.n_end), "rays" in vars(b)) for b in batches] == [(30, True), (5, False)]
 
@@ -221,7 +227,8 @@ def test_flip_check_builds_rays_only_for_the_short_replicas(tmp_path, monkeypatc
 def test_flip_check_manifest_work_counts(small_config, tmp_path):
     out = tmp_path / "out"
     assert main(["flip-check", "--config", str(small_config), "--output-dir", str(out)]) == 0
-    work = json.loads((out / "flip-check_manifest.json").read_text())["work"]
+    manifest = json.loads((out / "flip-check_manifest.json").read_text())
+    work = manifest["work"]
     # 30 short replicas of 200 steps and 5 long paths of 20 * 300 steps
     short, long = STREAM_FLIP * 1000, STREAM_FLIP * 7919
     streams = {"short replicas": range(short, short + 300, 10),
@@ -232,6 +239,8 @@ def test_flip_check_manifest_work_counts(small_config, tmp_path):
     for w in work:
         assert w["steps"] == w["replicas"] * w["length"]
         assert sorted(w["blocks"]) == sorted(chain.CASES)
+        # timed in the process that flipped the population
+        assert 0 < w["elapsed_s"] < manifest["elapsed_s"]
         # each walk counts the transitions up to its last tau <= length - 1,
         # over the blocks that end there, each at least 2 steps long
         taus = [tau_sequence(generate_walk(0, w["length"], 42, k).values)
@@ -654,3 +663,155 @@ def test_chain_donsker_chi2_threshold_is_the_adjusted_level(small_config, tmp_pa
     chi2 = [row for row in rows if row["name"].endswith("_chi2")]
     assert [row["threshold"] for row in chi2] == ["> 0.005", "> 0.005"]
     assert all((row["status"] == "pass") == (row["value"] > 0.005) for row in chi2)
+
+
+def test_chain_donsker_manifest_work_rows(small_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["chain-donsker", "--config", str(small_config), "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "chain-donsker_manifest.json").read_text())
+    work = manifest["work"]
+    assert [{k: v for k, v in w.items() if k != "elapsed_s"} for w in work] == [
+        {"chain": "chain_q", "replicas": 300, "steps": 300 * 200},
+        {"chain": "chain_lazy", "replicas": 300, "steps": 300 * 200}]
+    # each chain is timed in the process that ran it
+    assert all(0 < w["elapsed_s"] < manifest["elapsed_s"] for w in work)
+
+
+def _assert_no_worker_left():
+    # every forked worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs past seconds,
+    so that a deadlock fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _artifacts(out):
+    """The CSVs and manifests under out: the manifests without the output
+    directory and the timings."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            manifest = json.loads(path.read_text())
+            manifest.pop("elapsed_s")
+            manifest["config"].pop("output_dir")
+            for row in manifest.get("work", []):
+                row.pop("elapsed_s")
+            found[path.name] = manifest
+        else:
+            found[path.name] = path.read_bytes()
+    return found
+
+
+@pytest.mark.parametrize("extra, block_steps, cuts", [
+    ("", None, [0]),  # one row block: cv-check runs in one part
+    ("length = 999\n", None, [0, 131]),  # 3 blocks of 131 rows; step 130,869
+    ("length = 201\n", 201 * 7, [0, 147]),  # 43 blocks of 7 rows; step 29,547
+], ids=["SMALL", "length 999", "length 201, 7-row blocks"])
+def test_results_do_not_depend_on_the_process_count(extra, block_steps, cuts, tmp_path,
+                                                    monkeypatch):
+    # cv-check splits at a row block, which an odd length can put on an odd
+    # step; chain-donsker's chains and flip-check's populations are two jobs
+    if block_steps:
+        monkeypatch.setattr(starflow.walk, "ROW_BLOCK_STEPS", block_steps)
+    path = tmp_path / "config.txt"
+    path.write_text(SMALL + extra)
+    parts = tmp_path / "parts.txt"
+    draw = cli.increment_blocks
+
+    def recorded(replicas, length, seed, stream_id, first_row):
+        # a file, since a worker's memory is gone when it exits
+        with parts.open("a") as fh:
+            fh.write(f"{first_row} {replicas} {os.getpid()}\n")
+        return draw(replicas, length, seed, stream_id, first_row)
+
+    monkeypatch.setattr(cli, "increment_blocks", recorded)
+    got = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        parts.write_text("")
+        out = tmp_path / str(cpus)
+        for sub in ("cv-check", "chain-donsker", "flip-check"):
+            assert main([sub, "--config", str(path), "--output-dir", str(out)]) == 0
+        _assert_no_worker_left()
+        got.append(_artifacts(out))
+        drawn = sorted(tuple(map(int, line.split())) for line in parts.read_text().splitlines())
+        firsts = cuts if cpus == 2 else [0]
+        assert [(first, replicas) for first, replicas, _ in drawn] == list(
+            zip(firsts, [*firsts[1:], 300]))
+        assert len({pid for _, _, pid in drawn}) == len(firsts)
+    assert len(got[0]) == 6 and got[0] == got[1]
+    length = parse_config(path.read_text()).length
+    assert [first * length % 2 for first in cuts[1:]] == [1] * (len(cuts) - 1)
+
+
+def test_worker_error_reaches_main_as_exit_2(small_config, tmp_path, capsys, monkeypatch):
+    # the lazy chain, the second job, runs in the worker
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    parent = os.getpid()
+    check = cli.walsh_marginal_check
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise SparseCellsError(f"replicas: raised in process {os.getpid()}")
+        return check(*args)
+
+    monkeypatch.setattr(cli, "walsh_marginal_check", failing)
+    code = main(["chain-donsker", "--config", str(small_config),
+                 "--output-dir", str(tmp_path / "out")])
+    _assert_no_worker_left()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chain-donsker: error: replicas: raised in process ")
+    assert int(err.split()[-1]) != parent
+
+
+def test_worker_that_exits_without_a_result_raises(monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    parent = os.getpid()
+    with _deadline(60), pytest.raises(RuntimeError, match="exited with code 3 and no result"):
+        cli._run_jobs([lambda: 1, lambda: 2 if os.getpid() == parent else os._exit(3)])
+    _assert_no_worker_left()
+
+
+def test_parent_error_while_a_worker_writes_does_not_hang(monkeypatch):
+    # the worker's result outgrows the 64 KiB pipe buffer, so it blocks in
+    # the write until the parent gives up its read end
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+
+    def fail():
+        time.sleep(0.2)
+        raise ValueError("in the parent")
+
+    with _deadline(60), pytest.raises(ValueError, match="in the parent"):
+        cli._run_jobs([fail, lambda: b"x" * 2**20])
+    _assert_no_worker_left()
+
+
+def test_nested_calls_run_serially(monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+
+    def nested():
+        return cli._processes(2), cli._run_jobs([os.getpid, os.getpid])
+
+    with _deadline(60):
+        outer = cli._run_jobs([nested, nested, os.getpid])
+    _assert_no_worker_left()
+    here = os.getpid()
+    assert outer[0] == (1, [here, here]) and outer[2] == here
+    worker = outer[1][1][0]
+    assert outer[1] == (1, [worker, worker]) and worker != here
+    assert cli._processes(2) == 2

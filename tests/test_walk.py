@@ -12,7 +12,8 @@ from starflow import walk
 from starflow.oracles import Excursion, excursions_brute
 from starflow.rng import make_rng
 from starflow.walk import (NOT_HIT, ROW_BLOCK_STEPS, WalkWindow, excursion_table,
-                           generate_walk, increment_blocks, increment_rows, random_increments)
+                           generate_walk, increment_blocks, increment_rows, random_increments,
+                           row_blocks)
 
 KEYS = (0, 2**63, 2**64 - 1)
 
@@ -82,6 +83,27 @@ def test_blocks_carry_the_odd_half_across_blocks(monkeypatch, block_steps, shape
     want = _generator_steps(2**63, 2**64 - 1, shape)
     assert np.array_equal(np.concatenate(blocks), want)
     assert np.array_equal(random_increments(shape, 2**63, 2**64 - 1), want)
+
+
+@pytest.mark.parametrize("length", [1001, 999, 3, 2, 131])
+def test_blocks_from_a_row_are_the_rows_of_the_whole_draw(length):
+    # a draw from row lo advances past whole Philox outputs of 4 words,
+    # drops the words left over and keeps the high half of an odd step
+    # offset; lo = 0..8 meets every word position within an output
+    per_block = ROW_BLOCK_STEPS // length
+    replicas = 2 * per_block + 5
+    whole = random_increments((replicas, length), 2**63, 2**64 - 1)
+    firsts = {*range(9), per_block - 1, per_block, per_block + 1, replicas - 1, replicas}
+    if length % 2:
+        assert {(lo * length // 2 % 4, lo * length % 2) for lo in firsts} == {
+            (word, odd) for word in range(4) for odd in (0, 1)}
+    for lo in sorted(firsts):
+        blocks = list(increment_blocks(replicas, length, 2**63, 2**64 - 1, lo))
+        assert [len(b) for b in blocks] == [
+            rows.stop - rows.start for rows in row_blocks(replicas - lo, length)]
+        drawn = np.concatenate([np.empty((0, length), dtype=np.int8), *blocks])
+        assert drawn.dtype == np.int8 and drawn.shape == whole[lo:].shape
+        assert (drawn == whole[lo:]).all()
 
 
 def test_generate_walk_empty_window():

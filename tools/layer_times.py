@@ -19,6 +19,12 @@ them (rows x width) against the walk steps drawn.
 ``excursion_table`` alone decomposes the reflected paths Y-bar of
 ``cv-check``'s 10^4 walks in one call; they are built on its warm-up call.
 
+The subcommand rows time the bodies of ``cli.run_cv_check``,
+``run_chain_donsker`` and ``run_flip_check`` at those sizes, CSV written
+into a temporary directory: once in this process alone (``cli._cpus``
+patched to 1) and once on the default process count, which forks one worker
+per further job up to the CPUs this process may run on.
+
 The convergence rows run from the junction over [0, 1] on the window and
 the walk and mark streams of ``starflow convergence``.  One
 ``convergence_profiles`` call runs on one replica and on one chunk of 5
@@ -34,21 +40,26 @@ divided by their number.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from starflow import cli  # noqa: E402
 from starflow.beta import beta_distance  # noqa: E402
 from starflow.chain import flip_batches, simulate_chain_batch  # noqa: E402
 from starflow.cli import (STREAM_CHAIN, STREAM_WALK, convergence_chunks,  # noqa: E402
                           flip_stream_ids)
+from starflow.config import parse_config  # noqa: E402
 from starflow.cv import cv_check_blocks, transform  # noqa: E402
 from starflow.flows import FlowRealization  # noqa: E402
 from starflow.graph import DiscreteMeasure, GraphPoint, RayParams, junction  # noqa: E402
@@ -58,7 +69,8 @@ from starflow.walk import excursion_table, increment_blocks  # noqa: E402
 SEED = 1
 REPEATS = 7
 REPLICAS, LENGTH = 10_000, 1_000
-FLIP_SHORT, FLIP_LONG, FLIP_LONG_LENGTH = flip_stream_ids(20_000, LENGTH)
+FLIP_REPLICAS = 20_000
+FLIP_SHORT, FLIP_LONG, FLIP_LONG_LENGTH = flip_stream_ids(FLIP_REPLICAS, LENGTH)
 PARAMS = RayParams(3, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 
 
@@ -123,7 +135,25 @@ def solve_pairs() -> None:
         beta_distance(p, q)
 
 
+def subcommand(run, replicas: int, processes: int | None) -> None:
+    """One call of a ``cli.run_*`` body at seed 1 and LENGTH steps, on
+    ``processes`` CPUs, or on the CPUs of this process if None."""
+    cfg = parse_config(f"N = 3\nalpha = 1/2, 1/3, 1/6\nseed = {SEED}\n"
+                       f"replicas = {replicas}\nlength = {LENGTH}\n")
+    cpus = (mock.patch.object(cli, "_cpus", lambda: processes) if processes
+            else contextlib.nullcontext())
+    with tempfile.TemporaryDirectory() as out, cpus:
+        run(cfg, Path(out))
+
+
 SIZE = f"{REPLICAS} x {LENGTH}"
+DEFAULT = f"{cli._processes(2)} proc"
+SUBCOMMANDS = [(f"{run.__name__}, {label}", f"{replicas} x {LENGTH}",
+                functools.partial(subcommand, run, replicas, processes))
+               for run, replicas in ((cli.run_cv_check, REPLICAS),
+                                     (cli.run_chain_donsker, REPLICAS),
+                                     (cli.run_flip_check, FLIP_REPLICAS))
+               for label, processes in (("1 proc", 1), (DEFAULT, None))]
 LAYERS = [
     ("increment_blocks + transform", SIZE, walk_transform),
     ("excursion_table", SIZE, lambda: excursion_table(reflected_paths())),
@@ -138,6 +168,7 @@ LAYERS = [
      lambda: flips(LENGTH, FLIP_SHORT)),
     ("flip_batches, long paths", f"{len(FLIP_LONG)} x {FLIP_LONG_LENGTH}",
      lambda: flips(FLIP_LONG_LENGTH, FLIP_LONG)),
+    *SUBCOMMANDS,
     ("beta_distance, per call", f"{len(PAIRS)} pairs", solve_pairs, len(PAIRS)),
     ("convergence_profiles, 1 replica", "n = 10^3", lambda: convergence_chunk(1_000, 1)),
     ("convergence_profiles, 1 replica", "n = 10^4", lambda: convergence_chunk(10_000, 1)),
