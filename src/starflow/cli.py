@@ -132,7 +132,7 @@ def _run_jobs(jobs: list[Callable]) -> list:
     """
     global _jobs_running
     procs = _processes(len(jobs))
-    pids, reads, payloads = [], [], []
+    pids, reads, payloads, outer = [], [], [], _jobs_running
     _jobs_running = True
     try:
         for k in range(1, procs):
@@ -152,7 +152,7 @@ def _run_jobs(jobs: list[Callable]) -> list:
                 chunks.append(chunk)
             payloads.append(b"".join(chunks))
     finally:
-        _jobs_running = False
+        _jobs_running = outer
         for read in reads:
             os.close(read)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]

@@ -805,13 +805,14 @@ def test_nested_calls_run_serially(monkeypatch):
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
 
     def nested():
-        return cli._processes(2), cli._run_jobs([os.getpid, os.getpid])
+        first = cli._run_jobs([os.getpid, os.getpid])
+        return cli._processes(2), first + cli._run_jobs([os.getpid, os.getpid])
 
     with _deadline(60):
         outer = cli._run_jobs([nested, nested, os.getpid])
     _assert_no_worker_left()
     here = os.getpid()
-    assert outer[0] == (1, [here, here]) and outer[2] == here
+    assert outer[0] == (1, [here] * 4) and outer[2] == here
     worker = outer[1][1][0]
-    assert outer[1] == (1, [worker, worker]) and worker != here
+    assert outer[1] == (1, [worker] * 4) and worker != here
     assert cli._processes(2) == 2
