@@ -106,78 +106,77 @@ _jobs_running = False
 
 def _cpus() -> int:
     """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def _processes(jobs: int) -> int:
-    """The processes ``_run_jobs`` runs this many jobs in: one per job up to
-    the CPUs, and one without ``os.fork`` or inside another call's jobs."""
-    if _jobs_running or not hasattr(os, "fork"):
+    """The processes ``_run_jobs`` runs this many jobs in: two for two or
+    more jobs on Linux with two or more CPUs, else one, and one inside
+    another call's jobs.  Two is the only count that has been measured, and
+    the fork path has only been run on Linux."""
+    if _jobs_running or jobs < 2 or not sys.platform.startswith("linux"):
         return 1
-    return max(1, min(jobs, _cpus()))
+    return min(2, _cpus())
 
 
 def _run_jobs(jobs: list[Callable]) -> list:
     """The results of the jobs, in order.
 
-    Of P = ``_processes(len(jobs))`` processes, process k runs jobs k, k + P,
-    ... in order.  Process 0 is this one; each other is a forked worker that
-    pickles its results, or the exception that stopped it, into a pipe and
-    ends with ``os._exit``.  The pipes are drained before the workers are
-    reaped, and every worker is reaped before this returns or raises.  A
-    worker's exception is raised here again with its own type.  Every draw
-    is a keyed Philox stream, so a job gives the same results in any process.
+    On one process (``_processes``) this process runs them all.  On two it
+    runs jobs 0, 2, ... and a worker made with ``os.fork`` runs jobs 1, 3,
+    ...; the worker pickles its results, or the exception that stopped it,
+    into a pipe and ends with ``os._exit``.  The pipe is drained before the
+    worker is reaped, and the worker is reaped before this returns or
+    raises.  A worker's exception is raised here again with its own type.
+    Every draw is a keyed Philox stream, so a job gives the same results in
+    any process.
     """
     global _jobs_running
     procs = _processes(len(jobs))
-    pids, reads, payloads, outer = [], [], [], _jobs_running
+    pid = read = None
+    payload, outer = b"", _jobs_running
     _jobs_running = True
     try:
-        for k in range(1, procs):
+        if procs == 2:
             read, write = os.pipe()
-            reads.append(read)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(jobs[k::procs], reads, write)
-                pids.append(pid)
+                    _work(jobs[1::2], read, write)
             finally:
                 os.close(write)
         mine = [job() for job in jobs[::procs]]
-        for read in reads:
+        if read is not None:
             chunks = []
             while chunk := os.read(read, 2**20):
                 chunks.append(chunk)
-            payloads.append(b"".join(chunks))
+            payload = b"".join(chunks)
     finally:
         _jobs_running = outer
-        for read in reads:
+        if read is not None:
             os.close(read)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        status = os.waitpid(pid, 0)[1] if pid else 0
+    if procs == 1:
+        return mine
+    if not payload:
+        raise RuntimeError(f"a worker process exited with code "
+                           f"{os.waitstatus_to_exitcode(status)} and no result")
+    done, value = pickle.loads(payload)
+    if not done:
+        raise value
     results = [None] * len(jobs)
-    results[::procs] = mine
-    for k, (payload, status) in enumerate(zip(payloads, statuses), 1):
-        if not payload:
-            raise RuntimeError(f"a worker process exited with code "
-                               f"{os.waitstatus_to_exitcode(status)} and no result")
-        done, value = pickle.loads(payload)
-        if not done:
-            raise value
-        results[k::procs] = value
+    results[::2], results[1::2] = mine, value
     return results
 
 
-def _work(jobs: list[Callable], reads: list[int], write: int):
-    """A forked worker of ``_run_jobs``: it runs the jobs, writes the pickled
-    (True, results) or (False, exception) to the pipe and ends the process,
-    never returning.  It closes its copies of the read ends first, so a
-    write the parent no longer reads fails instead of blocking."""
+def _work(jobs: list[Callable], read: int, write: int):
+    """The forked worker of ``_run_jobs``: it runs the jobs, writes the
+    pickled (True, results) or (False, exception) to the pipe and ends the
+    process, never returning.  It closes its copy of the read end first, so
+    a write the parent no longer reads fails instead of blocking."""
     code = 1
     try:
-        for read in reads:
-            os.close(read)
+        os.close(read)
         try:
             payload = pickle.dumps((True, [job() for job in jobs]))
         except BaseException as exc:  # the parent raises it again
@@ -203,11 +202,12 @@ def run_cv_check(cfg: RunConfig, out: Path) -> CheckList:
         return cv_check_blocks(increment_blocks(stop, cfg.length, cfg.seed, STREAM_WALK,
                                                 first_row))
 
-    # one part per process, each cut at a row block's first row, so that
-    # every part draws the blocks of the whole draw
+    # on two processes, two parts cut at the first row of the middle row
+    # block, so that each part draws the blocks of the whole draw
     blocks = list(row_blocks(cfg.replicas, cfg.length))
-    parts = _processes(len(blocks))
-    cuts = [blocks[len(blocks) * k // parts].start for k in range(parts)] + [cfg.replicas]
+    cuts = [0, cfg.replicas]
+    if _processes(len(blocks)) == 2:
+        cuts.insert(1, blocks[len(blocks) // 2].start)
     reports = _run_jobs([functools.partial(part, first_row, stop)
                          for first_row, stop in zip(cuts, cuts[1:])])
     dev = np.concatenate([report.deviation for report in reports])

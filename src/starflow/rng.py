@@ -21,9 +21,9 @@ generator of ``make_rng``; ``walk.increment_blocks`` can start at any row by
 advancing the Philox counter.
 
 Since a stream's words are the same in any process, ``cli`` runs
-``cv-check``'s two halves of its replicas, ``chain-donsker``'s two chains and
-``flip-check``'s two populations in forked processes, and their results do
-not move with the process count.
+``cv-check``'s two parts of its replicas, ``chain-donsker``'s two chains and
+``flip-check``'s two populations in two processes, one of them forked, and
+their results do not move with the process count.
 
 numpy.random is imported with this module, which numpy would otherwise do
 on the first draw, inside a run.

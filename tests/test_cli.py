@@ -758,6 +758,16 @@ def test_results_do_not_depend_on_the_process_count(extra, block_steps, cuts, tm
     assert [first * length % 2 for first in cuts[1:]] == [1] * (len(cuts) - 1)
 
 
+def test_processes_are_at_most_two_and_forked_only_on_linux(monkeypatch):
+    # asks for no process: only the count is read
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    for cpus, counts in ((1, [1, 1, 1, 1]), (2, [1, 1, 2, 2]), (8, [1, 1, 2, 2])):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        assert [cli._processes(jobs) for jobs in (0, 1, 2, 77)] == counts
+    monkeypatch.setattr(cli.sys, "platform", "darwin")
+    assert cli._processes(2) == 1
+
+
 def test_worker_error_reaches_main_as_exit_2(small_config, tmp_path, capsys, monkeypatch):
     # the lazy chain, the second job, runs in the worker
     monkeypatch.setattr(cli, "_cpus", lambda: 2)

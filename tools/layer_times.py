@@ -22,8 +22,8 @@ them (rows x width) against the walk steps drawn.
 The subcommand rows time the bodies of ``cli.run_cv_check``,
 ``run_chain_donsker`` and ``run_flip_check`` at those sizes, CSV written
 into a temporary directory: once in this process alone (``cli._cpus``
-patched to 1) and once on the default process count, which forks one worker
-per further job up to the CPUs this process may run on.
+patched to 1) and once on the default process count: two, one of them a
+forked worker, on Linux when this process may run on two or more CPUs.
 
 The convergence rows run from the junction over [0, 1] on the window and
 the walk and mark streams of ``starflow convergence``.  One
